@@ -352,11 +352,8 @@ def stab_full(c: BlockCirculant, mode: str = "bruteforce") -> AutGroup:
         raise OutOfRange(f"unknown mode {mode!r}")
     m1, mc, p = c.m1, c.n_block_cols, c.p
     dense = c.expand()
-    labels = {
-        (i, j): classify(stab_block(c.block(i, j), mode))
-        for i in range(m1)
-        for j in range(mc)
-    }
+    stabs = [[stab_block(c.block(i, j), mode) for j in range(mc)] for i in range(m1)]
+    labels = {(i, j): classify(stabs[i][j]) for i in range(m1) for j in range(mc)}
     if check_iii(c).status == "fail":
         k = m1 * p
         if k > BRUTE_FORCE_MAX_P:
@@ -375,7 +372,6 @@ def stab_full(c: BlockCirculant, mode: str = "bruteforce") -> AutGroup:
             block_labels=labels, method="full-matrix", mode=mode,
         )
     else:
-        stabs = [[stab_block(c.block(i, j), mode) for j in range(mc)] for i in range(m1)]
         maps_pq = [[{} for _ in range(mc)] for _ in range(m1)]
         maps_qp = [[{} for _ in range(mc)] for _ in range(m1)]
         for i in range(m1):
@@ -403,24 +399,6 @@ def stab_full(c: BlockCirculant, mode: str = "bruteforce") -> AutGroup:
     return group
 
 
-def column_orbit(b: CirculantBlock) -> set[tuple[int, ...]]:
-    """Orbit of the first column vector under shift-and-reorder.
-
-    The acting group pairs a cyclic shift by u with an arbitrary
-    coefficient reordering; the orbit is enumerated literally over all
-    p * p! group elements. Shifts are themselves reorderings, so the
-    orbit equals the set of distinct rearrangements of the coefficients.
-    """
-    v = b.first_row
-    p = b.p
-    out = set()
-    for images in permutations(range(p)):
-        base = tuple(v[images[m]] for m in range(p))
-        for u in range(p):
-            out.add(tuple(base[(m - u) % p] for m in range(p)))
-    return out
-
-
 def reordering_count(row) -> int:
     """p! / prod(multiplicity!) distinct rearrangements of the row."""
     row = tuple(row)
@@ -428,40 +406,6 @@ def reordering_count(row) -> int:
     for value in set(row):
         count //= math.factorial(row.count(value))
     return count
-
-
-def h_group_exhaustive(h: ParityCheck, max_n: int = 8) -> list[tuple[np.ndarray, Perm]]:
-    """Full symmetry search of [I | C] over all n! column permutations.
-
-    Returns every (A, sigma) with A binary invertible and
-    A^-1 [I | C] M_sigma = [I | C]. A is read off the first k permuted
-    columns, so no search over invertible matrices is needed. Reference
-    oracle for small n only.
-    """
-    n, k = h.n, h.k
-    if n > max_n:
-        raise TooLarge(f"{n}! column permutations exceed the exhaustive guard")
-    dense = h.expand()
-    cexp = h.c.expand()
-    out = []
-    from .niederreiter import gf2_rank
-
-    for sigma in permutations(range(n)):
-        hp = dense[:, sigma]
-        a = hp[:, :k]
-        if a.max() > 1:
-            continue
-        if gf2_rank(a) != k:
-            continue
-        rhs = hp[:, k:]
-        ac = np.zeros_like(rhs)
-        for i in range(k):
-            mask = a[i].astype(bool)
-            if mask.any():
-                ac[i] = np.bitwise_xor.reduce(cexp[mask], axis=0)
-        if np.array_equal(ac, rhs):
-            out.append((a.astype(np.uint8), Perm(sigma)))
-    return out
 
 
 @dataclass(frozen=True)

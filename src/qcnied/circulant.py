@@ -233,10 +233,6 @@ class ParityCheck:
         return np.hstack([np.eye(self.k, dtype=np.int64), self.c.expand()])
 
 
-def expand_pc(h: ParityCheck) -> np.ndarray:
-    return h.expand()
-
-
 def perm_equivalent(v, w) -> bool:
     """Whether some reordering of v equals w (multiset equality)."""
     v = list(v)

@@ -13,6 +13,7 @@ variable, else 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -30,7 +31,7 @@ from .distinguish import dk_bound_envelope, dk_bound_from_elements
 from .errors import LemmaViolated, ParseError, QcniedError
 from .autgroup import AutGroup, EXCEPTIONAL, stab_full, verify_lemma1
 from .field import FieldCtx
-from .niederreiter import decrypt, encrypt, error_capacity, keygen
+from .niederreiter import decrypt, encrypt, keygen
 
 
 def _read(path: str) -> str:
@@ -101,12 +102,10 @@ def _cmd_search(args) -> int:
 
 def _cmd_keygen(args) -> int:
     c = io.read_matrix(_read(args.matrix))
-    h = ParityCheck(c)
-    cap = error_capacity(h)
-    priv, pub = keygen(h, _seed_of(args), cap=cap)
-    _emit(io.write_private_key(priv, cap.e), args.priv)
+    priv, pub = keygen(ParityCheck(c), _seed_of(args))
+    _emit(io.write_private_key(priv), args.priv)
     _emit(io.write_public_key(pub), args.pub)
-    print(f"e: {cap.e}")
+    print(f"e: {pub.e}")
     return 0
 
 
@@ -137,10 +136,9 @@ def _cmd_encrypt(args) -> int:
 
 
 def _cmd_decrypt(args) -> int:
-    priv, _e = io.read_private_key(_read(args.priv))
-    cap = error_capacity(priv.h)
+    priv = io.read_private_key(_read(args.priv))
     y = io.read_ciphertext(priv.h.ctx, _read(args.ciphertext), priv.h.k)
-    x = decrypt(priv, cap, y)
+    x = decrypt(priv, y)
     support = ",".join(str(j) for j in range(len(x)) if x[j])
     _emit(support + "\n", args.out)
     return 0
@@ -358,10 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # built once per process, however often main runs
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

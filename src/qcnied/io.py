@@ -19,20 +19,20 @@ for byte.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .circulant import BlockCirculant, ParityCheck, Perm
 from .errors import ParseError, QcniedError
 from .field import FieldCtx
-from .niederreiter import PrivateKey, PublicKey
+from .niederreiter import PrivateKey, PublicKey, pack_column, unpack_column
 
 QCMAT_HEADER = "QCMAT v1"
 NIEDQC_HEADER = "NIEDQC v1"
 QCREP_HEADER = "QCREP v1"
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def _int_token(tok: str, what: str) -> int:
-    if not tok or tok != tok.strip() or not tok.lstrip("-").isdigit():
+    digits = tok[1:] if tok.startswith("-") else tok
+    if not digits or not (digits.isascii() and digits.isdigit()):
         raise ParseError(f"bad {what}: {tok!r}")
     return int(tok)
 
@@ -46,7 +46,7 @@ def _parse_params(line: str, n_fields: int, what: str) -> list[int]:
 
 def _ctx_from(eta: int, modulus_hex: str) -> FieldCtx:
     # same lowercase-only discipline as every other token in these formats
-    if not modulus_hex or any(c not in "0123456789abcdef" for c in modulus_hex):
+    if not modulus_hex or not _HEX_DIGITS.issuperset(modulus_hex):
         raise ParseError(f"bad modulus hex {modulus_hex!r}")
     modulus = int(modulus_hex, 16)
     try:
@@ -104,39 +104,30 @@ def read_matrix(text: str) -> BlockCirculant:
         raise ParseError(f"matrix file: {exc}") from exc
 
 
-def _pack_bits_hex(bits, width: int) -> str:
-    value = 0
-    for j, b in enumerate(bits):
-        value |= int(b) << j
-    return format(value, f"0{(width + 3) // 4}x")
-
-
-def _unpack_bits(tok: str, width: int):
-    try:
-        value = int(tok, 16)
-    except ValueError as exc:
-        raise ParseError(f"bad bit-packed row {tok!r}") from exc
-    if value >= 1 << width:
+def _unpack_bits(tok: str, width: int) -> int:
+    if len(tok) != (width + 3) // 4 or not _HEX_DIGITS.issuperset(tok):
+        raise ParseError(f"bad bit-packed row {tok!r}")
+    value = int(tok, 16)
+    if value >> width:
         raise ParseError(f"bit-packed row {tok!r} wider than {width} bits")
-    return [(value >> j) & 1 for j in range(width)]
+    return value
 
 
-def write_private_key(priv: PrivateKey, e: int) -> str:
+def write_private_key(priv: PrivateKey) -> str:
     c = priv.h.c
-    k = priv.h.k
     out = [
         NIEDQC_HEADER,
         "private",
-        f"{c.p} {c.m1} {c.m2} {c.ctx.eta} {e}",
+        f"{c.p} {c.m1} {c.m2} {c.ctx.eta} {priv.e}",
         format(c.ctx.modulus, "x"),
     ]
-    out.extend(_pack_bits_hex(priv.a0[i], k) for i in range(k))
+    out.extend(format(row, f"0{(priv.h.k + 3) // 4}x") for row in priv.a0)
     out.append(" ".join(str(i) for i in priv.b0.images))
     out.extend(_format_row(c.ctx, row) for row in c.block_first_rows())
     return "\n".join(out) + "\n"
 
 
-def read_private_key(text: str) -> tuple[PrivateKey, int]:
+def read_private_key(text: str) -> PrivateKey:
     lines = _lines(text, "private key")
     if len(lines) < 4 or lines[0] != NIEDQC_HEADER:
         raise ParseError(f"private key: expected header {NIEDQC_HEADER!r}")
@@ -149,18 +140,14 @@ def read_private_key(text: str) -> tuple[PrivateKey, int]:
     expect = 4 + k + 1 + n_blocks
     if len(lines) != expect:
         raise ParseError(f"private key: expected {expect} lines, got {len(lines)}")
-    a0 = np.array([_unpack_bits(lines[4 + i], k) for i in range(k)], dtype=np.uint8)
+    a0 = tuple(_unpack_bits(lines[4 + i], k) for i in range(k))
     images = _parse_params(lines[4 + k], n, "permutation images")
-    try:
-        b0 = Perm(images)
-    except QcniedError as exc:
-        raise ParseError(f"private key: {exc}") from exc
     rows = [_parse_row(ctx, lines[5 + k + i], p) for i in range(n_blocks)]
     try:
         c = BlockCirculant.from_rows(ctx, p, m1, m2, rows)
+        return PrivateKey(a0=a0, h=ParityCheck(c), b0=Perm(images), e=e)
     except QcniedError as exc:
         raise ParseError(f"private key: {exc}") from exc
-    return PrivateKey(a0=a0, h=ParityCheck(c), b0=b0), e
 
 
 def write_public_key(pub: PublicKey) -> str:
@@ -171,7 +158,8 @@ def write_public_key(pub: PublicKey) -> str:
         f"{pub.p} {pub.m1} {pub.m2} {pub.eta} {pub.e}",
         format(ctx.modulus, "x"),
     ]
-    out.extend(_format_row(ctx, pub.hprime[i]) for i in range(pub.k))
+    columns = [unpack_column(col, pub.k, pub.eta) for col in pub.hprime]
+    out.extend(_format_row(ctx, row) for row in zip(*columns))
     return "\n".join(out) + "\n"
 
 
@@ -187,10 +175,8 @@ def read_public_key(text: str) -> PublicKey:
     if len(lines) != 4 + k:
         raise ParseError(f"public key: expected {4 + k} lines, got {len(lines)}")
     rows = [_parse_row(ctx, lines[4 + i], n) for i in range(k)]
-    return PublicKey(
-        hprime=np.array(rows, dtype=np.int64), p=p, m1=m1, m2=m2, eta=eta, e=e,
-        modulus=ctx.modulus,
-    )
+    hprime = tuple(pack_column(col, eta) for col in zip(*rows))
+    return PublicKey(hprime=hprime, p=p, m1=m1, m2=m2, eta=eta, e=e, modulus=ctx.modulus)
 
 
 def write_ciphertext(ctx: FieldCtx, y) -> str:

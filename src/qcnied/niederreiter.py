@@ -1,28 +1,33 @@
 """Syndrome-based public-key encryption over block-circulant parity checks.
 
-The private key is (A0, H, B0): an invertible binary scrambler, a
-structured parity check H = [I | C], and a column permutation. The public
-key is the dense H' = A0 H B0. A plaintext is a binary vector of weight
-at most e; its ciphertext is the syndrome H' x^T.
+The private key is (A0, H, B0, e): an invertible binary scrambler, a
+parity check H = [I | C], a column permutation and the error capacity.
+The public key is H' = A0 H B0 with e. A plaintext is a binary vector of
+weight at most e; its ciphertext is the syndrome H' x^T, the XOR of the
+columns on its support, so no field multiplication runs here.
 
-Decryption strips the scrambler (y -> A0^-1 y = H B0 x^T), looks the
-syndrome up in a table built from H, and undoes the permutation. The
-error capacity e is the largest t for which the syndrome map is injective
-on all binary vectors of weight <= t, found by direct enumeration.
+Binary matrices are Python ints: A0 and A0^-1 are k bit-rows (bit j =
+column j) as the key file stores them; H, H' and syndromes are packed
+columns, entry i in bits [i*eta, (i+1)*eta). One F2 elimination serves
+A0's rank and inverse and the binary syndrome map z -> H z^T. e, the
+largest t with that map injective on weights <= t, is n when its kernel
+is trivial and is otherwise found by enumerating weights in turn.
 
-Because plaintexts are binary, every syndrome is just an XOR of parity
-check columns; no field multiplications are needed anywhere in the
-encrypt/decrypt path.
+Decryption strips A0, eliminates for a solution z0 that is zero off the
+pivot columns, and searches z0 + ker H over sums of at most e kernel
+basis vectors. Each basis vector has exactly one non-pivot position, so
+the unique solution of weight <= e is among them (Prange's
+information-set argument).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from math import comb
-
-import numpy as np
+from operator import xor
 
 from .circulant import ParityCheck, Perm
 from .errors import DecodeFailure, SizeMismatch, TooLarge, WeightTooHigh
@@ -30,124 +35,141 @@ from .errors import DecodeFailure, SizeMismatch, TooLarge, WeightTooHigh
 ENUM_BUDGET = 1 << 24
 
 
-def gf2_rank(m: np.ndarray) -> int:
-    """Rank over F2, by elimination on a copy."""
-    a = (np.array(m, dtype=np.uint8) & 1).copy()
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i, c]), None)
-        if pivot is None:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] ^= a[r]
-        r += 1
-        if r == rows:
+def _cancel(pivots: dict[int, int], x: int, width: int) -> int:
+    """Cancel the bits of x at and above width against the echelon rows."""
+    while x >> width:
+        row = pivots.get(x.bit_length() - 1)
+        if row is None:
             break
-    return r
+        x ^= row
+    return x
 
 
-def gf2_inv(m: np.ndarray) -> np.ndarray:
-    """Inverse of a square binary matrix over F2."""
-    a = (np.array(m, dtype=np.uint8) & 1).copy()
-    k = a.shape[0]
-    if a.shape != (k, k):
-        raise SizeMismatch("not square")
-    aug = np.hstack([a, np.eye(k, dtype=np.uint8)])
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, k) if aug[i, c]), None)
-        if pivot is None:
-            raise SizeMismatch("matrix is singular over F2")
-        aug[[r, pivot]] = aug[[pivot, r]]
-        for i in range(k):
-            if i != r and aug[i, c]:
-                aug[i] ^= aug[r]
-        r += 1
-    return aug[:, k:]
+def _echelon(vectors) -> tuple[dict[int, int], list[int]]:
+    """F2 elimination of int vectors, each tagged with its own index bit.
+
+    Vector i enters as (v << m) | (1 << i), m = len(vectors), so the low m
+    bits of every row record which inputs it sums. Returns the echelon
+    rows keyed by leading bit, and the tags of the vectors that reduced to
+    zero: a basis of {z : XOR of vectors on z = 0} in which basis vector i
+    has exactly one non-pivot index, i itself.
+    """
+    m = len(vectors)
+    pivots: dict[int, int] = {}
+    kernel: list[int] = []
+    for i, v in enumerate(vectors):
+        x = _cancel(pivots, (v << m) | (1 << i), m)
+        if x >> m:
+            pivots[x.bit_length() - 1] = x
+        else:
+            kernel.append(x)
+    return pivots, kernel
 
 
-def _pack_syndrome(v: np.ndarray, eta: int) -> int:
+def _inverse(rows) -> tuple[int, ...] | None:
+    """Inverse of a square F2 matrix given as bit-rows; None when singular."""
+    k = len(rows)
+    pivots, kernel = _echelon(rows)
+    if kernel:
+        return None
+    # the tag of the sum of rows equal to e_c is row c of the inverse
+    return tuple(_cancel(pivots, 1 << (k + c), k) for c in range(k))
+
+
+def _mix(rows, column: int, eta: int) -> int:
+    """Packed column with lane i = XOR of its lanes l where rows[i] has bit l."""
+    mask = (1 << eta) - 1
+    lanes = [(column >> (l * eta)) & mask for l in range(len(rows))]
     out = 0
-    for i, a in enumerate(v.tolist()):
+    for i, row in enumerate(rows):
+        acc = 0
+        for l, lane in enumerate(lanes):
+            if row >> l & 1:
+                acc ^= lane
+        out |= acc << (i * eta)
+    return out
+
+
+def pack_column(values, eta: int) -> int:
+    """Field elements as one packed column, entry i in bits [i*eta, (i+1)*eta)."""
+    out = 0
+    for i, a in enumerate(values):
         out |= a << (i * eta)
     return out
 
 
-def _packed_columns(dense: np.ndarray, eta: int) -> list[int]:
-    return [_pack_syndrome(dense[:, j], eta) for j in range(dense.shape[1])]
+def unpack_column(packed: int, k: int, eta: int) -> tuple[int, ...]:
+    """The k field elements of a packed column."""
+    mask = (1 << eta) - 1
+    return tuple((packed >> (i * eta)) & mask for i in range(k))
 
 
-@dataclass(frozen=True)
-class ErrorCapacity:
-    """Largest injective weight e plus the syndrome lookup table.
+def _columns(h: ParityCheck) -> list[int]:
+    """The n packed columns of H = [I | C]."""
+    c, eta, p = h.c, h.ctx.eta, h.c.p
+    cols = [1 << (i * eta) for i in range(h.k)]
+    for bj in range(c.n_block_cols):
+        for s in range(p):
+            cols.append(pack_column(
+                (c.block(bi, bj).first_row[(s - r) % p] for bi in range(c.m1) for r in range(p)),
+                eta,
+            ))
+    return cols
 
-    table maps a packed syndrome (eta-bit lanes, low row first) to the
-    support tuple of its unique preimage of weight <= e.
+
+def _capacity(cols: list[int], kernel: list[int]) -> int:
+    """Largest t with distinct syndromes on all vectors of weight <= t.
+
+    A trivial kernel makes the map injective outright. Otherwise weights
+    are enumerated in turn until two syndromes collide; TooLarge is raised
+    before a weight level would take the cumulative count past ENUM_BUDGET.
     """
-
-    e: int
-    table: dict[int, tuple[int, ...]]
-    n: int
-    k: int
-    eta: int
-
-
-def error_capacity(h: ParityCheck, budget: int = ENUM_BUDGET) -> ErrorCapacity:
-    """Find e and the decoding table by weight-by-weight enumeration.
-
-    Each weight level is committed only if it collides with nothing seen
-    so far; the first collision fixes e at the previous level. Raises
-    TooLarge once the cumulative number of enumerated vectors would pass
-    the budget.
-    """
-    dense = h.expand()
-    eta = h.ctx.eta
-    n = h.n
-    cols = _packed_columns(dense, eta)
-    table: dict[int, tuple[int, ...]] = {0: ()}
+    n = len(cols)
+    if not kernel:
+        return n
+    seen = {0}
     enumerated = 1
-    e = 0
     for t in range(1, n + 1):
         enumerated += comb(n, t)
-        if enumerated > budget:
-            raise TooLarge(
-                f"syndrome enumeration through weight {t} needs {enumerated} vectors"
-            )
-        level: dict[int, tuple[int, ...]] = {}
-        collision = False
-        for support in combinations(range(n), t):
-            s = 0
-            for j in support:
-                s ^= cols[j]
-            if s in table or s in level:
-                collision = True
-                break
-            level[s] = support
-        if collision:
-            break
-        table.update(level)
-        e = t
-    return ErrorCapacity(e=e, table=table, n=n, k=h.k, eta=eta)
+        if enumerated > ENUM_BUDGET:
+            raise TooLarge(f"syndrome enumeration through weight {t} needs {enumerated} vectors")
+        for support in combinations(cols, t):
+            s = reduce(xor, support)
+            if s in seen:
+                return t - 1
+            seen.add(s)
+    raise AssertionError("a nonzero kernel vector must collide with zero")
 
 
 @dataclass(frozen=True)
 class PrivateKey:
-    a0: np.ndarray
+    """A0, H, B0 and e, with what decryption derives from them once.
+
+    Construction inverts A0 (SizeMismatch when it is singular) and
+    eliminates H's binary syndrome map, so decrypt does neither.
+    """
+
+    a0: tuple[int, ...]
     h: ParityCheck
     b0: Perm
+    e: int
+    a0inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    pivots: dict[int, int] = field(init=False, repr=False, compare=False)
+    kernel: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def params(self) -> tuple[int, int, int, int]:
-        c = self.h.c
-        return (c.p, c.m1, c.m2, c.ctx.eta)
+    def __post_init__(self):
+        a0inv = _inverse(self.a0)
+        if a0inv is None:
+            raise SizeMismatch("A0 is singular over F2")
+        pivots, kernel = _echelon(_columns(self.h))
+        object.__setattr__(self, "a0inv", a0inv)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "kernel", tuple(kernel))
 
 
 @dataclass(frozen=True)
 class PublicKey:
-    hprime: np.ndarray
+    hprime: tuple[int, ...]  # n packed columns of H' = A0 H B0
     p: int
     m1: int
     m2: int
@@ -166,88 +188,76 @@ class PublicKey:
         return self.m2 * self.p
 
 
-def _xor_rows_select(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    picked = rows[mask.astype(bool)]
-    if picked.shape[0] == 0:
-        return np.zeros(rows.shape[1], dtype=rows.dtype)
-    return np.bitwise_xor.reduce(picked, axis=0)
-
-
-def keygen(
-    h: ParityCheck,
-    seed: int,
-    cap: ErrorCapacity | None = None,
-    debug_identity: bool = False,
-) -> tuple[PrivateKey, PublicKey]:
-    """Draw (A0, B0) from a seeded stream and publish H' = A0 H B0.
+def keygen(h: ParityCheck, seed: int, debug_identity: bool = False) -> tuple[PrivateKey, PublicKey]:
+    """Find e, draw (A0, B0) from a seeded stream, publish H' = A0 H B0.
 
     A0 is rejection-sampled until invertible over F2; B0 is a
     Fisher-Yates shuffle from the same stream. debug_identity forces
-    A0 = I, B0 = id so that H' equals the expanded H (test hook).
+    A0 = I, B0 = id so that H' equals H (test hook). TooLarge when the
+    capacity enumeration exceeds ENUM_BUDGET.
     """
+    cols = _columns(h)
+    e = _capacity(cols, _echelon(cols)[1])
     rng = random.Random(seed)
-    k, n = h.k, h.n
+    k, n, eta = h.k, h.n, h.ctx.eta
     if debug_identity:
-        a0 = np.eye(k, dtype=np.uint8)
+        a0 = tuple(1 << i for i in range(k))
         b0 = Perm.identity(n)
     else:
-        while True:
-            a0 = np.array(
-                [[(bits >> j) & 1 for j in range(k)] for bits in (rng.getrandbits(k) for _ in range(k))],
-                dtype=np.uint8,
-            )
-            if gf2_rank(a0) == k:
-                break
+        a0 = tuple(rng.getrandbits(k) for _ in range(k))
+        while _inverse(a0) is None:
+            a0 = tuple(rng.getrandbits(k) for _ in range(k))
         images = list(range(n))
         rng.shuffle(images)
         b0 = Perm(images)
-    if cap is None:
-        cap = error_capacity(h)
-    dense = h.expand()
-    scrambled = np.vstack([_xor_rows_select(dense, a0[i]) for i in range(k)])
-    hprime = scrambled[:, [b0(j) for j in range(n)]]
+    priv = PrivateKey(a0=a0, h=h, b0=b0, e=e)
+    hprime = tuple(_mix(a0, cols[b0(j)], eta) for j in range(n))
     c = h.c
-    priv = PrivateKey(a0=a0, h=h, b0=b0)
-    pub = PublicKey(
-        hprime=hprime, p=c.p, m1=c.m1, m2=c.m2, eta=c.ctx.eta, e=cap.e,
-        modulus=c.ctx.modulus,
-    )
+    pub = PublicKey(hprime, c.p, c.m1, c.m2, eta, e, modulus=c.ctx.modulus)
     # key relation sanity: undoing A0 and B0 must restore the structured matrix
-    a0inv = gf2_inv(a0)
-    unscrambled = np.vstack([_xor_rows_select(hprime, a0inv[i]) for i in range(k)])
-    if not np.array_equal(unscrambled[:, b0.inv().images], dense):
+    b0inv = b0.inv()
+    if any(_mix(priv.a0inv, hprime[b0inv(j)], eta) != cols[j] for j in range(n)):
         raise AssertionError("key relation A0^-1 H' B0^-1 == H failed")
     return priv, pub
 
 
 def encrypt(pub: PublicKey, x) -> tuple[int, ...]:
     """Ciphertext y = H' x^T for a binary plaintext of weight <= e."""
-    x = np.asarray(list(x), dtype=np.int64)
-    if x.shape != (pub.n,):
-        raise SizeMismatch(f"plaintext length {x.shape} != n = {pub.n}")
-    if any(b not in (0, 1) for b in x.tolist()):
+    x = tuple(x)
+    if len(x) != pub.n:
+        raise SizeMismatch(f"plaintext length {len(x)} != n = {pub.n}")
+    if any(b not in (0, 1) for b in x):
         raise SizeMismatch("plaintext must be binary")
-    weight = int(x.sum())
+    weight = sum(x)
     if weight > pub.e:
         raise WeightTooHigh(f"weight {weight} exceeds capacity e = {pub.e}")
-    support = np.flatnonzero(x)
-    if support.size == 0:
-        return (0,) * pub.k
-    y = np.bitwise_xor.reduce(pub.hprime[:, support], axis=1)
-    return tuple(int(a) for a in y)
+    y = reduce(xor, (col for col, bit in zip(pub.hprime, x) if bit), 0)
+    return unpack_column(y, pub.k, pub.eta)
 
 
-def decrypt(priv: PrivateKey, cap: ErrorCapacity, y) -> tuple[int, ...]:
-    """Invert the scrambler, decode the syndrome, undo the permutation."""
-    k, n = priv.h.k, priv.h.n
-    y = np.asarray(list(y), dtype=np.int64)
-    if y.shape != (k,):
-        raise SizeMismatch(f"ciphertext length {y.shape} != k = {k}")
-    a0inv = gf2_inv(priv.a0)
-    s = np.array([int(np.bitwise_xor.reduce(y[a0inv[i].astype(bool)])) if a0inv[i].any() else 0 for i in range(k)])
-    packed = _pack_syndrome(s, priv.h.ctx.eta)
-    support_z = cap.table.get(packed)
-    if support_z is None:
-        raise DecodeFailure("syndrome not in the weight <= e table")
-    z = set(support_z)
-    return tuple(1 if priv.b0(j) in z else 0 for j in range(n))
+def decrypt(priv: PrivateKey, y) -> tuple[int, ...]:
+    """Invert the scrambler, decode the syndrome, undo the permutation.
+
+    TooLarge, before any search, when the coset search would try more
+    than ENUM_BUDGET candidates; only a key whose e overstates the
+    capacity can get there.
+    """
+    h, e = priv.h, priv.e
+    k, n, eta = h.k, h.n, h.ctx.eta
+    y = tuple(y)
+    if len(y) != k:
+        raise SizeMismatch(f"ciphertext length {len(y)} != k = {k}")
+    dim = len(priv.kernel)
+    weights = range(min(e, dim) + 1)
+    candidates = sum(comb(dim, w) for w in weights)
+    if candidates > ENUM_BUDGET:
+        raise TooLarge(f"coset search over {candidates} kernel combinations")
+    z0 = _cancel(priv.pivots, _mix(priv.a0inv, pack_column(y, eta), eta) << n, n)
+    if z0 >> n:
+        raise DecodeFailure("syndrome outside the column span of H")
+    for w in weights:
+        for combo in combinations(priv.kernel, w):
+            z = reduce(xor, combo, z0)
+            if z.bit_count() <= e:
+                return tuple(z >> priv.b0(j) & 1 for j in range(n))
+    raise DecodeFailure(f"no preimage of weight <= {e}")

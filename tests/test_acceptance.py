@@ -30,9 +30,9 @@ from qcnied.distinguish import (
     s1_term,
 )
 from qcnied.field import FieldCtx
-from qcnied.autgroup import SYMMETRIC, stab_full, column_orbit
+from qcnied.autgroup import SYMMETRIC, stab_full
 
-from test_autgroup import FANO_ROW
+from test_autgroup import FANO_ROW, column_orbit
 
 C4_SEEDS_M2 = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21)
 C4_SEEDS_M3 = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
@@ -114,7 +114,7 @@ def test_criterion_03_roundtrip_corpus(tmp_path, capsys):
             priv_p, pub_p = tmp_path / f"sk{seed}", tmp_path / f"pk{seed}"
             assert cli.main(["keygen", str(mat), "--seed", str(seed),
                              "--priv", str(priv_p), "--pub", str(pub_p)]) == 0
-            e = io.read_private_key(priv_p.read_text())[1]
+            e = io.read_private_key(priv_p.read_text()).e
             ct, out = tmp_path / "ct", tmp_path / "out"
             for w in range(e + 1):
                 for sup in itertools.combinations(range(10), w):

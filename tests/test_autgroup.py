@@ -11,8 +11,6 @@ from qcnied.autgroup import (
     SYMMETRIC,
     affine_params,
     classify,
-    column_orbit,
-    h_group_exhaustive,
     is_affine,
     minimal_degree,
     pair_inv,
@@ -35,6 +33,67 @@ CTX = FieldCtx(2)
 # difference set, so the block is a Fano-plane incidence structure and
 # its stabilizer is the full collineation group of order 168
 FANO_ROW = (3, 3, 3, 1, 1, 3, 1)
+
+
+def column_orbit(b: CirculantBlock) -> set[tuple[int, ...]]:
+    """Orbit of the first column vector under shift-and-reorder.
+
+    The acting group pairs a cyclic shift by u with an arbitrary
+    coefficient reordering; the orbit is enumerated literally over all
+    p * p! group elements. Shifts are themselves reorderings, so the
+    orbit equals the set of distinct rearrangements of the coefficients.
+    """
+    v = b.first_row
+    p = b.p
+    out = set()
+    for images in itertools.permutations(range(p)):
+        base = tuple(v[images[m]] for m in range(p))
+        for u in range(p):
+            out.add(tuple(base[(m - u) % p] for m in range(p)))
+    return out
+
+
+def _f2_rank(rows) -> int:
+    """Rank over F2 of int bit-rows, by keeping one row per leading bit."""
+    basis: dict[int, int] = {}
+    for x in rows:
+        while x and x.bit_length() in basis:
+            x ^= basis[x.bit_length()]
+        if x:
+            basis[x.bit_length()] = x
+    return len(basis)
+
+
+def h_group_exhaustive(h: ParityCheck, max_n: int = 8) -> list[tuple[np.ndarray, Perm]]:
+    """Full symmetry search of [I | C] over all n! column permutations.
+
+    Returns every (A, sigma) with A binary invertible and
+    A^-1 [I | C] M_sigma = [I | C]. A is read off the first k permuted
+    columns, so no search over invertible matrices is needed. Reference
+    oracle for small n only.
+    """
+    n, k = h.n, h.k
+    if n > max_n:
+        raise TooLarge(f"{n}! column permutations exceed the exhaustive guard")
+    dense = h.expand()
+    cexp = h.c.expand()
+    out = []
+    for sigma in itertools.permutations(range(n)):
+        hp = dense[:, sigma]
+        a = hp[:, :k]
+        if a.max() > 1:
+            continue
+        if _f2_rank(int("".join(map(str, row)), 2) for row in a) != k:
+            continue
+        rhs = hp[:, k:]
+        ac = np.zeros_like(rhs)
+        for i in range(k):
+            mask = a[i].astype(bool)
+            if mask.any():
+                ac[i] = np.bitwise_xor.reduce(cexp[mask], axis=0)
+        if np.array_equal(ac, rhs):
+            out.append((a.astype(np.uint8), Perm(sigma)))
+    return out
 
 
 def test_affine_predicates():

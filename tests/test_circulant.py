@@ -12,7 +12,6 @@ from qcnied.circulant import (
     ParityCheck,
     Perm,
     act,
-    expand_pc,
     perm_equivalent,
 )
 from qcnied.errors import LengthMismatch, OutOfRange, SizeMismatch
@@ -121,7 +120,6 @@ def test_parity_check_is_systematic():
     assert h.k == 3 and h.n == 6
     assert np.array_equal(m[:, :3], np.eye(3, dtype=m.dtype))
     assert np.array_equal(m[:, 3:], c.expand())
-    assert np.array_equal(expand_pc(h), m)
 
 
 def test_perm_equivalent_matches_exhaustive_search():

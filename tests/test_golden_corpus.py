@@ -1,0 +1,163 @@
+"""Byte-for-byte pins on the search -> keygen -> encrypt -> decrypt pipeline.
+
+Every command of a fixed corpus runs through the CLI entry point; the
+test pins the exit code and the sha256 of each written file (matrix,
+private key, public key, ciphertext) and of each stdout. The pins were
+taken from the syndrome-table implementation this package used before
+its decoder moved to F2 elimination, so they hold the two to identical
+files and outputs. Regenerate the table with
+
+    PYTHONPATH=src python tests/test_golden_corpus.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io as _io
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from qcnied.cli import main
+
+# (p, m1, m2, eta, seed); the seed drives both search and keygen
+CORPUS = (
+    (5, 1, 2, 2, 1),
+    (5, 1, 2, 2, 2),
+    (5, 1, 2, 2, 3),
+    (7, 1, 3, 2, 2),
+    (5, 2, 4, 2, 3),
+    (5, 1, 8, 2, 1),
+    (11, 1, 2, 3, 2),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv) -> tuple[int, str]:
+    out = _io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue()
+
+
+def _supports(params, e: int, n: int) -> list[str]:
+    """The zero word, one weight-1 word and one word of weight min(e, n)."""
+    rng = random.Random("-".join(map(str, params)))
+    full = sorted(rng.sample(range(n), min(e, n)))
+    return ["", str(rng.randrange(n)), ",".join(map(str, full))]
+
+
+def run_corpus(workdir: Path) -> dict[str, tuple[int, str]]:
+    """Run the corpus in workdir; map each step to (exit code, sha256)."""
+    pins: dict[str, tuple[int, str]] = {}
+    for params in CORPUS:
+        p, m1, m2, eta, seed = params
+        tag = "_".join(map(str, params))
+        m, sk, pk = (workdir / f"{tag}.{ext}" for ext in ("qcm", "sk", "pk"))
+        code, _ = _run(["search", p, m1, m2, eta, "--seed", seed, "-o", m])
+        pins[f"{tag}/search"] = (code, _sha(m.read_bytes()))
+        code, stdout = _run(["keygen", m, "--seed", seed, "--priv", sk, "--pub", pk])
+        pins[f"{tag}/keygen"] = (code, _sha(stdout.encode()))
+        pins[f"{tag}/sk"] = (0, _sha(sk.read_bytes()))
+        pins[f"{tag}/pk"] = (0, _sha(pk.read_bytes()))
+        e = int(stdout.split()[1])
+        for i, support in enumerate(_supports(params, e, m2 * p)):
+            ct = workdir / f"{tag}.ct{i}"
+            code, _ = _run(["encrypt", pk, "--support", support, "-o", ct])
+            pins[f"{tag}/encrypt{i}"] = (code, _sha(ct.read_bytes()))
+            code, stdout = _run(["decrypt", sk, ct])
+            assert stdout == support + "\n"
+            pins[f"{tag}/decrypt{i}"] = (code, _sha(stdout.encode()))
+    return pins
+
+
+PINS = {
+    '5_1_2_2_1/search': (0, '05ea70ad80db7f79b411a8e86f539cde11d73e8cc53eefb5c9f0a361107c8e89'),
+    '5_1_2_2_1/keygen': (0, 'bdadb298e946eb3c82014152b12e736d3366e52537f58591d63da607d294cef2'),
+    '5_1_2_2_1/sk': (0, '6f7b73a1c39670ee0c18ab136b311a60676780bea12ce6e4612b3ee5f1f29cbc'),
+    '5_1_2_2_1/pk': (0, '0b823e5452edde3a013a9ba6c1f7c9437b4533012fe8cef0cacf77ab1af47edd'),
+    '5_1_2_2_1/encrypt0': (0, 'aeec6cd696078c273d36ddb33500d5af1aeac51b1b65a725363f3ae5728dd8c6'),
+    '5_1_2_2_1/decrypt0': (0, '01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b'),
+    '5_1_2_2_1/encrypt1': (0, '87bcd428b0409a690c8a31f0f8dd16516c07e6cabfd2e9a59ff0b5257fa9d827'),
+    '5_1_2_2_1/decrypt1': (0, '53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3'),
+    '5_1_2_2_1/encrypt2': (0, '09e5fa201bd4da46b5b9a40fd5fa62fd4dcbacc808561a1babd8dfbcf72e47d8'),
+    '5_1_2_2_1/decrypt2': (0, '5558d77fdb3274e40b56b21e5dac99f28b93c947a5a63dc157da4150c3412e84'),
+    '5_1_2_2_2/search': (0, 'e538a423152dc39c764ae2c2426432654af02d332e9b9fcffda24997a3a9e19e'),
+    '5_1_2_2_2/keygen': (0, '784108514fe689472a891fcf868394c5d6adaf8168e17bd1c98054c325981405'),
+    '5_1_2_2_2/sk': (0, '139c9f0886053af729b7aa186a332110067659893fa7a58e062bd6ad149013fc'),
+    '5_1_2_2_2/pk': (0, 'a41d762219c10f74a2ed3431699624570a51a842299aa92f53fde4b905967627'),
+    '5_1_2_2_2/encrypt0': (0, 'aeec6cd696078c273d36ddb33500d5af1aeac51b1b65a725363f3ae5728dd8c6'),
+    '5_1_2_2_2/decrypt0': (0, '01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b'),
+    '5_1_2_2_2/encrypt1': (0, 'd6d28ea0f33c931d3b98e24c75451d99f498205a992b4e912db64d72d44dbd5f'),
+    '5_1_2_2_2/decrypt1': (0, '1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2'),
+    '5_1_2_2_2/encrypt2': (0, '92fcd73034b3aa8a7bbabdc27f51f138b700030cb7342d596007f4cc74d3abfc'),
+    '5_1_2_2_2/decrypt2': (0, 'b7d52694f6fca788a24106ae21ba8b7ee90661f4283ce7918766f8bceaa845f0'),
+    '5_1_2_2_3/search': (0, 'fba083c5a9fb99dafad8e162cd7076d7a33134d5c53f46de75c14beafb733b17'),
+    '5_1_2_2_3/keygen': (0, 'd39983f86c402c8a8a8af722b720c6df4519b1b4cafa3100c0fb17cbbe08bde7'),
+    '5_1_2_2_3/sk': (0, 'e0f02f0cb4e76e624b076842b68435b1836a0627a098952bba4f84a84f6775e9'),
+    '5_1_2_2_3/pk': (0, '87866b36c34d232c98c6b984fcd08104c5999a27250d7af19c1d0a745f2b7db4'),
+    '5_1_2_2_3/encrypt0': (0, 'aeec6cd696078c273d36ddb33500d5af1aeac51b1b65a725363f3ae5728dd8c6'),
+    '5_1_2_2_3/decrypt0': (0, '01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b'),
+    '5_1_2_2_3/encrypt1': (0, 'e4a74665b23883ad384dd0aea2a0eaa272269d0a82c69928b35c3bce860a9cf2'),
+    '5_1_2_2_3/decrypt1': (0, '9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa'),
+    '5_1_2_2_3/encrypt2': (0, '9bc5475c401de1d4890bf13d06f4a896569012e9c3c9e0ed263e091a8f6cf234'),
+    '5_1_2_2_3/decrypt2': (0, '3904e7e527755d40523bdf249124c8ce18027ae8a9b7dece2869936af89ebd98'),
+    '7_1_3_2_2/search': (0, '2d2ec1aa0b4453946fbb548b61afb620bc8c78e6eea9535145b7815179ee5742'),
+    '7_1_3_2_2/keygen': (0, 'b67ac14501a4236fb0e920ed117026c5811c794cf2c100957bef703ff9dfc9a3'),
+    '7_1_3_2_2/sk': (0, 'e41b58b7cd91e0a4d238c2d8bf971dc68ed890b8911201cbc08850a9df1d291d'),
+    '7_1_3_2_2/pk': (0, '3d6a3d8335544d487a752d4306bc0fe3767d5fd9a4c6ab4d0eefa7e7e70b7a13'),
+    '7_1_3_2_2/encrypt0': (0, '696351de5a8816b503c359679eb9bd4d6cca2ef6201e40c6b615322bc0367ae2'),
+    '7_1_3_2_2/decrypt0': (0, '01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b'),
+    '7_1_3_2_2/encrypt1': (0, 'd89a4160f2c207a1a350da74a1b0591b4bc39c1360b6a3c18216e4495ea4299f'),
+    '7_1_3_2_2/decrypt1': (0, '917df3320d778ddbaa5c5c7742bc4046bf803c36ed2b050f30844ed206783469'),
+    '7_1_3_2_2/encrypt2': (0, '49793ea2b225a85ce1dc099016244fb0f2d5ee6d2f4ccb1d916a87e033a481d1'),
+    '7_1_3_2_2/decrypt2': (0, '5c552d2653ac9755948b7c5e03547cf9631eff3d776655b0f0a0f615586c7e9b'),
+    '5_2_4_2_3/search': (0, '86f3c324f5a5cbf30eb3b652658712af0a7138080791600fb9301392298d34ab'),
+    '5_2_4_2_3/keygen': (0, 'd39983f86c402c8a8a8af722b720c6df4519b1b4cafa3100c0fb17cbbe08bde7'),
+    '5_2_4_2_3/sk': (0, 'af1979423df044818fb132aaf3cd3232b99c70a84b1f16e1ec4774833bdfbaba'),
+    '5_2_4_2_3/pk': (0, '51d102ffbfb8e202ae26c7998fd270a919adc22063f260c98d5489c4b5000f14'),
+    '5_2_4_2_3/encrypt0': (0, 'bb1ad350d4a9708d010c2b31d96f014921895bb63f6ebb9a3378d985cafe7e64'),
+    '5_2_4_2_3/decrypt0': (0, '01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b'),
+    '5_2_4_2_3/encrypt1': (0, 'ba9b6b00bd2064736a637c8caca67110abee15d712b61985ded191dd8f21814b'),
+    '5_2_4_2_3/decrypt1': (0, '7ee29791fc17e986b97128845622b077fb45e349fdb80523fac9dba879b4ad60'),
+    '5_2_4_2_3/encrypt2': (0, 'b9a24a365017ae4efc36c1b43a04e01c71b99e5740c9536d8bb37caa67c4f546'),
+    '5_2_4_2_3/decrypt2': (0, '4982afecc7416aae78a819b151906735a680a9f09a325b0f676277e178cb4622'),
+    '5_1_8_2_1/search': (0, '63a617d96f291113706deedffdb1098e271ebfedb3e5303bd9d35f4475fdab8a'),
+    '5_1_8_2_1/keygen': (0, '8ee6954c682da0aaee34d733103b9a12bd9eb751fe5c89d167f734dec9b63584'),
+    '5_1_8_2_1/sk': (0, 'dec6c56a8763baf7dce3f29522d60e9381c06a54c00e2f3306af0ddfb0722b0b'),
+    '5_1_8_2_1/pk': (0, '90421cec4a085b35d19d85cdf34618f5a86ee82baf3fa19c03b40eb4a0fb7451'),
+    '5_1_8_2_1/encrypt0': (0, 'aeec6cd696078c273d36ddb33500d5af1aeac51b1b65a725363f3ae5728dd8c6'),
+    '5_1_8_2_1/decrypt0': (0, '01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b'),
+    '5_1_8_2_1/encrypt1': (0, 'd548f9b6ee9a16ab4d322ce49992d8abbc91b436d4814399f116e041c72e9dc6'),
+    '5_1_8_2_1/decrypt1': (0, 'aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8'),
+    '5_1_8_2_1/encrypt2': (0, 'f5318c1441bbfbc01f2da2b90758787d8395d56d647bc35f2847a6ef8647774e'),
+    '5_1_8_2_1/decrypt2': (0, '9961d158a7e0e2f990765971a9e490af826c0743b7d603020f34cc8944319fcb'),
+    '11_1_2_3_2/search': (0, '4d404d02f393592f46f91b35d57f541aefa93e690a1a1b3f2ec6089b8f27fe8e'),
+    '11_1_2_3_2/keygen': (0, '06ad9ebfc404733d372343ae7c68960619a994f033bfac4ae7daa4ff287bdd80'),
+    '11_1_2_3_2/sk': (0, '8d23627a8a9965802d230887a134b03f238084cc057b445d82fc635b5a58e4ae'),
+    '11_1_2_3_2/pk': (0, 'a8f1809bf8ddc4c874abbf8c9988496ef3ed2307f057f43e5854d6cb3b80cb92'),
+    '11_1_2_3_2/encrypt0': (0, 'b0247402bd69ef8a0de9be48ed7c1e2af3e72d6192a6842ee548f55d3bfef5f5'),
+    '11_1_2_3_2/decrypt0': (0, '01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b'),
+    '11_1_2_3_2/encrypt1': (0, 'f4c374d12ccb63a73dd2990250d4b0343b3eb9fa00cd202b6da0d573d0e96d40'),
+    '11_1_2_3_2/decrypt1': (0, 'aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8'),
+    '11_1_2_3_2/encrypt2': (0, '120ed591d922000495ad423acdf06f1593c0b7ce2cdb9f15e6ffe9b108155d87'),
+    '11_1_2_3_2/decrypt2': (0, '6cb2f9062795f95ce2e2cb0711c148fff6b378345e065634e8b717e302b1376b'),
+}
+
+
+def test_golden_corpus(tmp_path):
+    assert run_corpus(tmp_path) == PINS
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        pins = run_corpus(Path(tmp))
+    sys.stdout.write("PINS = {\n")
+    for key, value in pins.items():
+        sys.stdout.write(f"    {key!r}: {value!r},\n")
+    sys.stdout.write("}\n")

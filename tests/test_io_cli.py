@@ -1,16 +1,15 @@
 """File formats and the command line driver."""
 
-import numpy as np
 import pytest
 
-from qcnied import io
+from qcnied import cli, io
 from qcnied.circulant import BlockCirculant, ParityCheck, Perm
 from qcnied.cli import main
 from qcnied.conditions import sample_compliant, sample_variant
 from qcnied.distinguish import dk_bound
 from qcnied.errors import ParseError
 from qcnied.field import FieldCtx
-from qcnied.niederreiter import encrypt, error_capacity, keygen
+from qcnied.niederreiter import encrypt, keygen
 from qcnied.autgroup import stab_full
 
 from test_autgroup import FANO_ROW
@@ -22,10 +21,7 @@ def c512():
 
 
 def keypair(c, seed=9):
-    h = ParityCheck(c)
-    cap = error_capacity(h)
-    priv, pub = keygen(h, seed, cap=cap)
-    return priv, pub, cap
+    return keygen(ParityCheck(c), seed)
 
 
 # ---------------------------------------------------------------- formats
@@ -82,43 +78,69 @@ def test_matrix_rejects_bad_tokens():
 
 
 def test_private_key_roundtrip(c512):
-    priv, _pub, cap = keypair(c512)
-    text = io.write_private_key(priv, cap.e)
-    back, e = io.read_private_key(text)
-    assert e == cap.e
-    assert np.array_equal(back.a0, priv.a0)
+    priv, _pub = keypair(c512)
+    text = io.write_private_key(priv)
+    back = io.read_private_key(text)
+    assert back.e == priv.e
+    assert back.a0 == priv.a0 and back.a0inv == priv.a0inv
     assert back.b0 == priv.b0
     assert list(back.h.c.block_first_rows()) == list(c512.block_first_rows())
-    assert io.write_private_key(back, e) == text
+    assert io.write_private_key(back) == text
 
 
-def test_private_key_rejections(c512):
-    priv, _pub, cap = keypair(c512)
-    good = io.write_private_key(priv, cap.e)
+def test_private_key_rejections(c512, tmp_path):
+    priv, _pub = keypair(c512)
+    good = io.write_private_key(priv)
     lines = good[:-1].split("\n")
     images = lines[9].split(" ")
     dup = list(images)
     dup[0] = dup[1]
+
+    def with_line(i, line):
+        return "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
+
+    # k = 5, so each A0 row is exactly two lowercase hex digits
+    row = lines[5]
+    assert row == "13" and io.read_private_key(with_line(5, row)).a0[1] == 0x13
     cases = [
         "\n".join(["NIEDQC v2"] + lines[1:]) + "\n",
         "\n".join([lines[0], "public"] + lines[2:]) + "\n",
         "\n".join(lines[:-1]) + "\n",                     # short one line
         good + lines[-1] + "\n",                          # long one line
-        "\n".join(lines[:9] + [" ".join(dup)] + lines[10:]) + "\n",
+        with_line(9, " ".join(dup)),
+        with_line(4, "0E"),                               # uppercase hex
+        with_line(5, "0x13"),                             # prefix
+        with_line(5, " 13"),                              # leading space
+        with_line(5, "1_3"),                              # separator
+        with_line(5, "013"),                              # extra width
+        with_line(5, "3"),                                # short width
+        with_line(5, "20"),                               # bit 5 of a 5-bit row
+        with_line(2, "\u0665 1 2 2 4"),                    # Arabic-Indic five
+        with_line(2, "5 1 2 2 \uff14"),                    # fullwidth four
+        with_line(2, "5 1 2 2 --4"),
     ]
     for text in cases:
         with pytest.raises(ParseError):
             io.read_private_key(text)
 
+    # a singular A0 is refused when the key loads: ParseError, exit 2
+    singular = "\n".join(lines[:4] + ["00"] * 5 + lines[9:]) + "\n"
+    with pytest.raises(ParseError, match="singular"):
+        io.read_private_key(singular)
+    sk, ct = tmp_path / "sk", tmp_path / "ct"
+    sk.write_text(singular)
+    ct.write_text("0\n" * 5)
+    assert main(["decrypt", str(sk), str(ct)]) == 2
+
 
 def test_public_key_roundtrip_custom_modulus():
     ctx = FieldCtx(3, 0b1101)
     c = BlockCirculant.from_rows(ctx, 5, 1, 2, [(1, 2, 3, 4, 5)])
-    _priv, pub, _cap = keypair(c)
+    _priv, pub = keypair(c)
     text = io.write_public_key(pub)
     back = io.read_public_key(text)
     assert back.modulus == 0b1101
-    assert np.array_equal(back.hprime, pub.hprime)
+    assert back.hprime == pub.hprime
     assert (back.p, back.m1, back.m2, back.eta, back.e) == (
         pub.p, pub.m1, pub.m2, pub.eta, pub.e,
     )
@@ -126,7 +148,7 @@ def test_public_key_roundtrip_custom_modulus():
 
 
 def test_ciphertext_roundtrip(c512):
-    _priv, pub, _cap = keypair(c512)
+    _priv, pub = keypair(c512)
     ctx = FieldCtx(pub.eta, pub.modulus)
     y = encrypt(pub, [1, 0, 0, 1] + [0] * 6)
     text = io.write_ciphertext(ctx, y)
@@ -160,6 +182,23 @@ def test_report_rejections():
 
 
 # -------------------------------------------------------------------- cli
+
+
+def test_cli_parser_built_once(monkeypatch, capsys):
+    real = cli.build_parser
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for _ in range(3):
+        assert main(["sweep", "--p", "7"]) == 0
+    assert main(["frobnicate"]) == 2
+    assert len(calls) == 1
+    cli._parser.cache_clear()
 
 
 def test_cli_usage_errors(tmp_path):
@@ -229,8 +268,8 @@ def test_cli_key_pipeline(tmp_path, capsys, c512):
     assert out.read_text() == "0,3\n"
 
     # library keygen with the same seed produces the same key files
-    priv, pub2, cap = keypair(c512)
-    assert priv_p.read_text() == io.write_private_key(priv, cap.e)
+    priv, pub2 = keypair(c512)
+    assert priv_p.read_text() == io.write_private_key(priv)
     assert pub_p.read_text() == io.write_public_key(pub2)
 
 
@@ -289,3 +328,16 @@ def test_cli_bound_envelope_and_sweep(tmp_path):
     assert lines[1].startswith("7,1,2,7,14,49,") and lines[1].endswith(",-1")
     assert lines[2].startswith("31,1,2,31,62,961,") and lines[2].endswith(",5")
     assert main(["sweep", "--p", ""]) == 2
+
+
+def test_cli_keygen_trivial_kernel(tmp_path, capsys):
+    # the binary syndrome map of this (13,1,2,2) matrix is bijective, so
+    # keygen sets e = n = 26 at once instead of enumerating 2^26 vectors
+    mat, priv_p, pub_p, ct = (tmp_path / n for n in ("m.qcm", "sk", "pk", "ct"))
+    assert main(["search", "13", "1", "2", "2", "--seed", "1", "-o", str(mat)]) == 0
+    assert main(["keygen", str(mat), "--priv", str(priv_p), "--pub", str(pub_p)]) == 0
+    assert capsys.readouterr().out == "e: 26\n"
+    support = ",".join(str(j) for j in range(0, 26, 2))
+    assert main(["encrypt", str(pub_p), "--support", support, "-o", str(ct)]) == 0
+    assert main(["decrypt", str(priv_p), str(ct)]) == 0
+    assert capsys.readouterr().out == support + "\n"

@@ -1,12 +1,19 @@
-"""Key generation, syndrome tables, and the encrypt/decrypt pair."""
+"""Key generation, the F2 decoder, and the encrypt/decrypt pair.
+
+The oracle is the syndrome-table construction this module used before it
+moved to elimination: enumerate syndromes weight by weight, stop at the
+first collision, and decode by table lookup. Its columns come from the
+numpy expansion of H and the public columns as published, so it shares
+no code with the elimination path.
+"""
 
 import itertools
 import random
 
-import numpy as np
 import pytest
 
-from qcnied.circulant import BlockCirculant, ParityCheck, Perm
+from qcnied import io, niederreiter
+from qcnied.circulant import ParityCheck, Perm
 from qcnied.conditions import sample_compliant
 from qcnied.errors import (
     DecodeFailure,
@@ -14,180 +21,262 @@ from qcnied.errors import (
     TooLarge,
     WeightTooHigh,
 )
-from qcnied.field import FieldCtx
 from qcnied.niederreiter import (
-    ErrorCapacity,
-    _pack_syndrome,
+    PrivateKey,
+    _echelon,
+    _inverse,
     decrypt,
     encrypt,
-    error_capacity,
-    gf2_inv,
-    gf2_rank,
     keygen,
 )
 
-CTX = FieldCtx(2)
+from test_golden_corpus import CORPUS
 
 
 def small_pc(seed=1, p=5, m1=1, m2=2, eta=2):
     return ParityCheck(sample_compliant(p, m1, m2, eta, seed=seed))
 
 
+def packed_columns(h):
+    """Columns of the numpy expansion of H, entry i in bits [i*eta, (i+1)*eta)."""
+    dense, eta = h.expand(), h.ctx.eta
+    return [
+        sum(int(a) << (i * eta) for i, a in enumerate(dense[:, j]))
+        for j in range(dense.shape[1])
+    ]
+
+
+def oracle_table(cols):
+    """(e, table): table maps each syndrome of weight <= e to its support."""
+    n = len(cols)
+    table = {0: ()}
+    for t in range(1, n + 1):
+        level = {}
+        for support in itertools.combinations(range(n), t):
+            s = 0
+            for j in support:
+                s ^= cols[j]
+            if s in table or s in level:
+                return t - 1, table
+            level[s] = support
+        table.update(level)
+    return n, table
+
+
+def lanes(packed, k, eta):
+    return tuple((packed >> (i * eta)) & ((1 << eta) - 1) for i in range(k))
+
+
+def mix(rows, lanes_in):
+    """Binary matrix (bit-rows) times a vector of field elements."""
+    out = []
+    for row in rows:
+        acc = 0
+        for j, a in enumerate(lanes_in):
+            if row >> j & 1:
+                acc ^= a
+        out.append(acc)
+    return tuple(out)
+
+
+def check_against_oracle(priv, pub, supports):
+    """decrypt agrees with the oracle's table lookup on each support."""
+    _e, table = oracle_table(list(pub.hprime))
+    n = pub.n
+    for sup in supports:
+        s = 0
+        for j in sup:
+            s ^= pub.hprime[j]
+        want = table.get(s)
+        y = lanes(s, pub.k, pub.eta)
+        if want is None:
+            with pytest.raises(DecodeFailure):
+                decrypt(priv, y)
+        else:
+            assert decrypt(priv, y) == tuple(1 if j in want else 0 for j in range(n))
+
+
 def test_gf2_rank_and_inv():
     rng = random.Random(4)
-    eye = np.eye(6, dtype=np.uint8)
-    for _ in range(25):
-        m = np.array(
-            [[rng.randrange(2) for _ in range(6)] for _ in range(6)], dtype=np.uint8
-        )
-        r = gf2_rank(m.copy())
-        # oracle: rank over F2 via row reduction with fractions is overkill;
-        # check the defining property instead
-        if r == 6:
-            inv = gf2_inv(m)
-            assert np.array_equal((m @ inv) % 2, eye)
-            assert np.array_equal((inv @ m) % 2, eye)
+    eye = tuple(1 << i for i in range(6))
+    invertible = 0
+    for _ in range(40):
+        m = tuple(rng.getrandbits(6) for _ in range(6))
+        inv = _inverse(m)
+        pivots, kernel = _echelon(m)
+        assert len(pivots) + len(kernel) == 6
+        if inv is not None:
+            invertible += 1
+            assert not kernel
+            assert mix(inv, m) == eye and mix(m, inv) == eye
         else:
-            with pytest.raises(SizeMismatch):
-                gf2_inv(m)
-    singular = np.zeros((3, 3), dtype=np.uint8)
-    assert gf2_rank(singular) == 0
-    with pytest.raises(SizeMismatch):
-        gf2_inv(singular)
+            # every dependency is a nonzero combination summing to zero
+            assert kernel
+            for dep in kernel:
+                assert dep and mix([dep], m) == (0,)
+    assert 0 < invertible < 40
+    assert _inverse((0, 0, 0)) is None
+    assert _inverse(eye) == eye
 
 
 def test_error_capacity_against_exhaustive_oracle():
     for seed in range(1, 6):
         h = small_pc(seed=seed)
-        cap = error_capacity(h)
-        dense = h.expand()
-        eta = h.ctx.eta
-
-        def syndrome(support):
-            s = np.zeros(h.k, dtype=np.int64)
-            for j in support:
-                s ^= dense[:, j]
-            return tuple(int(v) for v in s)
-
-        # oracle: e is the largest t where syndromes of weight <= t vectors
-        # are pairwise distinct, found by direct dict construction
-        best, table = 0, {(): ()}
-        for t in range(1, h.n + 1):
-            seen = {syndrome(()): ()}
-            ok = True
-            for w in range(1, t + 1):
-                for sup in itertools.combinations(range(h.n), w):
-                    s = syndrome(sup)
-                    if s in seen:
-                        ok = False
-                        break
-                    seen[s] = sup
-                if not ok:
-                    break
-            if not ok:
-                break
-            best = t
-        assert cap.e == best
-        # the committed table must agree with recomputed syndromes
-        for packed, sup in cap.table.items():
-            assert _pack_syndrome(np.array(syndrome(sup)), eta) == packed
-            assert len(sup) <= cap.e
+        priv, pub = keygen(h, seed=seed)
+        assert priv.e == pub.e == oracle_table(packed_columns(h))[0]
 
 
-def test_error_capacity_budget_guard():
-    h = small_pc()
+def test_corpus_matches_enumeration_oracle():
+    # the golden-corpus keys: e against the oracle on H, decrypt against
+    # the oracle's table on H', for sampled supports of weight <= e + 1
+    for p, m1, m2, eta, seed in CORPUS:
+        h = ParityCheck(sample_compliant(p, m1, m2, eta, seed=seed))
+        priv, pub = keygen(h, seed)
+        assert pub.e == oracle_table(packed_columns(h))[0]
+        rng = random.Random(seed)
+        supports = [
+            sorted(rng.sample(range(h.n), rng.randint(0, min(pub.e + 1, h.n))))
+            for _ in range(60)
+        ]
+        check_against_oracle(priv, pub, supports)
+
+
+def test_all_weights_match_oracle_at_5_1_2_2():
+    for seed in (1, 2, 3):
+        h = small_pc(seed=seed)
+        priv, pub = keygen(h, seed=seed)
+        weights = range(min(pub.e + 1, h.n) + 1)
+        supports = [s for w in weights for s in itertools.combinations(range(h.n), w)]
+        check_against_oracle(priv, pub, supports)
+
+
+def test_trivial_kernel_gets_full_capacity():
+    # (13,1,2,2) seed 1: the 26 x 26 binary syndrome map is bijective, so
+    # e = n without enumerating 2^26 vectors
+    h = ParityCheck(sample_compliant(13, 1, 2, 2, seed=1))
+    priv, pub = keygen(h, seed=1)
+    assert priv.kernel == ()
+    assert pub.e == priv.e == h.n == 26
+    x = tuple(1 if j % 3 else 0 for j in range(h.n))
+    assert decrypt(priv, encrypt(pub, x)) == x
+
+
+def test_error_capacity_budget_guard(monkeypatch):
+    # seed 3 has a nontrivial kernel and e = 4: the enumeration through
+    # weight 5 needs 638 vectors
+    h = small_pc(seed=3)
+    monkeypatch.setattr(niederreiter, "ENUM_BUDGET", 637)
     with pytest.raises(TooLarge):
-        error_capacity(h, budget=5)
+        keygen(h, seed=5)
+    monkeypatch.setattr(niederreiter, "ENUM_BUDGET", 638)
+    assert keygen(h, seed=5)[1].e == 4
+
+
+def test_inflated_e_refused_before_search(monkeypatch):
+    # (5,1,8,2): kernel dimension 30, e = 1; claiming e = 10 would need
+    # sum_{w <= 10} C(30, w) > 2^24 candidates
+    h = ParityCheck(sample_compliant(5, 1, 8, 2, seed=1))
+    priv, pub = keygen(h, seed=1)
+    assert (priv.e, len(priv.kernel)) == (1, 30)
+    text = io.write_private_key(priv).replace("5 1 8 2 1\n", "5 1 8 2 10\n")
+    inflated = io.read_private_key(text)
+    assert inflated.e == 10
+    y = encrypt(pub, [1] + [0] * (h.n - 1))
+
+    def no_search(*args):
+        raise AssertionError("coset search started")
+
+    monkeypatch.setattr(niederreiter, "combinations", no_search)
+    with pytest.raises(TooLarge):
+        decrypt(inflated, y)
 
 
 def test_keygen_publishes_scrambled_matrix():
     h = small_pc(seed=3)
     priv, pub = keygen(h, seed=12)
-    dense = h.expand()
-    assert pub.hprime.shape == dense.shape
+    assert len(pub.hprime) == h.n
     assert pub.e >= 1
-    assert gf2_rank(priv.a0.copy()) == h.k
-    # undo the column permutation and the scrambler: structure returns
-    a0inv = gf2_inv(priv.a0)
-    undone = np.zeros_like(dense)
-    for i in range(h.k):
-        rows = pub.hprime[a0inv[i].astype(bool)]
-        undone[i] = np.bitwise_xor.reduce(rows, axis=0)
-    assert np.array_equal(undone[:, priv.b0.inv().images], dense)
+    assert _inverse(priv.a0) == priv.a0inv
+    # undo the scrambler and the column permutation: structure returns
+    cols = packed_columns(h)
+    for j in range(h.n):
+        undone = mix(priv.a0inv, lanes(pub.hprime[j], h.k, h.ctx.eta))
+        assert undone == lanes(cols[priv.b0(j)], h.k, h.ctx.eta)
 
 
 def test_keygen_debug_identity():
     h = small_pc(seed=3)
     priv, pub = keygen(h, seed=0, debug_identity=True)
-    assert np.array_equal(pub.hprime, h.expand())
+    assert pub.hprime == tuple(packed_columns(h))
     assert priv.b0 == Perm.identity(h.n)
 
 
 def test_roundtrip_all_weights():
     h = small_pc(seed=2)
-    cap = error_capacity(h)
-    priv, pub = keygen(h, seed=77, cap=cap)
+    priv, pub = keygen(h, seed=77)
     n = h.n
-    for w in range(cap.e + 1):
+    for w in range(pub.e + 1):
         for sup in itertools.combinations(range(n), w):
             x = tuple(1 if j in sup else 0 for j in range(n))
-            assert decrypt(priv, cap, encrypt(pub, x)) == x
+            assert decrypt(priv, encrypt(pub, x)) == x
 
 
 def test_encrypt_rejections():
     # seed 3 has e = 4 < n; seed 2's syndrome map happens to be bijective
     # (e = n = 10), which would make every weight admissible
     h = small_pc(seed=3)
-    cap = error_capacity(h)
-    assert cap.e < h.n
-    priv, pub = keygen(h, seed=5, cap=cap)
+    priv, pub = keygen(h, seed=5)
+    assert pub.e < h.n
     with pytest.raises(SizeMismatch):
         encrypt(pub, (0,) * (h.n - 1))
     with pytest.raises(SizeMismatch):
         encrypt(pub, (2,) + (0,) * (h.n - 1))
-    heavy = tuple(1 if j <= cap.e else 0 for j in range(h.n))
+    heavy = tuple(1 if j <= pub.e else 0 for j in range(h.n))
     with pytest.raises(WeightTooHigh):
         encrypt(pub, heavy)
 
 
 def test_decrypt_rejections():
     h = small_pc(seed=3)
-    cap = error_capacity(h)
-    assert cap.e < h.n
-    priv, pub = keygen(h, seed=5, cap=cap)
+    priv, pub = keygen(h, seed=5)
+    assert priv.e < h.n
     with pytest.raises(SizeMismatch):
-        decrypt(priv, cap, (0,) * (h.k + 1))
-    # feed a syndrome that is absent from the table: pick the smallest
-    # packed value not present, invert the packing, push through A0
-    eta = h.ctx.eta
+        decrypt(priv, (0,) * (h.k + 1))
+    # feed a syndrome that is absent from the oracle's table: pick the
+    # smallest packed value not present and push it through A0
+    _e, table = oracle_table(packed_columns(h))
     packed = 0
-    while packed in cap.table:
+    while packed in table:
         packed += 1
-    s = [(packed >> (eta * i)) & ((1 << eta) - 1) for i in range(h.k)]
-    y = []
-    for i in range(h.k):
-        acc = 0
-        for j in range(h.k):
-            if priv.a0[i][j]:
-                acc ^= s[j]
-        y.append(acc)
+    y = mix(priv.a0, lanes(packed, h.k, h.ctx.eta))
     with pytest.raises(DecodeFailure):
-        decrypt(priv, cap, tuple(y))
+        decrypt(priv, y)
 
 
 def test_zero_plaintext_roundtrip():
     h = small_pc(seed=4)
-    cap = error_capacity(h)
-    priv, pub = keygen(h, seed=9, cap=cap)
+    priv, pub = keygen(h, seed=9)
     zero = (0,) * h.n
     y = encrypt(pub, zero)
     assert y == (0,) * h.k
-    assert decrypt(priv, cap, y) == zero
+    assert decrypt(priv, y) == zero
 
 
-def test_capacity_dataclass_fields():
+def test_private_key_carries_decoder():
     h = small_pc(seed=1)
-    cap = error_capacity(h)
-    assert isinstance(cap, ErrorCapacity)
-    assert cap.n == h.n and cap.k == h.k and cap.eta == h.ctx.eta
-    assert cap.table[0] == ()
+    priv, pub = keygen(h, seed=1)
+    assert priv.e == pub.e
+    assert len(priv.a0) == len(priv.a0inv) == h.k
+    assert all(0 <= row < 1 << h.k for row in priv.a0)
+    # one pivot per independent column, one kernel vector per other column
+    assert len(priv.pivots) + len(priv.kernel) == h.n
+    cols = packed_columns(h)
+    for v in priv.kernel:
+        s = 0
+        for j in range(h.n):
+            if v >> j & 1:
+                s ^= cols[j]
+        assert v and s == 0
+    assert decrypt(priv, (0,) * h.k) == (0,) * h.n
+    with pytest.raises(SizeMismatch):
+        PrivateKey(a0=(0,) * h.k, h=h, b0=priv.b0, e=priv.e)
