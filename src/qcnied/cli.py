@@ -371,10 +371,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LemmaViolated as exc:
-        print(f"surveillance: {exc}", file=sys.stderr)
-        return 3
-    except AssertionError as exc:
+    except (LemmaViolated, AssertionError) as exc:
         print(f"surveillance: {exc}", file=sys.stderr)
         return 3
     except QcniedError as exc:

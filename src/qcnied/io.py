@@ -115,12 +115,8 @@ def _unpack_bits(tok: str, width: int) -> int:
 
 def write_private_key(priv: PrivateKey) -> str:
     c = priv.h.c
-    out = [
-        NIEDQC_HEADER,
-        "private",
-        f"{c.p} {c.m1} {c.m2} {c.ctx.eta} {priv.e}",
-        format(c.ctx.modulus, "x"),
-    ]
+    out = [NIEDQC_HEADER, "private", f"{c.p} {c.m1} {c.m2} {c.ctx.eta} {priv.e}",
+           format(c.ctx.modulus, "x")]
     out.extend(format(row, f"0{(priv.h.k + 3) // 4}x") for row in priv.a0)
     out.append(" ".join(str(i) for i in priv.b0.images))
     out.extend(_format_row(c.ctx, row) for row in c.block_first_rows())
@@ -152,12 +148,8 @@ def read_private_key(text: str) -> PrivateKey:
 
 def write_public_key(pub: PublicKey) -> str:
     ctx = FieldCtx(pub.eta, pub.modulus)
-    out = [
-        NIEDQC_HEADER,
-        "public",
-        f"{pub.p} {pub.m1} {pub.m2} {pub.eta} {pub.e}",
-        format(ctx.modulus, "x"),
-    ]
+    out = [NIEDQC_HEADER, "public", f"{pub.p} {pub.m1} {pub.m2} {pub.eta} {pub.e}",
+           format(ctx.modulus, "x")]
     columns = [unpack_column(col, pub.k, pub.eta) for col in pub.hprime]
     out.extend(_format_row(ctx, row) for row in zip(*columns))
     return "\n".join(out) + "\n"

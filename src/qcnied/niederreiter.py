@@ -11,7 +11,7 @@ column j) as the key file stores them; H, H' and syndromes are packed
 columns, entry i in bits [i*eta, (i+1)*eta). One F2 elimination serves
 A0's rank and inverse and the binary syndrome map z -> H z^T. e, the
 largest t with that map injective on weights <= t, is n when its kernel
-is trivial and is otherwise found by enumerating weights in turn.
+is trivial, else found by enumerating weights or by walking the kernel.
 
 Decryption strips A0, eliminates for a solution z0 that is zero off the
 pivot columns, and searches z0 + ker H over sums of at most e kernel
@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from operator import xor
 
@@ -121,18 +121,28 @@ def _capacity(cols: list[int], kernel: list[int]) -> int:
     """Largest t with distinct syndromes on all vectors of weight <= t.
 
     A trivial kernel makes the map injective outright. Otherwise weights
-    are enumerated in turn until two syndromes collide; TooLarge is raised
-    before a weight level would take the cumulative count past ENUM_BUDGET.
+    are enumerated in turn until two syndromes collide, at weight ceil(d/2)
+    for the least kernel weight d; once a level outnumbers the 2^dim kernel
+    vectors, a Gray-code walk of the kernel gives d instead. TooLarge is
+    raised before a level would take the cumulative count past ENUM_BUDGET.
     """
     n = len(cols)
     if not kernel:
         return n
     seen = {0}
     enumerated = 1
+    collision = 0  # weight of the first collision, once the kernel walk ran
     for t in range(1, n + 1):
         enumerated += comb(n, t)
         if enumerated > ENUM_BUDGET:
             raise TooLarge(f"syndrome enumeration through weight {t} needs {enumerated} vectors")
+        if enumerated > 1 << len(kernel):  # so are all later levels
+            if not collision:
+                steps = (kernel[(i & -i).bit_length() - 1] for i in range(1, 1 << len(kernel)))
+                collision = (min(z.bit_count() for z in accumulate(steps, xor)) + 1) // 2
+            if t == collision:
+                return t - 1
+            continue
         for support in combinations(cols, t):
             s = reduce(xor, support)
             if s in seen:

@@ -161,6 +161,30 @@ def test_trivial_kernel_gets_full_capacity():
     assert decrypt(priv, encrypt(pub, x)) == x
 
 
+def test_kernel_walk_replaces_enumeration(monkeypatch):
+    # (13,1,2,2) seeds 5 and 2 have a one-vector kernel, of weight 13 and
+    # 26. Weight 1 already outnumbers its two vectors, so the collision
+    # weight ceil(d/2) comes from the kernel walk: 7 gives e = 6, and 13
+    # is refused, as the enumeration would pass ENUM_BUDGET at weight 11,
+    # before any vector is enumerated
+    def no_enumeration(*args):
+        raise AssertionError("syndrome enumeration started")
+
+    monkeypatch.setattr(niederreiter, "combinations", no_enumeration)
+    for seed, d in ((5, 13), (2, 26)):
+        h = ParityCheck(sample_compliant(13, 1, 2, 2, seed=seed))
+        cols = packed_columns(h)
+        (v,) = _echelon(cols)[1]
+        syndrome = 0
+        for j in range(h.n):
+            if v >> j & 1:
+                syndrome ^= cols[j]
+        assert syndrome == 0 and v.bit_count() == d
+    assert keygen(ParityCheck(sample_compliant(13, 1, 2, 2, seed=5)), seed=1)[1].e == 6
+    with pytest.raises(TooLarge, match="through weight 11 "):
+        keygen(ParityCheck(sample_compliant(13, 1, 2, 2, seed=2)), seed=1)
+
+
 def test_error_capacity_budget_guard(monkeypatch):
     # seed 3 has a nontrivial kernel and e = 4: the enumeration through
     # weight 5 needs 638 vectors
