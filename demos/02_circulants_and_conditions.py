@@ -8,8 +8,6 @@ rows that are reorderings of each other, multiplicity patterns whose
 stabilizer would be too large.
 """
 
-import numpy as np
-
 from qcnied import BlockCirculant, CirculantBlock, FieldCtx, ParityCheck
 from qcnied import sample_compliant, validate_all
 
@@ -17,10 +15,12 @@ ctx = FieldCtx(2)
 
 b = CirculantBlock(ctx, (1, 2, 3, 0, 1))
 print("first row", b.first_row)
-print(b.expand())
+# a dense matrix is a tuple of rows
+for row in b.expand():
+    print(row)
 
 # row k of the expansion is the first row rotated k steps
-assert np.array_equal(b.rotate(1).expand()[0], b.expand()[1])
+assert b.rotate(1).expand()[0] == b.expand()[1]
 
 # the multiset ignores order; multiplicities are what the conditions read
 print("multiset", b.multiset(), "multiplicities", b.multiplicity_classes())
@@ -46,4 +46,5 @@ assert validate_all(c, desk_scale=True).strict_ok()
 
 # the systematic parity check [I | C] is what the cryptosystem uses
 h = ParityCheck(c)
-print("parity check shape:", h.expand().shape, f"(k={h.k}, n={h.n})")
+dense = h.expand()
+print(f"parity check: {len(dense)} rows x {len(dense[0])} columns (k={h.k}, n={h.n})")

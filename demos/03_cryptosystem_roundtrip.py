@@ -27,7 +27,7 @@ print("error capacity e =", pub.e, "kernel dimension", len(priv.kernel))
 # It is held as n packed columns, entry i in bits [i*eta, (i+1)*eta).
 mask = (1 << pub.eta) - 1
 public_row0 = [col & mask for col in pub.hprime]
-private_row0 = [int(a) for a in h.expand()[0]]
+private_row0 = list(h.expand()[0])
 print("private [I|C] first row:", private_row0)
 print("public  H'    first row:", public_row0)
 assert public_row0 != private_row0

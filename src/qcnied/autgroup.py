@@ -24,9 +24,7 @@ import math
 from dataclasses import dataclass
 from itertools import permutations, product
 
-import numpy as np
-
-from .circulant import BlockCirculant, CirculantBlock, ParityCheck, Perm, act
+from .circulant import BlockCirculant, CirculantBlock, Dense, ParityCheck, Perm, act
 from .conditions import check_ii, check_iii, good_shape, is_prime
 from .errors import (
     ConditionIIIViolated,
@@ -65,15 +63,9 @@ def affine_params(perm: Perm, p: int) -> tuple[int, int] | None:
     return u, v
 
 
-def _rows_of(m: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(a) for a in row) for row in m)
-
-
-def _column_map(rows: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], list[int]]:
+def _column_map(rows: Dense) -> dict[tuple[int, ...], list[int]]:
     cols: dict[tuple[int, ...], list[int]] = {}
-    width = len(rows[0])
-    for j in range(width):
-        col = tuple(r[j] for r in rows)
+    for j, col in enumerate(zip(*rows)):
         cols.setdefault(col, []).append(j)
     return cols
 
@@ -103,6 +95,19 @@ def _matching_qs(rows, col_map, p_images) -> list[Perm]:
                 images[c] = j
         out.append(Perm(images))
     return out
+
+
+def _stabilizing_pairs(rows: Dense) -> tuple[tuple[Perm, Perm], ...]:
+    """Every (P, Q) with act(P, M, Q) = M, over all len(rows)! row
+    permutations P, sorted."""
+    col_map = _column_map(rows)
+    pairs = []
+    for images in permutations(range(len(rows))):
+        qs = _matching_qs(rows, col_map, images)
+        if qs:
+            perm = Perm(images)
+            pairs.extend((perm, q) for q in qs)
+    return tuple(sorted(pairs))
 
 
 @dataclass(frozen=True)
@@ -142,13 +147,7 @@ def stab_block_bruteforce(b: CirculantBlock) -> PairStab:
     p = b.p
     if p > BRUTE_FORCE_MAX_P:
         raise TooLarge(f"{p}! row permutations exceed the brute-force guard")
-    rows = _rows_of(b.expand())
-    col_map = _column_map(rows)
-    pairs = []
-    for images in permutations(range(p)):
-        for q in _matching_qs(rows, col_map, images):
-            pairs.append((Perm(images), q))
-    return PairStab(block=b, pairs=tuple(sorted(pairs)))
+    return PairStab(block=b, pairs=_stabilizing_pairs(b.expand()))
 
 
 def stab_block_affine(b: CirculantBlock) -> PairStab:
@@ -163,7 +162,7 @@ def stab_block_affine(b: CirculantBlock) -> PairStab:
     p = b.p
     if not is_prime(p):
         raise OutOfRange(f"affine candidates need prime p, got {p}")
-    rows = _rows_of(b.expand())
+    rows = b.expand()
     col_map = _column_map(rows)
     pairs = []
     for u in range(1, p):
@@ -360,15 +359,9 @@ def stab_full(c: BlockCirculant, mode: str = "bruteforce") -> AutGroup:
             raise ConditionIIIViolated(
                 f"condition iii fails and k = {k} > {BRUTE_FORCE_MAX_P}"
             )
-        rows = _rows_of(dense)
-        col_map = _column_map(rows)
-        elements = []
-        for images in permutations(range(k)):
-            for q in _matching_qs(rows, col_map, images):
-                elements.append((Perm(images), q))
         group = AutGroup(
             p=p, m1=m1, m2=c.m2,
-            elements=tuple(sorted(elements)),
+            elements=_stabilizing_pairs(dense),
             block_labels=labels, method="full-matrix", mode=mode,
         )
     else:
@@ -394,7 +387,7 @@ def stab_full(c: BlockCirculant, mode: str = "bruteforce") -> AutGroup:
             block_labels=labels, method="blockwise", mode=mode,
         )
     for p1, p2 in group.elements:
-        if not np.array_equal(act(p1, dense, p2), dense):
+        if act(p1, dense, p2) != dense:
             raise AssertionError("assembled element fails to stabilize C")
     return group
 
@@ -445,23 +438,20 @@ def verify_lemma1(h: ParityCheck, g: AutGroup) -> Lemma1Report:
         premise_ok = False
         witness = {"premise": "identity-like column present (condition ii fails)"}
     else:
-        cexp = c.expand()
         cols = {}
-        for j in range(cexp.shape[1]):
-            key = tuple(int(a) for a in cexp[:, j])
+        for j, key in enumerate(zip(*c.expand())):
             if key in cols:
                 premise_ok = False
                 witness = {"premise": "repeated columns", "pair": [cols[key], j]}
                 break
             cols[key] = j
     dense = h.expand()
-    k = h.k
     relation_ok = True
     for p1, p2 in g.elements:
         sigma = p1.inv().dsum(p2)
-        lhs = dense[list(p1.images), :]
-        rhs = dense[:, list(sigma.images)]
-        if not np.array_equal(lhs, rhs):
+        lhs = tuple(dense[i] for i in p1.images)
+        rhs = tuple(tuple(row[j] for j in sigma.images) for row in dense)
+        if lhs != rhs:
             relation_ok = False
             if premise_ok:
                 raise LemmaViolated(f"element (P1={p1}, P2={p2}) fails the symmetry relation")

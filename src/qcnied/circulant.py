@@ -6,6 +6,10 @@ so entry (i, j) is c_{(j-i) mod p}. A block-circulant matrix is an
 m1 x (m2-m1) grid of such blocks sharing p and the field, and a parity
 check is the k x n matrix [I | C] with k = m1*p, n = m2*p.
 
+A dense matrix is an immutable tuple of rows, each a tuple of ints, so
+two matrices are equal exactly when they compare equal as tuples, and
+column j is the j-th item of zip(*rows).
+
 Permutations act on dense matrices two-sidedly: act(P, M, Q) has entry
 (i, j) equal to M[P(i)][Q^-1(j)], which in matrix terms is P^-1 M Q^-1
 (so the stabilizer condition act(P, M, Q) = M reads P M Q = M).
@@ -15,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import LengthMismatch, OutOfRange, SizeMismatch
 from .field import FieldCtx
+
+Dense = tuple[tuple[int, ...], ...]
 
 
 class Perm:
@@ -133,12 +137,10 @@ class CirculantBlock:
     def p(self) -> int:
         return len(self.first_row)
 
-    def expand(self) -> np.ndarray:
+    def expand(self) -> Dense:
         """Dense p x p matrix with entry (i, j) = first_row[(j - i) mod p]."""
-        p = self.p
-        row = np.asarray(self.first_row, dtype=np.int64)
-        idx = (np.arange(p)[None, :] - np.arange(p)[:, None]) % p
-        return row[idx]
+        row = self.first_row
+        return tuple(row[-i:] + row[:-i] for i in range(self.p))
 
     def rotate(self, k: int) -> "CirculantBlock":
         """Multiply the defining polynomial by x^k (cyclic coefficient shift)."""
@@ -200,9 +202,13 @@ class BlockCirculant:
     def n_block_cols(self) -> int:
         return self.m2 - self.m1
 
-    def expand(self) -> np.ndarray:
+    def expand(self) -> Dense:
         """Dense (m1*p) x ((m2-m1)*p) matrix."""
-        return np.vstack([np.hstack([b.expand() for b in row]) for row in self.blocks])
+        return tuple(
+            sum(parts, ())
+            for row in self.blocks
+            for parts in zip(*(b.expand() for b in row))
+        )
 
     def block_first_rows(self):
         """First rows in row-major grid order (serialization order)."""
@@ -229,8 +235,12 @@ class ParityCheck:
     def n(self) -> int:
         return self.c.m2 * self.c.p
 
-    def expand(self) -> np.ndarray:
-        return np.hstack([np.eye(self.k, dtype=np.int64), self.c.expand()])
+    def expand(self) -> Dense:
+        k = self.k
+        return tuple(
+            (0,) * i + (1,) + (0,) * (k - 1 - i) + row
+            for i, row in enumerate(self.c.expand())
+        )
 
 
 def perm_equivalent(v, w) -> bool:
@@ -242,16 +252,14 @@ def perm_equivalent(v, w) -> bool:
     return sorted(v) == sorted(w)
 
 
-def act(p_row: Perm, m: np.ndarray, q_col: Perm) -> np.ndarray:
+def act(p_row: Perm, m: Dense, q_col: Perm) -> Dense:
     """Two-sided action: result[i][j] = m[p_row(i)][q_col^-1(j)].
 
     act(P, M, Q) = M exactly when P M Q = M as matrix products. The group
     law is act(p2, act(p1, m, q1), q2) = act(p1*p2, m, q2*q1); note the
     column side composes in reverse, as it must for a two-sided action.
     """
-    m = np.asarray(m)
-    if m.shape != (p_row.n, q_col.n):
-        raise SizeMismatch(f"matrix {m.shape} vs perms ({p_row.n}, {q_col.n})")
-    rows = np.asarray(p_row.images, dtype=np.intp)
-    cols = np.asarray(q_col.inv().images, dtype=np.intp)
-    return m[rows][:, cols]
+    if len(m) != p_row.n or any(len(row) != q_col.n for row in m):
+        raise SizeMismatch(f"matrix rows do not fit perms ({p_row.n}, {q_col.n})")
+    cols = q_col.inv().images
+    return tuple(tuple(m[i][j] for j in cols) for i in p_row.images)

@@ -27,10 +27,11 @@ from .conditions import (
     sample_variant,
     validate_all,
 )
-from .distinguish import dk_bound_envelope, dk_bound_from_elements
+from .distinguish import dk_bound, dk_bound_envelope
 from .errors import LemmaViolated, ParseError, QcniedError
 from .autgroup import AutGroup, EXCEPTIONAL, stab_full, verify_lemma1
 from .field import FieldCtx
+from .io import _int_token
 from .niederreiter import decrypt, encrypt, keygen
 
 
@@ -114,10 +115,7 @@ def _parse_support(arg: str, n: int) -> tuple[int, ...]:
         return ()
     out = []
     for tok in arg.split(","):
-        tok = tok.strip()
-        if not tok.isdigit():
-            raise ParseError(f"bad support index {tok!r}")
-        j = int(tok)
+        j = _int_token(tok.strip(), "support index")
         if j >= n:
             raise ParseError(f"support index {j} out of range for n = {n}")
         out.append(j)
@@ -222,9 +220,9 @@ def _group_from_report(path: str) -> AutGroup:
     if fields.get("kind") != "autgroup":
         raise ParseError(f"{path}: expected an autgroup report")
     try:
-        p, m1, m2 = (int(fields[key]) for key in ("p", "m1", "m2"))
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"{path}: missing or bad p/m1/m2") from exc
+        p, m1, m2 = (_int_token(fields[key], key) for key in ("p", "m1", "m2"))
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing p/m1/m2") from exc
     k, n = m1 * p, m2 * p
     for p1, p2 in elems:
         if p1.n != k or p2.n != n - k:
@@ -242,7 +240,7 @@ def _group_from_report(path: str) -> AutGroup:
 def _cmd_bound(args) -> int:
     if args.report is not None:
         g = _group_from_report(args.report)
-        r = dk_bound_from_elements(g, g.k, g.n, p=g.p, m1=g.m1, m2=g.m2)
+        r = dk_bound(g)
     else:
         if args.p is None:
             raise ParseError("envelope mode needs --p")
@@ -256,10 +254,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        ps = [int(tok) for tok in args.p.split(",") if tok != ""]
-    except ValueError as exc:
-        raise ParseError(f"bad p list {args.p!r}") from exc
+    ps = [_int_token(tok.strip(), "p list entry") for tok in args.p.split(",") if tok != ""]
     if not ps:
         raise ParseError("empty p list")
     lines = ["p,m1,m2,k,n,h_order,ln_s0,ln_s1,ln_dk,max_c"]

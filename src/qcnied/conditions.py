@@ -32,6 +32,7 @@ from typing import Any
 
 from .circulant import BlockCirculant
 from .errors import BudgetExhausted, EtaTooSmall, OutOfRange
+from .field import FieldCtx
 
 PASS = "pass"
 FAIL = "fail"
@@ -125,14 +126,14 @@ def check_ii(c: BlockCirculant) -> Verdict:
 def check_iii(c: BlockCirculant) -> Verdict:
     p = c.p
     dense = c.expand()
-    row_ms = [tuple(sorted(dense[i, :].tolist())) for i in range(dense.shape[0])]
-    for i in range(dense.shape[0]):
-        for i2 in range(i + 1, dense.shape[0]):
+    row_ms = [tuple(sorted(row)) for row in dense]
+    for i in range(len(row_ms)):
+        for i2 in range(i + 1, len(row_ms)):
             if i // p != i2 // p and row_ms[i] == row_ms[i2]:
                 return Verdict(FAIL, {"side": "rows", "pair": [i, i2]})
-    col_ms = [tuple(sorted(dense[:, j].tolist())) for j in range(dense.shape[1])]
-    for j in range(dense.shape[1]):
-        for j2 in range(j + 1, dense.shape[1]):
+    col_ms = [tuple(sorted(col)) for col in zip(*dense)]
+    for j in range(len(col_ms)):
+        for j2 in range(j + 1, len(col_ms)):
             if j // p != j2 // p and col_ms[j] == col_ms[j2]:
                 return Verdict(FAIL, {"side": "cols", "pair": [j, j2]})
     return Verdict(PASS)
@@ -214,8 +215,6 @@ def sample_compliant(
     Draws every block first row uniformly and rejects until the full
     report passes, so the output is uniform over the compliant set.
     """
-    from .field import FieldCtx
-
     if not is_prime(p):
         raise OutOfRange(f"p must be prime, got {p}")
     if eta < 2:
@@ -250,8 +249,6 @@ def sample_variant(
     distinct. Blocks are drawn constant with fixed probability because
     this set has negligible mass under the uniform draw.
     """
-    from .field import FieldCtx
-
     if not is_prime(p):
         raise OutOfRange(f"p must be prime, got {p}")
     if eta < 2:

@@ -171,11 +171,7 @@ def _report(mode, k, n, h_order, s0_log, p=None, m1=None, m2=None) -> BoundRepor
 
 def dk_bound(g) -> BoundReport:
     """Exact bound from an explicit assembled group."""
-    return dk_bound_from_elements(g, g.k, g.n, p=g.p, m1=g.m1, m2=g.m2)
-
-
-def dk_bound_from_elements(g, k: int, n: int, p=None, m1=None, m2=None) -> BoundReport:
-    return _report("exact", k, n, g.order, s0_exact(g), p=p, m1=m1, m2=m2)
+    return _report("exact", g.k, g.n, g.order, s0_exact(g), p=g.p, m1=g.m1, m2=g.m2)
 
 
 @lru_cache(maxsize=None)

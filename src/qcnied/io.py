@@ -31,8 +31,9 @@ _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def _int_token(tok: str, what: str) -> int:
-    digits = tok[1:] if tok.startswith("-") else tok
-    if not digits or not (digits.isascii() and digits.isdigit()):
+    """A nonnegative integer in canonical form: `0` or ASCII digits
+    without a leading zero. No field of these formats is negative."""
+    if not (tok.isascii() and tok.isdigit()) or (tok[0] == "0" and tok != "0"):
         raise ParseError(f"bad {what}: {tok!r}")
     return int(tok)
 
@@ -113,6 +114,14 @@ def _unpack_bits(tok: str, width: int) -> int:
     return value
 
 
+def _key_params(line: str) -> tuple[int, int, int, int, int]:
+    """`p m1 m2 eta e` of a key file; a capacity e above n = m2*p is refused."""
+    p, m1, m2, eta, e = _parse_params(line, 5, "key params")
+    if e > m2 * p:
+        raise ParseError(f"key params: capacity e = {e} exceeds n = {m2 * p}")
+    return p, m1, m2, eta, e
+
+
 def write_private_key(priv: PrivateKey) -> str:
     c = priv.h.c
     out = [NIEDQC_HEADER, "private", f"{c.p} {c.m1} {c.m2} {c.ctx.eta} {priv.e}",
@@ -129,7 +138,7 @@ def read_private_key(text: str) -> PrivateKey:
         raise ParseError(f"private key: expected header {NIEDQC_HEADER!r}")
     if lines[1] != "private":
         raise ParseError(f"private key: expected kind 'private', got {lines[1]!r}")
-    p, m1, m2, eta, e = _parse_params(lines[2], 5, "key params")
+    p, m1, m2, eta, e = _key_params(lines[2])
     ctx = _ctx_from(eta, lines[3])
     k, n = m1 * p, m2 * p
     n_blocks = m1 * (m2 - m1)
@@ -161,7 +170,7 @@ def read_public_key(text: str) -> PublicKey:
         raise ParseError(f"public key: expected header {NIEDQC_HEADER!r}")
     if lines[1] != "public":
         raise ParseError(f"public key: expected kind 'public', got {lines[1]!r}")
-    p, m1, m2, eta, e = _parse_params(lines[2], 5, "key params")
+    p, m1, m2, eta, e = _key_params(lines[2])
     ctx = _ctx_from(eta, lines[3])
     k, n = m1 * p, m2 * p
     if len(lines) != 4 + k:

@@ -1,12 +1,15 @@
 """Stabilizer search, classification, orbit counts, and the key lemma."""
 
 import itertools
+from functools import reduce
+from operator import xor
 
-import numpy as np
 import pytest
 
+from qcnied import autgroup
 from qcnied.autgroup import (
     AFFINE,
+    AutGroup,
     EXCEPTIONAL,
     SYMMETRIC,
     affine_params,
@@ -24,7 +27,7 @@ from qcnied.autgroup import (
 )
 from qcnied.circulant import BlockCirculant, CirculantBlock, ParityCheck, Perm, act
 from qcnied.conditions import sample_compliant
-from qcnied.errors import ConditionIIIViolated, OutOfRange, TooLarge
+from qcnied.errors import ConditionIIIViolated, LemmaViolated, OutOfRange, TooLarge
 from qcnied.field import FieldCtx
 
 CTX = FieldCtx(2)
@@ -64,7 +67,7 @@ def _f2_rank(rows) -> int:
     return len(basis)
 
 
-def h_group_exhaustive(h: ParityCheck, max_n: int = 8) -> list[tuple[np.ndarray, Perm]]:
+def h_group_exhaustive(h: ParityCheck, max_n: int = 8) -> list[tuple[tuple, Perm]]:
     """Full symmetry search of [I | C] over all n! column permutations.
 
     Returns every (A, sigma) with A binary invertible and
@@ -79,20 +82,19 @@ def h_group_exhaustive(h: ParityCheck, max_n: int = 8) -> list[tuple[np.ndarray,
     cexp = h.c.expand()
     out = []
     for sigma in itertools.permutations(range(n)):
-        hp = dense[:, sigma]
-        a = hp[:, :k]
-        if a.max() > 1:
+        hp = tuple(tuple(row[j] for j in sigma) for row in dense)
+        a = tuple(row[:k] for row in hp)
+        if max(map(max, a)) > 1:
             continue
         if _f2_rank(int("".join(map(str, row)), 2) for row in a) != k:
             continue
-        rhs = hp[:, k:]
-        ac = np.zeros_like(rhs)
-        for i in range(k):
-            mask = a[i].astype(bool)
-            if mask.any():
-                ac[i] = np.bitwise_xor.reduce(cexp[mask], axis=0)
-        if np.array_equal(ac, rhs):
-            out.append((a.astype(np.uint8), Perm(sigma)))
+        rhs = tuple(row[k:] for row in hp)
+        ac = tuple(
+            tuple(reduce(xor, (cexp[r][j] for r in range(k) if a_row[r]), 0) for j in range(n - k))
+            for a_row in a
+        )
+        if ac == rhs:
+            out.append((a, Perm(sigma)))
     return out
 
 
@@ -127,7 +129,7 @@ def test_stab_block_pairs_stabilize():
     dense = b.expand()
     ps = stab_block_bruteforce(b)
     for p, q in ps.pairs:
-        assert np.array_equal(act(p, dense, q), dense)
+        assert act(p, dense, q) == dense
     # closure under the pair product
     pairs = set(ps.pairs)
     for a in list(pairs)[:10]:
@@ -191,7 +193,16 @@ def test_stab_full_blockwise_product_structure():
     assert g.method == "blockwise"
     dense = c.expand()
     for p1, p2 in g.elements:
-        assert np.array_equal(act(p1, dense, p2), dense)
+        assert act(p1, dense, p2) == dense
+
+
+def test_stab_full_reverifies_assembled_elements(monkeypatch):
+    # an assembly that proposes a non-stabilizing pair is caught against
+    # the dense matrix before the group is returned
+    bogus = {("P", 0): Perm.shift(5, 1), ("Q", 0): Perm.identity(5)}
+    monkeypatch.setattr(autgroup, "_assemble", lambda *args: [bogus])
+    with pytest.raises(AssertionError, match="fails to stabilize"):
+        stab_full(sample_compliant(5, 1, 2, 2, seed=6))
 
 
 def test_stab_full_falls_back_when_iii_breaks():
@@ -222,7 +233,7 @@ def test_column_orbit_equals_reordering_set():
         b = CirculantBlock(CTX, row)
         orb = column_orbit(b)
         dense = b.expand()
-        col = tuple(int(v) for v in dense[:, 0])
+        col = tuple(r[0] for r in dense)
         reorderings = set(itertools.permutations(col))
         assert orb == reorderings
         assert len(orb) == reordering_count(row)
@@ -279,6 +290,19 @@ def test_verify_lemma1_eta1_premise():
     g = stab_full(c)
     rep = verify_lemma1(ParityCheck(c), g)
     assert not rep.premise_ok
+
+
+def test_verify_lemma1_rejects_a_non_symmetry():
+    # a row shift with no matching column move maps H to another matrix
+    bogus = AutGroup(p=5, m1=1, m2=2, elements=((Perm.shift(5, 1), Perm.identity(5)),),
+                     block_labels={}, method="report", mode="report")
+    c = sample_compliant(5, 1, 2, 2, seed=6)
+    with pytest.raises(LemmaViolated):
+        verify_lemma1(ParityCheck(c), bogus)
+    # with the premise already failed the relation is reported, not raised
+    degenerate = BlockCirculant.from_rows(CTX, 5, 1, 2, [(1, 1, 0, 1, 0)])
+    rep = verify_lemma1(ParityCheck(degenerate), bogus)
+    assert not rep.premise_ok and not rep.relation_ok
 
 
 def test_full_group_on_fano_matrix():

@@ -76,6 +76,11 @@ def test_check_iii_row_and_column_collisions():
         CTX, 3, 2, 4, [(0, 1, 2), (1, 1, 3), (2, 2, 3), (0, 3, 3)]
     )
     assert check_iii(ok).status == PASS
+    # one block row, so no row pair crosses a block boundary, but both
+    # block columns hold the multiset {0, 1, 2}: columns 0 and 3 collide
+    cols = BlockCirculant.from_rows(CTX, 3, 1, 3, [(0, 1, 2), (2, 1, 0)])
+    v = check_iii(cols)
+    assert v.status == FAIL and v.witness == {"side": "cols", "pair": [0, 3]}
 
 
 def test_check_iv():

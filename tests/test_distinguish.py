@@ -16,7 +16,6 @@ from qcnied.distinguish import (
     cycle_types,
     dk_bound,
     dk_bound_envelope,
-    dk_bound_from_elements,
     gamma_t_bound,
     gl2_order,
     log_factorial,
@@ -187,14 +186,6 @@ def test_max_c_semantics():
     assert r.dk_log > 0 and r.max_c == -1
     r31 = dk_bound_envelope(31, 31, 62)
     assert r31.max_c >= 1
-
-
-def test_dk_bound_from_elements_matches_dk_bound():
-    c = sample_compliant(5, 1, 2, 2, seed=4)
-    g = stab_full(c)
-    a = dk_bound(g)
-    b = dk_bound_from_elements(g, g.k, g.n, p=g.p, m1=g.m1, m2=g.m2)
-    assert a == b
 
 
 def test_gamma_t_bound():

@@ -1,5 +1,10 @@
 """File formats and the command line driver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qcnied import cli, io
@@ -49,6 +54,8 @@ def test_matrix_rejections(c512):
         good.replace("5 1 2 2", "5 1 2"),
         good.replace("5 1 2 2", "5 2 1 2"),
         good.replace("5 1 2 2", "0 1 2 2"),
+        good.replace("5 1 2 2", "05 1 2 2"),            # leading zero
+        good.replace("5 1 2 2", "+5 1 2 2"),
     ]
     for text in bad:
         with pytest.raises(ParseError):
@@ -131,6 +138,21 @@ def test_private_key_rejections(c512, tmp_path):
     sk.write_text(singular)
     ct.write_text("0\n" * 5)
     assert main(["decrypt", str(sk), str(ct)]) == 2
+
+
+def test_key_capacity_is_a_count_at_most_n(c512, tmp_path):
+    priv, pub = keypair(c512)
+    assert (priv.e, pub.n) == (4, 10)
+    for good, read in ((io.write_private_key(priv), io.read_private_key),
+                       (io.write_public_key(pub), io.read_public_key)):
+        assert "\n5 1 2 2 4\n" in good
+        assert read(good.replace("\n5 1 2 2 4\n", "\n5 1 2 2 10\n")).e == 10
+        for e in ("-1", "11", "04"):
+            with pytest.raises(ParseError):
+                read(good.replace("\n5 1 2 2 4\n", f"\n5 1 2 2 {e}\n"))
+    pk = tmp_path / "pk"
+    pk.write_text(io.write_public_key(pub).replace("\n5 1 2 2 4\n", "\n5 1 2 2 -1\n"))
+    assert main(["encrypt", str(pk), "--support", ""]) == 2
 
 
 def test_public_key_roundtrip_custom_modulus():
@@ -278,7 +300,7 @@ def test_cli_encrypt_rejections(tmp_path, capsys, c512):
     mat.write_text(io.write_matrix(c512))
     main(["keygen", str(mat), "--seed", "9", "--priv", str(priv_p), "--pub", str(pub_p)])
     capsys.readouterr()
-    for support in ("0,0", "abc", "12", "-1"):
+    for support in ("0,0", "abc", "12", "-1", "+1", "01", "\u00b2", "\u0660,\u0663"):
         assert main(["encrypt", str(pub_p), "--support", support]) == 2
     # five indices exceed the capacity e = 4: domain failure
     assert main(["encrypt", str(pub_p), "--support", "0,1,2,3,4"]) == 1
@@ -299,6 +321,9 @@ def test_cli_autgroup_and_bound(tmp_path):
     assert bf["mode"] == "exact" and bf["h_order"] == "5"
     assert float(bf["ln_dk"]) == pytest.approx(want.dk_log, rel=1e-12)
     assert int(bf["max_c"]) == want.max_c
+    # the report's shape fields follow the canonical integer rule too
+    rep.write_text(rep.read_text().replace("\np: 5\n", "\np: 05\n"))
+    assert main(["bound", "--report", str(rep)]) == 2
 
 
 def test_cli_autgroup_surveillance_trip(tmp_path):
@@ -328,6 +353,8 @@ def test_cli_bound_envelope_and_sweep(tmp_path):
     assert lines[1].startswith("7,1,2,7,14,49,") and lines[1].endswith(",-1")
     assert lines[2].startswith("31,1,2,31,62,961,") and lines[2].endswith(",5")
     assert main(["sweep", "--p", ""]) == 2
+    assert main(["sweep", "--p", "\u0663\u0661"]) == 2   # Arabic-Indic 31
+    assert main(["sweep", "--p", "07"]) == 2
 
 
 def test_cli_keygen_trivial_kernel(tmp_path, capsys):
@@ -341,3 +368,17 @@ def test_cli_keygen_trivial_kernel(tmp_path, capsys):
     assert main(["encrypt", str(pub_p), "--support", support, "-o", str(ct)]) == 0
     assert main(["decrypt", str(priv_p), str(ct)]) == 0
     assert capsys.readouterr().out == support + "\n"
+
+
+def test_cli_import_leaves_numpy_out():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = "import sys, qcnied.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

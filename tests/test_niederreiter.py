@@ -3,7 +3,7 @@
 The oracle is the syndrome-table construction this module used before it
 moved to elimination: enumerate syndromes weight by weight, stop at the
 first collision, and decode by table lookup. Its columns come from the
-numpy expansion of H and the public columns as published, so it shares
+dense expansion of H and the public columns as published, so it shares
 no code with the elimination path.
 """
 
@@ -38,12 +38,9 @@ def small_pc(seed=1, p=5, m1=1, m2=2, eta=2):
 
 
 def packed_columns(h):
-    """Columns of the numpy expansion of H, entry i in bits [i*eta, (i+1)*eta)."""
-    dense, eta = h.expand(), h.ctx.eta
-    return [
-        sum(int(a) << (i * eta) for i, a in enumerate(dense[:, j]))
-        for j in range(dense.shape[1])
-    ]
+    """Columns of the dense expansion of H, entry i in bits [i*eta, (i+1)*eta)."""
+    eta = h.ctx.eta
+    return [sum(a << (i * eta) for i, a in enumerate(col)) for col in zip(*h.expand())]
 
 
 def oracle_table(cols):
