@@ -16,25 +16,28 @@ class sizes) is insensitive to that inversion.
 
 Pair stabilizers are groups under (P1, Q1) o (P2, Q2) = (P1 P2, Q2 Q1);
 the column side composes in reverse, as it must for a two-sided action.
+
+Every pair stabilizer, per block or of the whole matrix, comes from one
+exact search: a row-by-row backtrack in the spirit of partition
+backtrack (Leon 1991, "Permutation group algorithms based on
+partitions"). It is complete at every size and held to one work budget,
+STAB_BUDGET, counted in search nodes plus emitted pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from .circulant import BlockCirculant, CirculantBlock, Dense, ParityCheck, Perm, act
-from .conditions import check_ii, check_iii, good_shape, is_prime
-from .errors import (
-    ConditionIIIViolated,
-    EtaTooSmall,
-    LemmaViolated,
-    OutOfRange,
-    TooLarge,
-)
+from .conditions import check_ii, check_iii, good_shape
+from .errors import ConditionIIIViolated, EtaTooSmall, LemmaViolated, TooLarge
 
-BRUTE_FORCE_MAX_P = 8
+# search nodes plus emitted pairs one stabilizer search may spend
+STAB_BUDGET = 1 << 19
+# most rows of C the full-matrix search takes when condition iii fails
+FULL_MATRIX_MAX_K = 8
 
 AFFINE = "affine-subgroup"
 SYMMETRIC = "symmetric"
@@ -55,14 +58,6 @@ def is_affine(perm: Perm, p: int) -> bool:
     return all(perm(i) == (u * i + v) % p for i in range(p))
 
 
-def affine_params(perm: Perm, p: int) -> tuple[int, int] | None:
-    if not is_affine(perm, p):
-        return None
-    v = perm(0)
-    u = (perm(1) - v) % p if p > 1 else 1
-    return u, v
-
-
 def _column_map(rows: Dense) -> dict[tuple[int, ...], list[int]]:
     cols: dict[tuple[int, ...], list[int]] = {}
     for j, col in enumerate(zip(*rows)):
@@ -74,39 +69,82 @@ def _matching_qs(rows, col_map, p_images) -> list[Perm]:
     """All Q with act(P, M, Q) = M, i.e. column c of the row-permuted
     matrix equals column Q(c) of M. Unique when columns are distinct;
     repeated columns yield one Q per class bijection."""
-    width = len(rows[0])
-    permuted_cols = [
-        tuple(rows[p_images[i]][c] for i in range(len(rows))) for c in range(width)
-    ]
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for c, col in enumerate(permuted_cols):
-        classes.setdefault(col, []).append(c)
     per_class = []
-    for col, positions in sorted(classes.items(), key=lambda kv: kv[1][0]):
+    for col, positions in _column_map([rows[i] for i in p_images]).items():
         targets = col_map.get(col)
         if targets is None or len(targets) != len(positions):
             return []
         per_class.append((positions, targets))
+    positions = [c for ps, _ in per_class for c in ps]
+    images = [0] * len(positions)
     out = []
     for assignment in product(*[permutations(t) for _, t in per_class]):
-        images = [0] * width
-        for (positions, _), chosen in zip(per_class, assignment):
-            for c, j in zip(positions, chosen):
-                images[c] = j
+        for c, j in zip(positions, chain.from_iterable(assignment)):
+            images[c] = j
         out.append(Perm(images))
     return out
 
 
 def _stabilizing_pairs(rows: Dense) -> tuple[tuple[Perm, Perm], ...]:
-    """Every (P, Q) with act(P, M, Q) = M, over all len(rows)! row
-    permutations P, sorted."""
+    """Every (P, Q) with act(P, M, Q) = M, sorted.
+
+    P(0), P(1), ... are picked in turn, and a branch is pruned unless the
+    multiset of column prefixes of rows P(0)..P(t) equals that of rows
+    0..t of M. At a full P the multisets of whole columns agree, so P
+    has exactly prod(|class|!) partners Q over the classes of equal
+    columns. Candidate rows tried plus pairs emitted are held to
+    STAB_BUDGET; TooLarge is raised before the work that would pass it.
+    """
+    size = len(rows)
     col_map = _column_map(rows)
-    pairs = []
-    for images in permutations(range(len(rows))):
-        qs = _matching_qs(rows, col_map, images)
-        if qs:
+    per_leaf = math.prod(math.factorial(len(js)) for js in col_map.values())
+    base = 1 + max(map(max, rows))
+    # levels[t] numbers the distinct column prefixes over rows 0..t of M,
+    # keyed by the id of the prefix over rows 0..t-1 times base plus the
+    # entry in row t; wants[t] is the sorted list of those ids by column
+    levels, wants = [], []
+    prefix = [0] * len(rows[0])
+    for row in rows:
+        level: dict[int, int] = {}
+        prefix = [level.setdefault(i * base + v, len(level)) for i, v in zip(prefix, row)]
+        levels.append(level)
+        wants.append(sorted(prefix))
+    pairs: list[tuple[Perm, Perm]] = []
+    images: list[int] = []
+    used = [False] * size
+    spent = 0
+
+    def spend(units: int) -> None:
+        nonlocal spent
+        if spent + units > STAB_BUDGET:
+            raise TooLarge(
+                f"stabilizer search of a {size}-row matrix needs more than "
+                f"{STAB_BUDGET} nodes plus pairs"
+            )
+        spent += units
+
+    def extend(ids: list[int]) -> None:
+        t = len(images)
+        if t == size:
+            spend(per_leaf)
             perm = Perm(images)
-            pairs.extend((perm, q) for q in qs)
+            pairs.extend((perm, q) for q in _matching_qs(rows, col_map, images))
+            return
+        level, want = levels[t], wants[t]
+        for x in range(size):
+            if used[x]:
+                continue
+            spend(1)
+            # -1 marks a prefix no column of M has, so the lists cannot match
+            nxt = [level.get(i * base + v, -1) for i, v in zip(ids, rows[x])]
+            if sorted(nxt) == want:
+                used[x] = True
+                images.append(x)
+                extend(nxt)
+                images.pop()
+                used[x] = False
+
+    extend([0] * len(rows[0]))
     return tuple(sorted(pairs))
 
 
@@ -137,57 +175,21 @@ def pair_inv(a: tuple[Perm, Perm]) -> tuple[Perm, Perm]:
     return (a[0].inv(), a[1].inv())
 
 
-def stab_block_bruteforce(b: CirculantBlock) -> PairStab:
-    """Exhaustive pair stabilizer over all p! row permutations (p <= 8).
+def stab_block(b: CirculantBlock) -> PairStab:
+    """Pair stabilizer of one block, exact at every p.
 
     Every block contains the shift pair (i -> i+1, j -> j-1), so the
     result is never trivial. When block columns repeat, all matching
-    column permutations are enumerated.
+    column permutations are listed.
     """
-    p = b.p
-    if p > BRUTE_FORCE_MAX_P:
-        raise TooLarge(f"{p}! row permutations exceed the brute-force guard")
     return PairStab(block=b, pairs=_stabilizing_pairs(b.expand()))
-
-
-def stab_block_affine(b: CirculantBlock) -> PairStab:
-    """Pair stabilizer restricted to the p(p-1) affine candidates.
-
-    Sound for any block (every returned pair stabilizes). Complete
-    exactly when the row stabilizer lies inside the affine group, which
-    the compliance conditions are designed to force. On degenerate blocks
-    with repeated columns the deterministic lexicographically first
-    matching Q is kept for each affine P.
-    """
-    p = b.p
-    if not is_prime(p):
-        raise OutOfRange(f"affine candidates need prime p, got {p}")
-    rows = b.expand()
-    col_map = _column_map(rows)
-    pairs = []
-    for u in range(1, p):
-        for v in range(p):
-            perm = Perm.affine(p, u, v)
-            qs = _matching_qs(rows, col_map, perm.images)
-            if qs:
-                pairs.append((perm, min(qs)))
-    return PairStab(block=b, pairs=tuple(sorted(pairs)))
-
-
-def stab_block(b: CirculantBlock, mode: str) -> PairStab:
-    if mode == "bruteforce":
-        return stab_block_bruteforce(b)
-    if mode == "affine":
-        return stab_block_affine(b)
-    raise OutOfRange(f"unknown mode {mode!r}")
 
 
 def classify(ps: PairStab) -> str:
     """Label the row projection: affine first, then order tests.
 
     Constant and near-constant blocks provably have the full symmetric
-    group as row projection, so they are labeled from the block shape
-    even when the pair list was computed in incomplete affine mode.
+    group as row projection, so they are labeled from the block shape.
     """
     p = ps.block.p
     if not good_shape(ps.block.first_row):
@@ -224,7 +226,6 @@ class AutGroup:
     elements: tuple[tuple[Perm, Perm], ...]
     block_labels: dict[tuple[int, int], str]
     method: str
-    mode: str
 
     @property
     def order(self) -> int:
@@ -262,11 +263,6 @@ class AutGroup:
             if worst in labels:
                 return worst
         return AFFINE
-
-    @property
-    def affine_incomplete(self) -> bool:
-        """Affine mode cannot exhaust non-affine stabilizers; flag that."""
-        return self.mode == "affine" and self.classification != AFFINE
 
 
 def _assemble(maps_pq, maps_qp, m1: int, mc: int) -> list[dict]:
@@ -339,30 +335,28 @@ def _dsum_all(perms: list[Perm]) -> Perm:
     return out
 
 
-def stab_full(c: BlockCirculant, mode: str = "bruteforce") -> AutGroup:
+def stab_full(c: BlockCirculant) -> AutGroup:
     """Stabilizer of the whole matrix C under block-diagonal pairs.
 
     Condition iii justifies the block-diagonal decomposition; when it
-    fails the search falls back to row permutations of the full matrix
-    for k <= 8 and refuses otherwise. Every assembled element is verified
-    against the dense matrix before it is returned.
+    fails the same exact search runs on the full matrix for
+    k <= FULL_MATRIX_MAX_K and refuses otherwise. Every assembled element
+    is verified against the dense matrix before it is returned.
     """
-    if mode not in ("bruteforce", "affine"):
-        raise OutOfRange(f"unknown mode {mode!r}")
     m1, mc, p = c.m1, c.n_block_cols, c.p
     dense = c.expand()
-    stabs = [[stab_block(c.block(i, j), mode) for j in range(mc)] for i in range(m1)]
+    stabs = [[stab_block(c.block(i, j)) for j in range(mc)] for i in range(m1)]
     labels = {(i, j): classify(stabs[i][j]) for i in range(m1) for j in range(mc)}
     if check_iii(c).status == "fail":
         k = m1 * p
-        if k > BRUTE_FORCE_MAX_P:
+        if k > FULL_MATRIX_MAX_K:
             raise ConditionIIIViolated(
-                f"condition iii fails and k = {k} > {BRUTE_FORCE_MAX_P}"
+                f"condition iii fails and k = {k} > {FULL_MATRIX_MAX_K}"
             )
         group = AutGroup(
             p=p, m1=m1, m2=c.m2,
             elements=_stabilizing_pairs(dense),
-            block_labels=labels, method="full-matrix", mode=mode,
+            block_labels=labels, method="full-matrix",
         )
     else:
         maps_pq = [[{} for _ in range(mc)] for _ in range(m1)]
@@ -384,7 +378,7 @@ def stab_full(c: BlockCirculant, mode: str = "bruteforce") -> AutGroup:
         group = AutGroup(
             p=p, m1=m1, m2=c.m2,
             elements=tuple(sorted(elements)),
-            block_labels=labels, method="blockwise", mode=mode,
+            block_labels=labels, method="blockwise",
         )
     for p1, p2 in group.elements:
         if act(p1, dense, p2) != dense:

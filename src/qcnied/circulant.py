@@ -49,13 +49,6 @@ class Perm:
         """Cyclic shift i -> i + k mod n."""
         return cls((i + k) % n for i in range(n))
 
-    @classmethod
-    def affine(cls, p: int, u: int, v: int) -> "Perm":
-        """Affine map i -> u*i + v mod p (u must be invertible mod p)."""
-        if u % p == 0:
-            raise OutOfRange("affine scale must be nonzero mod p")
-        return cls((u * i + v) % p for i in range(p))
-
     @property
     def n(self) -> int:
         return len(self.images)

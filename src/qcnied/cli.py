@@ -49,16 +49,17 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="")
 
 
+def _int_arg(what: str):
+    """argparse type for an integer argument: the canonical token rule of
+    the file formats, refused as a ParseError (exit 2, one line)."""
+    return lambda tok: _int_token(tok, what)
+
+
 def _seed_of(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("QCNIED_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ParseError(f"QCNIED_SEED must be an integer, got {env!r}") from exc
+    return 0 if env is None else _int_token(env, "QCNIED_SEED")
 
 
 def _fmt(value) -> str:
@@ -174,19 +175,17 @@ def _surveillance(c: BlockCirculant, g: AutGroup, threshold: float) -> tuple[str
 
 def _cmd_autgroup(args) -> int:
     c = io.read_matrix(_read(args.matrix))
-    g = stab_full(c, mode=args.mode)
+    g = stab_full(c)
     lem = verify_lemma1(ParityCheck(c), g)
     verdict, tripped = _surveillance(c, g, args.threshold)
     fields = [("kind", "autgroup")]
     fields += _shape_fields(c.p, c.m1, c.m2, c.ctx.eta)
     fields += [
-        ("mode", g.mode),
         ("method", g.method),
         ("order", g.order),
         ("min_degree_rows", _fmt(g.min_degree_pi1)),
         ("min_degree_cols", _fmt(g.min_degree_pi2)),
         ("classification", EXCEPTIONAL if tripped else g.classification),
-        ("affine_incomplete", _fmt(g.affine_incomplete)),
     ]
     for (i, j), label in sorted(g.block_labels.items()):
         fields.append((f"block_{i}_{j}", label))
@@ -233,7 +232,7 @@ def _group_from_report(path: str) -> AutGroup:
         raise ParseError(f"{path}: report carries no group elements")
     return AutGroup(
         p=p, m1=m1, m2=m2, elements=tuple(elems),
-        block_labels={}, method="report", mode="report",
+        block_labels={}, method="report",
     )
 
 
@@ -291,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_validate)
 
     sp = sub.add_parser("search", help="sample a condition-compliant matrix")
-    sp.add_argument("p", type=int)
-    sp.add_argument("m1", type=int)
-    sp.add_argument("m2", type=int)
-    sp.add_argument("eta", type=int)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("p", type=_int_arg("p"))
+    sp.add_argument("m1", type=_int_arg("m1"))
+    sp.add_argument("m2", type=_int_arg("m2"))
+    sp.add_argument("eta", type=_int_arg("eta"))
+    sp.add_argument("--seed", type=_int_arg("--seed"), default=None)
     sp.add_argument("--variant", action="store_true",
                     help="sample the constant-block regime (i fails, iv' holds)")
     sp.add_argument("-o", "--out")
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("keygen", help="derive a key pair from a matrix file")
     sp.add_argument("matrix")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_int_arg("--seed"), default=None)
     sp.add_argument("--priv", required=True)
     sp.add_argument("--pub", required=True)
     sp.set_defaults(func=_cmd_keygen)
@@ -323,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("autgroup", help="compute the stabilizer group of a matrix file")
     sp.add_argument("matrix")
-    sp.add_argument("--mode", choices=("bruteforce", "affine"), default="bruteforce")
     sp.add_argument("--threshold", type=float, default=VARIANT_RATIO_DEFAULT,
                     help="ratio ceiling for condition i' in the surveillance gate")
     sp.add_argument("-o", "--out")
@@ -333,18 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--report", help="autgroup report to bound exactly")
     mode.add_argument("--envelope", action="store_true", help="worst-case envelope bound")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--m1", type=int)
-    sp.add_argument("--m2", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--p", type=_int_arg("--p"))
+    sp.add_argument("--m1", type=_int_arg("--m1"))
+    sp.add_argument("--m2", type=_int_arg("--m2"))
+    sp.add_argument("--k", type=_int_arg("--k"))
+    sp.add_argument("--n", type=_int_arg("--n"))
     sp.add_argument("-o", "--out")
     sp.set_defaults(func=_cmd_bound)
 
     sp = sub.add_parser("sweep", help="envelope bounds over a list of p, as CSV")
     sp.add_argument("--p", required=True, help="comma-separated primes")
-    sp.add_argument("--m1", type=int, default=1)
-    sp.add_argument("--m2", type=int, default=2)
+    sp.add_argument("--m1", type=_int_arg("--m1"), default=1)
+    sp.add_argument("--m2", type=_int_arg("--m2"), default=2)
     sp.add_argument("-o", "--out")
     sp.set_defaults(func=_cmd_sweep)
 
@@ -359,10 +357,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,7 @@ from qcnied.distinguish import (
 from qcnied.field import FieldCtx
 from qcnied.autgroup import SYMMETRIC, stab_full
 
-from test_autgroup import FANO_ROW, column_orbit
+from test_autgroup import FANO_ROW, bruteforce_pairs, column_orbit
 
 C4_SEEDS_M2 = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21)
 C4_SEEDS_M3 = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
@@ -41,12 +41,12 @@ _corpus_cache: list = []
 
 
 def corpus():
-    """(matrix, brute-forced stabilizer) for the pinned p = 7 seeds."""
+    """(matrix, stabilizer) for the pinned p = 7 seeds."""
     if not _corpus_cache:
         for m2, seeds in ((2, C4_SEEDS_M2), (3, C4_SEEDS_M3)):
             for seed in seeds:
                 c = sample_compliant(7, 1, m2, 2, seed=seed)
-                _corpus_cache.append((c, stab_full(c, mode="bruteforce")))
+                _corpus_cache.append((c, stab_full(c)))
     return _corpus_cache
 
 
@@ -153,23 +153,23 @@ def test_criterion_04_stabilizer_bound_corpus(tmp_path):
         assert fields["surveillance"].startswith("tripped")
 
 
-def test_criterion_05_affine_equals_bruteforce():
-    with criterion(5, "affine fast path == brute force on the whole corpus"):
+def test_criterion_05_exact_search_equals_bruteforce():
+    with criterion(5, "exact search == brute-force oracle on the whole corpus"):
         for c, g in corpus():
-            fast = stab_full(c, mode="affine")
-            assert set(fast.elements) == set(g.elements)
+            # all 7! row permutations of the whole of C, no pruning
+            assert g.elements == bruteforce_pairs(c.expand())
 
 
 def test_criterion_06_negative_controls():
     with criterion(6, "forbidden shapes blow up to the symmetric group"):
         ctx = FieldCtx(2)
         flat = BlockCirculant.from_rows(ctx, 5, 1, 2, [(2, 2, 2, 2, 2)])
-        g = stab_full(flat, mode="bruteforce")
+        g = stab_full(flat)
         assert len({p1 for p1, _ in g.elements}) == 120
         assert g.classification == SYMMETRIC
 
         spike = BlockCirculant.from_rows(ctx, 5, 1, 2, [(2, 2, 2, 2, 3)])
-        g = stab_full(spike, mode="bruteforce")
+        g = stab_full(spike)
         assert len({p1 for p1, _ in g.elements}) == 120
         assert g.order == 120
         assert g.classification == SYMMETRIC
@@ -251,6 +251,6 @@ def test_criterion_11_variant_regime():
             c = sample_variant(5, 2, 4, 2, seed=seed)
             rep = validate_all(c, desk_scale=True, ratio_threshold=0.5)
             assert rep.variant_ok() and not rep.strict_ok()
-            g = stab_full(c, mode="bruteforce")
+            g = stab_full(c)
             assert g.order <= 625
             assert g.min_degree_pi1 >= 4

@@ -5,6 +5,7 @@ from functools import reduce
 from operator import xor
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qcnied import autgroup
 from qcnied.autgroup import (
@@ -12,7 +13,8 @@ from qcnied.autgroup import (
     AutGroup,
     EXCEPTIONAL,
     SYMMETRIC,
-    affine_params,
+    _column_map,
+    _matching_qs,
     classify,
     is_affine,
     minimal_degree,
@@ -20,14 +22,12 @@ from qcnied.autgroup import (
     pair_mul,
     reordering_count,
     stab_block,
-    stab_block_affine,
-    stab_block_bruteforce,
     stab_full,
     verify_lemma1,
 )
 from qcnied.circulant import BlockCirculant, CirculantBlock, ParityCheck, Perm, act
-from qcnied.conditions import sample_compliant
-from qcnied.errors import ConditionIIIViolated, LemmaViolated, OutOfRange, TooLarge
+from qcnied.conditions import check_iii, sample_compliant
+from qcnied.errors import ConditionIIIViolated, LemmaViolated, TooLarge
 from qcnied.field import FieldCtx
 
 CTX = FieldCtx(2)
@@ -36,6 +36,17 @@ CTX = FieldCtx(2)
 # difference set, so the block is a Fano-plane incidence structure and
 # its stabilizer is the full collineation group of order 168
 FANO_ROW = (3, 3, 3, 1, 1, 3, 1)
+
+
+def bruteforce_pairs(rows) -> tuple[tuple[Perm, Perm], ...]:
+    """Every (P, Q) with act(P, M, Q) = M, over all len(rows)! row
+    permutations P, sorted. Reference oracle for the pruned search."""
+    col_map = _column_map(rows)
+    pairs = []
+    for images in itertools.permutations(range(len(rows))):
+        perm = Perm(images)
+        pairs.extend((perm, q) for q in _matching_qs(rows, col_map, images))
+    return tuple(sorted(pairs))
 
 
 def column_orbit(b: CirculantBlock) -> set[tuple[int, ...]]:
@@ -99,9 +110,8 @@ def h_group_exhaustive(h: ParityCheck, max_n: int = 8) -> list[tuple[tuple, Perm
 
 
 def test_affine_predicates():
-    assert is_affine(Perm.affine(5, 2, 1), 5)
-    assert affine_params(Perm.affine(5, 3, 4), 5) == (3, 4)
-    assert affine_params(Perm((1, 0, 2, 3, 4)), 5) is None
+    assert is_affine(Perm((2 * i + 1) % 5 for i in range(5)), 5)
+    assert is_affine(Perm((3 * i + 4) % 5 for i in range(5)), 5)
     assert not is_affine(Perm((1, 0, 2, 3, 4)), 5)
 
 
@@ -116,7 +126,7 @@ def test_pair_group_operations():
 
 def test_stab_block_generic_row_is_shifts_only():
     b = CirculantBlock(FieldCtx(3), (0, 1, 2, 3, 4))
-    ps = stab_block_bruteforce(b)
+    ps = stab_block(b)
     assert ps.order == 5
     assert sorted(ps.row_projection()) == sorted(
         Perm.shift(5, s) for s in range(5)
@@ -127,7 +137,7 @@ def test_stab_block_generic_row_is_shifts_only():
 def test_stab_block_pairs_stabilize():
     b = CirculantBlock(CTX, (0, 1, 2, 3, 1))
     dense = b.expand()
-    ps = stab_block_bruteforce(b)
+    ps = stab_block(b)
     for p, q in ps.pairs:
         assert act(p, dense, q) == dense
     # closure under the pair product
@@ -139,38 +149,102 @@ def test_stab_block_pairs_stabilize():
 
 def test_stab_block_constant_and_near_constant():
     allsame = CirculantBlock(CTX, (2,) * 5)
-    ps = stab_block_bruteforce(allsame)
+    ps = stab_block(allsame)
     assert ps.order == 120 * 120
     assert len(set(ps.row_projection())) == 120
     assert classify(ps) == SYMMETRIC
     nearconst = CirculantBlock(CTX, (1, 2, 2, 2, 2))
-    ps2 = stab_block_bruteforce(nearconst)
+    ps2 = stab_block(nearconst)
     assert ps2.order == 120
     assert len(set(ps2.row_projection())) == 120
     assert classify(ps2) == SYMMETRIC
 
 
 def test_stab_block_fano_is_exceptional():
-    ps = stab_block_bruteforce(CirculantBlock(CTX, FANO_ROW))
+    ps = stab_block(CirculantBlock(CTX, FANO_ROW))
     assert ps.order == 168
     assert classify(ps) == EXCEPTIONAL
     assert minimal_degree(ps.row_projection()) == 4
 
 
-def test_stab_block_affine_matches_bruteforce():
+def test_stab_block_matches_bruteforce():
     for seed in range(1, 8):
         c = sample_compliant(7, 1, 2, 2, seed=seed)
         b = c.block(0, 0)
-        assert set(stab_block_affine(b).pairs) == set(stab_block_bruteforce(b).pairs)
+        assert stab_block(b).pairs == bruteforce_pairs(b.expand())
+
+
+@st.composite
+def block_rows(draw):
+    """(eta, first row) with p in 2..7 and eta in 1..3; constant and
+    near-constant rows are drawn on purpose. Constant rows stop at p = 5:
+    from p = 6 on their (p!)^2 pairs are more than the oracle should list
+    (and at p = 7 more than STAB_BUDGET admits)."""
+    eta, p = draw(st.integers(1, 3)), draw(st.integers(2, 7))
+    values = st.integers(0, (1 << eta) - 1)
+    kind = draw(st.sampled_from(["generic", "near"] + ["constant"] * (p <= 5)))
+    if kind == "generic":
+        row = tuple(draw(values) for _ in range(p))
+        assume(p <= 5 or len(set(row)) > 1)
+    elif kind == "near":
+        a = draw(values)
+        b, j = draw(values.filter(lambda v: v != a)), draw(st.integers(0, p - 1))
+        row = tuple(a if i == j else b for i in range(p))
+    else:
+        row = (draw(values),) * p
+    return eta, row
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_rows())
+def test_stab_block_equals_bruteforce_oracle(eta_row):
+    eta, row = eta_row
+    b = CirculantBlock(FieldCtx(eta), row)
+    assert stab_block(b).pairs == bruteforce_pairs(b.expand())
+
+
+@st.composite
+def iii_failing(draw):
+    """Matrices on which condition iii fails, with k = m1 * p <= 6 and at
+    most 4 columns, so the permutations(k) oracle stays quick."""
+    p, m1 = draw(st.sampled_from(((2, 2), (2, 3), (3, 2))))
+    mc = draw(st.integers(1, 4 // p))
+    eta = draw(st.integers(1, 2))
+    values = st.integers(0, (1 << eta) - 1)
+    rows = [tuple(draw(values) for _ in range(p)) for _ in range(m1 * mc)]
+    c = BlockCirculant.from_rows(FieldCtx(eta), p, m1, m1 + mc, rows)
+    assume(check_iii(c).status == "fail")
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(iii_failing())
+def test_full_matrix_fallback_equals_bruteforce_oracle(c):
+    g = stab_full(c)
+    assert g.method == "full-matrix"
+    assert g.elements == bruteforce_pairs(c.expand())
 
 
 def test_stab_block_guards():
+    # no size guard but the work budget: a generic p = 11 block returns
+    # its group, the 11 shifts
+    ps = stab_block(CirculantBlock(CTX, tuple(j % 4 for j in range(11))))
+    assert ps.row_projection() == tuple(sorted(Perm.shift(11, s) for s in range(11)))
+    assert ps.order == 11 and classify(ps) == AFFINE
+
+
+def test_stab_block_budget(monkeypatch):
+    # constant p = 5: 5 + 20 + 60 + 120 + 120 = 325 candidate rows tried
+    # and 120 * 120 = 14,400 pairs; the budget admits exactly that much
+    flat = CirculantBlock(CTX, (2,) * 5)
+    monkeypatch.setattr(autgroup, "STAB_BUDGET", 325 + 14_400)
+    assert stab_block(flat).order == 14_400
+    monkeypatch.setattr(autgroup, "STAB_BUDGET", 325 + 14_400 - 1)
     with pytest.raises(TooLarge):
-        stab_block_bruteforce(CirculantBlock(CTX, tuple(j % 4 for j in range(11))))
-    with pytest.raises(OutOfRange):
-        stab_block_affine(CirculantBlock(CTX, tuple(j % 4 for j in range(9))))
-    with pytest.raises(OutOfRange):
-        stab_block(CirculantBlock(CTX, (0, 1, 2, 3, 1)), "fancy")
+        stab_block(flat)
+    monkeypatch.setattr(autgroup, "STAB_BUDGET", 14_000)
+    with pytest.raises(TooLarge):
+        stab_block(flat)
 
 
 def test_minimal_degree_conventions():
@@ -187,8 +261,8 @@ def test_stab_full_blockwise_product_structure():
          (3, 3, 3, 3, 3), (1, 0, 2, 2, 3)],
     )
     g = stab_full(c)
-    s00 = stab_block_bruteforce(c.block(0, 0))
-    s11 = stab_block_bruteforce(c.block(1, 1))
+    s00 = stab_block(c.block(0, 0))
+    s11 = stab_block(c.block(1, 1))
     assert g.order == s00.order * s11.order
     assert g.method == "blockwise"
     dense = c.expand()
@@ -295,7 +369,7 @@ def test_verify_lemma1_eta1_premise():
 def test_verify_lemma1_rejects_a_non_symmetry():
     # a row shift with no matching column move maps H to another matrix
     bogus = AutGroup(p=5, m1=1, m2=2, elements=((Perm.shift(5, 1), Perm.identity(5)),),
-                     block_labels={}, method="report", mode="report")
+                     block_labels={}, method="report")
     c = sample_compliant(5, 1, 2, 2, seed=6)
     with pytest.raises(LemmaViolated):
         verify_lemma1(ParityCheck(c), bogus)

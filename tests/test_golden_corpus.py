@@ -1,13 +1,17 @@
-"""Byte-for-byte pins on the search -> keygen -> encrypt -> decrypt pipeline.
+"""Byte-for-byte pins on the search -> keygen -> encrypt -> decrypt and
+the search -> autgroup -> bound --report pipelines.
 
 Every command of a fixed corpus runs through the CLI entry point; the
 test pins the exit code and the sha256 of each written file (matrix,
-private key, public key, ciphertext) and of each stdout. The pins were
-taken from the syndrome-table implementation this package used before
-its decoder moved to F2 elimination, so they hold the two to identical
-files and outputs. Regenerate the table with
+private key, public key, ciphertext, reports) and of each stdout. The
+key pins were taken from the syndrome-table implementation this package
+used before its decoder moved to F2 elimination, the autgroup pins from
+the brute-force stabilizer search that preceded the pruned backtrack
+(with its `mode` and `affine_incomplete` report lines dropped), so they
+hold the old and new code to identical files and outputs. Regenerate
+the tables with
 
-    PYTHONPATH=src python tests/test_golden_corpus.py
+    PYTHONPATH=src:tests python tests/test_golden_corpus.py
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+from qcnied import io
+from qcnied.circulant import BlockCirculant
 from qcnied.cli import main
+from qcnied.field import FieldCtx
+
+from test_autgroup import FANO_ROW
 
 # (p, m1, m2, eta, seed); the seed drives both search and keygen
 CORPUS = (
@@ -32,6 +41,21 @@ CORPUS = (
     (5, 1, 8, 2, 1),
     (11, 1, 2, 3, 2),
 )
+
+
+# (p, m1, m2, eta, seed, variant) searched, then autgroup -> bound --report
+AUTGROUP_CORPUS = tuple(
+    (p, 1, m2, 2, seed, False) for p, m2 in ((5, 2), (7, 2), (7, 3)) for seed in (1, 2, 3)
+) + ((5, 2, 4, 2, 3, True),)
+
+# written directly: the order-168 trip wire and a condition-iii failure
+# that takes the full-matrix search
+AUTGROUP_FIXED = {
+    "fano": BlockCirculant.from_rows(FieldCtx(2), 7, 1, 2, [FANO_ROW]),
+    "iii_fallback": BlockCirculant.from_rows(
+        FieldCtx(3), 2, 2, 4, [(1, 2), (3, 4), (1, 2), (3, 4)]
+    ),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -73,6 +97,30 @@ def run_corpus(workdir: Path) -> dict[str, tuple[int, str]]:
             code, stdout = _run(["decrypt", sk, ct])
             assert stdout == support + "\n"
             pins[f"{tag}/decrypt{i}"] = (code, _sha(stdout.encode()))
+    return pins
+
+
+def run_autgroup_corpus(workdir: Path) -> dict[str, tuple[int, str]]:
+    """Run the autgroup corpus in workdir; map each step to (exit, sha256)."""
+    pins: dict[str, tuple[int, str]] = {}
+    jobs = []
+    for params in AUTGROUP_CORPUS:
+        *shape, seed, variant = params
+        tag = "_".join(map(str, shape + [seed])) + ("_variant" if variant else "")
+        m = workdir / f"{tag}.qcm"
+        code, _ = _run(["search", *shape, "--seed", seed, *["--variant"][:variant], "-o", m])
+        pins[f"{tag}/search"] = (code, _sha(m.read_bytes()))
+        jobs.append((tag, m, ["--threshold", "0.5"] if variant else []))
+    for tag, c in AUTGROUP_FIXED.items():
+        m = workdir / f"{tag}.qcm"
+        m.write_text(io.write_matrix(c), encoding="utf-8")
+        jobs.append((tag, m, []))
+    for tag, m, flags in jobs:
+        g = workdir / f"{tag}.qcr"
+        code, _ = _run(["autgroup", m, *flags, "-o", g])
+        pins[f"{tag}/autgroup"] = (code, _sha(g.read_bytes()))
+        code, stdout = _run(["bound", "--report", g])
+        pins[f"{tag}/bound"] = (code, _sha(stdout.encode()))
     return pins
 
 
@@ -150,14 +198,57 @@ PINS = {
 }
 
 
+AUTGROUP_PINS = {
+    '5_1_2_2_1/search': (0, '05ea70ad80db7f79b411a8e86f539cde11d73e8cc53eefb5c9f0a361107c8e89'),
+    '5_1_2_2_2/search': (0, 'e538a423152dc39c764ae2c2426432654af02d332e9b9fcffda24997a3a9e19e'),
+    '5_1_2_2_3/search': (0, 'fba083c5a9fb99dafad8e162cd7076d7a33134d5c53f46de75c14beafb733b17'),
+    '7_1_2_2_1/search': (0, '69205b75f8b010991007fe60723734616d08917fec8b7fd905869fac002ae33f'),
+    '7_1_2_2_2/search': (0, '5750017bc5706a1b1315862e8d3bd42984bf5095015d58d06959c9c677b7222b'),
+    '7_1_2_2_3/search': (0, '807ed324b3a6b6fad363dc715237ef96eb5bcb112e1d09e53e017c91a882c774'),
+    '7_1_3_2_1/search': (0, '9d96eaf1c9369782680d8f200fc751d7ca5cd9e603cd6cbd1244061d682e25b9'),
+    '7_1_3_2_2/search': (0, '2d2ec1aa0b4453946fbb548b61afb620bc8c78e6eea9535145b7815179ee5742'),
+    '7_1_3_2_3/search': (0, 'fbbffcf9b90aabe135287ce5db54b5787cc6f025265e17edfc63b02ad5f1d67e'),
+    '5_2_4_2_3_variant/search': (0, '2672322d23d25382a50b6950c3690725a57504c12f4e9faa6917be88c2b328f2'),
+    '5_1_2_2_1/autgroup': (0, 'be90dfaf037581a8edac3d2449623c07979aac62716e954a49f8aace151f3d9c'),
+    '5_1_2_2_1/bound': (0, 'f6cf825ba8adca213feac4317c70ff3fa45a0dede32f2dcfbcca76a09b763b41'),
+    '5_1_2_2_2/autgroup': (0, 'be90dfaf037581a8edac3d2449623c07979aac62716e954a49f8aace151f3d9c'),
+    '5_1_2_2_2/bound': (0, 'f6cf825ba8adca213feac4317c70ff3fa45a0dede32f2dcfbcca76a09b763b41'),
+    '5_1_2_2_3/autgroup': (0, 'be90dfaf037581a8edac3d2449623c07979aac62716e954a49f8aace151f3d9c'),
+    '5_1_2_2_3/bound': (0, 'f6cf825ba8adca213feac4317c70ff3fa45a0dede32f2dcfbcca76a09b763b41'),
+    '7_1_2_2_1/autgroup': (0, '0dc45d9d06e538398d8fedbd6b7910a378485b5d99ba00264a760709f8d46f04'),
+    '7_1_2_2_1/bound': (0, '1b9e6c198b074c52f4957e0535f9dc1ad39a7be8dcb1419679d5e2ddac0cc166'),
+    '7_1_2_2_2/autgroup': (0, '0dc45d9d06e538398d8fedbd6b7910a378485b5d99ba00264a760709f8d46f04'),
+    '7_1_2_2_2/bound': (0, '1b9e6c198b074c52f4957e0535f9dc1ad39a7be8dcb1419679d5e2ddac0cc166'),
+    '7_1_2_2_3/autgroup': (0, '0dc45d9d06e538398d8fedbd6b7910a378485b5d99ba00264a760709f8d46f04'),
+    '7_1_2_2_3/bound': (0, '1b9e6c198b074c52f4957e0535f9dc1ad39a7be8dcb1419679d5e2ddac0cc166'),
+    '7_1_3_2_1/autgroup': (0, 'a283f0c19677cd81b478e52b5d7a7b2045fe74e019d4850a9852abe897a97734'),
+    '7_1_3_2_1/bound': (0, '029274868bae4a623307c5452415966c97c40d0fc0d44dfece9c111f903e379f'),
+    '7_1_3_2_2/autgroup': (0, 'a283f0c19677cd81b478e52b5d7a7b2045fe74e019d4850a9852abe897a97734'),
+    '7_1_3_2_2/bound': (0, '029274868bae4a623307c5452415966c97c40d0fc0d44dfece9c111f903e379f'),
+    '7_1_3_2_3/autgroup': (0, 'a283f0c19677cd81b478e52b5d7a7b2045fe74e019d4850a9852abe897a97734'),
+    '7_1_3_2_3/bound': (0, '029274868bae4a623307c5452415966c97c40d0fc0d44dfece9c111f903e379f'),
+    '5_2_4_2_3_variant/autgroup': (0, '7d65591f239f47bb3e315dc3559bc36128c76b84a1da8f27f89d1e281984f9b8'),
+    '5_2_4_2_3_variant/bound': (0, '7d7a6871b049574aeaf4507136e8872b4f172e36a8c57ba569521bd179d3b5a0'),
+    'fano/autgroup': (3, 'e1acc84fe124e8bd43ca1f2660cc657212060c1fe55ff131245ab4432361e0fa'),
+    'fano/bound': (0, 'a004970844a6631b2e06c08a4afeac46131701df4cf68314094bd054477b5fb3'),
+    'iii_fallback/autgroup': (0, '95daa09dce8300dc2fef1cf85fa3e27fb992f1f45b97a4ff07a59d115a2fc9e4'),
+    'iii_fallback/bound': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+}
+
+
 def test_golden_corpus(tmp_path):
     assert run_corpus(tmp_path) == PINS
 
 
+def test_golden_autgroup_corpus(tmp_path):
+    assert run_autgroup_corpus(tmp_path) == AUTGROUP_PINS
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        pins = run_corpus(Path(tmp))
-    sys.stdout.write("PINS = {\n")
-    for key, value in pins.items():
-        sys.stdout.write(f"    {key!r}: {value!r},\n")
-    sys.stdout.write("}\n")
+    for name, run in (("PINS", run_corpus), ("AUTGROUP_PINS", run_autgroup_corpus)):
+        with tempfile.TemporaryDirectory() as tmp:
+            pins = run(Path(tmp))
+        sys.stdout.write(f"{name} = {{\n")
+        for key, value in pins.items():
+            sys.stdout.write(f"    {key!r}: {value!r},\n")
+        sys.stdout.write("}\n\n")

@@ -223,6 +223,14 @@ def test_cli_parser_built_once(monkeypatch, capsys):
     cli._parser.cache_clear()
 
 
+def refused(capsys, argv) -> bool:
+    """main exits 2 with a single stderr line (and so no traceback)."""
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    return code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_usage_errors(tmp_path):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
@@ -258,7 +266,7 @@ def test_cli_validate_variant(tmp_path):
     assert main(args[:-2] + ["--threshold", "0.5", "-o", "-"]) == 0
 
 
-def test_cli_search_deterministic(tmp_path, monkeypatch):
+def test_cli_search_deterministic(tmp_path, monkeypatch, capsys):
     a, b, c = (tmp_path / name for name in ("a", "b", "c"))
     assert main(["search", "5", "1", "2", "2", "--seed", "5", "-o", str(a)]) == 0
     assert main(["search", "5", "1", "2", "2", "--seed", "5", "-o", str(b)]) == 0
@@ -266,8 +274,14 @@ def test_cli_search_deterministic(tmp_path, monkeypatch):
     monkeypatch.setenv("QCNIED_SEED", "5")
     assert main(["search", "5", "1", "2", "2", "-o", str(c)]) == 0
     assert c.read_bytes() == a.read_bytes()
-    monkeypatch.setenv("QCNIED_SEED", "zzz")
-    assert main(["search", "5", "1", "2", "2", "-o", str(c)]) == 2
+    # integer arguments follow the canonical token rule of the formats
+    for seed in ("-1", " 1", "007", "+1", "\u0663"):
+        assert refused(capsys, ["search", "5", "1", "2", "2", "--seed", seed, "-o", str(c)])
+    assert refused(capsys, ["search", "\u0665", "1", "2", "2", "-o", str(c)])  # Arabic-Indic 5
+    for env in ("zzz", "\u0663", "-1", "03"):
+        monkeypatch.setenv("QCNIED_SEED", env)
+        assert refused(capsys, ["search", "5", "1", "2", "2", "-o", str(c)])
+    assert c.read_bytes() == a.read_bytes()
     # composite p is a domain refusal, not a parse problem
     monkeypatch.delenv("QCNIED_SEED")
     assert main(["search", "9", "1", "2", "2"]) == 1
@@ -337,7 +351,28 @@ def test_cli_autgroup_surveillance_trip(tmp_path):
     assert fields["order"] == "168" and len(elems) == 168
 
 
-def test_cli_bound_envelope_and_sweep(tmp_path):
+@pytest.mark.parametrize("p, minority, order", [
+    # {0,1,3,9} is a planar difference set mod 13: the block is the
+    # incidence structure of PG(2,3), whose 5,616 collineations stabilize it
+    (13, {0, 1, 3, 9}, 5616),
+    # the quadratic residues mod 11 give the (11,5,2) biplane; PSL(2,11)
+    (11, {1, 3, 4, 5, 9}, 660),
+])
+def test_cli_autgroup_difference_set_trips(tmp_path, p, minority, order):
+    row = tuple(1 if j in minority else 3 for j in range(p))
+    c = BlockCirculant.from_rows(FieldCtx(2), p, 1, 2, [row])
+    mat, rep = tmp_path / "m.qcm", tmp_path / "g.qcr"
+    mat.write_text(io.write_matrix(c))
+    assert main(["validate", str(mat), "--desk-scale"]) == 0
+    assert main(["autgroup", str(mat), "-o", str(rep)]) == 3
+    fields, elems = io.read_report(rep.read_text())
+    assert fields["classification"] == "exceptional"
+    assert fields["surveillance"].startswith("tripped")
+    assert fields["lemma1"] == "ok"
+    assert fields["order"] == str(order) and len(elems) == order
+
+
+def test_cli_bound_envelope_and_sweep(tmp_path, capsys):
     rep = tmp_path / "b.qcr"
     assert main(["bound", "--envelope", "--p", "31", "-o", str(rep)]) == 0
     fields, _ = io.read_report(rep.read_text())
@@ -355,6 +390,10 @@ def test_cli_bound_envelope_and_sweep(tmp_path):
     assert main(["sweep", "--p", ""]) == 2
     assert main(["sweep", "--p", "\u0663\u0661"]) == 2   # Arabic-Indic 31
     assert main(["sweep", "--p", "07"]) == 2
+    assert refused(capsys, ["bound", "--envelope", "--p", "\u0663\u0661"])
+    assert refused(capsys, ["bound", "--envelope", "--p", "31", "--k", "031"])
+    assert refused(capsys, ["sweep", "--p", "7", "--m1", "\u0662", "--m2", "\u0663"])
+    assert refused(capsys, ["sweep", "--p", "7", "--m2", "-3"])
 
 
 def test_cli_keygen_trivial_kernel(tmp_path, capsys):
