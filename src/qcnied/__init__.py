@@ -4,113 +4,44 @@ Structured parity-check matrices over small binary extension fields,
 admission conditions on their circulant blocks, a Niederreiter-style
 key wrap around them, exact automorphism (stabilizer) computation, and
 distinguishability bounds for the induced hidden-subgroup instances.
+
+The public names below live in the submodules and load on first use
+(PEP 562), so ``import qcnied.cli`` runs only the layers a command needs.
 """
 
-from .circulant import (
-    BlockCirculant,
-    CirculantBlock,
-    ParityCheck,
-    Perm,
-    act,
-    perm_equivalent,
-)
-from .conditions import (
-    ConditionReport,
-    Verdict,
-    check_i,
-    check_ii,
-    check_iii,
-    check_iv,
-    check_v,
-    check_variant,
-    good_shape,
-    sample_compliant,
-    sample_variant,
-    validate_all,
-)
-from .distinguish import (
-    BoundReport,
-    EnvelopeStats,
-    class_size_sn,
-    dk_bound,
-    dk_bound_envelope,
-    gamma_t_bound,
-    log_gl_order,
-    logsumexp,
-    min_class_size,
-    s0_exact,
-    s1_term,
-    worst_case_h,
-)
-from .autgroup import (
-    AutGroup,
-    Lemma1Report,
-    PairStab,
-    classify,
-    minimal_degree,
-    reordering_count,
-    stab_block,
-    stab_full,
-    verify_lemma1,
-)
-from .field import FieldCtx, default_modulus, is_irreducible
-from .niederreiter import (
-    PrivateKey,
-    PublicKey,
-    decrypt,
-    encrypt,
-    keygen,
-)
-from . import errors, io
+import importlib
 
-__all__ = [
-    "AutGroup",
-    "BlockCirculant",
-    "BoundReport",
-    "CirculantBlock",
-    "ConditionReport",
-    "EnvelopeStats",
-    "FieldCtx",
-    "Lemma1Report",
-    "PairStab",
-    "ParityCheck",
-    "Perm",
-    "PrivateKey",
-    "PublicKey",
-    "Verdict",
-    "act",
-    "check_i",
-    "check_ii",
-    "check_iii",
-    "check_iv",
-    "check_v",
-    "check_variant",
-    "class_size_sn",
-    "classify",
-    "decrypt",
-    "default_modulus",
-    "dk_bound",
-    "dk_bound_envelope",
-    "encrypt",
-    "errors",
-    "gamma_t_bound",
-    "good_shape",
-    "io",
-    "is_irreducible",
-    "keygen",
-    "log_gl_order",
-    "logsumexp",
-    "min_class_size",
-    "minimal_degree",
-    "perm_equivalent",
-    "reordering_count",
-    "s0_exact",
-    "s1_term",
-    "sample_compliant",
-    "sample_variant",
-    "stab_block",
-    "stab_full",
-    "validate_all",
-    "verify_lemma1",
-    "worst_case_h",
-]
+# home submodule -> the public names it defines
+_EXPORTS = {
+    "circulant": "BlockCirculant CirculantBlock ParityCheck Perm act perm_equivalent",
+    "conditions": "ConditionReport Verdict check_i check_ii check_iii check_iv "
+                  "check_v check_variant good_shape sample_compliant "
+                  "sample_variant validate_all",
+    "distinguish": "BoundReport EnvelopeStats class_size_sn dk_bound "
+                   "dk_bound_envelope gamma_t_bound log_gl_order logsumexp "
+                   "min_class_size s0_exact s1_term worst_case_h",
+    "autgroup": "AutGroup Lemma1Report PairStab classify minimal_degree "
+                "reordering_count stab_block stab_full verify_lemma1",
+    "field": "FieldCtx default_modulus is_irreducible",
+    "niederreiter": "PrivateKey PublicKey decrypt encrypt keygen",
+}
+# public name -> home submodule; `errors` and `io` are exported as themselves
+_HOME = {name: home for home, names in _EXPORTS.items() for name in names.split()}
+_HOME.update(errors="errors", io="io")
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = importlib.import_module(f".{home}", __name__)
+    value = module if home == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

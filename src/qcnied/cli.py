@@ -8,6 +8,10 @@ inputs and seeds give byte-identical files.
 
 Seeds come from --seed when given, else the QCNIED_SEED environment
 variable, else 0.
+
+Each command imports the layers it runs inside its handler, so an
+encrypt or decrypt process never loads the condition checks, the
+stabilizer search or the bounds.
 """
 
 from __future__ import annotations
@@ -18,35 +22,32 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import io
-from .circulant import BlockCirculant, ParityCheck
-from .conditions import (
-    VARIANT_RATIO_DEFAULT,
-    sample_compliant,
-    sample_variant,
-    validate_all,
-)
-from .distinguish import dk_bound, dk_bound_envelope
 from .errors import LemmaViolated, ParseError, QcniedError
-from .autgroup import AutGroup, EXCEPTIONAL, stab_full, verify_lemma1
-from .field import FieldCtx
 from .io import _int_token
-from .niederreiter import decrypt, encrypt, keygen
+
+if TYPE_CHECKING:
+    from .autgroup import AutGroup
+    from .circulant import BlockCirculant
 
 
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot write {out}: {exc}") from exc
 
 
 def _int_arg(what: str):
@@ -79,9 +80,17 @@ def _shape_fields(p: int, m1: int, m2: int, eta: int | None = None):
     return fields
 
 
+def _threshold(args) -> float:
+    from .conditions import VARIANT_RATIO_DEFAULT
+
+    return VARIANT_RATIO_DEFAULT if args.threshold is None else args.threshold
+
+
 def _cmd_validate(args) -> int:
+    from .conditions import validate_all
+
     c = io.read_matrix(_read(args.matrix))
-    rep = validate_all(c, desk_scale=args.desk_scale, ratio_threshold=args.threshold)
+    rep = validate_all(c, desk_scale=args.desk_scale, ratio_threshold=_threshold(args))
     fields = [("kind", "conditions")]
     fields += _shape_fields(c.p, c.m1, c.m2, c.ctx.eta)
     for name, verdict in rep.items():
@@ -95,6 +104,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .conditions import sample_compliant, sample_variant
+
     seed = _seed_of(args)
     sampler = sample_variant if args.variant else sample_compliant
     c = sampler(args.p, args.m1, args.m2, args.eta, seed)
@@ -103,6 +114,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_keygen(args) -> int:
+    from .circulant import ParityCheck
+    from .niederreiter import keygen
+
     c = io.read_matrix(_read(args.matrix))
     priv, pub = keygen(ParityCheck(c), _seed_of(args))
     _emit(io.write_private_key(priv), args.priv)
@@ -126,15 +140,21 @@ def _parse_support(arg: str, n: int) -> tuple[int, ...]:
 
 
 def _cmd_encrypt(args) -> int:
+    from .field import FieldCtx
+    from .niederreiter import encrypt
+
     pub = io.read_public_key(_read(args.pub))
-    support = _parse_support(args.support, pub.n)
-    x = [1 if j in set(support) else 0 for j in range(pub.n)]
+    x = [0] * pub.n
+    for j in _parse_support(args.support, pub.n):
+        x[j] = 1
     y = encrypt(pub, x)
     _emit(io.write_ciphertext(FieldCtx(pub.eta, pub.modulus), y), args.out)
     return 0
 
 
 def _cmd_decrypt(args) -> int:
+    from .niederreiter import decrypt
+
     priv = io.read_private_key(_read(args.priv))
     y = io.read_ciphertext(priv.h.ctx, _read(args.ciphertext), priv.h.k)
     x = decrypt(priv, y)
@@ -152,6 +172,8 @@ def _surveillance(c: BlockCirculant, g: AutGroup, threshold: float) -> tuple[str
     guarantees themselves failed, which is reported as a trip, never
     absorbed.
     """
+    from .conditions import validate_all
+
     rep = validate_all(c, desk_scale=True, ratio_threshold=threshold)
     p = c.p
     if rep.strict_ok():
@@ -174,10 +196,13 @@ def _surveillance(c: BlockCirculant, g: AutGroup, threshold: float) -> tuple[str
 
 
 def _cmd_autgroup(args) -> int:
+    from .autgroup import EXCEPTIONAL, stab_full, verify_lemma1
+    from .circulant import ParityCheck
+
     c = io.read_matrix(_read(args.matrix))
     g = stab_full(c)
     lem = verify_lemma1(ParityCheck(c), g)
-    verdict, tripped = _surveillance(c, g, args.threshold)
+    verdict, tripped = _surveillance(c, g, _threshold(args))
     fields = [("kind", "autgroup")]
     fields += _shape_fields(c.p, c.m1, c.m2, c.ctx.eta)
     fields += [
@@ -215,6 +240,8 @@ def _bound_fields(r) -> list:
 
 
 def _group_from_report(path: str) -> AutGroup:
+    from .autgroup import AutGroup
+
     fields, elems = io.read_report(_read(path))
     if fields.get("kind") != "autgroup":
         raise ParseError(f"{path}: expected an autgroup report")
@@ -237,6 +264,8 @@ def _group_from_report(path: str) -> AutGroup:
 
 
 def _cmd_bound(args) -> int:
+    from .distinguish import dk_bound, dk_bound_envelope
+
     if args.report is not None:
         g = _group_from_report(args.report)
         r = dk_bound(g)
@@ -253,6 +282,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .distinguish import dk_bound_envelope
+
     ps = [_int_token(tok.strip(), "p list entry") for tok in args.p.split(",") if tok != ""]
     if not ps:
         raise ParseError("empty p list")
@@ -284,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("matrix")
     sp.add_argument("--desk-scale", action="store_true", help="waive condition v for p <= 30")
     sp.add_argument("--variant", action="store_true", help="judge i', ii, iii, iv', v instead")
-    sp.add_argument("--threshold", type=float, default=VARIANT_RATIO_DEFAULT,
+    sp.add_argument("--threshold", type=float, default=None,
                     help="ratio ceiling for condition i'")
     sp.add_argument("-o", "--out")
     sp.set_defaults(func=_cmd_validate)
@@ -322,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("autgroup", help="compute the stabilizer group of a matrix file")
     sp.add_argument("matrix")
-    sp.add_argument("--threshold", type=float, default=VARIANT_RATIO_DEFAULT,
+    sp.add_argument("--threshold", type=float, default=None,
                     help="ratio ceiling for condition i' in the surveillance gate")
     sp.add_argument("-o", "--out")
     sp.set_defaults(func=_cmd_autgroup)

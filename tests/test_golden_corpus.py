@@ -8,8 +8,10 @@ key pins were taken from the syndrome-table implementation this package
 used before its decoder moved to F2 elimination, the autgroup pins from
 the brute-force stabilizer search that preceded the pruned backtrack
 (with its `mode` and `affine_incomplete` report lines dropped), so they
-hold the old and new code to identical files and outputs. Regenerate
-the tables with
+hold the old and new code to identical files and outputs. The help pins
+cover `qcnied --help` and each subcommand's `--help` at a fixed
+`COLUMNS`; argparse's layout differs between Python versions, so they
+hold for the version they were taken on. Regenerate the tables with
 
     PYTHONPATH=src:tests python tests/test_golden_corpus.py
 """
@@ -19,10 +21,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io as _io
+import os
 import random
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 from qcnied import io
 from qcnied.circulant import BlockCirculant
@@ -121,6 +127,19 @@ def run_autgroup_corpus(workdir: Path) -> dict[str, tuple[int, str]]:
         pins[f"{tag}/autgroup"] = (code, _sha(g.read_bytes()))
         code, stdout = _run(["bound", "--report", g])
         pins[f"{tag}/bound"] = (code, _sha(stdout.encode()))
+    return pins
+
+
+SUBCOMMANDS = ("validate", "search", "keygen", "encrypt", "decrypt", "autgroup", "bound", "sweep")
+
+
+def run_help_corpus() -> dict[str, tuple[int, str]]:
+    """Map each help text, read 80 columns wide, to (exit code, sha256)."""
+    pins: dict[str, tuple[int, str]] = {}
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in [["--help"]] + [[cmd, "--help"] for cmd in SUBCOMMANDS]:
+            code, stdout = _run(argv)
+            pins[" ".join(argv)] = (code, _sha(stdout.encode()))
     return pins
 
 
@@ -236,6 +255,20 @@ AUTGROUP_PINS = {
 }
 
 
+HELP_PINS_PYTHON = (3, 11)
+HELP_PINS = {
+    '--help': (0, '8186f2c1ed1ccd2865a6db9a960e00955bdf1adf98f12b4f39ef67aad21e68be'),
+    'validate --help': (0, '053f6af8548b4689c7c184280c960f63ee9697d38b9c89395e5ce21764e1d615'),
+    'search --help': (0, '6fb6964723cf8f93a367016f47daac71ac20630709a58d7b839ac33786dbf8d2'),
+    'keygen --help': (0, '80a78462549708f123359b851fb318a0b31b2b6f6ace4bc3edba7d0721abbe5c'),
+    'encrypt --help': (0, '19edae25c5b766303a2921bbf4ba9850ad6e1ec6470efd3a96ce0e86780389a5'),
+    'decrypt --help': (0, 'c9a0f8077af9a15b644580b41c0785d9594954182bd9e27d4512a530a9a3f3a9'),
+    'autgroup --help': (0, '010f57a1b287d8f9adbfd0895c6e94936a009277ec55df6a05ffd50c74efa7ad'),
+    'bound --help': (0, '1544c64f9606f3530da07baa74b651533c45af7beccc3922fd53a0052130a89d'),
+    'sweep --help': (0, '7c120d5985d5c494e1008d1cb600fb19c8920de8906cacbcbac46fc712e3fa48'),
+}
+
+
 def test_golden_corpus(tmp_path):
     assert run_corpus(tmp_path) == PINS
 
@@ -244,8 +277,15 @@ def test_golden_autgroup_corpus(tmp_path):
     assert run_autgroup_corpus(tmp_path) == AUTGROUP_PINS
 
 
+def test_golden_help_texts():
+    if sys.version_info[:2] != HELP_PINS_PYTHON:
+        pytest.skip(f"help pins were taken on Python {HELP_PINS_PYTHON}")
+    assert run_help_corpus() == HELP_PINS
+
+
 if __name__ == "__main__":
-    for name, run in (("PINS", run_corpus), ("AUTGROUP_PINS", run_autgroup_corpus)):
+    for name, run in (("PINS", run_corpus), ("AUTGROUP_PINS", run_autgroup_corpus),
+                      ("HELP_PINS", lambda _: run_help_corpus())):
         with tempfile.TemporaryDirectory() as tmp:
             pins = run(Path(tmp))
         sys.stdout.write(f"{name} = {{\n")

@@ -237,6 +237,35 @@ def test_cli_usage_errors(tmp_path):
     assert main(["validate", str(tmp_path / "missing.qcm")]) == 2
 
 
+def test_cli_non_utf8_input_refused(tmp_path, capsys, c512):
+    mat, priv_p, pub_p, ct = (tmp_path / n for n in ("m.qcm", "sk", "pk", "ct"))
+    mat.write_text(io.write_matrix(c512))
+    assert main(["keygen", str(mat), "--priv", str(priv_p), "--pub", str(pub_p)]) == 0
+    assert main(["encrypt", str(pub_p), "--support", "0", "-o", str(ct)]) == 0
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff" + mat.read_bytes())
+    for argv in (
+        ["validate", bad],
+        ["keygen", bad, "--priv", tmp_path / "sk2", "--pub", tmp_path / "pk2"],
+        ["encrypt", bad, "--support", "0"],
+        ["decrypt", bad, ct],
+        ["decrypt", priv_p, bad],
+        ["autgroup", bad],
+        ["bound", "--report", bad],
+    ):
+        assert refused(capsys, [str(a) for a in argv]), argv
+
+
+def test_cli_unwritable_output_refused(tmp_path, capsys, c512):
+    mat, missing = tmp_path / "m.qcm", tmp_path / "missing"
+    mat.write_text(io.write_matrix(c512))
+    assert refused(capsys, ["search", "5", "1", "2", "2", "-o", str(missing / "x")])
+    assert refused(capsys, ["keygen", str(mat), "--priv", str(missing / "sk"),
+                            "--pub", str(tmp_path / "pk")])
+    assert refused(capsys, ["keygen", str(mat), "--priv", str(tmp_path / "sk"),
+                            "--pub", str(missing / "pk")])
+
+
 def test_cli_validate(tmp_path, c512):
     mat = tmp_path / "m.qcm"
     mat.write_text(io.write_matrix(c512))
@@ -410,14 +439,36 @@ def test_cli_keygen_trivial_kernel(tmp_path, capsys):
 
 
 def test_cli_import_leaves_numpy_out():
+    """A fresh CLI import loads neither numpy nor the layers that only
+    validate, search, autgroup, bound and sweep run."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    code = "import sys, qcnied.cli; print('numpy' in sys.modules)"
+    unwanted = ("numpy", "qcnied.conditions", "qcnied.autgroup", "qcnied.distinguish")
+    code = f"import sys, qcnied.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
+
+
+def test_package_exports_resolve_to_home_modules():
+    import qcnied
+
+    for name in qcnied.__all__:
+        value = getattr(qcnied, name)
+        if isinstance(value, type(qcnied)):
+            assert value is sys.modules[f"qcnied.{name}"]
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        namespace = {}
+        exec(f"from qcnied import {name}", namespace)
+        assert namespace[name] is value
+    assert set(qcnied.__all__) <= set(dir(qcnied))
+    with pytest.raises(AttributeError):
+        qcnied.no_such_name
+    with pytest.raises(ImportError):
+        exec("from qcnied import no_such_name", {})
