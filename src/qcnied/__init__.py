@@ -18,8 +18,8 @@ _EXPORTS = {
                   "check_v check_variant good_shape sample_compliant "
                   "sample_variant validate_all",
     "distinguish": "BoundReport EnvelopeStats class_size_sn dk_bound "
-                   "dk_bound_envelope gamma_t_bound log_gl_order logsumexp "
-                   "min_class_size s0_exact s1_term worst_case_h",
+                   "dk_bound_envelope log_gl_order logsumexp min_class_size "
+                   "s0_exact s1_term worst_case_h",
     "autgroup": "AutGroup Lemma1Report PairStab classify minimal_degree "
                 "reordering_count stab_block stab_full verify_lemma1",
     "field": "FieldCtx default_modulus is_irreducible",

@@ -6,6 +6,7 @@ C the compliance conditions force every stabilizing pair to act
 block-diagonally, so the full group is assembled from per-block pair
 stabilizers by constraint propagation: row permutation i and column
 permutation j must stabilize block (i, j) jointly, for every block.
+Every pair stabilizes a constant block, so those blocks are skipped.
 
 Each group element (P1, P2) of the assembled group corresponds to a
 symmetry (A, P) of the parity check [I | C]: A is the permutation matrix
@@ -265,21 +266,24 @@ class AutGroup:
         return AFFINE
 
 
-def _assemble(maps_pq, maps_qp, m1: int, mc: int) -> list[dict]:
-    """All joint assignments of row perms P_i and column perms Q_j with
-    (P_i, Q_j) in the (i, j) pair stabilizer for every block. Backtracking
-    with smallest-domain-first ordering; blocks with small stabilizers
-    (the condition-iv blocks) therefore drive the search."""
+def _assemble(maps: dict) -> list[dict]:
+    """All joint assignments of the constrained row perms P_i and column
+    perms Q_j: maps[(i, j)] = (pq, qp) for each block that constrains its
+    pair, where pq sends P to the Q with (P, Q) in the block's pair
+    stabilizer and qp sends Q to those P. Backtracking with
+    smallest-domain-first ordering; blocks with small stabilizers (the
+    condition-iv blocks) therefore drive the search."""
     domains: dict[tuple[str, int], set] = {}
-    for i in range(m1):
-        domains[("P", i)] = set.intersection(*[set(maps_pq[i][j]) for j in range(mc)])
-    for j in range(mc):
-        domains[("Q", j)] = set.intersection(*[set(maps_qp[i][j]) for i in range(m1)])
+    links: dict[tuple[str, int], list] = {}
+    for (i, j), (pq, qp) in maps.items():
+        for var, other, partners_of in ((("P", i), ("Q", j), pq), (("Q", j), ("P", i), qp)):
+            domains[var] = domains[var] & partners_of.keys() if var in domains else set(partners_of)
+            links.setdefault(var, []).append((other, partners_of))
     results: list[dict] = []
     assign: dict = {}
 
     def backtrack(doms):
-        if len(assign) == m1 + mc:
+        if len(assign) == len(doms):
             results.append(dict(assign))
             return
         var = min(
@@ -290,36 +294,15 @@ def _assemble(maps_pq, maps_qp, m1: int, mc: int) -> list[dict]:
             assign[var] = val
             nxt = dict(doms)
             feasible = True
-            if var[0] == "P":
-                i = var[1]
-                for j in range(mc):
-                    allowed = maps_pq[i][j].get(val, frozenset())
-                    qv = ("Q", j)
-                    if qv in assign:
-                        if assign[qv] not in allowed:
-                            feasible = False
-                            break
-                    else:
-                        narrowed = nxt[qv] & allowed
-                        if not narrowed:
-                            feasible = False
-                            break
-                        nxt[qv] = narrowed
-            else:
-                j = var[1]
-                for i in range(m1):
-                    allowed = maps_qp[i][j].get(val, frozenset())
-                    pv = ("P", i)
-                    if pv in assign:
-                        if assign[pv] not in allowed:
-                            feasible = False
-                            break
-                    else:
-                        narrowed = nxt[pv] & allowed
-                        if not narrowed:
-                            feasible = False
-                            break
-                        nxt[pv] = narrowed
+            for other, partners_of in links[var]:
+                partners = partners_of.get(val, frozenset())
+                if other in assign:
+                    feasible = assign[other] in partners
+                else:
+                    nxt[other] = nxt[other] & partners
+                    feasible = bool(nxt[other])
+                if not feasible:
+                    break
             if feasible:
                 backtrack(nxt)
             del assign[var]
@@ -338,15 +321,22 @@ def _dsum_all(perms: list[Perm]) -> Perm:
 def stab_full(c: BlockCirculant) -> AutGroup:
     """Stabilizer of the whole matrix C under block-diagonal pairs.
 
-    Condition iii justifies the block-diagonal decomposition; when it
-    fails the same exact search runs on the full matrix for
-    k <= FULL_MATRIX_MAX_K and refuses otherwise. Every assembled element
-    is verified against the dense matrix before it is returned.
+    A constant block aJ is fixed by every pair (P, Q), so it constrains
+    nothing: it is labelled symmetric from its shape and never searched.
+    Every other block gets its pair stabilizer from stab_block. Condition
+    iii justifies the block-diagonal decomposition: the assembly joins
+    those stabilizers, and a P_i or Q_j that no non-constant block
+    constrains ranges over all of S_p. When the group would hold more
+    than STAB_BUDGET elements, TooLarge is raised before it is listed.
+    When condition iii fails the exact search runs on the full matrix
+    for k <= FULL_MATRIX_MAX_K and refuses otherwise. Every element is
+    verified against the dense matrix before it is returned.
     """
     m1, mc, p = c.m1, c.n_block_cols, c.p
     dense = c.expand()
-    stabs = [[stab_block(c.block(i, j)) for j in range(mc)] for i in range(m1)]
-    labels = {(i, j): classify(stabs[i][j]) for i in range(m1) for j in range(mc)}
+    blocks = {(i, j): c.block(i, j) for i in range(m1) for j in range(mc)}
+    stabs = {ij: stab_block(b) for ij, b in blocks.items() if len(set(b.first_row)) > 1}
+    labels = {ij: classify(stabs[ij]) if ij in stabs else SYMMETRIC for ij in blocks}
     if check_iii(c).status == "fail":
         k = m1 * p
         if k > FULL_MATRIX_MAX_K:
@@ -359,22 +349,30 @@ def stab_full(c: BlockCirculant) -> AutGroup:
             block_labels=labels, method="full-matrix",
         )
     else:
-        maps_pq = [[{} for _ in range(mc)] for _ in range(m1)]
-        maps_qp = [[{} for _ in range(mc)] for _ in range(m1)]
-        for i in range(m1):
-            for j in range(mc):
-                pq: dict[Perm, set] = {}
-                qp: dict[Perm, set] = {}
-                for pr, qc in stabs[i][j].pairs:
-                    pq.setdefault(pr, set()).add(qc)
-                    qp.setdefault(qc, set()).add(pr)
-                maps_pq[i][j] = {k_: frozenset(v) for k_, v in pq.items()}
-                maps_qp[i][j] = {k_: frozenset(v) for k_, v in qp.items()}
+        maps = {}
+        for ij, ps in stabs.items():
+            pq: dict[Perm, set] = {}
+            qp: dict[Perm, set] = {}
+            for pr, qc in ps.pairs:
+                pq.setdefault(pr, set()).add(qc)
+                qp.setdefault(qc, set()).add(pr)
+            maps[ij] = (pq, qp)
+        solutions = _assemble(maps)
+        free = [("P", i) for i in range(m1) if all((i, j) not in maps for j in range(mc))]
+        free += [("Q", j) for j in range(mc) if all((i, j) not in maps for i in range(m1))]
+        if len(solutions) * math.factorial(p) ** len(free) > STAB_BUDGET:
+            raise TooLarge(
+                f"{len(free)} block permutations range over S_{p}: the group has "
+                f"more than {STAB_BUDGET} elements"
+            )
+        sym = [Perm(images) for images in permutations(range(p))] if free else []
         elements = []
-        for solution in _assemble(maps_pq, maps_qp, m1, mc):
-            p1 = _dsum_all([solution[("P", i)] for i in range(m1)])
-            p2 = _dsum_all([solution[("Q", j)] for j in range(mc)])
-            elements.append((p1, p2))
+        for solution in solutions:
+            for choice in product(sym, repeat=len(free)):
+                solution.update(zip(free, choice))
+                p1 = _dsum_all([solution[("P", i)] for i in range(m1)])
+                p2 = _dsum_all([solution[("Q", j)] for j in range(mc)])
+                elements.append((p1, p2))
         group = AutGroup(
             p=p, m1=m1, m2=c.m2,
             elements=tuple(sorted(elements)),

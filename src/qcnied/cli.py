@@ -119,8 +119,15 @@ def _cmd_keygen(args) -> int:
 
     c = io.read_matrix(_read(args.matrix))
     priv, pub = keygen(ParityCheck(c), _seed_of(args))
-    _emit(io.write_private_key(priv), args.priv)
-    _emit(io.write_public_key(pub), args.pub)
+    priv_text, pub_text = io.write_private_key(priv), io.write_public_key(pub)
+    _emit(priv_text, args.priv)
+    try:
+        _emit(pub_text, args.pub)
+    except ParseError:
+        # no private key is left behind without its public key
+        if args.priv != "-":
+            Path(args.priv).unlink(missing_ok=True)
+        raise
     print(f"e: {pub.e}")
     return 0
 

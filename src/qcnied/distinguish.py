@@ -24,24 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, factorial
+from math import factorial
+from operator import mul
 
-from .errors import ConstantsRequired, InfeasibleSupport, StructureViolation
-
-
-def cycle_types(n: int):
-    """All partitions of n, parts descending."""
-
-    def rec(rem, mx):
-        if rem == 0:
-            yield ()
-            return
-        for part in range(min(rem, mx), 0, -1):
-            for rest in rec(rem - part, part):
-                yield (part,) + rest
-
-    yield from rec(n, n)
+from .errors import InfeasibleSupport, StructureViolation
 
 
 def class_size_sn(t) -> int:
@@ -53,11 +39,6 @@ def class_size_sn(t) -> int:
         c = t.count(length)
         centralizer *= length**c * factorial(c)
     return factorial(n) // centralizer
-
-
-def type_support(t) -> int:
-    """Points moved by a permutation of this cycle type."""
-    return sum(part for part in t if part > 1)
 
 
 def log_factorial(n: int) -> float:
@@ -174,42 +155,51 @@ def dk_bound(g) -> BoundReport:
     return _report("exact", g.k, g.n, g.order, s0_exact(g), p=g.p, m1=g.m1, m2=g.m2)
 
 
-@lru_cache(maxsize=None)
-def _max_one_free_weight(rem: int, min_part: int) -> int:
-    """Largest centralizer factor prod(j^c_j c_j!) over partitions of rem
-    into parts >= max(2, min_part); 0 when no such partition exists."""
-    if rem == 0:
-        return 1
-    best = 0
-    for part in range(max(2, min_part), rem + 1):
-        mult = 1
-        total = part
-        while total <= rem:
-            tail = _max_one_free_weight(rem - total, part + 1)
-            if tail:
-                best = max(best, part**mult * factorial(mult) * tail)
-            mult += 1
-            total += part
-    return best
+# _weights[s]: the greatest prod(j^c_j c_j!) over partitions of s into
+# parts >= 2, 0 when there is none (s = 1). It does not depend on n, so
+# one table, grown to the largest n asked, serves every call.
+_weights = [1]
+
+
+def _centralizer_weights(n: int) -> list[int]:
+    """The table above through index n, built by a knapsack over part sizes.
+
+    Part size j enters with multiplicity c at weight j*c and factor
+    j^c c!; the factors of different part sizes multiply, so taking the
+    sizes one at a time and keeping the best product per total is exact.
+    O(n^2 log n) integer products.
+    """
+    global _weights
+    if len(_weights) <= n:
+        w = [1] + [0] * n
+        for j in range(2, n + 1):
+            factors = [1]  # factors[c] = j^c c!
+            for c in range(1, n // j + 1):
+                factors.append(factors[-1] * j * c)
+            # totals descend, so w[s - c*j] still excludes part size j
+            for s in range(n, j - 1, -1):
+                w[s] = max(map(mul, factors, w[s::-j]))
+        _weights = w
+    return _weights
 
 
 def min_class_size(n: int, delta: int) -> int:
     """Smallest S_n conjugacy class among elements moving >= delta points.
 
-    Exact search over all cycle types with support >= delta: the class
-    size is n! over the centralizer order, so the search maximizes the
-    centralizer (n - s)! * prod(j^c_j c_j!) over the moved-point count s
-    and the one-free partitions of s.
+    A class is n! over its centralizer order (n - s)! * prod(j^c_j c_j!),
+    where s is the moved-point count and the c_j count the cycles of each
+    length j >= 2. The greatest centralizer for each s comes from one
+    knapsack table (_centralizer_weights), so the result is exact and
+    the search is a maximum over s in [delta, n].
     """
     if delta > n:
         raise InfeasibleSupport(f"no element of S_{n} moves {delta} points")
     if delta <= 0:
         return 1
+    weights = _centralizer_weights(n)
     best = 0
     for s in range(max(2, delta), n + 1):
-        w = _max_one_free_weight(s, 2)
-        if w:
-            best = max(best, factorial(n - s) * w)
+        best = max(best, factorial(n - s) * weights[s])
     if best == 0:
         raise InfeasibleSupport(f"no element of S_{n} moves >= {delta} points")
     return factorial(n) // best
@@ -247,24 +237,3 @@ def dk_bound_envelope(p: int, k: int, n: int, m1=None, m2=None) -> BoundReport:
         - 0.5 * (math.log(stats.min_class_k) + math.log(stats.min_class_n))
     )
     return _report("envelope", k, n, stats.order, s0_log, p=p, m1=m1, m2=m2)
-
-
-def gamma_t_bound(k: int, t: int, delta: int, eps=None, b=None) -> float:
-    """ln of k^(-eps*delta/2) * sqrt(C(k, t)) * (t!)^(1/4).
-
-    The constants eps and b are model parameters with no canonical
-    values; both must be supplied, and delta must be at least b.
-    """
-    if eps is None or b is None:
-        raise ConstantsRequired("gamma_t needs explicit eps and b")
-    if eps <= 0 or b <= 0:
-        raise ConstantsRequired("eps and b must be positive")
-    if delta < b:
-        raise ConstantsRequired(f"delta = {delta} below the validity floor b = {b}")
-    if not 0 <= t <= k:
-        raise InfeasibleSupport(f"need 0 <= t <= k, got t={t}, k={k}")
-    return (
-        -0.5 * eps * delta * math.log(k)
-        + 0.5 * math.log(comb(k, t))
-        + 0.25 * log_factorial(t)
-    )

@@ -87,10 +87,6 @@ class InfeasibleSupport(QcniedError):
     pass
 
 
-class ConstantsRequired(QcniedError):
-    pass
-
-
 # file formats
 
 class ParseError(QcniedError):

@@ -23,7 +23,6 @@ from qcnied.circulant import BlockCirculant, CirculantBlock, ParityCheck, perm_e
 from qcnied.conditions import good_shape, sample_compliant, sample_variant, validate_all
 from qcnied.distinguish import (
     class_size_sn,
-    cycle_types,
     dk_bound,
     dk_bound_envelope,
     logsumexp,
@@ -33,6 +32,7 @@ from qcnied.field import FieldCtx
 from qcnied.autgroup import SYMMETRIC, stab_full
 
 from test_autgroup import FANO_ROW, bruteforce_pairs, column_orbit
+from test_distinguish import brute_class_sizes, cycle_types
 
 C4_SEEDS_M2 = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21)
 C4_SEEDS_M3 = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
@@ -198,8 +198,6 @@ def test_criterion_07_orbit_floor():
 
 def test_criterion_08_class_sizes():
     with criterion(8, "conjugacy class sizes exact, partitions sum to n!"):
-        from test_distinguish import brute_class_sizes
-
         for n in range(3, 7):
             for t, size in brute_class_sizes(n).items():
                 assert class_size_sn(t) == size

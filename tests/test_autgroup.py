@@ -1,6 +1,8 @@
 """Stabilizer search, classification, orbit counts, and the key lemma."""
 
 import itertools
+import math
+import time
 from functools import reduce
 from operator import xor
 
@@ -47,6 +49,27 @@ def bruteforce_pairs(rows) -> tuple[tuple[Perm, Perm], ...]:
         perm = Perm(images)
         pairs.extend((perm, q) for q in _matching_qs(rows, col_map, images))
     return tuple(sorted(pairs))
+
+
+def full_listing_elements(c: BlockCirculant) -> tuple[tuple[Perm, Perm], ...]:
+    """The blockwise stabilizer of c by listing every block's pairs,
+    constant blocks included, and joining them: for each choice of row
+    perms P_i from the common row projections, Q_j ranges over the
+    partners that every block (i, j) allows. Reference for stab_full."""
+    m1, mc = c.m1, c.n_block_cols
+    partners = {}
+    for i in range(m1):
+        for j in range(mc):
+            pq = partners[i, j] = {}
+            for pr, qc in stab_block(c.block(i, j)).pairs:
+                pq.setdefault(pr, set()).add(qc)
+    p_domains = [set.intersection(*(set(partners[i, j]) for j in range(mc))) for i in range(m1)]
+    out = []
+    for ps in itertools.product(*map(sorted, p_domains)):
+        qs = [set.intersection(*(partners[i, j][ps[i]] for i in range(m1))) for j in range(mc)]
+        for q in itertools.product(*map(sorted, qs)):
+            out.append((reduce(Perm.dsum, ps), reduce(Perm.dsum, q)))
+    return tuple(sorted(out))
 
 
 def column_orbit(b: CirculantBlock) -> set[tuple[int, ...]]:
@@ -268,6 +291,80 @@ def test_stab_full_blockwise_product_structure():
     dense = c.expand()
     for p1, p2 in g.elements:
         assert act(p1, dense, p2) == dense
+
+
+@st.composite
+def with_constant_blocks(draw):
+    """Matrices with p <= 5, m1 and m2 - m1 in 1..2 and at least one
+    constant block, on which condition iii holds. A P_i or Q_j with only
+    constant blocks ranges over S_p; at most 720 such choices are drawn,
+    so the oracle's listing stays quick."""
+    p = draw(st.integers(2, 5))
+    m1, mc, eta = (draw(st.integers(1, 2)) for _ in range(3))
+    values = st.integers(0, (1 << eta) - 1)
+    rows = [
+        (draw(values),) * p if draw(st.booleans()) else tuple(draw(values) for _ in range(p))
+        for _ in range(m1 * mc)
+    ]
+    constant = [[len(set(rows[i * mc + j])) == 1 for j in range(mc)] for i in range(m1)]
+    free = sum(map(all, constant)) + sum(map(all, zip(*constant)))
+    assume(any(map(any, constant)) and math.factorial(p) ** free <= 720)
+    c = BlockCirculant.from_rows(FieldCtx(eta), p, m1, m1 + mc, rows)
+    assume(check_iii(c).status == "pass")
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(with_constant_blocks())
+def test_stab_full_with_constant_blocks_equals_full_listing(c):
+    g = stab_full(c)
+    assert g.method == "blockwise"
+    assert g.elements == full_listing_elements(c)
+
+
+def test_stab_full_searches_only_non_constant_blocks(monkeypatch):
+    searched = []
+    search = autgroup.stab_block
+    monkeypatch.setattr(autgroup, "stab_block", lambda b: searched.append(b.first_row) or search(b))
+    blockwise = BlockCirculant.from_rows(
+        CTX, 5, 2, 4,
+        [(0, 1, 2, 3, 1), (2, 2, 2, 2, 2),
+         (3, 3, 3, 3, 3), (1, 0, 2, 2, 3)],
+    )
+    g = stab_full(blockwise)
+    assert searched == [(0, 1, 2, 3, 1), (1, 0, 2, 2, 3)]
+    assert g.block_labels[0, 1] == g.block_labels[1, 0] == SYMMETRIC
+    # the condition-iii fallback labels its constant blocks unsearched too
+    searched.clear()
+    fallback = BlockCirculant.from_rows(
+        FieldCtx(3), 2, 2, 4,
+        [(1, 2), (3, 3), (1, 2), (3, 3)],
+    )
+    g = stab_full(fallback)
+    assert g.method == "full-matrix"
+    assert searched == [(1, 2), (1, 2)]
+    assert g.block_labels[0, 1] == g.block_labels[1, 1] == SYMMETRIC
+
+
+def test_stab_full_free_block_perms_budget(monkeypatch):
+    # P_1 meets only a constant block, so it ranges over S_9: the 9 shifts
+    # of block (0, 0) times 9! elements pass STAB_BUDGET and are refused
+    # before any is listed
+    c = BlockCirculant.from_rows(
+        CTX, 9, 2, 3, [(0, 1, 2, 3, 0, 1, 2, 3, 0), (2,) * 9],
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge):
+        stab_full(c)
+    assert time.perf_counter() - t0 < 0.25
+    # a lone constant p = 5 block leaves P_0 and Q_0 free: 120 * 120
+    # elements, which the budget admits exactly
+    flat = BlockCirculant.from_rows(CTX, 5, 1, 2, [(2,) * 5])
+    monkeypatch.setattr(autgroup, "STAB_BUDGET", 14_400)
+    assert stab_full(flat).order == 14_400
+    monkeypatch.setattr(autgroup, "STAB_BUDGET", 14_400 - 1)
+    with pytest.raises(TooLarge):
+        stab_full(flat)
 
 
 def test_stab_full_reverifies_assembled_elements(monkeypatch):

@@ -1,22 +1,27 @@
 """Bound arithmetic: exact class sizes, log-domain sums, envelopes."""
 
+import contextlib
+import io
 import itertools
 import math
+import time
 from collections import Counter
+from functools import lru_cache
+from math import comb, factorial
 
 import mpmath as mp
 import pytest
 
+from qcnied import distinguish
 from qcnied.circulant import Perm
+from qcnied.cli import main
 from qcnied.conditions import sample_compliant
 from qcnied.autgroup import stab_full
 from qcnied.distinguish import (
     BoundReport,
     class_size_sn,
-    cycle_types,
     dk_bound,
     dk_bound_envelope,
-    gamma_t_bound,
     gl2_order,
     log_factorial,
     log_gl_order,
@@ -24,12 +29,88 @@ from qcnied.distinguish import (
     min_class_size,
     s0_exact,
     s1_term,
-    type_support,
     worst_case_h,
 )
-from qcnied.errors import ConstantsRequired, InfeasibleSupport, StructureViolation
+from qcnied.errors import InfeasibleSupport, StructureViolation
 
 mp.mp.dps = 50
+
+
+def cycle_types(n: int):
+    """All partitions of n, parts descending."""
+
+    def rec(rem, mx):
+        if rem == 0:
+            yield ()
+            return
+        for part in range(min(rem, mx), 0, -1):
+            for rest in rec(rem - part, part):
+                yield (part,) + rest
+
+    yield from rec(n, n)
+
+
+def type_support(t) -> int:
+    """Points moved by a permutation of this cycle type."""
+    return sum(part for part in t if part > 1)
+
+
+@lru_cache(maxsize=None)
+def max_one_free_weight(rem: int, min_part: int) -> int:
+    """Largest centralizer factor prod(j^c_j c_j!) over partitions of rem
+    into parts >= max(2, min_part), by recursion over the smallest part;
+    0 when no such partition exists. Reference for the knapsack table."""
+    if rem == 0:
+        return 1
+    best = 0
+    for part in range(max(2, min_part), rem + 1):
+        mult = 1
+        total = part
+        while total <= rem:
+            tail = max_one_free_weight(rem - total, part + 1)
+            if tail:
+                best = max(best, part**mult * factorial(mult) * tail)
+            mult += 1
+            total += part
+    return best
+
+
+def recursive_min_class_size(n: int, delta: int) -> int | None:
+    """min_class_size by the recursive search; None where it refuses."""
+    if delta > n:
+        return None
+    if delta <= 0:
+        return 1
+    best = max(
+        (factorial(n - s) * max_one_free_weight(s, 2) for s in range(max(2, delta), n + 1)),
+        default=0,
+    )
+    return factorial(n) // best if best else None
+
+
+class ConstantsRequired(ValueError):
+    pass
+
+
+def gamma_t_bound(k: int, t: int, delta: int, eps=None, b=None) -> float:
+    """ln of k^(-eps*delta/2) * sqrt(C(k, t)) * (t!)^(1/4).
+
+    The constants eps and b are model parameters with no canonical
+    values; both must be supplied, and delta must be at least b.
+    """
+    if eps is None or b is None:
+        raise ConstantsRequired("gamma_t needs explicit eps and b")
+    if eps <= 0 or b <= 0:
+        raise ConstantsRequired("eps and b must be positive")
+    if delta < b:
+        raise ConstantsRequired(f"delta = {delta} below the validity floor b = {b}")
+    if not 0 <= t <= k:
+        raise InfeasibleSupport(f"need 0 <= t <= k, got t={t}, k={k}")
+    return (
+        -0.5 * eps * delta * math.log(k)
+        + 0.5 * math.log(comb(k, t))
+        + 0.25 * log_factorial(t)
+    )
 
 
 def brute_class_sizes(n):
@@ -149,6 +230,31 @@ def test_min_class_size_against_bruteforce():
                 assert min_class_size(n, delta) == want
     with pytest.raises(InfeasibleSupport):
         min_class_size(5, 6)
+
+
+def test_min_class_size_against_recursive_search(monkeypatch):
+    # a fresh table, grown in steps as a sweep grows it, then read at
+    # small n once it holds all of 0..202
+    monkeypatch.setattr(distinguish, "_weights", [1])
+    for n in [*range(41), 62, 122, 202, *range(41)]:
+        for delta in range(-1, n + 2):
+            want = recursive_min_class_size(n, delta)
+            if want is None:
+                with pytest.raises(InfeasibleSupport):
+                    min_class_size(n, delta)
+            else:
+                assert min_class_size(n, delta) == want, (n, delta)
+
+
+def test_sweep_time_budget(monkeypatch):
+    # from an empty table, so the knapsack runs inside the timed region
+    monkeypatch.setattr(distinguish, "_weights", [1])
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        assert main(["sweep", "--p", "31,61,101"]) == 0
+    assert time.perf_counter() - t0 < 0.5
+    assert out.getvalue().splitlines()[-1].startswith("101,1,2,101,202,10201,")
 
 
 def test_worst_case_h_small():

@@ -7,8 +7,10 @@ private key, public key, ciphertext, reports) and of each stdout. The
 key pins were taken from the syndrome-table implementation this package
 used before its decoder moved to F2 elimination, the autgroup pins from
 the brute-force stabilizer search that preceded the pruned backtrack
-(with its `mode` and `affine_incomplete` report lines dropped), so they
-hold the old and new code to identical files and outputs. The help pins
+(with its `mode` and `affine_incomplete` report lines dropped), the
+bound pins from the recursive class-size search that preceded the
+knapsack table, so they hold the old and new code to identical files
+and outputs. The help pins
 cover `qcnied --help` and each subcommand's `--help` at a fixed
 `COLUMNS`; argparse's layout differs between Python versions, so they
 hold for the version they were taken on. Regenerate the tables with
@@ -127,6 +129,24 @@ def run_autgroup_corpus(workdir: Path) -> dict[str, tuple[int, str]]:
         pins[f"{tag}/autgroup"] = (code, _sha(g.read_bytes()))
         code, stdout = _run(["bound", "--report", g])
         pins[f"{tag}/bound"] = (code, _sha(stdout.encode()))
+    return pins
+
+
+# envelope bounds and sweeps, stdout pinned
+BOUND_CORPUS = (
+    ("sweep", "--p", "2,3,5,7,11,13,31,61,101"),
+    ("sweep", "--p", "7,31", "--m1", "2", "--m2", "3"),
+    ("bound", "--envelope", "--p", "31"),
+    ("bound", "--envelope", "--p", "101"),
+)
+
+
+def run_bound_corpus() -> dict[str, tuple[int, str]]:
+    """Map each envelope command to (exit code, sha256 of its stdout)."""
+    pins: dict[str, tuple[int, str]] = {}
+    for argv in BOUND_CORPUS:
+        code, stdout = _run(argv)
+        pins[" ".join(argv)] = (code, _sha(stdout.encode()))
     return pins
 
 
@@ -255,6 +275,14 @@ AUTGROUP_PINS = {
 }
 
 
+BOUND_PINS = {
+    'sweep --p 2,3,5,7,11,13,31,61,101': (0, '3c76d3cc614f86bb7cf316184fdcd3b791fe4723b865d00b3df80348deb19b88'),
+    'sweep --p 7,31 --m1 2 --m2 3': (0, 'fc148f527443732cd6d2a92c24ab947ac86c10284db4ea2bf90066e1419bcacf'),
+    'bound --envelope --p 31': (0, 'b4c50f2dc8ba4ab4d193b12482783078741b66b9cedb668d6557c853c243f16a'),
+    'bound --envelope --p 101': (0, '6c6e1b1a46451abbbc96fbbaef686cb6fc5a8c0cf779384d36fee1b0ef49ae4e'),
+}
+
+
 HELP_PINS_PYTHON = (3, 11)
 HELP_PINS = {
     '--help': (0, '8186f2c1ed1ccd2865a6db9a960e00955bdf1adf98f12b4f39ef67aad21e68be'),
@@ -277,6 +305,10 @@ def test_golden_autgroup_corpus(tmp_path):
     assert run_autgroup_corpus(tmp_path) == AUTGROUP_PINS
 
 
+def test_golden_bound_corpus():
+    assert run_bound_corpus() == BOUND_PINS
+
+
 def test_golden_help_texts():
     if sys.version_info[:2] != HELP_PINS_PYTHON:
         pytest.skip(f"help pins were taken on Python {HELP_PINS_PYTHON}")
@@ -285,6 +317,7 @@ def test_golden_help_texts():
 
 if __name__ == "__main__":
     for name, run in (("PINS", run_corpus), ("AUTGROUP_PINS", run_autgroup_corpus),
+                      ("BOUND_PINS", lambda _: run_bound_corpus()),
                       ("HELP_PINS", lambda _: run_help_corpus())):
         with tempfile.TemporaryDirectory() as tmp:
             pins = run(Path(tmp))

@@ -264,6 +264,8 @@ def test_cli_unwritable_output_refused(tmp_path, capsys, c512):
                             "--pub", str(tmp_path / "pk")])
     assert refused(capsys, ["keygen", str(mat), "--priv", str(tmp_path / "sk"),
                             "--pub", str(missing / "pk")])
+    # the private key written first is removed with its public key refused
+    assert not (tmp_path / "sk").exists()
 
 
 def test_cli_validate(tmp_path, c512):
@@ -367,6 +369,19 @@ def test_cli_autgroup_and_bound(tmp_path):
     # the report's shape fields follow the canonical integer rule too
     rep.write_text(rep.read_text().replace("\np: 5\n", "\np: 05\n"))
     assert main(["bound", "--report", str(rep)]) == 2
+
+
+def test_cli_autgroup_variant_past_p5(tmp_path):
+    # each constant block has (11!)^2 stabilizing pairs, past STAB_BUDGET;
+    # it constrains nothing and is not searched, so the variant ceiling
+    # p^(2 m1) is judged at p = 11
+    mat, rep = tmp_path / "m.qcm", tmp_path / "g.qcr"
+    mat.write_text(io.write_matrix(sample_variant(11, 2, 4, 2, seed=1)))
+    assert main(["autgroup", str(mat), "-o", str(rep)]) == 0
+    fields, elems = io.read_report(rep.read_text())
+    assert fields["order"] == "121" and len(elems) == 121
+    assert fields["surveillance"] == "clear"
+    assert "symmetric" in {fields[f"block_{i}_{j}"] for i in (0, 1) for j in (0, 1)}
 
 
 def test_cli_autgroup_surveillance_trip(tmp_path):
