@@ -19,8 +19,8 @@ print("first row", b.first_row)
 for row in b.expand():
     print(row)
 
-# row k of the expansion is the first row rotated k steps
-assert b.rotate(1).expand()[0] == b.expand()[1]
+# row k of the expansion is the first row rotated k steps right
+assert b.first_row[-1:] + b.first_row[:-1] == b.expand()[1]
 
 # the multiset ignores order; multiplicities are what the conditions read
 print("multiset", b.multiset(), "multiplicities", b.multiplicity_classes())

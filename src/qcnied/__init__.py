@@ -13,7 +13,7 @@ import importlib
 
 # home submodule -> the public names it defines
 _EXPORTS = {
-    "circulant": "BlockCirculant CirculantBlock ParityCheck Perm act perm_equivalent",
+    "circulant": "BlockCirculant CirculantBlock ParityCheck Perm act",
     "conditions": "ConditionReport Verdict check_i check_ii check_iii check_iv "
                   "check_v check_variant good_shape sample_compliant "
                   "sample_variant validate_all",
@@ -21,7 +21,7 @@ _EXPORTS = {
                    "dk_bound_envelope log_gl_order logsumexp min_class_size "
                    "s0_exact s1_term worst_case_h",
     "autgroup": "AutGroup Lemma1Report PairStab classify minimal_degree "
-                "reordering_count stab_block stab_full verify_lemma1",
+                "stab_block stab_full verify_lemma1",
     "field": "FieldCtx default_modulus is_irreducible",
     "niederreiter": "PrivateKey PublicKey decrypt encrypt keygen",
 }

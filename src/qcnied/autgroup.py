@@ -28,9 +28,9 @@ STAB_BUDGET, counted in search nodes plus emitted pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, permutations, product
 
+from ._record import Record
 from .circulant import BlockCirculant, CirculantBlock, Dense, ParityCheck, Perm, act
 from .conditions import check_ii, check_iii, good_shape
 from .errors import ConditionIIIViolated, EtaTooSmall, LemmaViolated, TooLarge
@@ -149,12 +149,10 @@ def _stabilizing_pairs(rows: Dense) -> tuple[tuple[Perm, Perm], ...]:
     return tuple(sorted(pairs))
 
 
-@dataclass(frozen=True)
-class PairStab:
-    """Pair stabilizer of one circulant block."""
+class PairStab(Record):
+    """Pair stabilizer of one circulant block: the block and its sorted pairs."""
 
-    block: CirculantBlock
-    pairs: tuple[tuple[Perm, Perm], ...]
+    __slots__ = ("block", "pairs")
 
     @property
     def order(self) -> int:
@@ -165,15 +163,6 @@ class PairStab:
 
     def col_projection(self) -> tuple[Perm, ...]:
         return tuple(sorted({q for _, q in self.pairs}))
-
-
-def pair_mul(a: tuple[Perm, Perm], b: tuple[Perm, Perm]) -> tuple[Perm, Perm]:
-    """Group law on stabilizer pairs: (P1 P2, Q2 Q1)."""
-    return (a[0] * b[0], b[1] * a[1])
-
-
-def pair_inv(a: tuple[Perm, Perm]) -> tuple[Perm, Perm]:
-    return (a[0].inv(), a[1].inv())
 
 
 def stab_block(b: CirculantBlock) -> PairStab:
@@ -212,21 +201,16 @@ def minimal_degree(perms) -> float:
     return min(supports) if supports else math.inf
 
 
-@dataclass(frozen=True)
-class AutGroup:
+class AutGroup(Record):
     """Assembled stabilizer of a full block-circulant matrix.
 
     elements holds (P1, P2): P1 permutes the k = m1*p rows, P2 the
-    n - k columns, with P1 C P2 = C. block_labels carries the per-block
-    classification of each pair stabilizer.
+    n - k columns, with P1 C P2 = C. block_labels maps each block (i, j)
+    to the classification of its pair stabilizer; method names the
+    search that produced the elements.
     """
 
-    p: int
-    m1: int
-    m2: int
-    elements: tuple[tuple[Perm, Perm], ...]
-    block_labels: dict[tuple[int, int], str]
-    method: str
+    __slots__ = ("p", "m1", "m2", "elements", "block_labels", "method")
 
     @property
     def order(self) -> int:
@@ -384,25 +368,11 @@ def stab_full(c: BlockCirculant) -> AutGroup:
     return group
 
 
-def reordering_count(row) -> int:
-    """p! / prod(multiplicity!) distinct rearrangements of the row."""
-    row = tuple(row)
-    count = math.factorial(len(row))
-    for value in set(row):
-        count //= math.factorial(row.count(value))
-    return count
-
-
-@dataclass(frozen=True)
-class Lemma1Report:
+class Lemma1Report(Record):
     """Outcome of replaying assembled elements against the parity check."""
 
-    premise_ok: bool
-    premise_witness: object
-    relation_ok: bool
-    uniqueness_ok: bool
-    checked: int
-    ok: bool
+    __slots__ = ("premise_ok", "premise_witness", "relation_ok", "uniqueness_ok",
+                 "checked", "ok")
 
 
 def verify_lemma1(h: ParityCheck, g: AutGroup) -> Lemma1Report:

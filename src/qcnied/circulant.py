@@ -17,9 +17,8 @@ Permutations act on dense matrices two-sidedly: act(P, M, Q) has entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import LengthMismatch, OutOfRange, SizeMismatch
+from ._record import Record
+from .errors import OutOfRange, SizeMismatch
 from .field import FieldCtx
 
 Dense = tuple[tuple[int, ...], ...]
@@ -107,8 +106,7 @@ class Perm:
         return f"Perm{self.images}"
 
 
-@dataclass(frozen=True)
-class CirculantBlock:
+class CirculantBlock(Record):
     """One p x p circulant block over GF(2^eta), held as its first row.
 
     p is not forced prime here; primality is a compliance condition and
@@ -116,15 +114,15 @@ class CirculantBlock:
     container.
     """
 
-    ctx: FieldCtx
-    first_row: tuple[int, ...]
+    __slots__ = ("ctx", "first_row")
 
-    def __post_init__(self):
-        object.__setattr__(self, "first_row", tuple(self.first_row))
-        for a in self.first_row:
-            self.ctx.check(a)
-        if not self.first_row:
+    def __init__(self, ctx: FieldCtx, first_row):
+        first_row = tuple(first_row)
+        for a in first_row:
+            ctx.check(a)
+        if not first_row:
             raise SizeMismatch("empty block")
+        super().__init__(ctx, first_row)
 
     @property
     def p(self) -> int:
@@ -134,11 +132,6 @@ class CirculantBlock:
         """Dense p x p matrix with entry (i, j) = first_row[(j - i) mod p]."""
         row = self.first_row
         return tuple(row[-i:] + row[:-i] for i in range(self.p))
-
-    def rotate(self, k: int) -> "CirculantBlock":
-        """Multiply the defining polynomial by x^k (cyclic coefficient shift)."""
-        p = self.p
-        return CirculantBlock(self.ctx, tuple(self.first_row[(j - k) % p] for j in range(p)))
 
     def multiplicity(self, a: int) -> int:
         """How many first-row coefficients equal a."""
@@ -153,27 +146,22 @@ class CirculantBlock:
         return tuple(sorted(self.first_row.count(v) for v in set(self.first_row)))
 
 
-@dataclass(frozen=True)
-class BlockCirculant:
+class BlockCirculant(Record):
     """m1 x (m2 - m1) grid of circulant blocks sharing p and the field."""
 
-    ctx: FieldCtx
-    p: int
-    m1: int
-    m2: int
-    blocks: tuple[tuple[CirculantBlock, ...], ...]
+    __slots__ = ("ctx", "p", "m1", "m2", "blocks")
 
-    def __post_init__(self):
-        if not (1 <= self.m1 < self.m2):
-            raise SizeMismatch(f"need 1 <= m1 < m2, got m1={self.m1} m2={self.m2}")
-        rows = tuple(tuple(r) for r in self.blocks)
-        object.__setattr__(self, "blocks", rows)
-        if len(rows) != self.m1 or any(len(r) != self.m2 - self.m1 for r in rows):
+    def __init__(self, ctx: FieldCtx, p: int, m1: int, m2: int, blocks):
+        if not (1 <= m1 < m2):
+            raise SizeMismatch(f"need 1 <= m1 < m2, got m1={m1} m2={m2}")
+        blocks = tuple(tuple(r) for r in blocks)
+        if len(blocks) != m1 or any(len(r) != m2 - m1 for r in blocks):
             raise SizeMismatch("block grid shape does not match m1, m2")
-        for r in rows:
+        for r in blocks:
             for b in r:
-                if b.p != self.p or b.ctx != self.ctx:
+                if b.p != p or b.ctx != ctx:
                     raise SizeMismatch("blocks disagree on p or field")
+        super().__init__(ctx, p, m1, m2, blocks)
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, p: int, m1: int, m2: int, rows) -> "BlockCirculant":
@@ -210,11 +198,10 @@ class BlockCirculant:
                 yield b.first_row
 
 
-@dataclass(frozen=True)
-class ParityCheck:
+class ParityCheck(Record):
     """Parity check [I | C] for a block-circulant C; k = m1*p, n = m2*p."""
 
-    c: BlockCirculant
+    __slots__ = ("c",)
 
     @property
     def ctx(self) -> FieldCtx:
@@ -234,15 +221,6 @@ class ParityCheck:
             (0,) * i + (1,) + (0,) * (k - 1 - i) + row
             for i, row in enumerate(self.c.expand())
         )
-
-
-def perm_equivalent(v, w) -> bool:
-    """Whether some reordering of v equals w (multiset equality)."""
-    v = list(v)
-    w = list(w)
-    if len(v) != len(w):
-        raise LengthMismatch(f"lengths {len(v)} and {len(w)} differ")
-    return sorted(v) == sorted(w)
 
 
 def act(p_row: Perm, m: Dense, q_col: Perm) -> Dense:

@@ -21,21 +21,16 @@ import functools
 import math
 import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import io
 from .errors import LemmaViolated, ParseError, QcniedError
 from .io import _int_token
 
-if TYPE_CHECKING:
-    from .autgroup import AutGroup
-    from .circulant import BlockCirculant
-
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
@@ -45,7 +40,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write {out}: {exc}") from exc
 
@@ -126,7 +122,10 @@ def _cmd_keygen(args) -> int:
     except ParseError:
         # no private key is left behind without its public key
         if args.priv != "-":
-            Path(args.priv).unlink(missing_ok=True)
+            try:
+                os.remove(args.priv)
+            except FileNotFoundError:
+                pass
         raise
     print(f"e: {pub.e}")
     return 0
@@ -170,7 +169,7 @@ def _cmd_decrypt(args) -> int:
     return 0
 
 
-def _surveillance(c: BlockCirculant, g: AutGroup, threshold: float) -> tuple[str, bool]:
+def _surveillance(c: "BlockCirculant", g: "AutGroup", threshold: float) -> tuple[str, bool]:
     """Judge the computed group against the structural guarantees.
 
     Compliant matrices must have |H| <= p^2 and both minimal degrees at
@@ -246,7 +245,7 @@ def _bound_fields(r) -> list:
     return fields
 
 
-def _group_from_report(path: str) -> AutGroup:
+def _group_from_report(path: str) -> "AutGroup":
     from .autgroup import AutGroup
 
     fields, elems = io.read_report(_read(path))
@@ -283,6 +282,8 @@ def _cmd_bound(args) -> int:
         m2 = args.m2 if args.m2 is not None else 2
         k = args.k if args.k is not None else m1 * args.p
         n = args.n if args.n is not None else m2 * args.p
+        if k > n:
+            raise ParseError(f"envelope shape has k = {k} > n = {n}")
         r = dk_bound_envelope(args.p, k, n, m1=m1, m2=m2)
     _emit(io.write_report(_bound_fields(r)), args.out)
     return 0
@@ -294,6 +295,8 @@ def _cmd_sweep(args) -> int:
     ps = [_int_token(tok.strip(), "p list entry") for tok in args.p.split(",") if tok != ""]
     if not ps:
         raise ParseError("empty p list")
+    if args.m1 > args.m2:
+        raise ParseError(f"--m1 {args.m1} > --m2 {args.m2} gives k > n")
     lines = ["p,m1,m2,k,n,h_order,ln_s0,ln_s1,ln_dk,max_c"]
     for p in ps:
         k, n = args.m1 * p, args.m2 * p

@@ -27,9 +27,8 @@ can be replayed against the matrix.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any
 
+from ._record import Record
 from .circulant import BlockCirculant
 from .errors import BudgetExhausted, EtaTooSmall, OutOfRange
 from .field import FieldCtx
@@ -42,25 +41,21 @@ DESK_SCALE_MAX_P = 30
 VARIANT_RATIO_DEFAULT = 0.25
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    witness: Any = None
+class Verdict(Record):
+    """A status (pass, fail or waived) and, for a fail, its witness."""
+
+    __slots__ = ("status", "witness")
+    _defaults = {"witness": None}
 
     @property
     def ok(self) -> bool:
         return self.status in (PASS, WAIVED)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    i: Verdict
-    ii: Verdict
-    iii: Verdict
-    iv: Verdict
-    v: Verdict
-    i_variant: Verdict
-    iv_variant: Verdict
+class ConditionReport(Record):
+    """One Verdict per condition, strict and variant."""
+
+    __slots__ = ("i", "ii", "iii", "iv", "v", "i_variant", "iv_variant")
 
     def strict_ok(self) -> bool:
         return all(v.ok for v in (self.i, self.ii, self.iii, self.iv, self.v))

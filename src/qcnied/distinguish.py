@@ -23,10 +23,10 @@ still moves at least p - 1 points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import factorial
 from operator import mul
 
+from ._record import Record
 from .errors import InfeasibleSupport, StructureViolation
 
 
@@ -111,21 +111,12 @@ def s1_term(h_order: int, k: int, n: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    mode: str
-    k: int
-    n: int
-    h_order: int
-    log_g: float
-    s0_log: float
-    s1_log: float
-    dk_log: float
-    log_group2: float
-    max_c: int
-    p: int | None = None
-    m1: int | None = None
-    m2: int | None = None
+class BoundReport(Record):
+    """dk and its terms in the log domain, with the shape they bound."""
+
+    __slots__ = ("mode", "k", "n", "h_order", "log_g", "s0_log", "s1_log",
+                 "dk_log", "log_group2", "max_c", "p", "m1", "m2")
+    _defaults = {"p": None, "m1": None, "m2": None}
 
 
 def _max_c(dk_log: float, log_group2: float, cap: int = 64) -> int:
@@ -205,18 +196,19 @@ def min_class_size(n: int, delta: int) -> int:
     return factorial(n) // best
 
 
-@dataclass(frozen=True)
-class EnvelopeStats:
+class EnvelopeStats(Record):
     """Worst-case group statistics implied by the structural guarantees."""
 
-    order: int
-    delta: int
-    min_class_k: int
-    min_class_n: int
+    __slots__ = ("order", "delta", "min_class_k", "min_class_n")
 
 
 def worst_case_h(p: int, k: int, n: int) -> EnvelopeStats:
-    """Pessimistic envelope: order p^2, minimum displacement p - 1."""
+    """Pessimistic envelope: order p^2, minimum displacement p - 1.
+
+    InfeasibleSupport for p < 2, which leaves no non-identity element.
+    """
+    if p < 2:
+        raise InfeasibleSupport(f"the envelope needs p >= 2, got p = {p}")
     delta = p - 1
     if delta > k:
         raise InfeasibleSupport(f"support floor {delta} exceeds k = {k}")

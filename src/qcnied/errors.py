@@ -33,10 +33,6 @@ class BadDigit(QcniedError):
 
 # shape mismatches
 
-class LengthMismatch(QcniedError):
-    pass
-
-
 class SizeMismatch(QcniedError):
     pass
 

@@ -12,7 +12,7 @@ nonzero a in a field of order 2^eta.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import BadDegree, BadDigit, DivisionByZero, OutOfRange, ReducibleModulus
 

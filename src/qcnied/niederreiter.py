@@ -23,12 +23,12 @@ information-set argument).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, combinations
 from math import comb
 from operator import xor
 
+from ._record import Record
 from .circulant import ParityCheck, Perm
 from .errors import DecodeFailure, SizeMismatch, TooLarge, WeightTooHigh
 
@@ -151,43 +151,37 @@ def _capacity(cols: list[int], kernel: list[int]) -> int:
     raise AssertionError("a nonzero kernel vector must collide with zero")
 
 
-@dataclass(frozen=True)
-class PrivateKey:
+class PrivateKey(Record):
     """A0, H, B0 and e, with what decryption derives from them once.
 
     Construction inverts A0 (SizeMismatch when it is singular) and
-    eliminates H's binary syndrome map, so decrypt does neither.
+    eliminates H's binary syndrome map, so decrypt does neither. The
+    derived a0inv, pivots and kernel stay out of ==, hash and repr.
     """
 
-    a0: tuple[int, ...]
-    h: ParityCheck
-    b0: Perm
-    e: int
-    a0inv: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    pivots: dict[int, int] = field(init=False, repr=False, compare=False)
-    kernel: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("a0", "h", "b0", "e")
+    __slots__ = _fields + ("a0inv", "pivots", "kernel")
 
-    def __post_init__(self):
-        a0inv = _inverse(self.a0)
+    def __init__(self, a0: tuple[int, ...], h: ParityCheck, b0: Perm, e: int):
+        a0inv = _inverse(a0)
         if a0inv is None:
             raise SizeMismatch("A0 is singular over F2")
-        pivots, kernel = _echelon(_columns(self.h))
+        pivots, kernel = _echelon(_columns(h))
+        super().__init__(a0, h, b0, e)
         object.__setattr__(self, "a0inv", a0inv)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "kernel", tuple(kernel))
 
 
-@dataclass(frozen=True)
-class PublicKey:
-    hprime: tuple[int, ...]  # n packed columns of H' = A0 H B0
-    p: int
-    m1: int
-    m2: int
-    eta: int
-    e: int
-    # None means the default modulus for eta; carried so key files
-    # round-trip even when the source matrix used another modulus
-    modulus: int | None = None
+class PublicKey(Record):
+    """H' = A0 H B0 as n packed columns, with its shape and e.
+
+    modulus None means the default modulus for eta; it is carried so key
+    files round-trip even when the source matrix used another modulus.
+    """
+
+    __slots__ = ("hprime", "p", "m1", "m2", "eta", "e", "modulus")
+    _defaults = {"modulus": None}
 
     @property
     def k(self) -> int:
@@ -198,28 +192,23 @@ class PublicKey:
         return self.m2 * self.p
 
 
-def keygen(h: ParityCheck, seed: int, debug_identity: bool = False) -> tuple[PrivateKey, PublicKey]:
+def keygen(h: ParityCheck, seed: int) -> tuple[PrivateKey, PublicKey]:
     """Find e, draw (A0, B0) from a seeded stream, publish H' = A0 H B0.
 
     A0 is rejection-sampled until invertible over F2; B0 is a
-    Fisher-Yates shuffle from the same stream. debug_identity forces
-    A0 = I, B0 = id so that H' equals H (test hook). TooLarge when the
+    Fisher-Yates shuffle from the same stream. TooLarge when the
     capacity enumeration exceeds ENUM_BUDGET.
     """
     cols = _columns(h)
     e = _capacity(cols, _echelon(cols)[1])
     rng = random.Random(seed)
     k, n, eta = h.k, h.n, h.ctx.eta
-    if debug_identity:
-        a0 = tuple(1 << i for i in range(k))
-        b0 = Perm.identity(n)
-    else:
+    a0 = tuple(rng.getrandbits(k) for _ in range(k))
+    while _inverse(a0) is None:
         a0 = tuple(rng.getrandbits(k) for _ in range(k))
-        while _inverse(a0) is None:
-            a0 = tuple(rng.getrandbits(k) for _ in range(k))
-        images = list(range(n))
-        rng.shuffle(images)
-        b0 = Perm(images)
+    images = list(range(n))
+    rng.shuffle(images)
+    b0 = Perm(images)
     priv = PrivateKey(a0=a0, h=h, b0=b0, e=e)
     hprime = tuple(_mix(a0, cols[b0(j)], eta) for j in range(n))
     c = h.c

@@ -19,7 +19,7 @@ from math import factorial
 import pytest
 
 from qcnied import cli, io
-from qcnied.circulant import BlockCirculant, CirculantBlock, ParityCheck, perm_equivalent
+from qcnied.circulant import BlockCirculant, CirculantBlock, ParityCheck
 from qcnied.conditions import good_shape, sample_compliant, sample_variant, validate_all
 from qcnied.distinguish import (
     class_size_sn,
@@ -32,6 +32,7 @@ from qcnied.field import FieldCtx
 from qcnied.autgroup import SYMMETRIC, stab_full
 
 from test_autgroup import FANO_ROW, bruteforce_pairs, column_orbit
+from test_circulant import perm_equivalent
 from test_distinguish import brute_class_sizes, cycle_types
 
 C4_SEEDS_M2 = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21)

@@ -20,9 +20,6 @@ from qcnied.autgroup import (
     classify,
     is_affine,
     minimal_degree,
-    pair_inv,
-    pair_mul,
-    reordering_count,
     stab_block,
     stab_full,
     verify_lemma1,
@@ -38,6 +35,24 @@ CTX = FieldCtx(2)
 # difference set, so the block is a Fano-plane incidence structure and
 # its stabilizer is the full collineation group of order 168
 FANO_ROW = (3, 3, 3, 1, 1, 3, 1)
+
+
+def pair_mul(a: tuple[Perm, Perm], b: tuple[Perm, Perm]) -> tuple[Perm, Perm]:
+    """Group law on stabilizer pairs: (P1 P2, Q2 Q1)."""
+    return (a[0] * b[0], b[1] * a[1])
+
+
+def pair_inv(a: tuple[Perm, Perm]) -> tuple[Perm, Perm]:
+    return (a[0].inv(), a[1].inv())
+
+
+def reordering_count(row) -> int:
+    """p! / prod(multiplicity!) distinct rearrangements of the row."""
+    row = tuple(row)
+    count = math.factorial(len(row))
+    for value in set(row):
+        count //= math.factorial(row.count(value))
+    return count
 
 
 def bruteforce_pairs(rows) -> tuple[tuple[Perm, Perm], ...]:

