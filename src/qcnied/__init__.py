@@ -25,9 +25,9 @@ _EXPORTS = {
     "field": "FieldCtx default_modulus is_irreducible",
     "niederreiter": "PrivateKey PublicKey decrypt encrypt keygen",
 }
-# public name -> home submodule; `errors` and `io` are exported as themselves
+# public name -> home submodule; `errors`, `io` and `report` are exported as themselves
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names.split()}
-_HOME.update(errors="errors", io="io")
+_HOME.update(errors="errors", io="io", report="report")
 
 __all__ = sorted(_HOME)
 

@@ -1,4 +1,4 @@
-"""Line-oriented text formats for matrices, keys, ciphertexts, and reports.
+"""Line-oriented text formats for matrices, keys and ciphertexts.
 
 All files are UTF-8 with LF endings, lowercase fixed-width hex, and a
 version header that is matched exactly; unknown versions are rejected,
@@ -13,8 +13,9 @@ for byte.
               an image list, and the structured blocks; `public` carries
               dense hex rows of H'. Both carry `p m1 m2 eta e`.
   ciphertext  k lines, one hex field element per line, no header.
-  QCREP v1    flat `key: value` report lines; autgroup reports append one
-              `elem:` line per group element.
+
+The QCREP v1 report format lives in `report`, with the commands that
+write it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .niederreiter import PrivateKey, PublicKey, pack_column, unpack_column
 
 QCMAT_HEADER = "QCMAT v1"
 NIEDQC_HEADER = "NIEDQC v1"
-QCREP_HEADER = "QCREP v1"
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
@@ -193,38 +193,3 @@ def read_ciphertext(ctx: FieldCtx, text: str, k: int) -> tuple[int, ...]:
     except QcniedError as exc:
         raise ParseError(f"ciphertext: {exc}") from exc
 
-
-def write_report(fields, elems=None) -> str:
-    out = [QCREP_HEADER]
-    out.extend(f"{key}: {value}" for key, value in fields)
-    if elems:
-        for p1, p2 in elems:
-            left = " ".join(str(i) for i in p1.images)
-            right = " ".join(str(i) for i in p2.images)
-            out.append(f"elem: {left} | {right}")
-    return "\n".join(out) + "\n"
-
-
-def read_report(text: str) -> tuple[dict[str, str], list[tuple[Perm, Perm]]]:
-    lines = _lines(text, "report")
-    if not lines or lines[0] != QCREP_HEADER:
-        raise ParseError(f"report: expected header {QCREP_HEADER!r}")
-    fields: dict[str, str] = {}
-    elems: list[tuple[Perm, Perm]] = []
-    for line in lines[1:]:
-        key, sep, value = line.partition(": ")
-        if not sep:
-            raise ParseError(f"report: bad line {line!r}")
-        if key == "elem":
-            left, bar, right = value.partition(" | ")
-            if not bar:
-                raise ParseError(f"report: bad element line {line!r}")
-            try:
-                p1 = Perm(_parse_params(left, len(left.split(" ")), "element images"))
-                p2 = Perm(_parse_params(right, len(right.split(" ")), "element images"))
-            except QcniedError as exc:
-                raise ParseError(f"report: {exc}") from exc
-            elems.append((p1, p2))
-        else:
-            fields[key] = value
-    return fields, elems

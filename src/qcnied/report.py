@@ -1,0 +1,244 @@
+"""The QCREP v1 report format and the commands that write reports.
+
+  QCREP v1    flat `key: value` report lines; autgroup reports append one
+              `elem:` line per group element.
+
+validate, autgroup, bound and sweep run here. `cli` imports this module
+only to run one of them, so a keygen, encrypt or decrypt process never
+compiles it. Same format discipline as `io`: UTF-8, LF endings, an exact
+header, canonical output.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .circulant import Perm
+from .cli import _emit, _int_list, _read
+from .errors import ParseError, QcniedError
+from .io import _int_token, _lines, _parse_params, read_matrix
+
+QCREP_HEADER = "QCREP v1"
+
+
+def write_report(fields, elems=None) -> str:
+    out = [QCREP_HEADER]
+    out.extend(f"{key}: {value}" for key, value in fields)
+    if elems:
+        for p1, p2 in elems:
+            left = " ".join(str(i) for i in p1.images)
+            right = " ".join(str(i) for i in p2.images)
+            out.append(f"elem: {left} | {right}")
+    return "\n".join(out) + "\n"
+
+
+def read_report(text: str) -> tuple[dict[str, str], list[tuple[Perm, Perm]]]:
+    lines = _lines(text, "report")
+    if not lines or lines[0] != QCREP_HEADER:
+        raise ParseError(f"report: expected header {QCREP_HEADER!r}")
+    fields: dict[str, str] = {}
+    elems: list[tuple[Perm, Perm]] = []
+    for line in lines[1:]:
+        key, sep, value = line.partition(": ")
+        if not sep:
+            raise ParseError(f"report: bad line {line!r}")
+        if key == "elem":
+            left, bar, right = value.partition(" | ")
+            if not bar:
+                raise ParseError(f"report: bad element line {line!r}")
+            try:
+                p1 = Perm(_parse_params(left, len(left.split(" ")), "element images"))
+                p2 = Perm(_parse_params(right, len(right.split(" ")), "element images"))
+            except QcniedError as exc:
+                raise ParseError(f"report: {exc}") from exc
+            elems.append((p1, p2))
+        else:
+            fields[key] = value
+    return fields, elems
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return repr(value)
+    return str(value)
+
+
+def _shape_fields(p: int, m1: int, m2: int, eta: int | None = None):
+    fields = [("p", p), ("m1", m1), ("m2", m2)]
+    if eta is not None:
+        fields.append(("eta", eta))
+    return fields
+
+
+def _threshold(threshold: float | None) -> float:
+    from .conditions import VARIANT_RATIO_DEFAULT
+
+    return VARIANT_RATIO_DEFAULT if threshold is None else threshold
+
+
+def _cmd_validate(matrix, desk_scale=False, variant=False, threshold=None, out=None) -> int:
+    from .conditions import validate_all
+
+    c = read_matrix(_read(matrix))
+    rep = validate_all(c, desk_scale=desk_scale, ratio_threshold=_threshold(threshold))
+    fields = [("kind", "conditions")]
+    fields += _shape_fields(c.p, c.m1, c.m2, c.ctx.eta)
+    for name, verdict in rep.items():
+        fields.append((f"cond_{name}", verdict.status))
+        if not verdict.ok and verdict.witness is not None:
+            fields.append((f"witness_{name}", _fmt(verdict.witness)))
+    ok = rep.variant_ok() if variant else rep.strict_ok()
+    fields.append(("ok", _fmt(ok)))
+    _emit(write_report(fields), out)
+    return 0 if ok else 1
+
+
+def _surveillance(c: "BlockCirculant", g: "AutGroup", threshold: float) -> tuple[str, bool]:
+    """Judge the computed group against the structural guarantees.
+
+    Compliant matrices must have |H| <= p^2 and both minimal degrees at
+    least p - 1 with the column one no smaller than the row one; variant
+    matrices get the weaker |H| <= p^(2 m1) ceiling. A breach means the
+    guarantees themselves failed, which is reported as a trip, never
+    absorbed.
+    """
+    from .conditions import validate_all
+
+    rep = validate_all(c, desk_scale=True, ratio_threshold=threshold)
+    p = c.p
+    if rep.strict_ok():
+        if g.order > p * p:
+            return f"tripped (order {g.order} > p^2 = {p * p})", True
+        if g.min_degree_pi1 < p - 1:
+            return (
+                f"tripped (row minimal degree {_fmt(g.min_degree_pi1)} < {p - 1})",
+                True,
+            )
+        if g.min_degree_pi2 < g.min_degree_pi1:
+            return "tripped (column minimal degree below row minimal degree)", True
+        return "clear", False
+    if rep.variant_ok():
+        ceiling = p ** (2 * c.m1)
+        if g.order > ceiling:
+            return f"tripped (order {g.order} > p^(2 m1) = {ceiling})", True
+        return "clear", False
+    return "not-applicable", False
+
+
+def _cmd_autgroup(matrix, threshold=None, out=None) -> int:
+    from .autgroup import EXCEPTIONAL, stab_full, verify_lemma1
+    from .circulant import ParityCheck
+
+    c = read_matrix(_read(matrix))
+    g = stab_full(c)
+    lem = verify_lemma1(ParityCheck(c), g)
+    verdict, tripped = _surveillance(c, g, _threshold(threshold))
+    fields = [("kind", "autgroup")]
+    fields += _shape_fields(c.p, c.m1, c.m2, c.ctx.eta)
+    fields += [
+        ("method", g.method),
+        ("order", g.order),
+        ("min_degree_rows", _fmt(g.min_degree_pi1)),
+        ("min_degree_cols", _fmt(g.min_degree_pi2)),
+        ("classification", EXCEPTIONAL if tripped else g.classification),
+    ]
+    for (i, j), label in sorted(g.block_labels.items()):
+        fields.append((f"block_{i}_{j}", label))
+    fields.append(("lemma1", "ok" if lem.ok else "premise-failed"))
+    fields.append(("lemma1_checked", lem.checked))
+    fields.append(("surveillance", verdict))
+    _emit(write_report(fields, elems=g.elements), out)
+    return 3 if tripped else 0
+
+
+def _bound_fields(r) -> list:
+    fields = [("kind", "bound"), ("mode", r.mode)]
+    if r.p is not None:
+        fields += _shape_fields(r.p, r.m1, r.m2)
+    fields += [
+        ("k", r.k),
+        ("n", r.n),
+        ("h_order", r.h_order),
+        ("ln_g", _fmt(r.log_g)),
+        ("ln_s0", _fmt(r.s0_log)),
+        ("ln_s1", _fmt(r.s1_log)),
+        ("ln_dk", _fmt(r.dk_log)),
+        ("ln_group2", _fmt(r.log_group2)),
+        ("max_c", r.max_c),
+    ]
+    return fields
+
+
+def _group_from_report(path: str) -> "AutGroup":
+    from .autgroup import AutGroup
+
+    fields, elems = read_report(_read(path))
+    if fields.get("kind") != "autgroup":
+        raise ParseError(f"{path}: expected an autgroup report")
+    try:
+        p, m1, m2 = (_int_token(fields[key], key) for key in ("p", "m1", "m2"))
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing p/m1/m2") from exc
+    k, n = m1 * p, m2 * p
+    for p1, p2 in elems:
+        if p1.n != k or p2.n != n - k:
+            raise ParseError(
+                f"{path}: element shape {p1.n}/{p2.n}, expected {k}/{n - k}"
+            )
+    if not elems:
+        raise ParseError(f"{path}: report carries no group elements")
+    return AutGroup(
+        p=p, m1=m1, m2=m2, elements=tuple(elems),
+        block_labels={}, method="report",
+    )
+
+
+def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, k=None, n=None,
+               out=None) -> int:
+    from .distinguish import dk_bound, dk_bound_envelope
+
+    if (report is None) == (not envelope):
+        raise ParseError("bound: give exactly one of --report and --envelope")
+    if report is not None:
+        r = dk_bound(_group_from_report(report))
+    else:
+        if p is None:
+            raise ParseError("envelope mode needs --p")
+        m1 = 1 if m1 is None else m1
+        m2 = 2 if m2 is None else m2
+        k = m1 * p if k is None else k
+        n = m2 * p if n is None else n
+        if k > n:
+            raise ParseError(f"envelope shape has k = {k} > n = {n}")
+        r = dk_bound_envelope(p, k, n, m1=m1, m2=m2)
+    _emit(write_report(_bound_fields(r)), out)
+    return 0
+
+
+def _cmd_sweep(p, m1=1, m2=2, out=None) -> int:
+    from .distinguish import dk_bound_envelope
+
+    if p == "":
+        raise ParseError("empty p list")
+    ps = _int_list(p, "p list entry")
+    if m1 > m2:
+        raise ParseError(f"--m1 {m1} > --m2 {m2} gives k > n")
+    lines = ["p,m1,m2,k,n,h_order,ln_s0,ln_s1,ln_dk,max_c"]
+    for q in ps:
+        k, n = m1 * q, m2 * q
+        r = dk_bound_envelope(q, k, n, m1=m1, m2=m2)
+        lines.append(
+            ",".join(
+                [
+                    str(q), str(m1), str(m2), str(k), str(n),
+                    str(r.h_order), _fmt(r.s0_log), _fmt(r.s1_log),
+                    _fmt(r.dk_log), str(r.max_c),
+                ]
+            )
+        )
+    _emit("\n".join(lines) + "\n", out)
+    return 0

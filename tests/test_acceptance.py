@@ -18,7 +18,7 @@ from math import factorial
 
 import pytest
 
-from qcnied import cli, io
+from qcnied import cli, io, report
 from qcnied.circulant import BlockCirculant, CirculantBlock, ParityCheck
 from qcnied.conditions import good_shape, sample_compliant, sample_variant, validate_all
 from qcnied.distinguish import (
@@ -149,7 +149,7 @@ def test_criterion_04_stabilizer_bound_corpus(tmp_path):
         mat, rep = tmp_path / "fano.qcm", tmp_path / "fano.qcr"
         mat.write_text(io.write_matrix(fano))
         assert cli.main(["autgroup", str(mat), "-o", str(rep)]) == 3
-        fields, _ = io.read_report(rep.read_text())
+        fields, _ = report.read_report(rep.read_text())
         assert fields["classification"] == "exceptional"
         assert fields["surveillance"].startswith("tripped")
 
@@ -234,7 +234,7 @@ def test_criterion_10_envelope_report(tmp_path):
         t0 = time.perf_counter()
         assert cli.main(["bound", "--envelope", "--p", "31", "-o", str(rep)]) == 0
         assert time.perf_counter() - t0 < 5.0
-        fields, _ = io.read_report(rep.read_text())
+        fields, _ = report.read_report(rep.read_text())
         assert fields["h_order"] == "961"
         ln_dk = float(fields["ln_dk"])
         assert math.isfinite(ln_dk)

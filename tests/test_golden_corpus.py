@@ -10,10 +10,10 @@ the brute-force stabilizer search that preceded the pruned backtrack
 (with its `mode` and `affine_incomplete` report lines dropped), the
 bound pins from the recursive class-size search that preceded the
 knapsack table, so they hold the old and new code to identical files
-and outputs. The help pins
-cover `qcnied --help` and each subcommand's `--help` at a fixed
-`COLUMNS`; argparse's layout differs between Python versions, so they
-hold for the version they were taken on. Regenerate the tables with
+and outputs. The help pins cover `qcnied --help` and each subcommand's
+`--help`, rendered from the command table in `qcnied.cli`, which does not
+depend on the terminal width or the Python version. Regenerate the
+tables with
 
     PYTHONPATH=src:tests python tests/test_golden_corpus.py
 """
@@ -23,14 +23,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io as _io
-import os
 import random
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
-
-import pytest
 
 from qcnied import io
 from qcnied.circulant import BlockCirculant
@@ -154,12 +150,11 @@ SUBCOMMANDS = ("validate", "search", "keygen", "encrypt", "decrypt", "autgroup",
 
 
 def run_help_corpus() -> dict[str, tuple[int, str]]:
-    """Map each help text, read 80 columns wide, to (exit code, sha256)."""
+    """Map each help text to (exit code, sha256)."""
     pins: dict[str, tuple[int, str]] = {}
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        for argv in [["--help"]] + [[cmd, "--help"] for cmd in SUBCOMMANDS]:
-            code, stdout = _run(argv)
-            pins[" ".join(argv)] = (code, _sha(stdout.encode()))
+    for argv in [["--help"]] + [[cmd, "--help"] for cmd in SUBCOMMANDS]:
+        code, stdout = _run(argv)
+        pins[" ".join(argv)] = (code, _sha(stdout.encode()))
     return pins
 
 
@@ -283,17 +278,16 @@ BOUND_PINS = {
 }
 
 
-HELP_PINS_PYTHON = (3, 11)
 HELP_PINS = {
-    '--help': (0, '8186f2c1ed1ccd2865a6db9a960e00955bdf1adf98f12b4f39ef67aad21e68be'),
-    'validate --help': (0, '053f6af8548b4689c7c184280c960f63ee9697d38b9c89395e5ce21764e1d615'),
-    'search --help': (0, '6fb6964723cf8f93a367016f47daac71ac20630709a58d7b839ac33786dbf8d2'),
-    'keygen --help': (0, '80a78462549708f123359b851fb318a0b31b2b6f6ace4bc3edba7d0721abbe5c'),
-    'encrypt --help': (0, '19edae25c5b766303a2921bbf4ba9850ad6e1ec6470efd3a96ce0e86780389a5'),
-    'decrypt --help': (0, 'c9a0f8077af9a15b644580b41c0785d9594954182bd9e27d4512a530a9a3f3a9'),
-    'autgroup --help': (0, '010f57a1b287d8f9adbfd0895c6e94936a009277ec55df6a05ffd50c74efa7ad'),
-    'bound --help': (0, '1544c64f9606f3530da07baa74b651533c45af7beccc3922fd53a0052130a89d'),
-    'sweep --help': (0, '7c120d5985d5c494e1008d1cb600fb19c8920de8906cacbcbac46fc712e3fa48'),
+    '--help': (0, 'ba9db4a1b7a539db0b5fdcabc32cfb1ba8eb057a7ac9e7a7941ef66784d54199'),
+    'validate --help': (0, 'e831a48edab551ada5d10be57fb463bd6ca8546b240634623c6a48e26492514c'),
+    'search --help': (0, '824a02c2aae2e11e472ea2b583e2ccbe90bf401915712b12fb47ad6f686212c4'),
+    'keygen --help': (0, '3e70819356db370b09435df10bbab850d3f735bf0cfee5ba711ebef078ee1f8b'),
+    'encrypt --help': (0, '20acc850b3c9de07414f9125b6e134007bec50e2a34121f4598fc0a42d5c7f27'),
+    'decrypt --help': (0, '29b13560ccbdc1f280c78d8045fc61bed89a76c5eb9969ec4fa3ec8244529817'),
+    'autgroup --help': (0, '4991d4159856bd99e6204bd8a50b4ff47574b7c19b9501d61070cd3308354ddd'),
+    'bound --help': (0, '1cea4beb1b2b9301c54378887d151d77cfa10a85e118cea6d9d022d0fea11cae'),
+    'sweep --help': (0, 'ca9a7ee3755258716267e5ed9b1c97ee58a653145a6653e2043e1b1af20960cd'),
 }
 
 
@@ -310,8 +304,6 @@ def test_golden_bound_corpus():
 
 
 def test_golden_help_texts():
-    if sys.version_info[:2] != HELP_PINS_PYTHON:
-        pytest.skip(f"help pins were taken on Python {HELP_PINS_PYTHON}")
     assert run_help_corpus() == HELP_PINS
 
 

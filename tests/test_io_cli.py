@@ -1,5 +1,6 @@
 """File formats and the command line driver."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qcnied import cli, io
+from qcnied import cli, io, report
 from qcnied.circulant import BlockCirculant, ParityCheck, Perm
 from qcnied.cli import main
 from qcnied.conditions import sample_compliant, sample_variant
@@ -184,43 +185,144 @@ def test_ciphertext_roundtrip(c512):
 def test_report_roundtrip():
     fields = [("kind", "autgroup"), ("p", 5), ("order", 25)]
     elems = [(Perm((1, 2, 0)), Perm((0, 1, 2, 3)))]
-    text = io.write_report(fields, elems)
-    back_fields, back_elems = io.read_report(text)
+    text = report.write_report(fields, elems)
+    back_fields, back_elems = report.read_report(text)
     assert back_fields == {"kind": "autgroup", "p": "5", "order": "25"}
     assert back_elems == elems
-    assert io.write_report(back_fields.items(), back_elems) == text
-    assert io.read_report(io.write_report(fields))[1] == []
+    assert report.write_report(back_fields.items(), back_elems) == text
+    assert report.read_report(report.write_report(fields))[1] == []
 
 
 def test_report_rejections():
     with pytest.raises(ParseError):
-        io.read_report("QCREP v2\nkind: x\n")
+        report.read_report("QCREP v2\nkind: x\n")
     with pytest.raises(ParseError):
-        io.read_report("QCREP v1\nno-separator\n")
+        report.read_report("QCREP v1\nno-separator\n")
     with pytest.raises(ParseError):
-        io.read_report("QCREP v1\nelem: 0 1 2\n")
+        report.read_report("QCREP v1\nelem: 0 1 2\n")
     with pytest.raises(ParseError):
-        io.read_report("QCREP v1\nelem: 0 1 | 1 1\n")
+        report.read_report("QCREP v1\nelem: 0 1 | 1 1\n")
 
 
 # -------------------------------------------------------------------- cli
 
 
-def test_cli_parser_built_once(monkeypatch, capsys):
-    real = cli.build_parser
-    calls = []
+# Argument lists of the README, the demos and perfbench/workloads.py (a
+# double space is an empty argument), with the values each handler was
+# called with under the argparse front end the command table replaced.
+PARENT_FORMS = [
+    ("search 5 1 2 2 --seed 3 -o m.qcm",
+     {"p": 5, "m1": 1, "m2": 2, "eta": 2, "seed": 3, "variant": False, "out": "m.qcm"}),
+    ("search 5 2 4 2 --variant --seed 17 -o m.qcm",
+     {"p": 5, "m1": 2, "m2": 4, "eta": 2, "seed": 17, "variant": True, "out": "m.qcm"}),
+    ("search 5 2 4 2 --seed 17 --variant -o m.qcm",
+     {"p": 5, "m1": 2, "m2": 4, "eta": 2, "seed": 17, "variant": True, "out": "m.qcm"}),
+    ("validate m.qcm --desk-scale",
+     {"matrix": "m.qcm", "desk_scale": True, "variant": False, "threshold": None, "out": None}),
+    ("validate m.qcm --desk-scale -o v.qcr",
+     {"matrix": "m.qcm", "desk_scale": True, "variant": False, "threshold": None,
+      "out": "v.qcr"}),
+    ("validate m.qcm --desk-scale --variant --threshold 0.5 -o v.qcr",
+     {"matrix": "m.qcm", "desk_scale": True, "variant": True, "threshold": 0.5,
+      "out": "v.qcr"}),
+    ("validate m.qcm --desk-scale --variant -o -",
+     {"matrix": "m.qcm", "desk_scale": True, "variant": True, "threshold": None, "out": "-"}),
+    ("validate --desk-scale m.qcm --out=v.qcr",
+     {"matrix": "m.qcm", "desk_scale": True, "variant": False, "threshold": None,
+      "out": "v.qcr"}),
+    ("keygen m.qcm --seed 9 --priv sk --pub pk",
+     {"matrix": "m.qcm", "seed": 9, "priv": "sk", "pub": "pk"}),
+    ("keygen --priv sk m.qcm --pub=pk",
+     {"matrix": "m.qcm", "seed": None, "priv": "sk", "pub": "pk"}),
+    ("encrypt pk --support 0,3 -o ct", {"pub": "pk", "support": "0,3", "out": "ct"}),
+    ("encrypt pk --support  -o ct", {"pub": "pk", "support": "", "out": "ct"}),
+    ("encrypt pk --support= --out=ct", {"pub": "pk", "support": "", "out": "ct"}),
+    ("encrypt --support 0,3 pk", {"pub": "pk", "support": "0,3", "out": None}),
+    ("decrypt sk ct", {"priv": "sk", "ciphertext": "ct", "out": None}),
+    ("decrypt sk ct -o -", {"priv": "sk", "ciphertext": "ct", "out": "-"}),
+    ("decrypt -o out -- sk ct", {"priv": "sk", "ciphertext": "ct", "out": "out"}),
+    ("decrypt -- sk -", {"priv": "sk", "ciphertext": "-", "out": None}),
+    ("autgroup m.qcm -o g.qcr", {"matrix": "m.qcm", "threshold": None, "out": "g.qcr"}),
+    ("autgroup m.qcm --threshold 0.5 -o g.qcr",
+     {"matrix": "m.qcm", "threshold": 0.5, "out": "g.qcr"}),
+    ("bound --report g.qcr",
+     {"report": "g.qcr", "envelope": False, "p": None, "m1": None, "m2": None, "k": None,
+      "n": None, "out": None}),
+    ("bound --report g.qcr -o b.qcr",
+     {"report": "g.qcr", "envelope": False, "p": None, "m1": None, "m2": None, "k": None,
+      "n": None, "out": "b.qcr"}),
+    ("bound --envelope --p 31",
+     {"report": None, "envelope": True, "p": 31, "m1": None, "m2": None, "k": None,
+      "n": None, "out": None}),
+    ("bound --envelope --p 31 -o env.qcr",
+     {"report": None, "envelope": True, "p": 31, "m1": None, "m2": None, "k": None,
+      "n": None, "out": "env.qcr"}),
+    ("bound --envelope --p 5 --m1 2 --m2 3 --k 9 --n 15",
+     {"report": None, "envelope": True, "p": 5, "m1": 2, "m2": 3, "k": 9, "n": 15,
+      "out": None}),
+    ("sweep --p 7,11,13,17,23,31 -o sweep.csv",
+     {"p": "7,11,13,17,23,31", "m1": 1, "m2": 2, "out": "sweep.csv"}),
+    ("sweep --p 31,61,101 -o sweep.csv",
+     {"p": "31,61,101", "m1": 1, "m2": 2, "out": "sweep.csv"}),
+    ("sweep --p 7,31 --m1 2 --m2 3", {"p": "7,31", "m1": 2, "m2": 3, "out": None}),
+]
 
-    def counted():
-        calls.append(1)
-        return real()
 
-    cli._parser.cache_clear()
-    monkeypatch.setattr(cli, "build_parser", counted)
-    for _ in range(3):
-        assert main(["sweep", "--p", "7"]) == 0
-    assert main(["frobnicate"]) == 2
-    assert len(calls) == 1
-    cli._parser.cache_clear()
+MALFORMED_FORMS = [
+    "",                                                  # no command
+    "frobnicate",
+    "--seed 3",
+    "keygen m.qcm --pri sk --pub pk",                    # prefix abbreviation
+    "keygen m.qcm --priv sk",                            # required option missing
+    "keygen m.qcm --priv sk --pub pk -o x",              # option of another command
+    "sweep",
+    "encrypt pk --support",                              # missing value
+    "encrypt pk --support -o ct",
+    "decrypt sk",                                        # missing positional
+    "decrypt sk ct extra",                               # extra positional
+    "decrypt sk ct -oout",                               # no attached short values
+    "search 5 1 2 2 --seed 1 --seed 2",                  # repeated option
+    "decrypt sk ct -o a --out b",
+    "validate m.qcm --desk-scale=yes",                   # a flag takes no value
+    "bound --report g.qcr --envelope",                   # both modes
+    "bound",                                             # neither mode
+    "bound --p 31",
+]
+
+
+def test_cli_parser_table(tmp_path, monkeypatch, capsys):
+    """Every documented form reaches its handler with the values argparse
+    gave it; every malformed form exits 2 with one error line, before any
+    file is touched."""
+    for form, values in PARENT_FORMS:
+        argv = form.split(" ")
+        handler, args = cli.parse(argv)
+        assert handler.rpartition(".")[2] == f"_cmd_{argv[0]}", form
+        real = cli._handler(handler)
+        seen = []
+        home = report if handler.startswith("report.") else cli
+        with monkeypatch.context() as patch:
+            patch.setattr(home, real.__name__, lambda **kw: seen.append(kw) or 0)
+            assert main(argv) == 0, form
+        call = inspect.signature(real).bind(**seen[0])
+        call.apply_defaults()
+        assert call.arguments == values, form
+    monkeypatch.chdir(tmp_path)
+    for form in MALFORMED_FORMS:
+        assert refused(capsys, form.split(" ") if form else []), form
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_help_from_the_table(capsys):
+    assert main(["--help"]) == 0
+    top = capsys.readouterr().out
+    assert all(f"\n  {name} " in top for name in cli.COMMANDS)
+    for argv in (["decrypt", "-h"], ["decrypt", "sk", "--help"], ["decrypt", "-o", "x", "-h"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cli.render_help("decrypt")
+    # after `--` every argument is a positional, `-h` included
+    assert cli.parse(["decrypt", "--", "-h", "ct"]) == (
+        "_cmd_decrypt", {"priv": "-h", "ciphertext": "ct"})
 
 
 def refused(capsys, argv) -> bool:
@@ -256,6 +358,40 @@ def test_cli_non_utf8_input_refused(tmp_path, capsys, c512):
         assert refused(capsys, [str(a) for a in argv]), argv
 
 
+def test_cli_crlf_input_refused(tmp_path, capsys, c512):
+    mat, priv_p, pub_p, ct, rep = (tmp_path / n for n in ("m.qcm", "sk", "pk", "ct", "g.qcr"))
+    mat.write_text(io.write_matrix(c512))
+    assert main(["keygen", str(mat), "--priv", str(priv_p), "--pub", str(pub_p)]) == 0
+    assert main(["encrypt", str(pub_p), "--support", "0", "-o", str(ct)]) == 0
+    assert main(["autgroup", str(mat), "-o", str(rep)]) == 0
+
+    def crlf(path):
+        bad = tmp_path / f"crlf-{path.name}"
+        bad.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        return str(bad)
+
+    for argv in (
+        ["validate", crlf(mat), "--desk-scale"],
+        ["decrypt", crlf(priv_p), str(ct)],
+        ["encrypt", crlf(pub_p), "--support", "0"],
+        ["decrypt", str(priv_p), crlf(ct)],
+        ["bound", "--report", crlf(rep)],
+    ):
+        assert refused(capsys, argv), argv
+
+
+def test_cli_threshold_is_a_finite_positive_decimal(tmp_path, capsys, c512):
+    mat = tmp_path / "m.qcm"
+    mat.write_text(io.write_matrix(c512))
+    for value in ("nan", "inf", "-inf", "1e400", "0", "-1", "0x1", "0.0", "+0.5", " 0.5",
+                  ".5", "5.", "1_0", "\u0660.\u0665", "9" * 400):
+        for command in ("validate", "autgroup"):
+            assert refused(capsys, [command, str(mat), "--threshold", value]), value
+    assert main(["validate", str(mat), "--desk-scale", "--variant", "--threshold", "0.5"]) == 0
+    assert main(["validate", str(mat), "--desk-scale", "--variant", "--threshold", "1"]) == 0
+    assert cli.parse(["autgroup", "m", "--threshold", "0.25"])[1]["threshold"] == 0.25
+
+
 def test_cli_unwritable_output_refused(tmp_path, capsys, c512):
     mat, missing = tmp_path / "m.qcm", tmp_path / "missing"
     mat.write_text(io.write_matrix(c512))
@@ -274,16 +410,16 @@ def test_cli_validate(tmp_path, c512):
     rep = tmp_path / "r.qcr"
     # strict check fails without the waiver: condition v needs p > 30
     assert main(["validate", str(mat), "-o", str(rep)]) == 1
-    fields, _ = io.read_report(rep.read_text())
+    fields, _ = report.read_report(rep.read_text())
     assert fields["cond_v"] == "fail" and fields["ok"] == "false"
     assert main(["validate", str(mat), "--desk-scale", "-o", str(rep)]) == 0
-    fields, _ = io.read_report(rep.read_text())
+    fields, _ = report.read_report(rep.read_text())
     assert fields["ok"] == "true" and fields["cond_v"] == "waived"
 
     flat = BlockCirculant.from_rows(FieldCtx(2), 5, 1, 2, [(1, 1, 1, 1, 1)])
     mat.write_text(io.write_matrix(flat))
     assert main(["validate", str(mat), "--desk-scale", "-o", str(rep)]) == 1
-    fields, _ = io.read_report(rep.read_text())
+    fields, _ = report.read_report(rep.read_text())
     assert fields["cond_ii"] == "fail" and "witness_ii" in fields
 
 
@@ -356,12 +492,12 @@ def test_cli_autgroup_and_bound(tmp_path):
     mat, rep, brep = (tmp_path / n for n in ("m.qcm", "g.qcr", "b.qcr"))
     mat.write_text(io.write_matrix(c))
     assert main(["autgroup", str(mat), "-o", str(rep)]) == 0
-    fields, elems = io.read_report(rep.read_text())
+    fields, elems = report.read_report(rep.read_text())
     assert fields["order"] == "5" and len(elems) == 5
     assert fields["surveillance"] == "clear"
 
     assert main(["bound", "--report", str(rep), "-o", str(brep)]) == 0
-    bf, _ = io.read_report(brep.read_text())
+    bf, _ = report.read_report(brep.read_text())
     want = dk_bound(stab_full(c))
     assert bf["mode"] == "exact" and bf["h_order"] == "5"
     assert float(bf["ln_dk"]) == pytest.approx(want.dk_log, rel=1e-12)
@@ -378,7 +514,7 @@ def test_cli_autgroup_variant_past_p5(tmp_path):
     mat, rep = tmp_path / "m.qcm", tmp_path / "g.qcr"
     mat.write_text(io.write_matrix(sample_variant(11, 2, 4, 2, seed=1)))
     assert main(["autgroup", str(mat), "-o", str(rep)]) == 0
-    fields, elems = io.read_report(rep.read_text())
+    fields, elems = report.read_report(rep.read_text())
     assert fields["order"] == "121" and len(elems) == 121
     assert fields["surveillance"] == "clear"
     assert "symmetric" in {fields[f"block_{i}_{j}"] for i in (0, 1) for j in (0, 1)}
@@ -389,7 +525,7 @@ def test_cli_autgroup_surveillance_trip(tmp_path):
     mat, rep = tmp_path / "m.qcm", tmp_path / "g.qcr"
     mat.write_text(io.write_matrix(fano))
     assert main(["autgroup", str(mat), "-o", str(rep)]) == 3
-    fields, elems = io.read_report(rep.read_text())
+    fields, elems = report.read_report(rep.read_text())
     assert fields["classification"] == "exceptional"
     assert fields["surveillance"].startswith("tripped")
     assert fields["order"] == "168" and len(elems) == 168
@@ -409,7 +545,7 @@ def test_cli_autgroup_difference_set_trips(tmp_path, p, minority, order):
     mat.write_text(io.write_matrix(c))
     assert main(["validate", str(mat), "--desk-scale"]) == 0
     assert main(["autgroup", str(mat), "-o", str(rep)]) == 3
-    fields, elems = io.read_report(rep.read_text())
+    fields, elems = report.read_report(rep.read_text())
     assert fields["classification"] == "exceptional"
     assert fields["surveillance"].startswith("tripped")
     assert fields["lemma1"] == "ok"
@@ -419,7 +555,7 @@ def test_cli_autgroup_difference_set_trips(tmp_path, p, minority, order):
 def test_cli_bound_envelope_and_sweep(tmp_path, capsys):
     rep = tmp_path / "b.qcr"
     assert main(["bound", "--envelope", "--p", "31", "-o", str(rep)]) == 0
-    fields, _ = io.read_report(rep.read_text())
+    fields, _ = report.read_report(rep.read_text())
     assert fields["mode"] == "envelope"
     assert (fields["k"], fields["n"], fields["h_order"]) == ("31", "62", "961")
     assert fields["max_c"] == "5"
@@ -438,6 +574,9 @@ def test_cli_bound_envelope_and_sweep(tmp_path, capsys):
     assert refused(capsys, ["bound", "--envelope", "--p", "31", "--k", "031"])
     assert refused(capsys, ["sweep", "--p", "7", "--m1", "\u0662", "--m2", "\u0663"])
     assert refused(capsys, ["sweep", "--p", "7", "--m2", "-3"])
+    # the comma-list rule of --support: an empty entry is a bad token
+    for bad in ("5,,7", "5,7,", ",5"):
+        assert refused(capsys, ["sweep", "--p", bad])
 
 
 def test_cli_envelope_refuses_degenerate_shapes(capsys):
@@ -467,22 +606,25 @@ def test_cli_keygen_trivial_kernel(tmp_path, capsys):
     assert capsys.readouterr().out == support + "\n"
 
 
-def test_cli_import_leaves_numpy_out():
+def test_cli_import_leaves_numpy_out(tmp_path, c512):
     """A fresh CLI import loads neither numpy nor the layers that only
     validate, search, autgroup, bound and sweep run; and, with `site`
     off so nothing outside the package loads them first, no layer
-    imports dataclasses, inspect, typing or pathlib."""
+    imports dataclasses, inspect, typing or pathlib, and keygen, encrypt
+    and decrypt run without argparse, gettext, locale or the report
+    module."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
 
-    def loaded(flags, imports, unwanted):
-        code = f"import sys, {imports}; print([m for m in {unwanted!r} if m in sys.modules])"
+    def loaded(flags, imports, unwanted, run=""):
+        code = (f"import sys, {imports}; {run}"
+                f"print([m for m in {unwanted!r} if m in sys.modules])")
         proc = subprocess.run(
             [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
-            timeout=60,
+            timeout=60, cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
@@ -493,6 +635,13 @@ def test_cli_import_leaves_numpy_out():
     assert loaded(["-S"], "qcnied.cli", heavy) == "[]\n"
     every_layer = "qcnied.cli, qcnied.conditions, qcnied.autgroup, qcnied.distinguish"
     assert loaded(["-S"], every_layer, heavy) == "[]\n"
+    (tmp_path / "m.qcm").write_text(io.write_matrix(c512))
+    crypto = ("keygen m.qcm --priv sk --pub pk", "encrypt pk --support 0,3 -o ct",
+              "decrypt sk ct -o out")
+    run = "".join(f"assert qcnied.cli.main({argv.split(' ')!r}) == 0; " for argv in crypto)
+    parsing = ("argparse", "gettext", "locale", "qcnied.report") + layers + heavy
+    assert loaded(["-S"], "qcnied.cli", parsing, run) == "e: 4\n[]\n"
+    assert (tmp_path / "out").read_text() == "0,3\n"
 
 
 def test_package_exports_resolve_to_home_modules():
