@@ -15,7 +15,8 @@ from qcnied import dk_bound, dk_bound_envelope, sample_compliant, stab_full
 
 # exact bound from an explicit group at desk scale
 c = sample_compliant(5, 1, 2, 2, seed=1)
-r = dk_bound(stab_full(c))
+g = stab_full(c)
+r = dk_bound(g.elements, g.p, g.m1, g.m2)
 print(f"exact  p=5   ln_s0={r.s0_log:+.3f} ln_s1={r.s1_log:+.3f} ln_dk={r.dk_log:+.3f}")
 
 # the envelope needs no group: it assumes the worst order p^2 and the

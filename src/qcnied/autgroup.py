@@ -32,7 +32,6 @@ from itertools import chain, permutations, product
 
 from ._record import Record
 from .circulant import BlockCirculant, CirculantBlock, Dense, ParityCheck, Perm, act
-from .conditions import check_ii, check_iii, good_shape
 from .errors import ConditionIIIViolated, EtaTooSmall, LemmaViolated, TooLarge
 
 # search nodes plus emitted pairs one stabilizer search may spend
@@ -181,6 +180,8 @@ def classify(ps: PairStab) -> str:
     Constant and near-constant blocks provably have the full symmetric
     group as row projection, so they are labeled from the block shape.
     """
+    from .conditions import good_shape
+
     p = ps.block.p
     if not good_shape(ps.block.first_row):
         return SYMMETRIC
@@ -316,6 +317,8 @@ def stab_full(c: BlockCirculant) -> AutGroup:
     for k <= FULL_MATRIX_MAX_K and refuses otherwise. Every element is
     verified against the dense matrix before it is returned.
     """
+    from .conditions import check_iii
+
     m1, mc, p = c.m1, c.n_block_cols, c.p
     dense = c.expand()
     blocks = {(i, j): c.block(i, j) for i in range(m1) for j in range(mc)}
@@ -387,6 +390,8 @@ def verify_lemma1(h: ParityCheck, g: AutGroup) -> Lemma1Report:
     A relation failure with the premise intact raises LemmaViolated,
     since it would mean the assembly itself is broken.
     """
+    from .conditions import check_ii
+
     c = h.c
     witness: object = None
     premise_ok = True

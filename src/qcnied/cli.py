@@ -13,9 +13,10 @@ variable, else 0.
 the name of its handler and its argument specs. `parse` reads an
 argument list against it and `render_help` prints it. The handlers of
 validate, autgroup, bound and sweep live in `report` with the report
-format, and each handler imports the layers it runs, so a keygen,
-encrypt or decrypt process loads neither the report code nor the
-condition checks, the stabilizer search or the bounds.
+format, and each handler imports the layers it runs, so each command
+loads only those: a keygen, encrypt or decrypt process loads neither the
+report code nor the condition checks, the stabilizer search or the
+bounds, and no analysis command loads the key layer.
 """
 
 from __future__ import annotations
@@ -259,6 +260,11 @@ def _cmd_keygen(matrix, priv, pub, seed=None) -> int:
     from .circulant import ParityCheck
     from .niederreiter import keygen
 
+    # stdout carries the `e:` line, and one path would hold only the public key
+    if "-" in (priv, pub):
+        raise ParseError("keygen: --priv and --pub must name files, not stdout")
+    if os.path.realpath(priv) == os.path.realpath(pub):
+        raise ParseError(f"keygen: --priv and --pub name the same file {pub!r}")
     c = io.read_matrix(_read(matrix))
     sk, pk = keygen(ParityCheck(c), _seed_of(seed))
     priv_text, pub_text = io.write_private_key(sk), io.write_public_key(pk)
@@ -267,11 +273,10 @@ def _cmd_keygen(matrix, priv, pub, seed=None) -> int:
         _emit(pub_text, pub)
     except ParseError:
         # no private key is left behind without its public key
-        if priv != "-":
-            try:
-                os.remove(priv)
-            except FileNotFoundError:
-                pass
+        try:
+            os.remove(priv)
+        except FileNotFoundError:
+            pass
         raise
     print(f"e: {pk.e}")
     return 0

@@ -31,7 +31,7 @@ import random
 from ._record import Record
 from .circulant import BlockCirculant
 from .errors import BudgetExhausted, EtaTooSmall, OutOfRange
-from .field import FieldCtx
+from .field import FieldCtx, is_prime
 
 PASS = "pass"
 FAIL = "fail"
@@ -71,17 +71,6 @@ class ConditionReport(Record):
         yield "v", self.v
         yield "i_variant", self.i_variant
         yield "iv_variant", self.iv_variant
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _constant_row(row: tuple[int, ...]) -> bool:

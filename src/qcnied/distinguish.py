@@ -28,6 +28,7 @@ from operator import mul
 
 from ._record import Record
 from .errors import InfeasibleSupport, StructureViolation
+from .field import is_prime
 
 
 def class_size_sn(t) -> int:
@@ -74,8 +75,9 @@ def _merged_type(p1, p2) -> tuple[int, ...]:
     return tuple(sorted(p1.cycle_type() + p2.cycle_type(), reverse=True))
 
 
-def s0_exact(g) -> float:
-    """ln s0 for an explicit group; -inf for the trivial group.
+def s0_exact(elements) -> float:
+    """ln s0 for a group given as its (P1, P2) elements; -inf for the
+    trivial group.
 
     Each element contributes through the conjugacy classes of its row
     part (in S_k) and of its full column permutation (in S_n, cycle type
@@ -84,7 +86,7 @@ def s0_exact(g) -> float:
     rejected.
     """
     term_logs = []
-    for p1, p2 in g.elements:
+    for p1, p2 in elements:
         id1, id2 = p1.is_identity(), p2.is_identity()
         if id1 and id2:
             continue
@@ -97,7 +99,7 @@ def s0_exact(g) -> float:
         term_logs.append(-0.5 * (math.log(c_row) + math.log(c_col)))
     if not term_logs:
         return -math.inf
-    return math.log(g.order) + logsumexp(term_logs)
+    return math.log(len(elements)) + logsumexp(term_logs)
 
 
 def s1_term(h_order: int, k: int, n: int) -> float:
@@ -141,9 +143,11 @@ def _report(mode, k, n, h_order, s0_log, p=None, m1=None, m2=None) -> BoundRepor
     )
 
 
-def dk_bound(g) -> BoundReport:
-    """Exact bound from an explicit assembled group."""
-    return _report("exact", g.k, g.n, g.order, s0_exact(g), p=g.p, m1=g.m1, m2=g.m2)
+def dk_bound(elements, p: int, m1: int, m2: int) -> BoundReport:
+    """Exact bound from the elements of a group of shape (p, m1, m2):
+    P1 on the k = m1*p rows, P2 on the n - k columns of C."""
+    return _report("exact", m1 * p, m2 * p, len(elements), s0_exact(elements),
+                   p=p, m1=m1, m2=m2)
 
 
 # _weights[s]: the greatest prod(j^c_j c_j!) over partitions of s into
@@ -205,10 +209,13 @@ class EnvelopeStats(Record):
 def worst_case_h(p: int, k: int, n: int) -> EnvelopeStats:
     """Pessimistic envelope: order p^2, minimum displacement p - 1.
 
-    InfeasibleSupport for p < 2, which leaves no non-identity element.
+    InfeasibleSupport for p < 2, which leaves no non-identity element,
+    and for a composite p, which no admissible shape has.
     """
     if p < 2:
         raise InfeasibleSupport(f"the envelope needs p >= 2, got p = {p}")
+    if not is_prime(p):
+        raise InfeasibleSupport(f"the envelope needs a prime p, got p = {p}")
     delta = p - 1
     if delta > k:
         raise InfeasibleSupport(f"support floor {delta} exceeds k = {k}")

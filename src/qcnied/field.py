@@ -56,6 +56,18 @@ def is_irreducible(m: int) -> bool:
     return True
 
 
+def is_prime(p: int) -> bool:
+    """Trial division; the circulant size p of every shape must pass it."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
 _DEFAULT_MODULI: dict[int, int] = {}
 
 

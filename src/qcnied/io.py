@@ -15,15 +15,14 @@ for byte.
   ciphertext  k lines, one hex field element per line, no header.
 
 The QCREP v1 report format lives in `report`, with the commands that
-write it.
+write it. Each reader and writer imports the layer whose types it
+builds, so a command loads only the layers its files need.
 """
 
 from __future__ import annotations
 
-from .circulant import BlockCirculant, ParityCheck, Perm
 from .errors import ParseError, QcniedError
 from .field import FieldCtx
-from .niederreiter import PrivateKey, PublicKey, pack_column, unpack_column
 
 QCMAT_HEADER = "QCMAT v1"
 NIEDQC_HEADER = "NIEDQC v1"
@@ -85,6 +84,8 @@ def write_matrix(c: BlockCirculant) -> str:
 
 
 def read_matrix(text: str) -> BlockCirculant:
+    from .circulant import BlockCirculant
+
     lines = _lines(text, "matrix file")
     if not lines or lines[0] != QCMAT_HEADER:
         raise ParseError(f"matrix file: expected header {QCMAT_HEADER!r}")
@@ -133,6 +134,9 @@ def write_private_key(priv: PrivateKey) -> str:
 
 
 def read_private_key(text: str) -> PrivateKey:
+    from .circulant import BlockCirculant, ParityCheck, Perm
+    from .niederreiter import PrivateKey
+
     lines = _lines(text, "private key")
     if len(lines) < 4 or lines[0] != NIEDQC_HEADER:
         raise ParseError(f"private key: expected header {NIEDQC_HEADER!r}")
@@ -156,6 +160,8 @@ def read_private_key(text: str) -> PrivateKey:
 
 
 def write_public_key(pub: PublicKey) -> str:
+    from .niederreiter import unpack_column
+
     ctx = FieldCtx(pub.eta, pub.modulus)
     out = [NIEDQC_HEADER, "public", f"{pub.p} {pub.m1} {pub.m2} {pub.eta} {pub.e}",
            format(ctx.modulus, "x")]
@@ -165,6 +171,8 @@ def write_public_key(pub: PublicKey) -> str:
 
 
 def read_public_key(text: str) -> PublicKey:
+    from .niederreiter import PublicKey, pack_column
+
     lines = _lines(text, "public key")
     if len(lines) < 4 or lines[0] != NIEDQC_HEADER:
         raise ParseError(f"public key: expected header {NIEDQC_HEADER!r}")

@@ -29,7 +29,6 @@ from math import comb
 from operator import xor
 
 from ._record import Record
-from .circulant import ParityCheck, Perm
 from .errors import DecodeFailure, SizeMismatch, TooLarge, WeightTooHigh
 
 ENUM_BUDGET = 1 << 24
@@ -199,6 +198,8 @@ def keygen(h: ParityCheck, seed: int) -> tuple[PrivateKey, PublicKey]:
     Fisher-Yates shuffle from the same stream. TooLarge when the
     capacity enumeration exceeds ENUM_BUDGET.
     """
+    from .circulant import Perm
+
     cols = _columns(h)
     e = _capacity(cols, _echelon(cols)[1])
     rng = random.Random(seed)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 
-from .circulant import Perm
 from .cli import _emit, _int_list, _read
 from .errors import ParseError, QcniedError
 from .io import _int_token, _lines, _parse_params, read_matrix
@@ -33,6 +32,8 @@ def write_report(fields, elems=None) -> str:
 
 
 def read_report(text: str) -> tuple[dict[str, str], list[tuple[Perm, Perm]]]:
+    from .circulant import Perm
+
     lines = _lines(text, "report")
     if not lines or lines[0] != QCREP_HEADER:
         raise ParseError(f"report: expected header {QCREP_HEADER!r}")
@@ -173,30 +174,6 @@ def _bound_fields(r) -> list:
     return fields
 
 
-def _group_from_report(path: str) -> "AutGroup":
-    from .autgroup import AutGroup
-
-    fields, elems = read_report(_read(path))
-    if fields.get("kind") != "autgroup":
-        raise ParseError(f"{path}: expected an autgroup report")
-    try:
-        p, m1, m2 = (_int_token(fields[key], key) for key in ("p", "m1", "m2"))
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing p/m1/m2") from exc
-    k, n = m1 * p, m2 * p
-    for p1, p2 in elems:
-        if p1.n != k or p2.n != n - k:
-            raise ParseError(
-                f"{path}: element shape {p1.n}/{p2.n}, expected {k}/{n - k}"
-            )
-    if not elems:
-        raise ParseError(f"{path}: report carries no group elements")
-    return AutGroup(
-        p=p, m1=m1, m2=m2, elements=tuple(elems),
-        block_labels={}, method="report",
-    )
-
-
 def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, k=None, n=None,
                out=None) -> int:
     from .distinguish import dk_bound, dk_bound_envelope
@@ -204,7 +181,30 @@ def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, k=None, n=
     if (report is None) == (not envelope):
         raise ParseError("bound: give exactly one of --report and --envelope")
     if report is not None:
-        r = dk_bound(_group_from_report(report))
+        fields, elems = read_report(_read(report))
+        if fields.get("kind") != "autgroup":
+            raise ParseError(f"{report}: expected an autgroup report")
+        try:
+            p, m1, m2 = (_int_token(fields[key], key) for key in ("p", "m1", "m2"))
+        except KeyError as exc:
+            raise ParseError(f"{report}: missing p/m1/m2") from exc
+        k, n = m1 * p, m2 * p
+        for p1, p2 in elems:
+            if p1.n != k or p2.n != n - k:
+                raise ParseError(
+                    f"{report}: element shape {p1.n}/{p2.n}, expected {k}/{n - k}"
+                )
+        if not elems:
+            raise ParseError(f"{report}: report carries no group elements")
+        # the bound counts elements, so a repeat or a dropped line would change it
+        if len(set(elems)) != len(elems):
+            raise ParseError(f"{report}: repeated group element")
+        if "order" not in fields:
+            raise ParseError(f"{report}: missing order")
+        order = _int_token(fields["order"], "order")
+        if order != len(elems):
+            raise ParseError(f"{report}: order {order}, but {len(elems)} elements")
+        r = dk_bound(elems, p, m1, m2)
     else:
         if p is None:
             raise ParseError("envelope mode needs --p")

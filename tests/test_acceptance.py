@@ -225,7 +225,7 @@ def test_criterion_09_bound_formulas():
             )
         for c, g in corpus():
             env = dk_bound_envelope(7, g.m1 * 7, g.m2 * 7, m1=g.m1, m2=g.m2)
-            assert env.dk_log >= dk_bound(g).dk_log
+            assert env.dk_log >= dk_bound(g.elements, g.p, g.m1, g.m2).dk_log
 
 
 def test_criterion_10_envelope_report(tmp_path):

@@ -15,13 +15,12 @@ from qcnied.conditions import (
     check_v,
     check_variant,
     good_shape,
-    is_prime,
     sample_compliant,
     sample_variant,
     validate_all,
 )
 from qcnied.errors import BudgetExhausted, EtaTooSmall, OutOfRange
-from qcnied.field import FieldCtx
+from qcnied.field import FieldCtx, is_prime
 
 CTX = FieldCtx(2)
 

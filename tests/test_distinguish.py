@@ -183,30 +183,22 @@ def test_s0_exact_cyclic_group_oracle():
     c_row = math.factorial(4)
     c_col = math.factorial(10) // (5 * 5 * 2)
     want = mp.log(5 * 4 / mp.sqrt(mp.mpf(c_row) * c_col))
-    assert s0_exact(g) == pytest.approx(float(want), rel=1e-12)
+    assert s0_exact(g.elements) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_s0_trivial_group():
-    class Stub:
-        elements = ((Perm.identity(3), Perm.identity(4)),)
-        order = 1
-
-    assert s0_exact(Stub()) == -math.inf
+    assert s0_exact(((Perm.identity(3), Perm.identity(4)),)) == -math.inf
 
 
 def test_s0_rejects_identity_component():
-    class Stub:
-        elements = ((Perm.identity(3), Perm((1, 0, 2, 3))),)
-        order = 2
-
     with pytest.raises(StructureViolation):
-        s0_exact(Stub())
+        s0_exact(((Perm.identity(3), Perm((1, 0, 2, 3))),))
 
 
 def test_dk_bound_linear_domain_additivity():
     c = sample_compliant(5, 1, 2, 2, seed=1)
     g = stab_full(c)
-    r = dk_bound(g)
+    r = dk_bound(g.elements, g.p, g.m1, g.m2)
     lhs = mp.e ** mp.mpf(r.dk_log)
     rhs = mp.e ** mp.mpf(r.s0_log) + mp.e ** mp.mpf(r.s1_log)
     assert float(lhs) == pytest.approx(float(rhs), rel=1e-12)
@@ -266,6 +258,8 @@ def test_worst_case_h_small():
     assert st.min_class_n == 15
     with pytest.raises(InfeasibleSupport):
         worst_case_h(7, 3, 6)
+    with pytest.raises(InfeasibleSupport):  # composite p
+        worst_case_h(4, 4, 8)
 
 
 def test_envelope_anchor_p31():
@@ -283,7 +277,7 @@ def test_envelope_dominates_exact_on_samples():
         c = sample_compliant(7, 1, 2, 2, seed=seed)
         g = stab_full(c)
         env = dk_bound_envelope(7, 7, 14, m1=1, m2=2)
-        assert env.dk_log >= dk_bound(g).dk_log
+        assert env.dk_log >= dk_bound(g.elements, g.p, g.m1, g.m2).dk_log
 
 
 def test_max_c_semantics():

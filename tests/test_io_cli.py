@@ -1,5 +1,6 @@
 """File formats and the command line driver."""
 
+import ast
 import inspect
 import os
 import subprocess
@@ -476,6 +477,21 @@ def test_cli_key_pipeline(tmp_path, capsys, c512):
     assert pub_p.read_text() == io.write_public_key(pub2)
 
 
+def test_cli_keygen_key_paths(tmp_path, capsys, monkeypatch, c512):
+    # the public key must not overwrite the private key, and stdout
+    # carries the `e:` line, so neither key goes there
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.qcm").write_text(io.write_matrix(c512))
+    os.symlink("sk", "link")
+    for priv, pub in (("sk", "sk"), ("sk", "./sk"), ("sk", str(tmp_path / "sk")),
+                      ("sk", "link"), ("link", "sk"), ("-", "pk"), ("sk", "-")):
+        capsys.readouterr()
+        assert main(["keygen", "m.qcm", "--priv", priv, "--pub", pub]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["link", "m.qcm"], (priv, pub)
+
+
 def test_cli_encrypt_rejections(tmp_path, capsys, c512):
     mat, priv_p, pub_p = (tmp_path / n for n in ("m.qcm", "sk", "pk"))
     mat.write_text(io.write_matrix(c512))
@@ -498,13 +514,33 @@ def test_cli_autgroup_and_bound(tmp_path):
 
     assert main(["bound", "--report", str(rep), "-o", str(brep)]) == 0
     bf, _ = report.read_report(brep.read_text())
-    want = dk_bound(stab_full(c))
+    want = dk_bound(stab_full(c).elements, 5, 1, 2)
     assert bf["mode"] == "exact" and bf["h_order"] == "5"
     assert float(bf["ln_dk"]) == pytest.approx(want.dk_log, rel=1e-12)
     assert int(bf["max_c"]) == want.max_c
     # the report's shape fields follow the canonical integer rule too
     rep.write_text(rep.read_text().replace("\np: 5\n", "\np: 05\n"))
     assert main(["bound", "--report", str(rep)]) == 2
+
+
+def test_cli_bound_refuses_hostile_reports(tmp_path, capsys):
+    # dk counts group elements, so every element must be listed once
+    c = sample_compliant(5, 1, 2, 2, seed=1)
+    mat, rep, bad, brep = (tmp_path / n for n in ("m.qcm", "g.qcr", "bad.qcr", "b.qcr"))
+    mat.write_text(io.write_matrix(c))
+    assert main(["autgroup", str(mat), "-o", str(rep)]) == 0
+    text = rep.read_text()
+    first = next(line for line in text.split("\n") if line.startswith("elem: "))
+    for edited in (text + first + "\n",                                   # a repeat
+                   (text + first + "\n").replace("\norder: 5\n", "\norder: 6\n"),
+                   text.replace(first + "\n", "", 1),                      # one dropped
+                   text.replace("\norder: 5\n", "\norder: 7\n"),
+                   text.replace("\norder: 5\n", "\n"),                     # no order
+                   text.replace("\norder: 5\n", "\norder: 05\n")):
+        bad.write_text(edited)
+        assert refused(capsys, ["bound", "--report", str(bad), "-o", str(brep)])
+        assert not brep.exists()
+    assert main(["bound", "--report", str(rep)]) == 0
 
 
 def test_cli_autgroup_variant_past_p5(tmp_path):
@@ -580,9 +616,12 @@ def test_cli_bound_envelope_and_sweep(tmp_path, capsys):
 
 
 def test_cli_envelope_refuses_degenerate_shapes(capsys):
-    # p < 2 leaves no non-identity element: a domain refusal, one line
+    # p < 2 leaves no non-identity element, and no admissible shape has a
+    # composite p: domain refusals, one line each
     for argv in (["bound", "--envelope", "--p", "1"], ["bound", "--envelope", "--p", "0"],
-                 ["sweep", "--p", "1"], ["sweep", "--p", "7,1"]):
+                 ["sweep", "--p", "1"], ["sweep", "--p", "7,1"],
+                 ["bound", "--envelope", "--p", "4"], ["bound", "--envelope", "--p", "9"],
+                 ["sweep", "--p", "9,15"], ["sweep", "--p", "7,9"]):
         capsys.readouterr()
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()
@@ -606,42 +645,60 @@ def test_cli_keygen_trivial_kernel(tmp_path, capsys):
     assert capsys.readouterr().out == support + "\n"
 
 
-def test_cli_import_leaves_numpy_out(tmp_path, c512):
-    """A fresh CLI import loads neither numpy nor the layers that only
-    validate, search, autgroup, bound and sweep run; and, with `site`
-    off so nothing outside the package loads them first, no layer
-    imports dataclasses, inspect, typing or pathlib, and keygen, encrypt
-    and decrypt run without argparse, gettext, locale or the report
-    module."""
+# A command's qcnied modules beyond the five every command loads, in run
+# order: each row reads the files the rows before it wrote. "" is a bare
+# `import qcnied.cli`.
+EVERY_COMMAND = ("qcnied", "qcnied.cli", "qcnied.io", "qcnied.errors", "qcnied.field")
+MODULE_TABLE = [
+    ("", ()),
+    ("search 5 1 2 2 --seed 3 -o m.qcm", ("_record", "circulant", "conditions")),
+    ("validate m.qcm --desk-scale -o v.qcr", ("_record", "circulant", "conditions", "report")),
+    ("keygen m.qcm --seed 9 --priv sk --pub pk", ("_record", "circulant", "niederreiter")),
+    ("encrypt pk --support 0,3 -o ct", ("_record", "niederreiter")),
+    ("decrypt sk ct -o out", ("_record", "circulant", "niederreiter")),
+    ("autgroup m.qcm -o g.qcr",
+     ("_record", "circulant", "conditions", "autgroup", "report")),
+    ("bound --report g.qcr -o b.qcr", ("_record", "circulant", "distinguish", "report")),
+    ("bound --envelope --p 31 -o e.qcr", ("_record", "distinguish", "report")),
+    ("sweep --p 7,31 -o s.csv", ("_record", "distinguish", "report")),
+]
+# never loaded, by any command or by importing every layer
+ABSENT = ("numpy", "argparse", "gettext", "locale", "dataclasses", "inspect", "typing",
+          "pathlib")
+
+
+def test_cli_loads_only_the_layers_it_runs(tmp_path):
+    """Each command, run through cli.main in a fresh interpreter, loads
+    exactly the qcnied modules of MODULE_TABLE and none of ABSENT; `site`
+    is off, so nothing outside the package loads them first."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
 
-    def loaded(flags, imports, unwanted, run=""):
-        code = (f"import sys, {imports}; {run}"
-                f"print([m for m in {unwanted!r} if m in sys.modules])")
+    def loaded(imports, argv=()):
+        code = (f"import sys, {imports}\n"
+                "assert not sys.argv[1:] or qcnied.cli.main(sys.argv[1:]) == 0\n"
+                "print((sorted(m for m in sys.modules if m.split('.')[0] == 'qcnied'),"
+                f" [m for m in {ABSENT!r} if m in sys.modules]))")
         proc = subprocess.run(
-            [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
-            timeout=60, cwd=tmp_path,
+            [sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True,
+            text=True, timeout=60, cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout
+        *printed, last = proc.stdout.split("\n")[:-1]
+        return printed, ast.literal_eval(last)
 
-    layers = ("numpy", "qcnied.conditions", "qcnied.autgroup", "qcnied.distinguish")
-    assert loaded([], "qcnied.cli", layers) == "[]\n"
-    heavy = ("dataclasses", "inspect", "typing", "pathlib")
-    assert loaded(["-S"], "qcnied.cli", heavy) == "[]\n"
-    every_layer = "qcnied.cli, qcnied.conditions, qcnied.autgroup, qcnied.distinguish"
-    assert loaded(["-S"], every_layer, heavy) == "[]\n"
-    (tmp_path / "m.qcm").write_text(io.write_matrix(c512))
-    crypto = ("keygen m.qcm --priv sk --pub pk", "encrypt pk --support 0,3 -o ct",
-              "decrypt sk ct -o out")
-    run = "".join(f"assert qcnied.cli.main({argv.split(' ')!r}) == 0; " for argv in crypto)
-    parsing = ("argparse", "gettext", "locale", "qcnied.report") + layers + heavy
-    assert loaded(["-S"], "qcnied.cli", parsing, run) == "e: 4\n[]\n"
+    for command, layers in MODULE_TABLE:
+        printed, (modules, absent) = loaded("qcnied.cli", command.split())
+        assert modules == sorted(EVERY_COMMAND + tuple(f"qcnied.{m}" for m in layers)), command
+        assert absent == [], command
+        assert printed == (["e: 4"] if command.startswith("keygen") else []), command
     assert (tmp_path / "out").read_text() == "0,3\n"
+    every_layer = ("qcnied.cli, qcnied.conditions, qcnied.niederreiter, qcnied.autgroup, "
+                   "qcnied.distinguish, qcnied.report")
+    assert loaded(every_layer)[1][1] == []
 
 
 def test_package_exports_resolve_to_home_modules():
