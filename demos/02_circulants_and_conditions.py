@@ -8,7 +8,7 @@ rows that are reorderings of each other, multiplicity patterns whose
 stabilizer would be too large.
 """
 
-from qcnied import BlockCirculant, CirculantBlock, FieldCtx, ParityCheck
+from qcnied import BlockCirculant, CirculantBlock, FieldCtx
 from qcnied import sample_compliant, validate_all
 
 ctx = FieldCtx(2)
@@ -45,6 +45,6 @@ print("\nsampled compliant first rows:", list(c.block_first_rows()))
 assert validate_all(c, desk_scale=True).strict_ok()
 
 # the systematic parity check [I | C] is what the cryptosystem uses
-h = ParityCheck(c)
-dense = h.expand()
-print(f"parity check: {len(dense)} rows x {len(dense[0])} columns (k={h.k}, n={h.n})")
+k, n = c.m1 * c.p, c.m2 * c.p
+dense = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(c.expand()))
+print(f"parity check: {len(dense)} rows x {len(dense[0])} columns (k={k}, n={n})")

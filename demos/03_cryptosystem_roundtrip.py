@@ -13,21 +13,21 @@ that preimage's kernel coset for the unique one of weight <= e.
 
 import itertools
 
-from qcnied import ParityCheck, keygen, encrypt, decrypt
+from qcnied import keygen, encrypt, decrypt
 from qcnied import sample_compliant
 
 c = sample_compliant(5, 1, 2, 2, seed=3)
-h = ParityCheck(c)
 
-priv, pub = keygen(h, seed=9)
+# the private key holds C as its block first rows, as its key file does
+priv, pub = keygen(c, seed=9)
 print("error capacity e =", pub.e, "kernel dimension", len(priv.kernel))
 
 # the public matrix is the private one with rows mixed by an invertible
 # binary matrix and columns permuted; it looks nothing like [I | C].
 # It is held as n packed columns, entry i in bits [i*eta, (i+1)*eta).
-mask = (1 << pub.eta) - 1
+mask = (1 << pub.ctx.eta) - 1
 public_row0 = [col & mask for col in pub.hprime]
-private_row0 = list(h.expand()[0])
+private_row0 = [1] + [0] * (pub.k - 1) + list(c.expand()[0])
 print("private [I|C] first row:", private_row0)
 print("public  H'    first row:", public_row0)
 assert public_row0 != private_row0

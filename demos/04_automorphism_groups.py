@@ -9,7 +9,7 @@ one genuinely exceptional family escapes the affine bound while still
 passing every condition: that case trips the surveillance check.
 """
 
-from qcnied import BlockCirculant, FieldCtx, ParityCheck
+from qcnied import BlockCirculant, FieldCtx
 from qcnied import sample_compliant, stab_full, verify_lemma1
 
 ctx = FieldCtx(2)
@@ -24,7 +24,7 @@ for p1, p2 in sorted(g.elements)[:3]:
 
 # structural relation behind the group: undoing P1 on the rows of the
 # dense matrix is the same as applying the induced column permutation
-lem = verify_lemma1(ParityCheck(c), g)
+lem = verify_lemma1(c, g)
 print("relation checked on", lem.checked, "elements:", lem.ok)
 
 # constant block: every (P1, P2) works, the projection is all of S_5

@@ -13,7 +13,7 @@ import importlib
 
 # home submodule -> the public names it defines
 _EXPORTS = {
-    "circulant": "BlockCirculant CirculantBlock ParityCheck Perm act",
+    "circulant": "BlockCirculant CirculantBlock Perm act",
     "conditions": "ConditionReport Verdict check_i check_ii check_iii check_iv "
                   "check_v check_variant good_shape sample_compliant "
                   "sample_variant validate_all",

@@ -31,7 +31,7 @@ import math
 from itertools import chain, permutations, product
 
 from ._record import Record
-from .circulant import BlockCirculant, CirculantBlock, Dense, ParityCheck, Perm, act
+from .circulant import BlockCirculant, CirculantBlock, Dense, Perm, act
 from .errors import ConditionIIIViolated, EtaTooSmall, LemmaViolated, TooLarge
 
 # search nodes plus emitted pairs one stabilizer search may spend
@@ -159,9 +159,6 @@ class PairStab(Record):
 
     def row_projection(self) -> tuple[Perm, ...]:
         return tuple(sorted({p for p, _ in self.pairs}))
-
-    def col_projection(self) -> tuple[Perm, ...]:
-        return tuple(sorted({q for _, q in self.pairs}))
 
 
 def stab_block(b: CirculantBlock) -> PairStab:
@@ -378,8 +375,8 @@ class Lemma1Report(Record):
                  "checked", "ok")
 
 
-def verify_lemma1(h: ParityCheck, g: AutGroup) -> Lemma1Report:
-    """Confirm each element yields a genuine parity-check symmetry.
+def verify_lemma1(c: BlockCirculant, g: AutGroup) -> Lemma1Report:
+    """Confirm each element yields a genuine symmetry of H = [I | c].
 
     For (P1, P2) the scrambler A is the permutation matrix of P1^-1 and
     the column permutation is P1^-1 (+) P2; the relation to confirm is
@@ -392,7 +389,7 @@ def verify_lemma1(h: ParityCheck, g: AutGroup) -> Lemma1Report:
     """
     from .conditions import check_ii
 
-    c = h.c
+    dense_c = c.expand()
     witness: object = None
     premise_ok = True
     try:
@@ -406,13 +403,14 @@ def verify_lemma1(h: ParityCheck, g: AutGroup) -> Lemma1Report:
         witness = {"premise": "identity-like column present (condition ii fails)"}
     else:
         cols = {}
-        for j, key in enumerate(zip(*c.expand())):
+        for j, key in enumerate(zip(*dense_c)):
             if key in cols:
                 premise_ok = False
                 witness = {"premise": "repeated columns", "pair": [cols[key], j]}
                 break
             cols[key] = j
-    dense = h.expand()
+    k = c.m1 * c.p
+    dense = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(dense_c))
     relation_ok = True
     for p1, p2 in g.elements:
         sigma = p1.inv().dsum(p2)

@@ -3,8 +3,8 @@
 A circulant block of size p over GF(2^eta) is determined by its first row
 (c_0, ..., c_{p-1}); row i is that row cyclically shifted i places right,
 so entry (i, j) is c_{(j-i) mod p}. A block-circulant matrix is an
-m1 x (m2-m1) grid of such blocks sharing p and the field, and a parity
-check is the k x n matrix [I | C] with k = m1*p, n = m2*p.
+m1 x (m2-m1) grid of such blocks sharing p and the field; the parity
+check built on it is the k x n matrix [I | C] with k = m1*p, n = m2*p.
 
 A dense matrix is an immutable tuple of rows, each a tuple of ints, so
 two matrices are equal exactly when they compare equal as tuples, and
@@ -196,31 +196,6 @@ class BlockCirculant(Record):
         for row in self.blocks:
             for b in row:
                 yield b.first_row
-
-
-class ParityCheck(Record):
-    """Parity check [I | C] for a block-circulant C; k = m1*p, n = m2*p."""
-
-    __slots__ = ("c",)
-
-    @property
-    def ctx(self) -> FieldCtx:
-        return self.c.ctx
-
-    @property
-    def k(self) -> int:
-        return self.c.m1 * self.c.p
-
-    @property
-    def n(self) -> int:
-        return self.c.m2 * self.c.p
-
-    def expand(self) -> Dense:
-        k = self.k
-        return tuple(
-            (0,) * i + (1,) + (0,) * (k - 1 - i) + row
-            for i, row in enumerate(self.c.expand())
-        )
 
 
 def act(p_row: Perm, m: Dense, q_col: Perm) -> Dense:

@@ -257,16 +257,16 @@ def _cmd_search(p, m1, m2, eta, seed=None, variant=False, out=None) -> int:
 
 
 def _cmd_keygen(matrix, priv, pub, seed=None) -> int:
-    from .circulant import ParityCheck
     from .niederreiter import keygen
 
     # stdout carries the `e:` line, and one path would hold only the public key
     if "-" in (priv, pub):
         raise ParseError("keygen: --priv and --pub must name files, not stdout")
-    if os.path.realpath(priv) == os.path.realpath(pub):
+    if os.path.realpath(priv) == os.path.realpath(pub) or (
+            os.path.exists(priv) and os.path.exists(pub) and os.path.samefile(priv, pub)):
         raise ParseError(f"keygen: --priv and --pub name the same file {pub!r}")
     c = io.read_matrix(_read(matrix))
-    sk, pk = keygen(ParityCheck(c), _seed_of(seed))
+    sk, pk = keygen(c, _seed_of(seed))
     priv_text, pub_text = io.write_private_key(sk), io.write_public_key(pk)
     _emit(priv_text, priv)
     try:
@@ -293,7 +293,6 @@ def _parse_support(arg: str, n: int) -> tuple[int, ...]:
 
 
 def _cmd_encrypt(pub, support, out=None) -> int:
-    from .field import FieldCtx
     from .niederreiter import encrypt
 
     pk = io.read_public_key(_read(pub))
@@ -301,7 +300,7 @@ def _cmd_encrypt(pub, support, out=None) -> int:
     for j in _parse_support(support, pk.n):
         x[j] = 1
     y = encrypt(pk, x)
-    _emit(io.write_ciphertext(FieldCtx(pk.eta, pk.modulus), y), out)
+    _emit(io.write_ciphertext(pk.ctx, y), out)
     return 0
 
 
@@ -309,7 +308,7 @@ def _cmd_decrypt(priv, ciphertext, out=None) -> int:
     from .niederreiter import decrypt
 
     sk = io.read_private_key(_read(priv))
-    y = io.read_ciphertext(sk.h.ctx, _read(ciphertext), sk.h.k)
+    y = io.read_ciphertext(sk.ctx, _read(ciphertext), sk.k)
     x = decrypt(sk, y)
     support = ",".join(str(j) for j in range(len(x)) if x[j])
     _emit(support + "\n", out)

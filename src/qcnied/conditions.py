@@ -39,6 +39,8 @@ WAIVED = "waived"
 
 DESK_SCALE_MAX_P = 30
 VARIANT_RATIO_DEFAULT = 0.25
+MAX_ATTEMPTS = 10000       # draws a sampler makes before BudgetExhausted
+CONSTANT_FRACTION = 0.35   # chance that sample_variant draws a block constant
 
 
 class Verdict(Record):
@@ -184,17 +186,9 @@ def _draw_matrix(rng: random.Random, p: int, m1: int, m2: int, order: int, ctx) 
     return BlockCirculant.from_rows(ctx, p, m1, m2, rows)
 
 
-def sample_compliant(
-    p: int,
-    m1: int,
-    m2: int,
-    eta: int,
-    seed: int,
-    desk_scale: bool = True,
-    max_attempts: int = 10000,
-    ctx=None,
-) -> BlockCirculant:
-    """Uniform rejection sampling over matrices passing conditions i..v.
+def sample_compliant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCirculant:
+    """Uniform rejection sampling over matrices passing conditions i..v,
+    with v waived at desk scale.
 
     Draws every block first row uniformly and rejects until the full
     report passes, so the output is uniform over the compliant set.
@@ -203,53 +197,42 @@ def sample_compliant(
         raise OutOfRange(f"p must be prime, got {p}")
     if eta < 2:
         raise EtaTooSmall("compliant matrices need eta >= 2")
-    if ctx is None:
-        ctx = FieldCtx(eta)
+    ctx = FieldCtx(eta)
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         c = _draw_matrix(rng, p, m1, m2, ctx.order, ctx)
-        if validate_all(c, desk_scale=desk_scale).strict_ok():
+        if validate_all(c, desk_scale=True).strict_ok():
             return c
-    raise BudgetExhausted(f"no compliant matrix in {max_attempts} attempts")
+    raise BudgetExhausted(f"no compliant matrix in {MAX_ATTEMPTS} attempts")
 
 
-def sample_variant(
-    p: int,
-    m1: int,
-    m2: int,
-    eta: int,
-    seed: int,
-    desk_scale: bool = True,
-    max_attempts: int = 10000,
-    constant_fraction: float = 0.35,
-    ctx=None,
-) -> BlockCirculant:
+def sample_variant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCirculant:
     """Seeded sampler for the variant regime.
 
     Produces matrices that keep conditions ii and iii, give every
     block-row a condition-iv block (iv'), and contain at least one
     constant block, so condition i fails. Every block-column also keeps
     a non-constant block, which leaves the expanded columns pairwise
-    distinct. Blocks are drawn constant with fixed probability because
-    this set has negligible mass under the uniform draw.
+    distinct. Blocks are drawn constant with probability
+    CONSTANT_FRACTION because this set has negligible mass under the
+    uniform draw. Condition v is waived at desk scale.
     """
     if not is_prime(p):
         raise OutOfRange(f"p must be prime, got {p}")
     if eta < 2:
         raise EtaTooSmall("variant matrices need eta >= 2")
-    if ctx is None:
-        ctx = FieldCtx(eta)
+    ctx = FieldCtx(eta)
     rng = random.Random(seed)
     mc = m2 - m1
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         rows = []
         for _ in range(m1 * mc):
-            if rng.random() < constant_fraction:
+            if rng.random() < CONSTANT_FRACTION:
                 rows.append((rng.randrange(ctx.order),) * p)
             else:
                 rows.append(tuple(rng.randrange(ctx.order) for _ in range(p)))
         c = BlockCirculant.from_rows(ctx, p, m1, m2, rows)
-        rep = validate_all(c, desk_scale=desk_scale)
+        rep = validate_all(c, desk_scale=True)
         if rep.i.status != FAIL:
             continue
         if not (rep.ii.ok and rep.iii.ok and rep.iv_variant.ok and rep.v.ok):
@@ -260,4 +243,4 @@ def sample_variant(
         ):
             continue
         return c
-    raise BudgetExhausted(f"no variant matrix in {max_attempts} attempts")
+    raise BudgetExhausted(f"no variant matrix in {MAX_ATTEMPTS} attempts")

@@ -14,6 +14,10 @@ for byte.
               dense hex rows of H'. Both carry `p m1 m2 eta e`.
   ciphertext  k lines, one hex field element per line, no header.
 
+Every reader refuses a shape without p >= 1 and 1 <= m1 < m2. The key
+records are flat, as their files are, so the key readers build no
+circulant objects.
+
 The QCREP v1 report format lives in `report`, with the commands that
 write it. Each reader and writer imports the layer whose types it
 builds, so a command loads only the layers its files need.
@@ -42,6 +46,11 @@ def _parse_params(line: str, n_fields: int, what: str) -> list[int]:
     if len(toks) != n_fields:
         raise ParseError(f"{what}: expected {n_fields} fields, got {len(toks)}")
     return [_int_token(t, what) for t in toks]
+
+
+def _check_shape(p: int, m1: int, m2: int, what: str) -> None:
+    if p < 1 or m1 < 1 or m2 <= m1:
+        raise ParseError(f"{what}: bad shape p={p} m1={m1} m2={m2}")
 
 
 def _ctx_from(eta: int, modulus_hex: str) -> FieldCtx:
@@ -97,8 +106,7 @@ def read_matrix(text: str) -> BlockCirculant:
     body = lines[3:]
     if len(body) != n_blocks:
         raise ParseError(f"matrix file: expected {n_blocks} block rows, got {len(body)}")
-    if p < 1 or m1 < 1 or m2 <= m1:
-        raise ParseError(f"matrix file: bad shape p={p} m1={m1} m2={m2}")
+    _check_shape(p, m1, m2, "matrix file")
     rows = [_parse_row(ctx, line, p) for line in body]
     try:
         return BlockCirculant.from_rows(ctx, p, m1, m2, rows)
@@ -116,25 +124,25 @@ def _unpack_bits(tok: str, width: int) -> int:
 
 
 def _key_params(line: str) -> tuple[int, int, int, int, int]:
-    """`p m1 m2 eta e` of a key file; a capacity e above n = m2*p is refused."""
+    """`p m1 m2 eta e` of a key file; a bad shape or a capacity e above
+    n = m2*p is refused."""
     p, m1, m2, eta, e = _parse_params(line, 5, "key params")
+    _check_shape(p, m1, m2, "key params")
     if e > m2 * p:
         raise ParseError(f"key params: capacity e = {e} exceeds n = {m2 * p}")
     return p, m1, m2, eta, e
 
 
 def write_private_key(priv: PrivateKey) -> str:
-    c = priv.h.c
-    out = [NIEDQC_HEADER, "private", f"{c.p} {c.m1} {c.m2} {c.ctx.eta} {priv.e}",
-           format(c.ctx.modulus, "x")]
-    out.extend(format(row, f"0{(priv.h.k + 3) // 4}x") for row in priv.a0)
-    out.append(" ".join(str(i) for i in priv.b0.images))
-    out.extend(_format_row(c.ctx, row) for row in c.block_first_rows())
+    out = [NIEDQC_HEADER, "private", f"{priv.p} {priv.m1} {priv.m2} {priv.ctx.eta} {priv.e}",
+           format(priv.ctx.modulus, "x")]
+    out.extend(format(row, f"0{(priv.k + 3) // 4}x") for row in priv.a0)
+    out.append(" ".join(str(i) for i in priv.b0))
+    out.extend(_format_row(priv.ctx, row) for row in priv.rows)
     return "\n".join(out) + "\n"
 
 
 def read_private_key(text: str) -> PrivateKey:
-    from .circulant import BlockCirculant, ParityCheck, Perm
     from .niederreiter import PrivateKey
 
     lines = _lines(text, "private key")
@@ -150,11 +158,10 @@ def read_private_key(text: str) -> PrivateKey:
     if len(lines) != expect:
         raise ParseError(f"private key: expected {expect} lines, got {len(lines)}")
     a0 = tuple(_unpack_bits(lines[4 + i], k) for i in range(k))
-    images = _parse_params(lines[4 + k], n, "permutation images")
-    rows = [_parse_row(ctx, lines[5 + k + i], p) for i in range(n_blocks)]
+    b0 = tuple(_parse_params(lines[4 + k], n, "permutation images"))
+    rows = tuple(_parse_row(ctx, lines[5 + k + i], p) for i in range(n_blocks))
     try:
-        c = BlockCirculant.from_rows(ctx, p, m1, m2, rows)
-        return PrivateKey(a0=a0, h=ParityCheck(c), b0=Perm(images), e=e)
+        return PrivateKey(a0, rows, b0, p, m1, m2, ctx, e)
     except QcniedError as exc:
         raise ParseError(f"private key: {exc}") from exc
 
@@ -162,10 +169,10 @@ def read_private_key(text: str) -> PrivateKey:
 def write_public_key(pub: PublicKey) -> str:
     from .niederreiter import unpack_column
 
-    ctx = FieldCtx(pub.eta, pub.modulus)
-    out = [NIEDQC_HEADER, "public", f"{pub.p} {pub.m1} {pub.m2} {pub.eta} {pub.e}",
+    ctx = pub.ctx
+    out = [NIEDQC_HEADER, "public", f"{pub.p} {pub.m1} {pub.m2} {ctx.eta} {pub.e}",
            format(ctx.modulus, "x")]
-    columns = [unpack_column(col, pub.k, pub.eta) for col in pub.hprime]
+    columns = [unpack_column(col, pub.k, ctx.eta) for col in pub.hprime]
     out.extend(_format_row(ctx, row) for row in zip(*columns))
     return "\n".join(out) + "\n"
 
@@ -185,7 +192,7 @@ def read_public_key(text: str) -> PublicKey:
         raise ParseError(f"public key: expected {4 + k} lines, got {len(lines)}")
     rows = [_parse_row(ctx, lines[4 + i], n) for i in range(k)]
     hprime = tuple(pack_column(col, eta) for col in zip(*rows))
-    return PublicKey(hprime=hprime, p=p, m1=m1, m2=m2, eta=eta, e=e, modulus=ctx.modulus)
+    return PublicKey(hprime, p, m1, m2, ctx, e)
 
 
 def write_ciphertext(ctx: FieldCtx, y) -> str:

@@ -2,9 +2,11 @@
 
 The private key is (A0, H, B0, e): an invertible binary scrambler, a
 parity check H = [I | C], a column permutation and the error capacity.
-The public key is H' = A0 H B0 with e. A plaintext is a binary vector of
-weight at most e; its ciphertext is the syndrome H' x^T, the XOR of the
-columns on its support, so no field multiplication runs here.
+It holds them as its key file does: A0's bit-rows, C's block first
+rows, B0's image tuple and the shape. The public key is H' = A0 H B0
+with e. A plaintext is a binary vector of weight at most e; its
+ciphertext is the syndrome H' x^T, the XOR of the columns on its
+support, so no field multiplication runs here.
 
 Binary matrices are Python ints: A0 and A0^-1 are k bit-rows (bit j =
 column j) as the key file stores them; H, H' and syndromes are packed
@@ -29,7 +31,7 @@ from math import comb
 from operator import xor
 
 from ._record import Record
-from .errors import DecodeFailure, SizeMismatch, TooLarge, WeightTooHigh
+from .errors import DecodeFailure, OutOfRange, SizeMismatch, TooLarge, WeightTooHigh
 
 ENUM_BUDGET = 1 << 24
 
@@ -103,14 +105,15 @@ def unpack_column(packed: int, k: int, eta: int) -> tuple[int, ...]:
     return tuple((packed >> (i * eta)) & mask for i in range(k))
 
 
-def _columns(h: ParityCheck) -> list[int]:
-    """The n packed columns of H = [I | C]."""
-    c, eta, p = h.c, h.ctx.eta, h.c.p
-    cols = [1 << (i * eta) for i in range(h.k)]
-    for bj in range(c.n_block_cols):
+def _columns(rows, p: int, m1: int, m2: int, eta: int) -> list[int]:
+    """The n packed columns of H = [I | C], C given by its block first rows
+    in row-major grid order; entry (r, s) of a block is row[(s - r) % p]."""
+    mc = m2 - m1
+    cols = [1 << (i * eta) for i in range(m1 * p)]
+    for bj in range(mc):
         for s in range(p):
             cols.append(pack_column(
-                (c.block(bi, bj).first_row[(s - r) % p] for bi in range(c.m1) for r in range(p)),
+                (rows[bi * mc + bj][(s - r) % p] for bi in range(m1) for r in range(p)),
                 eta,
             ))
     return cols
@@ -150,37 +153,10 @@ def _capacity(cols: list[int], kernel: list[int]) -> int:
     raise AssertionError("a nonzero kernel vector must collide with zero")
 
 
-class PrivateKey(Record):
-    """A0, H, B0 and e, with what decryption derives from them once.
+class _Key(Record):
+    """Shape of a key: k = m1*p syndrome entries, n = m2*p columns."""
 
-    Construction inverts A0 (SizeMismatch when it is singular) and
-    eliminates H's binary syndrome map, so decrypt does neither. The
-    derived a0inv, pivots and kernel stay out of ==, hash and repr.
-    """
-
-    _fields = ("a0", "h", "b0", "e")
-    __slots__ = _fields + ("a0inv", "pivots", "kernel")
-
-    def __init__(self, a0: tuple[int, ...], h: ParityCheck, b0: Perm, e: int):
-        a0inv = _inverse(a0)
-        if a0inv is None:
-            raise SizeMismatch("A0 is singular over F2")
-        pivots, kernel = _echelon(_columns(h))
-        super().__init__(a0, h, b0, e)
-        object.__setattr__(self, "a0inv", a0inv)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "kernel", tuple(kernel))
-
-
-class PublicKey(Record):
-    """H' = A0 H B0 as n packed columns, with its shape and e.
-
-    modulus None means the default modulus for eta; it is carried so key
-    files round-trip even when the source matrix used another modulus.
-    """
-
-    __slots__ = ("hprime", "p", "m1", "m2", "eta", "e", "modulus")
-    _defaults = {"modulus": None}
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -191,32 +167,76 @@ class PublicKey(Record):
         return self.m2 * self.p
 
 
-def keygen(h: ParityCheck, seed: int) -> tuple[PrivateKey, PublicKey]:
-    """Find e, draw (A0, B0) from a seeded stream, publish H' = A0 H B0.
+class PrivateKey(_Key):
+    """A0's bit-rows, C's block first rows, B0's images, the shape, the
+    field and e, with what decryption derives from them once.
+
+    Construction refuses a shape without 1 <= m1 < m2 and p >= 1, block
+    rows of the wrong count, length or field, and a B0 that does not
+    permute range(n) (SizeMismatch or OutOfRange); it inverts A0
+    (SizeMismatch when singular) and eliminates H's binary syndrome map,
+    so decrypt does neither. The derived a0inv, pivots and kernel stay
+    out of ==, hash and repr.
+    """
+
+    _fields = ("a0", "rows", "b0", "p", "m1", "m2", "ctx", "e")
+    __slots__ = _fields + ("a0inv", "pivots", "kernel")
+
+    def __init__(self, a0: tuple[int, ...], rows, b0: tuple[int, ...],
+                 p: int, m1: int, m2: int, ctx: FieldCtx, e: int):
+        if p < 1 or not 1 <= m1 < m2:
+            raise SizeMismatch(f"need p >= 1 and 1 <= m1 < m2, got p={p} m1={m1} m2={m2}")
+        if len(rows) != m1 * (m2 - m1) or any(len(row) != p for row in rows):
+            raise SizeMismatch(f"expected {m1 * (m2 - m1)} block rows of {p} entries")
+        if any(not 0 <= a < ctx.order for row in rows for a in row):
+            raise OutOfRange(f"block entry outside [0, {ctx.order})")
+        if sorted(b0) != list(range(m2 * p)):
+            raise OutOfRange(f"not a permutation: {tuple(b0)}")
+        if len(a0) != m1 * p:
+            raise SizeMismatch(f"A0 has {len(a0)} rows, expected k = {m1 * p}")
+        a0inv = _inverse(a0)
+        if a0inv is None:
+            raise SizeMismatch("A0 is singular over F2")
+        pivots, kernel = _echelon(_columns(rows, p, m1, m2, ctx.eta))
+        super().__init__(a0, rows, b0, p, m1, m2, ctx, e)
+        object.__setattr__(self, "a0inv", a0inv)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "kernel", tuple(kernel))
+
+
+class PublicKey(_Key):
+    """H' = A0 H B0 as n packed columns, with its shape, field and e."""
+
+    __slots__ = ("hprime", "p", "m1", "m2", "ctx", "e")
+
+
+def keygen(c: BlockCirculant, seed: int) -> tuple[PrivateKey, PublicKey]:
+    """Find e, draw (A0, B0) from a seeded stream, publish H' = A0 H B0
+    for H = [I | c].
 
     A0 is rejection-sampled until invertible over F2; B0 is a
     Fisher-Yates shuffle from the same stream. TooLarge when the
     capacity enumeration exceeds ENUM_BUDGET.
     """
-    from .circulant import Perm
-
-    cols = _columns(h)
+    p, m1, m2, ctx = c.p, c.m1, c.m2, c.ctx
+    rows = tuple(c.block_first_rows())
+    cols = _columns(rows, p, m1, m2, ctx.eta)
     e = _capacity(cols, _echelon(cols)[1])
     rng = random.Random(seed)
-    k, n, eta = h.k, h.n, h.ctx.eta
+    k, n, eta = m1 * p, m2 * p, ctx.eta
     a0 = tuple(rng.getrandbits(k) for _ in range(k))
     while _inverse(a0) is None:
         a0 = tuple(rng.getrandbits(k) for _ in range(k))
-    images = list(range(n))
-    rng.shuffle(images)
-    b0 = Perm(images)
-    priv = PrivateKey(a0=a0, h=h, b0=b0, e=e)
-    hprime = tuple(_mix(a0, cols[b0(j)], eta) for j in range(n))
-    c = h.c
-    pub = PublicKey(hprime, c.p, c.m1, c.m2, eta, e, modulus=c.ctx.modulus)
+    b0 = list(range(n))
+    rng.shuffle(b0)
+    priv = PrivateKey(a0, rows, tuple(b0), p, m1, m2, ctx, e)
+    hprime = tuple(_mix(a0, cols[b0[j]], eta) for j in range(n))
+    pub = PublicKey(hprime, p, m1, m2, ctx, e)
     # key relation sanity: undoing A0 and B0 must restore the structured matrix
-    b0inv = b0.inv()
-    if any(_mix(priv.a0inv, hprime[b0inv(j)], eta) != cols[j] for j in range(n)):
+    b0inv = [0] * n
+    for j, i in enumerate(b0):
+        b0inv[i] = j
+    if any(_mix(priv.a0inv, hprime[b0inv[j]], eta) != cols[j] for j in range(n)):
         raise AssertionError("key relation A0^-1 H' B0^-1 == H failed")
     return priv, pub
 
@@ -232,7 +252,7 @@ def encrypt(pub: PublicKey, x) -> tuple[int, ...]:
     if weight > pub.e:
         raise WeightTooHigh(f"weight {weight} exceeds capacity e = {pub.e}")
     y = reduce(xor, (col for col, bit in zip(pub.hprime, x) if bit), 0)
-    return unpack_column(y, pub.k, pub.eta)
+    return unpack_column(y, pub.k, pub.ctx.eta)
 
 
 def decrypt(priv: PrivateKey, y) -> tuple[int, ...]:
@@ -242,8 +262,7 @@ def decrypt(priv: PrivateKey, y) -> tuple[int, ...]:
     than ENUM_BUDGET candidates; only a key whose e overstates the
     capacity can get there.
     """
-    h, e = priv.h, priv.e
-    k, n, eta = h.k, h.n, h.ctx.eta
+    e, k, n, eta = priv.e, priv.k, priv.n, priv.ctx.eta
     y = tuple(y)
     if len(y) != k:
         raise SizeMismatch(f"ciphertext length {len(y)} != k = {k}")
@@ -259,5 +278,5 @@ def decrypt(priv: PrivateKey, y) -> tuple[int, ...]:
         for combo in combinations(priv.kernel, w):
             z = reduce(xor, combo, z0)
             if z.bit_count() <= e:
-                return tuple(z >> priv.b0(j) & 1 for j in range(n))
+                return tuple(z >> priv.b0[j] & 1 for j in range(n))
     raise DecodeFailure(f"no preimage of weight <= {e}")

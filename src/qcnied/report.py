@@ -132,11 +132,10 @@ def _surveillance(c: "BlockCirculant", g: "AutGroup", threshold: float) -> tuple
 
 def _cmd_autgroup(matrix, threshold=None, out=None) -> int:
     from .autgroup import EXCEPTIONAL, stab_full, verify_lemma1
-    from .circulant import ParityCheck
 
     c = read_matrix(_read(matrix))
     g = stab_full(c)
-    lem = verify_lemma1(ParityCheck(c), g)
+    lem = verify_lemma1(c, g)
     verdict, tripped = _surveillance(c, g, _threshold(threshold))
     fields = [("kind", "autgroup")]
     fields += _shape_fields(c.p, c.m1, c.m2, c.ctx.eta)

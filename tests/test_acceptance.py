@@ -19,7 +19,7 @@ from math import factorial
 import pytest
 
 from qcnied import cli, io, report
-from qcnied.circulant import BlockCirculant, CirculantBlock, ParityCheck
+from qcnied.circulant import BlockCirculant, CirculantBlock
 from qcnied.conditions import good_shape, sample_compliant, sample_variant, validate_all
 from qcnied.distinguish import (
     class_size_sn,

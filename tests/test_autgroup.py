@@ -24,7 +24,7 @@ from qcnied.autgroup import (
     stab_full,
     verify_lemma1,
 )
-from qcnied.circulant import BlockCirculant, CirculantBlock, ParityCheck, Perm, act
+from qcnied.circulant import BlockCirculant, CirculantBlock, Perm, act
 from qcnied.conditions import check_iii, sample_compliant
 from qcnied.errors import ConditionIIIViolated, LemmaViolated, TooLarge
 from qcnied.field import FieldCtx
@@ -116,7 +116,7 @@ def _f2_rank(rows) -> int:
     return len(basis)
 
 
-def h_group_exhaustive(h: ParityCheck, max_n: int = 8) -> list[tuple[tuple, Perm]]:
+def h_group_exhaustive(c: BlockCirculant, max_n: int = 8) -> list[tuple[tuple, Perm]]:
     """Full symmetry search of [I | C] over all n! column permutations.
 
     Returns every (A, sigma) with A binary invertible and
@@ -124,11 +124,11 @@ def h_group_exhaustive(h: ParityCheck, max_n: int = 8) -> list[tuple[tuple, Perm
     columns, so no search over invertible matrices is needed. Reference
     oracle for small n only.
     """
-    n, k = h.n, h.k
+    n, k = c.m2 * c.p, c.m1 * c.p
     if n > max_n:
         raise TooLarge(f"{n}! column permutations exceed the exhaustive guard")
-    dense = h.expand()
-    cexp = h.c.expand()
+    cexp = c.expand()
+    dense = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(cexp))
     out = []
     for sigma in itertools.permutations(range(n)):
         hp = tuple(tuple(row[j] for j in sigma) for row in dense)
@@ -436,9 +436,8 @@ def test_column_orbit_three_two_shape_counterexample():
 
 def test_h_group_matches_stabilizer_at_p3():
     c = sample_compliant(3, 1, 2, 2, seed=5)
-    h = ParityCheck(c)
     g = stab_full(c)
-    pairs = h_group_exhaustive(h)
+    pairs = h_group_exhaustive(c)
     assert len(pairs) == g.order
     # the exhaustive search verifies A^-1 H P = H internally; confirm the
     # column permutations are exactly the ones the assembled group implies
@@ -450,13 +449,13 @@ def test_h_group_matches_stabilizer_at_p3():
 def test_h_group_size_guard():
     c = sample_compliant(5, 1, 2, 2, seed=1)
     with pytest.raises(TooLarge):
-        h_group_exhaustive(ParityCheck(c), max_n=8)
+        h_group_exhaustive(c, max_n=8)
 
 
 def test_verify_lemma1_on_compliant_matrix():
     c = sample_compliant(5, 1, 2, 2, seed=6)
     g = stab_full(c)
-    rep = verify_lemma1(ParityCheck(c), g)
+    rep = verify_lemma1(c, g)
     assert rep.ok and rep.premise_ok and rep.relation_ok and rep.uniqueness_ok
     assert rep.checked == g.order
 
@@ -467,14 +466,14 @@ def test_verify_lemma1_premise_failure_reported():
     # premise-failed report
     c = BlockCirculant.from_rows(CTX, 5, 1, 2, [(1, 1, 0, 1, 0)])
     g = stab_full(c)
-    rep = verify_lemma1(ParityCheck(c), g)
+    rep = verify_lemma1(c, g)
     assert not rep.premise_ok and not rep.ok
 
 
 def test_verify_lemma1_eta1_premise():
     c = BlockCirculant.from_rows(FieldCtx(1), 5, 1, 2, [(1, 1, 0, 1, 0)])
     g = stab_full(c)
-    rep = verify_lemma1(ParityCheck(c), g)
+    rep = verify_lemma1(c, g)
     assert not rep.premise_ok
 
 
@@ -484,10 +483,10 @@ def test_verify_lemma1_rejects_a_non_symmetry():
                      block_labels={}, method="report")
     c = sample_compliant(5, 1, 2, 2, seed=6)
     with pytest.raises(LemmaViolated):
-        verify_lemma1(ParityCheck(c), bogus)
+        verify_lemma1(c, bogus)
     # with the premise already failed the relation is reported, not raised
     degenerate = BlockCirculant.from_rows(CTX, 5, 1, 2, [(1, 1, 0, 1, 0)])
-    rep = verify_lemma1(ParityCheck(degenerate), bogus)
+    rep = verify_lemma1(degenerate, bogus)
     assert not rep.premise_ok and not rep.relation_ok
 
 
@@ -497,4 +496,4 @@ def test_full_group_on_fano_matrix():
     assert g.order == 168
     assert g.classification == EXCEPTIONAL
     assert g.min_degree_pi1 == 4
-    assert verify_lemma1(ParityCheck(c), g).ok
+    assert verify_lemma1(c, g).ok

@@ -8,7 +8,6 @@ import pytest
 from qcnied.circulant import (
     BlockCirculant,
     CirculantBlock,
-    ParityCheck,
     Perm,
     act,
 )
@@ -134,15 +133,6 @@ def test_block_circulant_shape_validation():
         BlockCirculant.from_rows(CTX, 3, 1, 3, [(0, 1, 2)])
     with pytest.raises(SizeMismatch):
         BlockCirculant.from_rows(CTX, 3, 1, 2, [(0, 1)])
-
-
-def test_parity_check_is_systematic():
-    c = BlockCirculant.from_rows(CTX, 3, 1, 2, [(0, 1, 2)])
-    h = ParityCheck(c)
-    m = h.expand()
-    assert h.k == 3 and h.n == 6
-    assert tuple(row[:3] for row in m) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert tuple(row[3:] for row in m) == c.expand()
 
 
 def test_perm_equivalent_matches_exhaustive_search():

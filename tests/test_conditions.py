@@ -2,6 +2,7 @@
 
 import pytest
 
+from qcnied import conditions
 from qcnied.circulant import BlockCirculant
 from qcnied.conditions import (
     DESK_SCALE_MAX_P,
@@ -141,14 +142,17 @@ def test_sample_compliant_is_deterministic_and_compliant():
     assert validate_all(c, desk_scale=True).strict_ok()
 
 
-def test_sample_compliant_rejections():
+def test_sample_compliant_rejections(monkeypatch):
     with pytest.raises(OutOfRange):
         sample_compliant(6, 1, 2, 2, seed=0)
     with pytest.raises(EtaTooSmall):
         sample_compliant(5, 1, 2, 1, seed=0)
+    # with no draws allowed, both samplers give up
+    monkeypatch.setattr(conditions, "MAX_ATTEMPTS", 0)
     with pytest.raises(BudgetExhausted):
-        # a single draw cannot pass every condition at this shape
-        sample_compliant(5, 1, 2, 2, seed=0, max_attempts=0)
+        sample_compliant(5, 1, 2, 2, seed=0)
+    with pytest.raises(BudgetExhausted):
+        sample_variant(5, 1, 2, 2, seed=0)
 
 
 def test_sample_variant_regime():

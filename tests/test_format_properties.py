@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcnied import io
-from qcnied.circulant import BlockCirculant, ParityCheck, Perm
+from qcnied.circulant import BlockCirculant
 from qcnied.errors import ParseError
 from qcnied.field import FieldCtx, is_irreducible
 from qcnied.niederreiter import PrivateKey, PublicKey
@@ -36,12 +36,14 @@ def matrices(draw):
 
 @st.composite
 def private_keys(draw):
-    h = ParityCheck(draw(matrices()))
+    c = draw(matrices())
+    k, n = c.m1 * c.p, c.m2 * c.p
     # a unit lower-triangular matrix with its rows shuffled is invertible
-    lower = [(1 << i) | draw(st.integers(0, (1 << i) - 1)) for i in range(h.k)]
+    lower = [(1 << i) | draw(st.integers(0, (1 << i) - 1)) for i in range(k)]
     a0 = tuple(draw(st.permutations(lower)))
-    b0 = Perm(draw(st.permutations(range(h.n))))
-    return PrivateKey(a0=a0, h=h, b0=b0, e=draw(st.integers(0, h.n)))
+    b0 = tuple(draw(st.permutations(range(n))))
+    rows = tuple(c.block_first_rows())
+    return PrivateKey(a0, rows, b0, c.p, c.m1, c.m2, c.ctx, draw(st.integers(0, n)))
 
 
 @st.composite
@@ -51,7 +53,7 @@ def public_keys(draw):
     column = st.integers(0, (1 << (k * eta)) - 1)
     hprime = tuple(draw(st.lists(column, min_size=n, max_size=n)))
     e = draw(st.integers(0, n))
-    return PublicKey(hprime, c.p, c.m1, c.m2, eta, e, modulus=c.ctx.modulus)
+    return PublicKey(hprime, c.p, c.m1, c.m2, c.ctx, e)
 
 
 FORMATS = {

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qcnied import cli, io, report
-from qcnied.circulant import BlockCirculant, ParityCheck, Perm
+from qcnied.circulant import BlockCirculant, Perm
 from qcnied.cli import main
 from qcnied.conditions import sample_compliant, sample_variant
 from qcnied.distinguish import dk_bound
@@ -28,7 +28,7 @@ def c512():
 
 
 def keypair(c, seed=9):
-    return keygen(ParityCheck(c), seed)
+    return keygen(c, seed)
 
 
 # ---------------------------------------------------------------- formats
@@ -93,7 +93,8 @@ def test_private_key_roundtrip(c512):
     assert back.e == priv.e
     assert back.a0 == priv.a0 and back.a0inv == priv.a0inv
     assert back.b0 == priv.b0
-    assert list(back.h.c.block_first_rows()) == list(c512.block_first_rows())
+    assert back.rows == tuple(c512.block_first_rows())
+    assert back == priv
     assert io.write_private_key(back) == text
 
 
@@ -142,6 +143,24 @@ def test_private_key_rejections(c512, tmp_path):
     assert main(["decrypt", str(sk), str(ct)]) == 2
 
 
+def test_key_readers_refuse_degenerate_shapes(tmp_path, capsys):
+    # p = 0 (so k = n = 0), m1 > m2 and m1 = m2, refused as read_matrix
+    # refuses them, before encrypt would write an empty or bogus ciphertext
+    pk = tmp_path / "pk"
+    for params, rows in (("0 1 2 2 0", []), ("1 2 1 2 0", ["0", "0"]), ("1 1 1 2 0", ["0"])):
+        text = "\n".join(["NIEDQC v1", "public", params, "7"] + rows) + "\n"
+        with pytest.raises(ParseError, match="bad shape"):
+            io.read_public_key(text)
+        pk.write_text(text)
+        capsys.readouterr()
+        assert main(["encrypt", str(pk), "--support", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        private = "\n".join(["NIEDQC v1", "private", params, "7"] + rows + ["0"]) + "\n"
+        with pytest.raises(ParseError, match="bad shape"):
+            io.read_private_key(private)
+
+
 def test_key_capacity_is_a_count_at_most_n(c512, tmp_path):
     priv, pub = keypair(c512)
     assert (priv.e, pub.n) == (4, 10)
@@ -163,17 +182,14 @@ def test_public_key_roundtrip_custom_modulus():
     _priv, pub = keypair(c)
     text = io.write_public_key(pub)
     back = io.read_public_key(text)
-    assert back.modulus == 0b1101
-    assert back.hprime == pub.hprime
-    assert (back.p, back.m1, back.m2, back.eta, back.e) == (
-        pub.p, pub.m1, pub.m2, pub.eta, pub.e,
-    )
+    assert back.ctx == ctx and back.ctx.modulus == 0b1101
+    assert back == pub
     assert io.write_public_key(back) == text
 
 
 def test_ciphertext_roundtrip(c512):
     _priv, pub = keypair(c512)
-    ctx = FieldCtx(pub.eta, pub.modulus)
+    ctx = pub.ctx
     y = encrypt(pub, [1, 0, 0, 1] + [0] * 6)
     text = io.write_ciphertext(ctx, y)
     assert io.read_ciphertext(ctx, text, pub.k) == tuple(y)
@@ -490,6 +506,13 @@ def test_cli_keygen_key_paths(tmp_path, capsys, monkeypatch, c512):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["link", "m.qcm"], (priv, pub)
+    # two names of one file, hard-linked: refused before either is written
+    (tmp_path / "k").write_text("old\n")
+    os.link("k", "h")
+    assert main(["keygen", "m.qcm", "--priv", "k", "--pub", "h"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "k").read_text() == "old\n"
 
 
 def test_cli_encrypt_rejections(tmp_path, capsys, c512):
@@ -655,7 +678,7 @@ MODULE_TABLE = [
     ("validate m.qcm --desk-scale -o v.qcr", ("_record", "circulant", "conditions", "report")),
     ("keygen m.qcm --seed 9 --priv sk --pub pk", ("_record", "circulant", "niederreiter")),
     ("encrypt pk --support 0,3 -o ct", ("_record", "niederreiter")),
-    ("decrypt sk ct -o out", ("_record", "circulant", "niederreiter")),
+    ("decrypt sk ct -o out", ("_record", "niederreiter")),
     ("autgroup m.qcm -o g.qcr",
      ("_record", "circulant", "conditions", "autgroup", "report")),
     ("bound --report g.qcr -o b.qcr", ("_record", "circulant", "distinguish", "report")),

@@ -5,7 +5,7 @@ import pytest
 
 from qcnied._record import Record
 from qcnied.autgroup import AutGroup, Lemma1Report, PairStab
-from qcnied.circulant import BlockCirculant, CirculantBlock, ParityCheck, Perm
+from qcnied.circulant import BlockCirculant, CirculantBlock, Perm
 from qcnied.conditions import ConditionReport, Verdict
 from qcnied.distinguish import BoundReport, EnvelopeStats
 from qcnied.field import FieldCtx
@@ -15,8 +15,8 @@ CTX = FieldCtx(2)
 BLOCK = CirculantBlock(CTX, (0, 1, 2))
 OTHER_BLOCK = CirculantBlock(CTX, (1, 2, 3))
 GRID = BlockCirculant(CTX, 3, 1, 2, ((BLOCK,),))
-OTHER_GRID = BlockCirculant(CTX, 3, 1, 2, ((OTHER_BLOCK,),))
-PRIV, PUB = keygen(ParityCheck(GRID), seed=1)
+PRIV, PUB = keygen(GRID, seed=1)
+PRIV_FIELDS = (PRIV.a0, PRIV.rows, PRIV.b0, 3, 1, 2, CTX)
 SHIFT = (Perm.shift(3, 1), Perm.shift(3, 2))
 PASS, FAIL = Verdict("pass"), Verdict("fail", (0, 1))
 
@@ -24,9 +24,8 @@ PASS, FAIL = Verdict("pass"), Verdict("fail", (0, 1))
 SAMPLES = {
     CirculantBlock: ((CTX, (0, 1, 2)), (CTX, (1, 2, 3))),
     BlockCirculant: ((CTX, 3, 1, 2, ((BLOCK,),)), (CTX, 3, 1, 2, ((OTHER_BLOCK,),))),
-    ParityCheck: ((GRID,), (OTHER_GRID,)),
-    PrivateKey: ((PRIV.a0, PRIV.h, PRIV.b0, PRIV.e), (PRIV.a0, PRIV.h, PRIV.b0, PRIV.e - 1)),
-    PublicKey: ((PUB.hprime, 3, 1, 2, 2, PUB.e, None), (PUB.hprime, 3, 1, 2, 2, PUB.e, 7)),
+    PrivateKey: (PRIV_FIELDS + (PRIV.e,), PRIV_FIELDS + (PRIV.e - 1,)),
+    PublicKey: ((PUB.hprime, 3, 1, 2, CTX, PUB.e), (PUB.hprime, 3, 1, 2, CTX, PUB.e - 1)),
     Verdict: (("fail", (0, 1)), ("fail", (1, 0))),
     ConditionReport: ((PASS,) * 7, (PASS,) * 6 + (FAIL,)),
     PairStab: ((BLOCK, (SHIFT,)), (OTHER_BLOCK, (SHIFT,))),
@@ -90,7 +89,7 @@ def test_value_types_are_frozen_records(cls):
 def test_record_defaults_and_repr():
     assert Verdict("pass") == Verdict("pass", None)
     assert repr(Verdict("pass")) == "Verdict(status='pass', witness=None)"
-    assert PublicKey(PUB.hprime, 3, 1, 2, 2, PUB.e).modulus is None
+    assert Verdict(status="fail").witness is None
     r = BoundReport("envelope", 5, 10, 25, 1.5, -2.0, -3.0, -1.9, 4.0, 0)
     assert (r.p, r.m1, r.m2) == (None, None, None)
     assert repr(EnvelopeStats(25, 4, 5, 6)) == (
@@ -99,7 +98,7 @@ def test_record_defaults_and_repr():
 
 
 def test_private_key_equality_ignores_derived_fields():
-    twin = PrivateKey(PRIV.a0, PRIV.h, PRIV.b0, PRIV.e)
+    twin = PrivateKey(*PRIV_FIELDS, PRIV.e)
     object.__setattr__(twin, "pivots", {})
     object.__setattr__(twin, "kernel", ())
     assert twin == PRIV and hash(twin) == hash(PRIV)
