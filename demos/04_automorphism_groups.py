@@ -16,7 +16,7 @@ ctx = FieldCtx(2)
 
 c = sample_compliant(5, 1, 2, 2, seed=1)
 g = stab_full(c)
-print("compliant block:", list(c.block_first_rows()))
+print("compliant block:", list(c.rows))
 print("order", g.order, "classification", g.classification)
 print("min degree rows", g.min_degree_pi1, "cols", g.min_degree_pi2)
 for p1, p2 in sorted(g.elements)[:3]:
@@ -28,7 +28,7 @@ lem = verify_lemma1(c, g)
 print("relation checked on", lem.checked, "elements:", lem.ok)
 
 # constant block: every (P1, P2) works, the projection is all of S_5
-flat = BlockCirculant.from_rows(ctx, 5, 1, 2, [(2, 2, 2, 2, 2)])
+flat = BlockCirculant(ctx, 5, 1, 2, [(2, 2, 2, 2, 2)])
 g = stab_full(flat)
 rows = {p1 for p1, _ in g.elements}
 print("\nconstant block order", g.order, "row projection", len(rows), g.classification)
@@ -36,7 +36,7 @@ print("\nconstant block order", g.order, "row projection", len(rows), g.classifi
 # the exceptional case: minority positions {3, 4, 6} form a planar
 # difference set mod 7, so the stabilizer is the order-168 simple group
 # acting on the 7 positions, far beyond the affine ceiling 42
-fano = BlockCirculant.from_rows(ctx, 7, 1, 2, [(3, 3, 3, 1, 1, 3, 1)])
+fano = BlockCirculant(ctx, 7, 1, 2, [(3, 3, 3, 1, 1, 3, 1)])
 g = stab_full(fano)
 print("\ndifference-set block order", g.order, g.classification)
 print("min degree", g.min_degree_pi1, "(affine elements move at least p-1 = 6)")

@@ -31,7 +31,7 @@ import math
 from itertools import chain, permutations, product
 
 from ._record import Record
-from .circulant import BlockCirculant, CirculantBlock, Dense, Perm, act
+from .circulant import BlockCirculant, Dense, Perm, act, expand_row
 from .errors import ConditionIIIViolated, EtaTooSmall, LemmaViolated, TooLarge
 
 # search nodes plus emitted pairs one stabilizer search may spend
@@ -149,9 +149,9 @@ def _stabilizing_pairs(rows: Dense) -> tuple[tuple[Perm, Perm], ...]:
 
 
 class PairStab(Record):
-    """Pair stabilizer of one circulant block: the block and its sorted pairs."""
+    """Pair stabilizer of one circulant block: its first row and its sorted pairs."""
 
-    __slots__ = ("block", "pairs")
+    __slots__ = ("row", "pairs")
 
     @property
     def order(self) -> int:
@@ -161,14 +161,16 @@ class PairStab(Record):
         return tuple(sorted({p for p, _ in self.pairs}))
 
 
-def stab_block(b: CirculantBlock) -> PairStab:
-    """Pair stabilizer of one block, exact at every p.
+def stab_block(row: tuple[int, ...]) -> PairStab:
+    """Pair stabilizer of the circulant block with this first row, exact
+    at every p.
 
     Every block contains the shift pair (i -> i+1, j -> j-1), so the
     result is never trivial. When block columns repeat, all matching
     column permutations are listed.
     """
-    return PairStab(block=b, pairs=_stabilizing_pairs(b.expand()))
+    row = tuple(row)
+    return PairStab(row=row, pairs=_stabilizing_pairs(expand_row(row)))
 
 
 def classify(ps: PairStab) -> str:
@@ -179,8 +181,8 @@ def classify(ps: PairStab) -> str:
     """
     from .conditions import good_shape
 
-    p = ps.block.p
-    if not good_shape(ps.block.first_row):
+    p = len(ps.row)
+    if not good_shape(ps.row):
         return SYMMETRIC
     projection = ps.row_projection()
     if all(is_affine(perm, p) for perm in projection):
@@ -316,10 +318,10 @@ def stab_full(c: BlockCirculant) -> AutGroup:
     """
     from .conditions import check_iii
 
-    m1, mc, p = c.m1, c.n_block_cols, c.p
+    m1, mc, p = c.m1, c.m2 - c.m1, c.p
     dense = c.expand()
-    blocks = {(i, j): c.block(i, j) for i in range(m1) for j in range(mc)}
-    stabs = {ij: stab_block(b) for ij, b in blocks.items() if len(set(b.first_row)) > 1}
+    blocks = {divmod(index, mc): row for index, row in enumerate(c.rows)}
+    stabs = {ij: stab_block(row) for ij, row in blocks.items() if len(set(row)) > 1}
     labels = {ij: classify(stabs[ij]) if ij in stabs else SYMMETRIC for ij in blocks}
     if check_iii(c).status == "fail":
         k = m1 * p

@@ -3,8 +3,9 @@
 A circulant block of size p over GF(2^eta) is determined by its first row
 (c_0, ..., c_{p-1}); row i is that row cyclically shifted i places right,
 so entry (i, j) is c_{(j-i) mod p}. A block-circulant matrix is an
-m1 x (m2-m1) grid of such blocks sharing p and the field; the parity
-check built on it is the k x n matrix [I | C] with k = m1*p, n = m2*p.
+m1 x (m2-m1) grid of such blocks sharing p and the field, held as their
+first rows; the parity check built on it is the k x n matrix [I | C]
+with k = m1*p, n = m2*p.
 
 A dense matrix is an immutable tuple of rows, each a tuple of ints, so
 two matrices are equal exactly when they compare equal as tuples, and
@@ -106,96 +107,49 @@ class Perm:
         return f"Perm{self.images}"
 
 
-class CirculantBlock(Record):
-    """One p x p circulant block over GF(2^eta), held as its first row.
+def check_shape(p: int, m1: int, m2: int) -> None:
+    """Refuse a shape without p >= 1 and 1 <= m1 < m2 (SizeMismatch)."""
+    if p < 1 or not 1 <= m1 < m2:
+        raise SizeMismatch(f"need p >= 1 and 1 <= m1 < m2, got p={p} m1={m1} m2={m2}")
 
+
+def expand_row(row: tuple[int, ...]) -> Dense:
+    """Dense p x p circulant of a first row: entry (i, j) = row[(j - i) mod p]."""
+    return tuple(row[-i:] + row[:-i] for i in range(len(row)))
+
+
+class BlockCirculant(Record):
+    """C as its QCMAT file carries it: the field, the shape and the
+    m1 * (m2 - m1) block first rows in row-major grid order, so block
+    (i, j) has first row rows[i * (m2 - m1) + j].
+
+    Construction refuses a bad shape, then rows of the wrong count or
+    length (SizeMismatch), then an entry outside the field (OutOfRange).
     p is not forced prime here; primality is a compliance condition and
     is reported by the condition checkers rather than enforced on the
     container.
     """
 
-    __slots__ = ("ctx", "first_row")
+    __slots__ = ("ctx", "p", "m1", "m2", "rows")
 
-    def __init__(self, ctx: FieldCtx, first_row):
-        first_row = tuple(first_row)
-        for a in first_row:
-            ctx.check(a)
-        if not first_row:
-            raise SizeMismatch("empty block")
-        super().__init__(ctx, first_row)
-
-    @property
-    def p(self) -> int:
-        return len(self.first_row)
-
-    def expand(self) -> Dense:
-        """Dense p x p matrix with entry (i, j) = first_row[(j - i) mod p]."""
-        row = self.first_row
-        return tuple(row[-i:] + row[:-i] for i in range(self.p))
-
-    def multiplicity(self, a: int) -> int:
-        """How many first-row coefficients equal a."""
-        self.ctx.check(a)
-        return self.first_row.count(a)
-
-    def multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(self.first_row))
-
-    def multiplicity_classes(self) -> tuple[int, ...]:
-        """Sorted multiplicities of the distinct coefficient values."""
-        return tuple(sorted(self.first_row.count(v) for v in set(self.first_row)))
-
-
-class BlockCirculant(Record):
-    """m1 x (m2 - m1) grid of circulant blocks sharing p and the field."""
-
-    __slots__ = ("ctx", "p", "m1", "m2", "blocks")
-
-    def __init__(self, ctx: FieldCtx, p: int, m1: int, m2: int, blocks):
-        if not (1 <= m1 < m2):
-            raise SizeMismatch(f"need 1 <= m1 < m2, got m1={m1} m2={m2}")
-        blocks = tuple(tuple(r) for r in blocks)
-        if len(blocks) != m1 or any(len(r) != m2 - m1 for r in blocks):
-            raise SizeMismatch("block grid shape does not match m1, m2")
-        for r in blocks:
-            for b in r:
-                if b.p != p or b.ctx != ctx:
-                    raise SizeMismatch("blocks disagree on p or field")
-        super().__init__(ctx, p, m1, m2, blocks)
-
-    @classmethod
-    def from_rows(cls, ctx: FieldCtx, p: int, m1: int, m2: int, rows) -> "BlockCirculant":
-        """Build from an iterable of first rows in row-major grid order."""
-        rows = [tuple(r) for r in rows]
-        mc = m2 - m1
-        if len(rows) != m1 * mc:
-            raise SizeMismatch(f"expected {m1 * mc} block rows, got {len(rows)}")
-        grid = tuple(
-            tuple(CirculantBlock(ctx, rows[i * mc + j]) for j in range(mc))
-            for i in range(m1)
-        )
-        return cls(ctx, p, m1, m2, grid)
-
-    def block(self, i: int, j: int) -> CirculantBlock:
-        return self.blocks[i][j]
-
-    @property
-    def n_block_cols(self) -> int:
-        return self.m2 - self.m1
+    def __init__(self, ctx: FieldCtx, p: int, m1: int, m2: int, rows):
+        check_shape(p, m1, m2)
+        rows = tuple(tuple(row) for row in rows)
+        if len(rows) != m1 * (m2 - m1) or any(len(row) != p for row in rows):
+            raise SizeMismatch(f"expected {m1 * (m2 - m1)} block rows of {p} entries")
+        if any(not 0 <= a < ctx.order for row in rows for a in row):
+            raise OutOfRange(f"block entry outside [0, {ctx.order})")
+        super().__init__(ctx, p, m1, m2, rows)
 
     def expand(self) -> Dense:
         """Dense (m1*p) x ((m2-m1)*p) matrix."""
+        mc = self.m2 - self.m1
+        blocks = [expand_row(row) for row in self.rows]
         return tuple(
             sum(parts, ())
-            for row in self.blocks
-            for parts in zip(*(b.expand() for b in row))
+            for i in range(0, len(blocks), mc)
+            for parts in zip(*blocks[i:i + mc])
         )
-
-    def block_first_rows(self):
-        """First rows in row-major grid order (serialization order)."""
-        for row in self.blocks:
-            for b in row:
-                yield b.first_row
 
 
 def act(p_row: Perm, m: Dense, q_col: Perm) -> Dense:

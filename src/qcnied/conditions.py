@@ -9,7 +9,14 @@ GF(2^eta):
        meaningless at eta = 1, which is rejected outright.
   iii  no two expanded rows of C from distinct block-rows are permutation
        equivalent, and likewise for expanded columns of C from distinct
-       block-columns. Multiset comparison decides this exactly.
+       block-columns. Multiset comparison decides this exactly, and C is
+       never expanded for it: each expanded row of block-row i is made of
+       rotations of that block-row's first rows, and each column of a
+       circulant holds its first row's entries, so every row of block-row
+       i has the multiset of those first rows together, and likewise every
+       column of block-column j. Comparing these m1 block-row and m2 - m1
+       block-column multisets gives the same verdict, and the first
+       colliding pair (a, b) names the expanded rows or columns a*p, b*p.
   iv   at least one block has a first-row multiset that is neither
        {a x p} nor {a x (p-1), b x 1}: at least three multiplicity
        classes, or two classes both of size >= 2.
@@ -29,7 +36,7 @@ from __future__ import annotations
 import random
 
 from ._record import Record
-from .circulant import BlockCirculant
+from .circulant import BlockCirculant, check_shape
 from .errors import BudgetExhausted, EtaTooSmall, OutOfRange
 from .field import FieldCtx, is_prime
 
@@ -79,10 +86,14 @@ def _constant_row(row: tuple[int, ...]) -> bool:
     return len(set(row)) == 1
 
 
+def _classes(row: tuple[int, ...]) -> list[int]:
+    """Sorted multiplicities of the distinct values of a first row."""
+    return sorted(row.count(v) for v in set(row))
+
+
 def _near_constant_row(row: tuple[int, ...]) -> bool:
     """Shape {a x (p-1), b x 1} with a != b."""
-    counts = sorted(row.count(v) for v in set(row))
-    return counts == [1, len(row) - 1]
+    return _classes(row) == [1, len(row) - 1]
 
 
 def good_shape(row: tuple[int, ...]) -> bool:
@@ -91,47 +102,41 @@ def good_shape(row: tuple[int, ...]) -> bool:
 
 
 def check_i(c: BlockCirculant) -> Verdict:
-    for i, row in enumerate(c.blocks):
-        for j, b in enumerate(row):
-            if _constant_row(b.first_row):
-                return Verdict(FAIL, {"block": [i, j], "value": b.first_row[0]})
+    for index, row in enumerate(c.rows):
+        if _constant_row(row):
+            return Verdict(FAIL, {"block": list(divmod(index, c.m2 - c.m1)), "value": row[0]})
     return Verdict(PASS)
 
 
 def check_ii(c: BlockCirculant) -> Verdict:
     if c.ctx.eta < 2:
         raise EtaTooSmall("condition ii needs a proper extension field (eta >= 2)")
-    for j in range(c.n_block_cols):
-        if not any(
-            any(a >= 2 for a in c.block(i, j).first_row) for i in range(c.m1)
-        ):
+    mc = c.m2 - c.m1
+    for j in range(mc):
+        if not any(a >= 2 for row in c.rows[j::mc] for a in row):
             return Verdict(FAIL, {"block_col": j})
     return Verdict(PASS)
 
 
 def check_iii(c: BlockCirculant) -> Verdict:
-    p = c.p
-    dense = c.expand()
-    row_ms = [tuple(sorted(row)) for row in dense]
-    for i in range(len(row_ms)):
-        for i2 in range(i + 1, len(row_ms)):
-            if i // p != i2 // p and row_ms[i] == row_ms[i2]:
-                return Verdict(FAIL, {"side": "rows", "pair": [i, i2]})
-    col_ms = [tuple(sorted(col)) for col in zip(*dense)]
-    for j in range(len(col_ms)):
-        for j2 in range(j + 1, len(col_ms)):
-            if j // p != j2 // p and col_ms[j] == col_ms[j2]:
-                return Verdict(FAIL, {"side": "cols", "pair": [j, j2]})
+    mc = c.m2 - c.m1
+    block_rows = [sorted(a for row in c.rows[i * mc:(i + 1) * mc] for a in row)
+                  for i in range(c.m1)]
+    block_cols = [sorted(a for row in c.rows[j::mc] for a in row) for j in range(mc)]
+    for side, multisets in (("rows", block_rows), ("cols", block_cols)):
+        for a, multiset in enumerate(multisets):
+            for b in range(a + 1, len(multisets)):
+                if multisets[b] == multiset:
+                    return Verdict(FAIL, {"side": side, "pair": [a * c.p, b * c.p]})
     return Verdict(PASS)
 
 
 def check_iv(c: BlockCirculant) -> Verdict:
     shapes = []
-    for i, row in enumerate(c.blocks):
-        for j, b in enumerate(row):
-            if good_shape(b.first_row):
-                return Verdict(PASS)
-            shapes.append([i, j, list(b.multiplicity_classes())])
+    for index, row in enumerate(c.rows):
+        if good_shape(row):
+            return Verdict(PASS)
+        shapes.append([*divmod(index, c.m2 - c.m1), _classes(row)])
     return Verdict(FAIL, {"all_blocks_degenerate": shapes})
 
 
@@ -155,8 +160,9 @@ def check_variant(
         vi = Verdict(PASS, {"ratio": ratio})
     else:
         vi = Verdict(FAIL, {"ratio": ratio, "threshold": ratio_threshold})
-    for i, row in enumerate(c.blocks):
-        if not any(good_shape(b.first_row) for b in row):
+    mc = c.m2 - c.m1
+    for i in range(c.m1):
+        if not any(good_shape(row) for row in c.rows[i * mc:(i + 1) * mc]):
             return vi, Verdict(FAIL, {"block_row": i})
     return vi, Verdict(PASS)
 
@@ -183,7 +189,7 @@ def _draw_matrix(rng: random.Random, p: int, m1: int, m2: int, order: int, ctx) 
         tuple(rng.randrange(order) for _ in range(p))
         for _ in range(m1 * (m2 - m1))
     ]
-    return BlockCirculant.from_rows(ctx, p, m1, m2, rows)
+    return BlockCirculant(ctx, p, m1, m2, rows)
 
 
 def sample_compliant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCirculant:
@@ -191,8 +197,10 @@ def sample_compliant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCirc
     with v waived at desk scale.
 
     Draws every block first row uniformly and rejects until the full
-    report passes, so the output is uniform over the compliant set.
+    report passes, so the output is uniform over the compliant set. A bad
+    shape is refused before the first draw.
     """
+    check_shape(p, m1, m2)
     if not is_prime(p):
         raise OutOfRange(f"p must be prime, got {p}")
     if eta < 2:
@@ -215,8 +223,10 @@ def sample_variant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCircul
     a non-constant block, which leaves the expanded columns pairwise
     distinct. Blocks are drawn constant with probability
     CONSTANT_FRACTION because this set has negligible mass under the
-    uniform draw. Condition v is waived at desk scale.
+    uniform draw. Condition v is waived at desk scale. A bad shape is
+    refused before the first draw.
     """
+    check_shape(p, m1, m2)
     if not is_prime(p):
         raise OutOfRange(f"p must be prime, got {p}")
     if eta < 2:
@@ -231,16 +241,13 @@ def sample_variant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCircul
                 rows.append((rng.randrange(ctx.order),) * p)
             else:
                 rows.append(tuple(rng.randrange(ctx.order) for _ in range(p)))
-        c = BlockCirculant.from_rows(ctx, p, m1, m2, rows)
+        c = BlockCirculant(ctx, p, m1, m2, rows)
         rep = validate_all(c, desk_scale=True)
         if rep.i.status != FAIL:
             continue
         if not (rep.ii.ok and rep.iii.ok and rep.iv_variant.ok and rep.v.ok):
             continue
-        if any(
-            all(_constant_row(c.block(i, j).first_row) for i in range(m1))
-            for j in range(mc)
-        ):
+        if any(all(_constant_row(row) for row in c.rows[j::mc]) for j in range(mc)):
             continue
         return c
     raise BudgetExhausted(f"no variant matrix in {MAX_ATTEMPTS} attempts")

@@ -14,9 +14,9 @@ for byte.
               dense hex rows of H'. Both carry `p m1 m2 eta e`.
   ciphertext  k lines, one hex field element per line, no header.
 
-Every reader refuses a shape without p >= 1 and 1 <= m1 < m2. The key
-records are flat, as their files are, so the key readers build no
-circulant objects.
+Every reader refuses a shape without p >= 1 and 1 <= m1 < m2 before it
+reads the rest of the file. The matrix and key records are flat, as
+their files are, so the key readers build no circulant objects.
 
 The QCREP v1 report format lives in `report`, with the commands that
 write it. Each reader and writer imports the layer whose types it
@@ -88,7 +88,7 @@ def _lines(text: str, what: str) -> list[str]:
 
 def write_matrix(c: BlockCirculant) -> str:
     out = [QCMAT_HEADER, f"{c.p} {c.m1} {c.m2} {c.ctx.eta}", format(c.ctx.modulus, "x")]
-    out.extend(_format_row(c.ctx, row) for row in c.block_first_rows())
+    out.extend(_format_row(c.ctx, row) for row in c.rows)
     return "\n".join(out) + "\n"
 
 
@@ -101,15 +101,15 @@ def read_matrix(text: str) -> BlockCirculant:
     if len(lines) < 3:
         raise ParseError("matrix file: truncated")
     p, m1, m2, eta = _parse_params(lines[1], 4, "matrix params")
+    _check_shape(p, m1, m2, "matrix file")
     ctx = _ctx_from(eta, lines[2])
     n_blocks = m1 * (m2 - m1)
     body = lines[3:]
     if len(body) != n_blocks:
         raise ParseError(f"matrix file: expected {n_blocks} block rows, got {len(body)}")
-    _check_shape(p, m1, m2, "matrix file")
     rows = [_parse_row(ctx, line, p) for line in body]
     try:
-        return BlockCirculant.from_rows(ctx, p, m1, m2, rows)
+        return BlockCirculant(ctx, p, m1, m2, rows)
     except QcniedError as exc:
         raise ParseError(f"matrix file: {exc}") from exc
 

@@ -219,8 +219,7 @@ def keygen(c: BlockCirculant, seed: int) -> tuple[PrivateKey, PublicKey]:
     capacity enumeration exceeds ENUM_BUDGET.
     """
     p, m1, m2, ctx = c.p, c.m1, c.m2, c.ctx
-    rows = tuple(c.block_first_rows())
-    cols = _columns(rows, p, m1, m2, ctx.eta)
+    cols = _columns(c.rows, p, m1, m2, ctx.eta)
     e = _capacity(cols, _echelon(cols)[1])
     rng = random.Random(seed)
     k, n, eta = m1 * p, m2 * p, ctx.eta
@@ -229,7 +228,7 @@ def keygen(c: BlockCirculant, seed: int) -> tuple[PrivateKey, PublicKey]:
         a0 = tuple(rng.getrandbits(k) for _ in range(k))
     b0 = list(range(n))
     rng.shuffle(b0)
-    priv = PrivateKey(a0, rows, tuple(b0), p, m1, m2, ctx, e)
+    priv = PrivateKey(a0, c.rows, tuple(b0), p, m1, m2, ctx, e)
     hprime = tuple(_mix(a0, cols[b0[j]], eta) for j in range(n))
     pub = PublicKey(hprime, p, m1, m2, ctx, e)
     # key relation sanity: undoing A0 and B0 must restore the structured matrix

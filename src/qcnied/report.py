@@ -173,6 +173,12 @@ def _bound_fields(r) -> list:
     return fields
 
 
+def _envelope_shape(m1: int, m2: int, what: str) -> None:
+    """Refuse block counts without 1 <= m1 < m2, as the file readers do."""
+    if not 1 <= m1 < m2:
+        raise ParseError(f"{what}: bad shape m1={m1} m2={m2}, need 1 <= m1 < m2")
+
+
 def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, k=None, n=None,
                out=None) -> int:
     from .distinguish import dk_bound, dk_bound_envelope
@@ -209,6 +215,7 @@ def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, k=None, n=
             raise ParseError("envelope mode needs --p")
         m1 = 1 if m1 is None else m1
         m2 = 2 if m2 is None else m2
+        _envelope_shape(m1, m2, "bound --envelope")
         k = m1 * p if k is None else k
         n = m2 * p if n is None else n
         if k > n:
@@ -224,8 +231,7 @@ def _cmd_sweep(p, m1=1, m2=2, out=None) -> int:
     if p == "":
         raise ParseError("empty p list")
     ps = _int_list(p, "p list entry")
-    if m1 > m2:
-        raise ParseError(f"--m1 {m1} > --m2 {m2} gives k > n")
+    _envelope_shape(m1, m2, "sweep")
     lines = ["p,m1,m2,k,n,h_order,ln_s0,ln_s1,ln_dk,max_c"]
     for q in ps:
         k, n = m1 * q, m2 * q

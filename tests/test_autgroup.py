@@ -7,7 +7,7 @@ from functools import reduce
 from operator import xor
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from qcnied import autgroup
 from qcnied.autgroup import (
@@ -24,10 +24,12 @@ from qcnied.autgroup import (
     stab_full,
     verify_lemma1,
 )
-from qcnied.circulant import BlockCirculant, CirculantBlock, Perm, act
+from qcnied.circulant import BlockCirculant, Perm, act, expand_row
 from qcnied.conditions import check_iii, sample_compliant
 from qcnied.errors import ConditionIIIViolated, LemmaViolated, TooLarge
 from qcnied.field import FieldCtx
+
+from test_format_properties import PROPERTY
 
 CTX = FieldCtx(2)
 
@@ -71,13 +73,12 @@ def full_listing_elements(c: BlockCirculant) -> tuple[tuple[Perm, Perm], ...]:
     constant blocks included, and joining them: for each choice of row
     perms P_i from the common row projections, Q_j ranges over the
     partners that every block (i, j) allows. Reference for stab_full."""
-    m1, mc = c.m1, c.n_block_cols
+    m1, mc = c.m1, c.m2 - c.m1
     partners = {}
-    for i in range(m1):
-        for j in range(mc):
-            pq = partners[i, j] = {}
-            for pr, qc in stab_block(c.block(i, j)).pairs:
-                pq.setdefault(pr, set()).add(qc)
+    for index, row in enumerate(c.rows):
+        pq = partners[divmod(index, mc)] = {}
+        for pr, qc in stab_block(row).pairs:
+            pq.setdefault(pr, set()).add(qc)
     p_domains = [set.intersection(*(set(partners[i, j]) for j in range(mc))) for i in range(m1)]
     out = []
     for ps in itertools.product(*map(sorted, p_domains)):
@@ -87,7 +88,7 @@ def full_listing_elements(c: BlockCirculant) -> tuple[tuple[Perm, Perm], ...]:
     return tuple(sorted(out))
 
 
-def column_orbit(b: CirculantBlock) -> set[tuple[int, ...]]:
+def column_orbit(v: tuple[int, ...]) -> set[tuple[int, ...]]:
     """Orbit of the first column vector under shift-and-reorder.
 
     The acting group pairs a cyclic shift by u with an arbitrary
@@ -95,8 +96,7 @@ def column_orbit(b: CirculantBlock) -> set[tuple[int, ...]]:
     p * p! group elements. Shifts are themselves reorderings, so the
     orbit equals the set of distinct rearrangements of the coefficients.
     """
-    v = b.first_row
-    p = b.p
+    p = len(v)
     out = set()
     for images in itertools.permutations(range(p)):
         base = tuple(v[images[m]] for m in range(p))
@@ -163,8 +163,7 @@ def test_pair_group_operations():
 
 
 def test_stab_block_generic_row_is_shifts_only():
-    b = CirculantBlock(FieldCtx(3), (0, 1, 2, 3, 4))
-    ps = stab_block(b)
+    ps = stab_block((0, 1, 2, 3, 4))
     assert ps.order == 5
     assert sorted(ps.row_projection()) == sorted(
         Perm.shift(5, s) for s in range(5)
@@ -173,9 +172,9 @@ def test_stab_block_generic_row_is_shifts_only():
 
 
 def test_stab_block_pairs_stabilize():
-    b = CirculantBlock(CTX, (0, 1, 2, 3, 1))
-    dense = b.expand()
-    ps = stab_block(b)
+    row = (0, 1, 2, 3, 1)
+    dense = expand_row(row)
+    ps = stab_block(row)
     for p, q in ps.pairs:
         assert act(p, dense, q) == dense
     # closure under the pair product
@@ -186,20 +185,18 @@ def test_stab_block_pairs_stabilize():
 
 
 def test_stab_block_constant_and_near_constant():
-    allsame = CirculantBlock(CTX, (2,) * 5)
-    ps = stab_block(allsame)
+    ps = stab_block((2,) * 5)
     assert ps.order == 120 * 120
     assert len(set(ps.row_projection())) == 120
     assert classify(ps) == SYMMETRIC
-    nearconst = CirculantBlock(CTX, (1, 2, 2, 2, 2))
-    ps2 = stab_block(nearconst)
+    ps2 = stab_block((1, 2, 2, 2, 2))
     assert ps2.order == 120
     assert len(set(ps2.row_projection())) == 120
     assert classify(ps2) == SYMMETRIC
 
 
 def test_stab_block_fano_is_exceptional():
-    ps = stab_block(CirculantBlock(CTX, FANO_ROW))
+    ps = stab_block(FANO_ROW)
     assert ps.order == 168
     assert classify(ps) == EXCEPTIONAL
     assert minimal_degree(ps.row_projection()) == 4
@@ -208,8 +205,8 @@ def test_stab_block_fano_is_exceptional():
 def test_stab_block_matches_bruteforce():
     for seed in range(1, 8):
         c = sample_compliant(7, 1, 2, 2, seed=seed)
-        b = c.block(0, 0)
-        assert stab_block(b).pairs == bruteforce_pairs(b.expand())
+        (row,) = c.rows
+        assert stab_block(row).pairs == bruteforce_pairs(expand_row(row))
 
 
 @st.composite
@@ -233,12 +230,11 @@ def block_rows(draw):
     return eta, row
 
 
-@settings(max_examples=60, deadline=None)
+@PROPERTY
 @given(block_rows())
 def test_stab_block_equals_bruteforce_oracle(eta_row):
-    eta, row = eta_row
-    b = CirculantBlock(FieldCtx(eta), row)
-    assert stab_block(b).pairs == bruteforce_pairs(b.expand())
+    _eta, row = eta_row
+    assert stab_block(row).pairs == bruteforce_pairs(expand_row(row))
 
 
 @st.composite
@@ -250,12 +246,12 @@ def iii_failing(draw):
     eta = draw(st.integers(1, 2))
     values = st.integers(0, (1 << eta) - 1)
     rows = [tuple(draw(values) for _ in range(p)) for _ in range(m1 * mc)]
-    c = BlockCirculant.from_rows(FieldCtx(eta), p, m1, m1 + mc, rows)
+    c = BlockCirculant(FieldCtx(eta), p, m1, m1 + mc, rows)
     assume(check_iii(c).status == "fail")
     return c
 
 
-@settings(max_examples=60, deadline=None)
+@PROPERTY
 @given(iii_failing())
 def test_full_matrix_fallback_equals_bruteforce_oracle(c):
     g = stab_full(c)
@@ -266,7 +262,7 @@ def test_full_matrix_fallback_equals_bruteforce_oracle(c):
 def test_stab_block_guards():
     # no size guard but the work budget: a generic p = 11 block returns
     # its group, the 11 shifts
-    ps = stab_block(CirculantBlock(CTX, tuple(j % 4 for j in range(11))))
+    ps = stab_block(tuple(j % 4 for j in range(11)))
     assert ps.row_projection() == tuple(sorted(Perm.shift(11, s) for s in range(11)))
     assert ps.order == 11 and classify(ps) == AFFINE
 
@@ -274,7 +270,7 @@ def test_stab_block_guards():
 def test_stab_block_budget(monkeypatch):
     # constant p = 5: 5 + 20 + 60 + 120 + 120 = 325 candidate rows tried
     # and 120 * 120 = 14,400 pairs; the budget admits exactly that much
-    flat = CirculantBlock(CTX, (2,) * 5)
+    flat = (2,) * 5
     monkeypatch.setattr(autgroup, "STAB_BUDGET", 325 + 14_400)
     assert stab_block(flat).order == 14_400
     monkeypatch.setattr(autgroup, "STAB_BUDGET", 325 + 14_400 - 1)
@@ -293,14 +289,14 @@ def test_minimal_degree_conventions():
 def test_stab_full_blockwise_product_structure():
     # good blocks on the diagonal, constant blocks off it: the stabilizer
     # is the direct product of the diagonal pair stabilizers
-    c = BlockCirculant.from_rows(
+    c = BlockCirculant(
         CTX, 5, 2, 4,
         [(0, 1, 2, 3, 1), (2, 2, 2, 2, 2),
          (3, 3, 3, 3, 3), (1, 0, 2, 2, 3)],
     )
     g = stab_full(c)
-    s00 = stab_block(c.block(0, 0))
-    s11 = stab_block(c.block(1, 1))
+    s00 = stab_block(c.rows[0])
+    s11 = stab_block(c.rows[3])
     assert g.order == s00.order * s11.order
     assert g.method == "blockwise"
     dense = c.expand()
@@ -324,12 +320,12 @@ def with_constant_blocks(draw):
     constant = [[len(set(rows[i * mc + j])) == 1 for j in range(mc)] for i in range(m1)]
     free = sum(map(all, constant)) + sum(map(all, zip(*constant)))
     assume(any(map(any, constant)) and math.factorial(p) ** free <= 720)
-    c = BlockCirculant.from_rows(FieldCtx(eta), p, m1, m1 + mc, rows)
+    c = BlockCirculant(FieldCtx(eta), p, m1, m1 + mc, rows)
     assume(check_iii(c).status == "pass")
     return c
 
 
-@settings(max_examples=60, deadline=None)
+@PROPERTY
 @given(with_constant_blocks())
 def test_stab_full_with_constant_blocks_equals_full_listing(c):
     g = stab_full(c)
@@ -340,8 +336,8 @@ def test_stab_full_with_constant_blocks_equals_full_listing(c):
 def test_stab_full_searches_only_non_constant_blocks(monkeypatch):
     searched = []
     search = autgroup.stab_block
-    monkeypatch.setattr(autgroup, "stab_block", lambda b: searched.append(b.first_row) or search(b))
-    blockwise = BlockCirculant.from_rows(
+    monkeypatch.setattr(autgroup, "stab_block", lambda row: searched.append(row) or search(row))
+    blockwise = BlockCirculant(
         CTX, 5, 2, 4,
         [(0, 1, 2, 3, 1), (2, 2, 2, 2, 2),
          (3, 3, 3, 3, 3), (1, 0, 2, 2, 3)],
@@ -351,7 +347,7 @@ def test_stab_full_searches_only_non_constant_blocks(monkeypatch):
     assert g.block_labels[0, 1] == g.block_labels[1, 0] == SYMMETRIC
     # the condition-iii fallback labels its constant blocks unsearched too
     searched.clear()
-    fallback = BlockCirculant.from_rows(
+    fallback = BlockCirculant(
         FieldCtx(3), 2, 2, 4,
         [(1, 2), (3, 3), (1, 2), (3, 3)],
     )
@@ -365,7 +361,7 @@ def test_stab_full_free_block_perms_budget(monkeypatch):
     # P_1 meets only a constant block, so it ranges over S_9: the 9 shifts
     # of block (0, 0) times 9! elements pass STAB_BUDGET and are refused
     # before any is listed
-    c = BlockCirculant.from_rows(
+    c = BlockCirculant(
         CTX, 9, 2, 3, [(0, 1, 2, 3, 0, 1, 2, 3, 0), (2,) * 9],
     )
     t0 = time.perf_counter()
@@ -374,7 +370,7 @@ def test_stab_full_free_block_perms_budget(monkeypatch):
     assert time.perf_counter() - t0 < 0.25
     # a lone constant p = 5 block leaves P_0 and Q_0 free: 120 * 120
     # elements, which the budget admits exactly
-    flat = BlockCirculant.from_rows(CTX, 5, 1, 2, [(2,) * 5])
+    flat = BlockCirculant(CTX, 5, 1, 2, [(2,) * 5])
     monkeypatch.setattr(autgroup, "STAB_BUDGET", 14_400)
     assert stab_full(flat).order == 14_400
     monkeypatch.setattr(autgroup, "STAB_BUDGET", 14_400 - 1)
@@ -394,7 +390,7 @@ def test_stab_full_reverifies_assembled_elements(monkeypatch):
 def test_stab_full_falls_back_when_iii_breaks():
     # m1 = 2 with identical block rows: condition iii fails, k = 4 <= 8,
     # so the full-matrix search runs and finds the cross-row swap
-    c = BlockCirculant.from_rows(
+    c = BlockCirculant(
         FieldCtx(3), 2, 2, 4,
         [(1, 2), (3, 4), (1, 2), (3, 4)],
     )
@@ -407,7 +403,7 @@ def test_stab_full_falls_back_when_iii_breaks():
 def test_stab_full_refuses_large_iii_failures():
     rows = [(0, 1, 2, 3, 1), (2, 3, 0, 2, 1),
             (0, 1, 2, 3, 1), (2, 3, 0, 2, 1)]
-    c = BlockCirculant.from_rows(CTX, 5, 2, 4, rows)
+    c = BlockCirculant(CTX, 5, 2, 4, rows)
     with pytest.raises(ConditionIIIViolated):
         stab_full(c)
 
@@ -416,9 +412,8 @@ def test_column_orbit_equals_reordering_set():
     # Lemma-4 style statement: the F_p x S_p orbit of the first column is
     # exactly the set of its reorderings
     for row in [(0, 1, 2, 3, 1), (1, 1, 2, 2, 3), (0, 1, 2, 2, 2)]:
-        b = CirculantBlock(CTX, row)
-        orb = column_orbit(b)
-        dense = b.expand()
+        orb = column_orbit(row)
+        dense = expand_row(row)
         col = tuple(r[0] for r in dense)
         reorderings = set(itertools.permutations(col))
         assert orb == reorderings
@@ -429,9 +424,9 @@ def test_column_orbit_three_two_shape_counterexample():
     # multiplicity shape {3,2} at p = 5: the orbit has 10 < 3p = 15
     # elements even though the block passes condition iv; the 3p floor
     # only holds from p = 7 up, where the worst good shape gives 21 = 3p
-    b = CirculantBlock(CTX, (1, 1, 1, 2, 2))
-    assert reordering_count(b.first_row) == 10
-    assert len(column_orbit(b)) == 10
+    row = (1, 1, 1, 2, 2)
+    assert reordering_count(row) == 10
+    assert len(column_orbit(row)) == 10
 
 
 def test_h_group_matches_stabilizer_at_p3():
@@ -464,14 +459,14 @@ def test_verify_lemma1_premise_failure_reported():
     # a block column stuck in {0,1} admits identity-like columns, which
     # is exactly the precondition the lemma needs; no exception, just a
     # premise-failed report
-    c = BlockCirculant.from_rows(CTX, 5, 1, 2, [(1, 1, 0, 1, 0)])
+    c = BlockCirculant(CTX, 5, 1, 2, [(1, 1, 0, 1, 0)])
     g = stab_full(c)
     rep = verify_lemma1(c, g)
     assert not rep.premise_ok and not rep.ok
 
 
 def test_verify_lemma1_eta1_premise():
-    c = BlockCirculant.from_rows(FieldCtx(1), 5, 1, 2, [(1, 1, 0, 1, 0)])
+    c = BlockCirculant(FieldCtx(1), 5, 1, 2, [(1, 1, 0, 1, 0)])
     g = stab_full(c)
     rep = verify_lemma1(c, g)
     assert not rep.premise_ok
@@ -485,13 +480,13 @@ def test_verify_lemma1_rejects_a_non_symmetry():
     with pytest.raises(LemmaViolated):
         verify_lemma1(c, bogus)
     # with the premise already failed the relation is reported, not raised
-    degenerate = BlockCirculant.from_rows(CTX, 5, 1, 2, [(1, 1, 0, 1, 0)])
+    degenerate = BlockCirculant(CTX, 5, 1, 2, [(1, 1, 0, 1, 0)])
     rep = verify_lemma1(degenerate, bogus)
     assert not rep.premise_ok and not rep.relation_ok
 
 
 def test_full_group_on_fano_matrix():
-    c = BlockCirculant.from_rows(CTX, 7, 1, 2, [FANO_ROW])
+    c = BlockCirculant(CTX, 7, 1, 2, [FANO_ROW])
     g = stab_full(c)
     assert g.order == 168
     assert g.classification == EXCEPTIONAL

@@ -7,9 +7,9 @@ import pytest
 
 from qcnied.circulant import (
     BlockCirculant,
-    CirculantBlock,
     Perm,
     act,
+    expand_row,
 )
 from qcnied.errors import OutOfRange, SizeMismatch
 from qcnied.field import FieldCtx
@@ -31,10 +31,10 @@ def perm_equivalent(v, w) -> bool:
     return sorted(v) == sorted(w)
 
 
-def rotate(b: CirculantBlock, k: int) -> CirculantBlock:
+def rotate(row: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Multiply the defining polynomial by x^k (cyclic coefficient shift)."""
-    p = b.p
-    return CirculantBlock(b.ctx, tuple(b.first_row[(j - k) % p] for j in range(p)))
+    p = len(row)
+    return tuple(row[(j - k) % p] for j in range(p))
 
 
 def test_perm_composition_convention():
@@ -92,47 +92,48 @@ def test_perm_ordering_and_hash():
 
 
 def test_block_expand_layout():
-    b = CirculantBlock(CTX, (0, 1, 2))
-    m = b.expand()
+    m = expand_row((0, 1, 2))
     # entry (i, j) = first_row[(j - i) mod p]: each row shifts right
     assert m == ((0, 1, 2), (2, 0, 1), (1, 2, 0))
-    assert b.p == 3
+    assert expand_row((5,)) == ((5,),)
 
 
 def test_block_rotate():
-    b = CirculantBlock(CTX, (0, 1, 2))
-    r = rotate(b, 1)
-    assert r.first_row == (2, 0, 1)
-    assert r.expand()[0] == b.expand()[1]
-
-
-def test_block_multiset_helpers():
-    b = CirculantBlock(CTX, (1, 2, 2, 3, 2))
-    assert b.multiset() == (1, 2, 2, 2, 3)
-    assert b.multiplicity(2) == 3
-    assert b.multiplicity_classes() == (1, 1, 3)
+    row = (0, 1, 2)
+    r = rotate(row, 1)
+    assert r == (2, 0, 1)
+    assert expand_row(r)[0] == expand_row(row)[1]
 
 
 def test_block_rejects_foreign_values():
     with pytest.raises(OutOfRange):
-        CirculantBlock(CTX, (0, 4, 1))
+        BlockCirculant(CTX, 3, 1, 2, [(0, 4, 1)])
 
 
 def test_block_circulant_expand():
-    c = BlockCirculant.from_rows(CTX, 3, 1, 3, [(0, 1, 2), (1, 1, 3)])
+    c = BlockCirculant(CTX, 3, 2, 4, [(0, 1, 2), (1, 1, 3), (3, 2, 1), (0, 0, 2)])
     m = c.expand()
-    assert len(m) == 3 and all(len(row) == 6 for row in m)
-    assert tuple(row[:3] for row in m) == CirculantBlock(CTX, (0, 1, 2)).expand()
-    assert tuple(row[3:] for row in m) == CirculantBlock(CTX, (1, 1, 3)).expand()
-    assert c.block(0, 1).first_row == (1, 1, 3)
-    assert c.n_block_cols == 2
+    assert len(m) == 6 and all(len(row) == 6 for row in m)
+    # block (i, j) is the circulant of rows[i * (m2 - m1) + j]
+    for index, row in enumerate(c.rows):
+        i, j = divmod(index, 2)
+        assert tuple(line[3 * j:3 * j + 3] for line in m[3 * i:3 * i + 3]) == expand_row(row)
+    assert c.rows == ((0, 1, 2), (1, 1, 3), (3, 2, 1), (0, 0, 2))
 
 
 def test_block_circulant_shape_validation():
     with pytest.raises(SizeMismatch):
-        BlockCirculant.from_rows(CTX, 3, 1, 3, [(0, 1, 2)])
+        BlockCirculant(CTX, 3, 1, 3, [(0, 1, 2)])
     with pytest.raises(SizeMismatch):
-        BlockCirculant.from_rows(CTX, 3, 1, 2, [(0, 1)])
+        BlockCirculant(CTX, 3, 1, 2, [(0, 1)])
+    # a bad shape is refused before the row count and the entries are read
+    for p, m1, m2 in ((0, 1, 2), (3, 0, 2), (3, 2, 2), (3, 2, 1)):
+        with pytest.raises(SizeMismatch, match="1 <= m1 < m2"):
+            BlockCirculant(CTX, p, m1, m2, [(9, 9, 9)])
+    # a wrong row count or length is refused before a foreign entry
+    for rows in ([(9, 9, 9)] * 2, [(9, 9)]):
+        with pytest.raises(SizeMismatch):
+            BlockCirculant(CTX, 3, 1, 2, rows)
 
 
 def test_perm_equivalent_matches_exhaustive_search():
@@ -185,7 +186,7 @@ def test_act_definition_and_group_law():
 
 
 def test_act_shift_pair_stabilizes_circulants():
-    b = CirculantBlock(CTX, (0, 1, 2, 3, 1)).expand()
+    b = expand_row((0, 1, 2, 3, 1))
     p = Perm.shift(5, 1)
     q = Perm.shift(5, 4)
     assert act(p, b, q) == b

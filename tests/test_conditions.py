@@ -1,6 +1,7 @@
 """Admission conditions i..v, the variant pair, and the samplers."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qcnied import conditions
 from qcnied.circulant import BlockCirculant
@@ -9,6 +10,7 @@ from qcnied.conditions import (
     FAIL,
     PASS,
     WAIVED,
+    Verdict,
     check_i,
     check_ii,
     check_iii,
@@ -20,8 +22,10 @@ from qcnied.conditions import (
     sample_variant,
     validate_all,
 )
-from qcnied.errors import BudgetExhausted, EtaTooSmall, OutOfRange
+from qcnied.errors import BudgetExhausted, EtaTooSmall, OutOfRange, SizeMismatch
 from qcnied.field import FieldCtx, is_prime
+
+from test_format_properties import PROPERTY
 
 CTX = FieldCtx(2)
 
@@ -29,7 +33,7 @@ CTX = FieldCtx(2)
 def mat(rows, p=5, m1=1, m2=None, ctx=CTX):
     if m2 is None:
         m2 = m1 + len(rows) // m1
-    return BlockCirculant.from_rows(ctx, p, m1, m2, rows)
+    return BlockCirculant(ctx, p, m1, m2, rows)
 
 
 def test_is_prime():
@@ -67,20 +71,66 @@ def test_check_ii():
 
 def test_check_iii_row_and_column_collisions():
     # two block rows sharing a multiset collide across the block boundary
-    c = BlockCirculant.from_rows(
+    c = BlockCirculant(
         CTX, 3, 2, 4, [(0, 1, 2), (1, 1, 3), (2, 0, 1), (1, 3, 1)]
     )
     v = check_iii(c)
-    assert v.status == FAIL and v.witness["side"] == "rows"
-    ok = BlockCirculant.from_rows(
+    assert v.status == FAIL and v.witness == {"side": "rows", "pair": [0, 3]}
+    ok = BlockCirculant(
         CTX, 3, 2, 4, [(0, 1, 2), (1, 1, 3), (2, 2, 3), (0, 3, 3)]
     )
     assert check_iii(ok).status == PASS
     # one block row, so no row pair crosses a block boundary, but both
     # block columns hold the multiset {0, 1, 2}: columns 0 and 3 collide
-    cols = BlockCirculant.from_rows(CTX, 3, 1, 3, [(0, 1, 2), (2, 1, 0)])
+    cols = BlockCirculant(CTX, 3, 1, 3, [(0, 1, 2), (2, 1, 0)])
     v = check_iii(cols)
     assert v.status == FAIL and v.witness == {"side": "cols", "pair": [0, 3]}
+
+
+def dense_check_iii(c: BlockCirculant) -> Verdict:
+    """Condition iii on the expanded C: the first pair of expanded rows
+    from distinct block-rows with equal multisets, then likewise for
+    columns. Reference oracle for check_iii, which reads block multisets."""
+    p = c.p
+    dense = c.expand()
+    row_ms = [tuple(sorted(row)) for row in dense]
+    for i in range(len(row_ms)):
+        for i2 in range(i + 1, len(row_ms)):
+            if i // p != i2 // p and row_ms[i] == row_ms[i2]:
+                return Verdict(FAIL, {"side": "rows", "pair": [i, i2]})
+    col_ms = [tuple(sorted(col)) for col in zip(*dense)]
+    for j in range(len(col_ms)):
+        for j2 in range(j + 1, len(col_ms)):
+            if j // p != j2 // p and col_ms[j] == col_ms[j2]:
+                return Verdict(FAIL, {"side": "cols", "pair": [j, j2]})
+    return Verdict(PASS)
+
+
+@st.composite
+def mixed_grids(draw):
+    """Grids with p in {2, 3, 5, 7}, m1 and m2 - m1 in 1..3 and eta in
+    1..2. Each block is drawn at random, constant, or as a reordering of
+    an earlier block, so that block multisets often collide."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    m1, mc, eta = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    values = st.integers(0, (1 << eta) - 1)
+    rows = []
+    for _ in range(m1 * mc):
+        kind = draw(st.sampled_from(("random", "constant", "reordered")))
+        if kind == "reordered" and rows:
+            row = tuple(draw(st.permutations(draw(st.sampled_from(rows)))))
+        elif kind == "constant":
+            row = (draw(values),) * p
+        else:
+            row = tuple(draw(values) for _ in range(p))
+        rows.append(row)
+    return BlockCirculant(FieldCtx(eta), p, m1, m1 + mc, rows)
+
+
+@PROPERTY
+@given(mixed_grids())
+def test_check_iii_equals_dense_oracle(c):
+    assert check_iii(c) == dense_check_iii(c)
 
 
 def test_check_iv():
@@ -100,13 +150,13 @@ def test_check_v_regimes():
     composite = mat([(0, 1, 2, 3, 1, 2, 3, 1, 0)], p=9, m1=1, m2=2)
     assert check_v(composite).status == FAIL
     assert check_v(composite, desk_scale=True).status == FAIL
-    big = BlockCirculant.from_rows(CTX, 31, 1, 2, [tuple(j % 4 for j in range(31))])
+    big = BlockCirculant(CTX, 31, 1, 2, [tuple(j % 4 for j in range(31))])
     assert check_v(big).status == PASS
     assert DESK_SCALE_MAX_P == 30
 
 
 def test_check_variant():
-    c = BlockCirculant.from_rows(
+    c = BlockCirculant(
         CTX, 5, 2, 4, [(0, 1, 2, 3, 1), (2, 2, 2, 2, 2),
                        (3, 3, 3, 3, 3), (1, 0, 2, 2, 3)]
     )
@@ -115,7 +165,7 @@ def test_check_variant():
     vi_strict, _ = check_variant(c, ratio_threshold=0.25)
     assert vi_strict.status == FAIL
     # a block row with no good block fails iv'
-    bad = BlockCirculant.from_rows(
+    bad = BlockCirculant(
         CTX, 5, 2, 4, [(2, 2, 2, 2, 2), (3, 3, 3, 3, 3),
                        (0, 1, 2, 3, 1), (1, 0, 2, 2, 3)]
     )
@@ -136,7 +186,7 @@ def test_validate_all_report_shape():
 def test_sample_compliant_is_deterministic_and_compliant():
     a = sample_compliant(5, 1, 2, 2, seed=9)
     b = sample_compliant(5, 1, 2, 2, seed=9)
-    assert list(a.block_first_rows()) == list(b.block_first_rows())
+    assert a.rows == b.rows
     assert validate_all(a, desk_scale=True).strict_ok()
     c = sample_compliant(5, 2, 4, 2, seed=9)
     assert validate_all(c, desk_scale=True).strict_ok()
@@ -145,6 +195,10 @@ def test_sample_compliant_is_deterministic_and_compliant():
 def test_sample_compliant_rejections(monkeypatch):
     with pytest.raises(OutOfRange):
         sample_compliant(6, 1, 2, 2, seed=0)
+    for sampler in (sample_compliant, sample_variant):
+        for p, m1, m2 in ((5, 2, 1), (5, 1, 1), (5, 0, 2), (0, 1, 2)):
+            with pytest.raises(SizeMismatch, match="1 <= m1 < m2"):
+                sampler(p, m1, m2, 2, seed=0)
     with pytest.raises(EtaTooSmall):
         sample_compliant(5, 1, 2, 1, seed=0)
     # with no draws allowed, both samplers give up
@@ -164,9 +218,7 @@ def test_sample_variant_regime():
         assert rep.variant_ok()
         assert not rep.strict_ok()
         # at least one constant block, but never a fully constant block column
-        rows = [b.first_row for row in c.blocks for b in row]
-        assert any(len(set(r)) == 1 for r in rows)
-        for j in range(c.n_block_cols):
-            assert any(
-                len(set(c.block(i, j).first_row)) > 1 for i in range(c.m1)
-            )
+        assert any(len(set(r)) == 1 for r in c.rows)
+        mc = c.m2 - c.m1
+        for j in range(mc):
+            assert any(len(set(r)) > 1 for r in c.rows[j::mc])

@@ -31,7 +31,7 @@ def matrices(draw):
     row = st.tuples(*[st.integers(0, ctx.order - 1)] * p)
     n_blocks = m1 * (m2 - m1)
     rows = draw(st.lists(row, min_size=n_blocks, max_size=n_blocks))
-    return BlockCirculant.from_rows(ctx, p, m1, m2, rows)
+    return BlockCirculant(ctx, p, m1, m2, rows)
 
 
 @st.composite
@@ -42,8 +42,7 @@ def private_keys(draw):
     lower = [(1 << i) | draw(st.integers(0, (1 << i) - 1)) for i in range(k)]
     a0 = tuple(draw(st.permutations(lower)))
     b0 = tuple(draw(st.permutations(range(n))))
-    rows = tuple(c.block_first_rows())
-    return PrivateKey(a0, rows, b0, c.p, c.m1, c.m2, c.ctx, draw(st.integers(0, n)))
+    return PrivateKey(a0, c.rows, b0, c.p, c.m1, c.m2, c.ctx, draw(st.integers(0, n)))
 
 
 @st.composite

@@ -1,5 +1,5 @@
 """Byte-for-byte pins on the search -> keygen -> encrypt -> decrypt and
-the search -> autgroup -> bound --report pipelines.
+the search -> autgroup -> bound --report pipelines, and on validate.
 
 Every command of a fixed corpus runs through the CLI entry point; the
 test pins the exit code and the sha256 of each written file (matrix,
@@ -9,8 +9,11 @@ used before its decoder moved to F2 elimination, the autgroup pins from
 the brute-force stabilizer search that preceded the pruned backtrack
 (with its `mode` and `affine_incomplete` report lines dropped), the
 bound pins from the recursive class-size search that preceded the
-knapsack table, so they hold the old and new code to identical files
-and outputs. The help pins cover `qcnied --help` and each subcommand's
+knapsack table, the validate pins from the condition-iii check that
+compared the rows and columns of the expanded C, so they hold the old
+and new code to identical files and outputs. The validate pins cover
+each searched corpus matrix and fixed matrices that fail each condition
+in their own way. The help pins cover `qcnied --help` and each subcommand's
 `--help`, rendered from the command table in `qcnied.cli`, which does not
 depend on the terminal width or the Python version. Regenerate the
 tables with
@@ -55,10 +58,26 @@ AUTGROUP_CORPUS = tuple(
 # written directly: the order-168 trip wire and a condition-iii failure
 # that takes the full-matrix search
 AUTGROUP_FIXED = {
-    "fano": BlockCirculant.from_rows(FieldCtx(2), 7, 1, 2, [FANO_ROW]),
-    "iii_fallback": BlockCirculant.from_rows(
+    "fano": BlockCirculant(FieldCtx(2), 7, 1, 2, [FANO_ROW]),
+    "iii_fallback": BlockCirculant(
         FieldCtx(3), 2, 2, 4, [(1, 2), (3, 4), (1, 2), (3, 4)]
     ),
+}
+
+
+# written directly: one matrix failing each condition in its own way
+# (eta, p, m1, m2, block first rows)
+VALIDATE_FIXED = {
+    "iii_rows": (2, 5, 3, 4, [(0, 1, 2, 3, 3), (0, 1, 2, 3, 1), (1, 3, 2, 1, 0)]),
+    "iii_cols": (2, 5, 1, 3, [(0, 1, 2, 3, 1), (3, 1, 0, 1, 2)]),
+    "constant_block": (2, 5, 1, 3, [(2, 2, 2, 2, 2), (0, 1, 2, 3, 1)]),
+    "all_degenerate": (2, 5, 1, 4, [(2, 2, 2, 2, 2), (1, 2, 2, 2, 2), (3, 0, 3, 3, 3)]),
+    "composite_p": (2, 9, 1, 2, [(0, 1, 2, 3, 1, 2, 3, 1, 0)]),
+    "eta_1": (1, 5, 1, 2, [(0, 1, 1, 0, 1)]),
+}
+VALIDATE_FLAGS = {
+    "validate": ["--desk-scale"],
+    "validate_variant": ["--variant", "--threshold", "0.5"],
 }
 
 
@@ -125,6 +144,26 @@ def run_autgroup_corpus(workdir: Path) -> dict[str, tuple[int, str]]:
         pins[f"{tag}/autgroup"] = (code, _sha(g.read_bytes()))
         code, stdout = _run(["bound", "--report", g])
         pins[f"{tag}/bound"] = (code, _sha(stdout.encode()))
+    return pins
+
+
+def run_validate_corpus(workdir: Path) -> dict[str, tuple[int, str]]:
+    """Validate every searched corpus matrix and every fixed one, strict
+    (desk scale) and variant; map each run to (exit code, sha256 of stdout)."""
+    matrices = {}
+    for *shape, seed, variant in [(*c, False) for c in CORPUS] + list(AUTGROUP_CORPUS):
+        tag = "_".join(map(str, shape + [seed])) + ("_variant" if variant else "")
+        m = matrices[tag] = workdir / f"{tag}.qcm"
+        _run(["search", *shape, "--seed", seed, *["--variant"][:variant], "-o", m])
+    for tag, (eta, p, m1, m2, rows) in VALIDATE_FIXED.items():
+        m = matrices[tag] = workdir / f"{tag}.qcm"
+        c = BlockCirculant(FieldCtx(eta), p, m1, m2, rows)
+        m.write_text(io.write_matrix(c), encoding="utf-8")
+    pins: dict[str, tuple[int, str]] = {}
+    for tag, m in matrices.items():
+        for name, flags in VALIDATE_FLAGS.items():
+            code, stdout = _run(["validate", m, *flags])
+            pins[f"{tag}/{name}"] = (code, _sha(stdout.encode()))
     return pins
 
 
@@ -270,6 +309,48 @@ AUTGROUP_PINS = {
 }
 
 
+VALIDATE_PINS = {
+    '5_1_2_2_1/validate': (0, '99a68a3e8c8cda76174fb7d3758f8b57dd995943ecd234ab48d1fc1ffd921689'),
+    '5_1_2_2_1/validate_variant': (1, '1368ef5df6f2df0c4d4028e602917ebd542b3949aecf82eaed88c3f66ad1c613'),
+    '5_1_2_2_2/validate': (0, '99a68a3e8c8cda76174fb7d3758f8b57dd995943ecd234ab48d1fc1ffd921689'),
+    '5_1_2_2_2/validate_variant': (1, '1368ef5df6f2df0c4d4028e602917ebd542b3949aecf82eaed88c3f66ad1c613'),
+    '5_1_2_2_3/validate': (0, '99a68a3e8c8cda76174fb7d3758f8b57dd995943ecd234ab48d1fc1ffd921689'),
+    '5_1_2_2_3/validate_variant': (1, '1368ef5df6f2df0c4d4028e602917ebd542b3949aecf82eaed88c3f66ad1c613'),
+    '7_1_3_2_2/validate': (0, 'fdfe38e340593df3e2641ee3e60845be6256f9ad684b474ad89ede39096a2a09'),
+    '7_1_3_2_2/validate_variant': (1, 'e57d9f1e47f9e917bb60f64dd350639f84d15a760175498d04747e4b56b61c35'),
+    '5_2_4_2_3/validate': (0, '893c3d7e28dc693803aacee40f1a0e3b3847da1ab9e84ed876e6ee8715803352'),
+    '5_2_4_2_3/validate_variant': (1, '3ad058dc2d4c2edc0534619229c5c405096f4b2fb719a08011a806ef09f2c6ef'),
+    '5_1_8_2_1/validate': (0, '1bbfbda6216f50734ed7bf2deab8ca980783d93cce8e0589be9f6ae5a99ff896'),
+    '5_1_8_2_1/validate_variant': (1, 'cb5a8579af5ff3192866c019819c8bfe4f86538f8940fab1a5c263e4356d0745'),
+    '11_1_2_3_2/validate': (0, 'fb188d7ac25a403c90a09c75387c8d894f71ac1d45149c6dd9ae7fce610a67ae'),
+    '11_1_2_3_2/validate_variant': (1, 'bfa5d1ff00d196decc839a8b6c5842d4211d921a05b32eac7037c1acbc818a2e'),
+    '7_1_2_2_1/validate': (0, 'c27a2ea0dbb0131846559d555f9c5c6a8ef8bfa9a9df1b95f2f106d5acfb83e2'),
+    '7_1_2_2_1/validate_variant': (1, 'e67f185122a07965495bfadef3554cc23cac96e964ece4e8b5290ce768576158'),
+    '7_1_2_2_2/validate': (0, 'c27a2ea0dbb0131846559d555f9c5c6a8ef8bfa9a9df1b95f2f106d5acfb83e2'),
+    '7_1_2_2_2/validate_variant': (1, 'e67f185122a07965495bfadef3554cc23cac96e964ece4e8b5290ce768576158'),
+    '7_1_2_2_3/validate': (0, 'c27a2ea0dbb0131846559d555f9c5c6a8ef8bfa9a9df1b95f2f106d5acfb83e2'),
+    '7_1_2_2_3/validate_variant': (1, 'e67f185122a07965495bfadef3554cc23cac96e964ece4e8b5290ce768576158'),
+    '7_1_3_2_1/validate': (0, 'fdfe38e340593df3e2641ee3e60845be6256f9ad684b474ad89ede39096a2a09'),
+    '7_1_3_2_1/validate_variant': (1, 'e57d9f1e47f9e917bb60f64dd350639f84d15a760175498d04747e4b56b61c35'),
+    '7_1_3_2_3/validate': (0, 'fdfe38e340593df3e2641ee3e60845be6256f9ad684b474ad89ede39096a2a09'),
+    '7_1_3_2_3/validate_variant': (1, 'e57d9f1e47f9e917bb60f64dd350639f84d15a760175498d04747e4b56b61c35'),
+    '5_2_4_2_3_variant/validate': (1, 'a2c9ea503b235f2fae83659eef784432684ff6e6308705e0065f4d8fdca36374'),
+    '5_2_4_2_3_variant/validate_variant': (1, '371de134fb87eff53d3fe54420d848e73d7fab27bba61e590feb859371626948'),
+    'iii_rows/validate': (1, '5734bb299a949f6cab9b2c787ee6e23c1001a853c934ddf9c7846dd9ebdbc7b6'),
+    'iii_rows/validate_variant': (1, 'a673ba019893fe074c1733b5e49ab8c31dd04c4523c04b076b8a24e439c2b737'),
+    'iii_cols/validate': (1, '9cd0c10c2ad2f8f6cb4e4c1580e3b6d97bbdfcffdcbe2ac3b37a1e670554f3f6'),
+    'iii_cols/validate_variant': (1, '4c08f992605a776a2668e60ac28e28bb6902e2f107eff75ec785675da9d3aa48'),
+    'constant_block/validate': (1, 'ba637c2fa00cbab9021c55090be16e0bc52e10cacfbde3ce8bf6d5c7feb98508'),
+    'constant_block/validate_variant': (1, 'ed7d4ef3482773424781e9ab779fcf902d1ef106b380b3174e4db7bd5d6c221b'),
+    'all_degenerate/validate': (1, '5db1ed2059737210451a58f3ebeeb577327e4f9ce93fb23f1ce76d5e5ca6b0ca'),
+    'all_degenerate/validate_variant': (1, 'e0344ff8af7c22d53f9a45336e1d4ca48410cdd9bfc8ae293540e7b0f1b10c5a'),
+    'composite_p/validate': (1, '63052178f13e974f6c616473211808891892d1418795e0913021493c1b6a016b'),
+    'composite_p/validate_variant': (1, '63052178f13e974f6c616473211808891892d1418795e0913021493c1b6a016b'),
+    'eta_1/validate': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'eta_1/validate_variant': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+}
+
+
 BOUND_PINS = {
     'sweep --p 2,3,5,7,11,13,31,61,101': (0, '3c76d3cc614f86bb7cf316184fdcd3b791fe4723b865d00b3df80348deb19b88'),
     'sweep --p 7,31 --m1 2 --m2 3': (0, 'fc148f527443732cd6d2a92c24ab947ac86c10284db4ea2bf90066e1419bcacf'),
@@ -299,6 +380,10 @@ def test_golden_autgroup_corpus(tmp_path):
     assert run_autgroup_corpus(tmp_path) == AUTGROUP_PINS
 
 
+def test_golden_validate_corpus(tmp_path):
+    assert run_validate_corpus(tmp_path) == VALIDATE_PINS
+
+
 def test_golden_bound_corpus():
     assert run_bound_corpus() == BOUND_PINS
 
@@ -309,6 +394,7 @@ def test_golden_help_texts():
 
 if __name__ == "__main__":
     for name, run in (("PINS", run_corpus), ("AUTGROUP_PINS", run_autgroup_corpus),
+                      ("VALIDATE_PINS", run_validate_corpus),
                       ("BOUND_PINS", lambda _: run_bound_corpus()),
                       ("HELP_PINS", lambda _: run_help_corpus())):
         with tempfile.TemporaryDirectory() as tmp:

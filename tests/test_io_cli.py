@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from qcnied import cli, io, report
+from qcnied import cli, conditions, io, report
 from qcnied.circulant import BlockCirculant, Perm
 from qcnied.cli import main
 from qcnied.conditions import sample_compliant, sample_variant
@@ -37,12 +38,12 @@ def keypair(c, seed=9):
 def test_matrix_roundtrip_custom_modulus():
     # x^3 + x^2 + 1, not the default modulus for eta = 3
     ctx = FieldCtx(3, 0b1101)
-    c = BlockCirculant.from_rows(ctx, 5, 1, 2, [(1, 2, 3, 4, 5)])
+    c = BlockCirculant(ctx, 5, 1, 2, [(1, 2, 3, 4, 5)])
     text = io.write_matrix(c)
     assert text.splitlines()[2] == "d"
     back = io.read_matrix(text)
     assert back.ctx == ctx
-    assert list(back.block_first_rows()) == list(c.block_first_rows())
+    assert back.rows == c.rows
     assert io.write_matrix(back) == text
 
 
@@ -64,11 +65,15 @@ def test_matrix_rejections(c512):
             io.read_matrix(text)
     with pytest.raises(ParseError):
         io.read_matrix("QCMAT v1\n")
+    # the shape is refused before the block lines are counted
+    for params in ("5 2 1 2", "5 1 1 2", "5 0 2 2", "0 1 2 2"):
+        with pytest.raises(ParseError, match="bad shape"):
+            io.read_matrix(good.replace("5 1 2 2", params))
 
 
 def test_matrix_rejects_bad_tokens():
     ctx = FieldCtx(4)
-    c = BlockCirculant.from_rows(ctx, 5, 1, 2, [(1, 10, 3, 2, 5)])
+    c = BlockCirculant(ctx, 5, 1, 2, [(1, 10, 3, 2, 5)])
     good = io.write_matrix(c)
     assert " a " in good.splitlines()[3] + " "
     for tampered in (
@@ -81,7 +86,7 @@ def test_matrix_rejects_bad_tokens():
             io.read_matrix(tampered)
     # out of range for eta = 2 even though the digit itself is valid hex
     ctx2 = FieldCtx(2)
-    c2 = BlockCirculant.from_rows(ctx2, 5, 1, 2, [(1, 2, 3, 0, 1)])
+    c2 = BlockCirculant(ctx2, 5, 1, 2, [(1, 2, 3, 0, 1)])
     with pytest.raises(ParseError):
         io.read_matrix(io.write_matrix(c2).replace("1 2 3 0 1", "1 2 7 0 1"))
 
@@ -93,7 +98,7 @@ def test_private_key_roundtrip(c512):
     assert back.e == priv.e
     assert back.a0 == priv.a0 and back.a0inv == priv.a0inv
     assert back.b0 == priv.b0
-    assert back.rows == tuple(c512.block_first_rows())
+    assert back.rows == c512.rows
     assert back == priv
     assert io.write_private_key(back) == text
 
@@ -178,7 +183,7 @@ def test_key_capacity_is_a_count_at_most_n(c512, tmp_path):
 
 def test_public_key_roundtrip_custom_modulus():
     ctx = FieldCtx(3, 0b1101)
-    c = BlockCirculant.from_rows(ctx, 5, 1, 2, [(1, 2, 3, 4, 5)])
+    c = BlockCirculant(ctx, 5, 1, 2, [(1, 2, 3, 4, 5)])
     _priv, pub = keypair(c)
     text = io.write_public_key(pub)
     back = io.read_public_key(text)
@@ -433,7 +438,7 @@ def test_cli_validate(tmp_path, c512):
     fields, _ = report.read_report(rep.read_text())
     assert fields["ok"] == "true" and fields["cond_v"] == "waived"
 
-    flat = BlockCirculant.from_rows(FieldCtx(2), 5, 1, 2, [(1, 1, 1, 1, 1)])
+    flat = BlockCirculant(FieldCtx(2), 5, 1, 2, [(1, 1, 1, 1, 1)])
     mat.write_text(io.write_matrix(flat))
     assert main(["validate", str(mat), "--desk-scale", "-o", str(rep)]) == 1
     fields, _ = report.read_report(rep.read_text())
@@ -448,6 +453,25 @@ def test_cli_validate_variant(tmp_path):
     # m1/p = 0.4 sits above the default threshold but below 0.5
     assert main(args) == 1
     assert main(args[:-2] + ["--threshold", "0.5", "-o", "-"]) == 0
+
+
+def test_cli_refuses_a_bad_matrix_shape_first(tmp_path, monkeypatch, capsys):
+    # a matrix file with m1 > m2 is malformed input (exit 2); search with
+    # that shape is a domain refusal (exit 1) made before the first draw
+    mat = tmp_path / "m.qcm"
+    mat.write_text("QCMAT v1\n5 2 1 2\n7\n0 1 2 3 1\n")
+    capsys.readouterr()
+    assert main(["validate", str(mat)]) == 2
+    assert capsys.readouterr().err == "error: matrix file: bad shape p=5 m1=2 m2=1\n"
+
+    def no_draws(seed):
+        raise AssertionError("the sampler drew before refusing the shape")
+
+    monkeypatch.setattr(conditions, "random", SimpleNamespace(Random=no_draws))
+    for variant in ([], ["--variant"]):
+        assert main(["search", "5", "2", "1", "2", *variant]) == 1
+        assert capsys.readouterr().err == (
+            "error: need p >= 1 and 1 <= m1 < m2, got p=5 m1=2 m2=1\n")
 
 
 def test_cli_search_deterministic(tmp_path, monkeypatch, capsys):
@@ -580,7 +604,7 @@ def test_cli_autgroup_variant_past_p5(tmp_path):
 
 
 def test_cli_autgroup_surveillance_trip(tmp_path):
-    fano = BlockCirculant.from_rows(FieldCtx(2), 7, 1, 2, [FANO_ROW])
+    fano = BlockCirculant(FieldCtx(2), 7, 1, 2, [FANO_ROW])
     mat, rep = tmp_path / "m.qcm", tmp_path / "g.qcr"
     mat.write_text(io.write_matrix(fano))
     assert main(["autgroup", str(mat), "-o", str(rep)]) == 3
@@ -599,7 +623,7 @@ def test_cli_autgroup_surveillance_trip(tmp_path):
 ])
 def test_cli_autgroup_difference_set_trips(tmp_path, p, minority, order):
     row = tuple(1 if j in minority else 3 for j in range(p))
-    c = BlockCirculant.from_rows(FieldCtx(2), p, 1, 2, [row])
+    c = BlockCirculant(FieldCtx(2), p, 1, 2, [row])
     mat, rep = tmp_path / "m.qcm", tmp_path / "g.qcr"
     mat.write_text(io.write_matrix(c))
     assert main(["validate", str(mat), "--desk-scale"]) == 0
@@ -651,8 +675,14 @@ def test_cli_envelope_refuses_degenerate_shapes(capsys):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
     # k > n makes n - k negative: a usage error before any bound is computed
     assert refused(capsys, ["bound", "--envelope", "--p", "5", "--k", "9", "--n", "4"])
-    assert refused(capsys, ["bound", "--envelope", "--p", "5", "--m1", "3", "--m2", "2"])
-    assert refused(capsys, ["sweep", "--p", "7", "--m1", "3", "--m2", "2"])
+    # block counts outside 1 <= m1 < m2 are refused as the file readers
+    # refuse them, with k and n given or not
+    for m1, m2 in (("3", "2"), ("2", "2"), ("0", "2"), ("0", "1")):
+        shape = ["--m1", m1, "--m2", m2]
+        assert refused(capsys, ["bound", "--envelope", "--p", "5", *shape])
+        assert refused(capsys, ["bound", "--envelope", "--p", "5", *shape, "--k", "5", "--n", "10"])
+        assert refused(capsys, ["sweep", "--p", "7", *shape])
+    assert refused(capsys, ["sweep", "--p", "5", "--m1", "0"])
 
 
 def test_cli_keygen_trivial_kernel(tmp_path, capsys):

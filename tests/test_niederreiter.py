@@ -251,7 +251,7 @@ def test_keygen_public_matrix_is_a0_h_b0():
     (k, n), eta = shape(c), c.ctx.eta
     for seed in (0, 1, 2):
         priv, pub = keygen(c, seed=seed)
-        dense = dense_h(BlockCirculant.from_rows(priv.ctx, priv.p, priv.m1, priv.m2, priv.rows))
+        dense = dense_h(BlockCirculant(priv.ctx, priv.p, priv.m1, priv.m2, priv.rows))
         expected = tuple(
             tuple(
                 reduce(xor, (dense[l][priv.b0[j]] for l in range(k) if priv.a0[i] >> l & 1), 0)
@@ -338,8 +338,8 @@ def test_private_key_carries_decoder():
 
 
 def test_private_key_refuses_a_malformed_key():
-    # the checks BlockCirculant, CirculantBlock and Perm made when the key
-    # held them: shape, block rows, field entries, B0, and a singular A0
+    # the checks BlockCirculant and Perm make: shape, block rows, field
+    # entries and B0, then a singular A0
     priv, _pub = keygen(small_matrix(seed=1), seed=1)
     good = dict(a0=priv.a0, rows=priv.rows, b0=priv.b0, p=5, m1=1, m2=2, ctx=priv.ctx, e=priv.e)
     (row,) = priv.rows

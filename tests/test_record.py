@@ -5,16 +5,15 @@ import pytest
 
 from qcnied._record import Record
 from qcnied.autgroup import AutGroup, Lemma1Report, PairStab
-from qcnied.circulant import BlockCirculant, CirculantBlock, Perm
+from qcnied.circulant import BlockCirculant, Perm
 from qcnied.conditions import ConditionReport, Verdict
 from qcnied.distinguish import BoundReport, EnvelopeStats
 from qcnied.field import FieldCtx
 from qcnied.niederreiter import PrivateKey, PublicKey, keygen
 
 CTX = FieldCtx(2)
-BLOCK = CirculantBlock(CTX, (0, 1, 2))
-OTHER_BLOCK = CirculantBlock(CTX, (1, 2, 3))
-GRID = BlockCirculant(CTX, 3, 1, 2, ((BLOCK,),))
+ROW, OTHER_ROW = (0, 1, 2), (1, 2, 3)
+GRID = BlockCirculant(CTX, 3, 1, 2, (ROW,))
 PRIV, PUB = keygen(GRID, seed=1)
 PRIV_FIELDS = (PRIV.a0, PRIV.rows, PRIV.b0, 3, 1, 2, CTX)
 SHIFT = (Perm.shift(3, 1), Perm.shift(3, 2))
@@ -22,13 +21,12 @@ PASS, FAIL = Verdict("pass"), Verdict("fail", (0, 1))
 
 # class -> (field values, field values differing in one field)
 SAMPLES = {
-    CirculantBlock: ((CTX, (0, 1, 2)), (CTX, (1, 2, 3))),
-    BlockCirculant: ((CTX, 3, 1, 2, ((BLOCK,),)), (CTX, 3, 1, 2, ((OTHER_BLOCK,),))),
+    BlockCirculant: ((CTX, 3, 1, 2, (ROW,)), (CTX, 3, 1, 2, (OTHER_ROW,))),
     PrivateKey: (PRIV_FIELDS + (PRIV.e,), PRIV_FIELDS + (PRIV.e - 1,)),
     PublicKey: ((PUB.hprime, 3, 1, 2, CTX, PUB.e), (PUB.hprime, 3, 1, 2, CTX, PUB.e - 1)),
     Verdict: (("fail", (0, 1)), ("fail", (1, 0))),
     ConditionReport: ((PASS,) * 7, (PASS,) * 6 + (FAIL,)),
-    PairStab: ((BLOCK, (SHIFT,)), (OTHER_BLOCK, (SHIFT,))),
+    PairStab: ((ROW, (SHIFT,)), (OTHER_ROW, (SHIFT,))),
     AutGroup: ((3, 1, 2, (SHIFT,), {(0, 0): "affine-subgroup"}, "blockwise"),
                (3, 1, 2, (SHIFT,), {(0, 0): "affine-subgroup"}, "report")),
     Lemma1Report: ((True, None, True, True, 3, True), (False, {"premise": "x"}, True, True, 3, False)),
