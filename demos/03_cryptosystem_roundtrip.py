@@ -5,7 +5,9 @@ Key generation, encryption, decryption
 The plaintext is a binary vector of weight at most e, the largest weight
 at which the syndrome map stays injective. keygen finds e: at once when
 the binary syndrome map has a trivial kernel, else by enumerating
-syndromes weight by weight until two collide. Encryption is a syndrome
+syndromes weight by weight until two collide, or, once a level would
+cost more than a walk of the binary kernel, by walking the kernel once
+for its least weight d, so that e = (d - 1) // 2. Encryption is a syndrome
 computation against the scrambled public matrix. Decryption undoes the
 row scrambler, solves for one preimage by F2 elimination, and searches
 that preimage's kernel coset for the unique one of weight <= e.
@@ -50,3 +52,13 @@ for w in range(pub.e + 1):
         assert tuple(decrypt(priv, encrypt(pub, x))) == tuple(x)
         count += 1
 print(f"verified {count} plaintexts up to weight {pub.e}")
+
+# the paper's keys need p > 30. At (31,1,2,2) seed 2 the enumeration
+# would outrun a walk of the small binary kernel from weight 1 on, so
+# keygen walks the kernel instead; a message of weight e roundtrips
+c31 = sample_compliant(31, 1, 2, 2, seed=2)
+priv31, pub31 = keygen(c31, seed=2)
+print("(31,1,2,2): e =", pub31.e, "kernel dimension", len(priv31.kernel))
+x = [1 if j < 2 * pub31.e and j % 2 == 0 else 0 for j in range(pub31.n)]
+assert tuple(decrypt(priv31, encrypt(pub31, x))) == tuple(x)
+print(f"recovered a weight-{pub31.e} plaintext of length {pub31.n}")

@@ -165,8 +165,8 @@ class FieldCtx:
         return format(a, f"0{self.hex_width}x")
 
     def parse_hex(self, s: str) -> int:
-        if not s or any(ch not in "0123456789abcdef" for ch in s):
-            raise BadDigit(f"not a lowercase hex token: {s!r}")
+        if len(s) != self.hex_width or any(ch not in "0123456789abcdef" for ch in s):
+            raise BadDigit(f"not a lowercase hex token of {self.hex_width} digits: {s!r}")
         a = int(s, 16)
         if a >= self.order:
             raise OutOfRange(f"{s!r} encodes {a}, outside [0, {self.order})")

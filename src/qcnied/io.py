@@ -54,8 +54,8 @@ def _check_shape(p: int, m1: int, m2: int, what: str) -> None:
 
 
 def _ctx_from(eta: int, modulus_hex: str) -> FieldCtx:
-    # same lowercase-only discipline as every other token in these formats
-    if not modulus_hex or not _HEX_DIGITS.issuperset(modulus_hex):
+    # lowercase like every other hex token, and canonical: no leading zero
+    if not modulus_hex or modulus_hex[0] == "0" or not _HEX_DIGITS.issuperset(modulus_hex):
         raise ParseError(f"bad modulus hex {modulus_hex!r}")
     modulus = int(modulus_hex, 16)
     try:

@@ -13,7 +13,8 @@ column j) as the key file stores them; H, H' and syndromes are packed
 columns, entry i in bits [i*eta, (i+1)*eta). One F2 elimination serves
 A0's rank and inverse and the binary syndrome map z -> H z^T. e, the
 largest t with that map injective on weights <= t, is n when its kernel
-is trivial, else found by enumerating weights or by walking the kernel.
+is trivial. Else weights are enumerated while cheaper than a kernel walk,
+then one walk gives d and e = (d - 1) // 2, each within ENUM_BUDGET.
 
 Decryption strips A0, eliminates for a solution z0 that is zero off the
 pivot columns, and searches z0 + ker H over sums of at most e kernel
@@ -123,34 +124,33 @@ def _capacity(cols: list[int], kernel: list[int]) -> int:
     """Largest t with distinct syndromes on all vectors of weight <= t.
 
     A trivial kernel makes the map injective outright. Otherwise weights
-    are enumerated in turn until two syndromes collide, at weight ceil(d/2)
-    for the least kernel weight d; once a level outnumbers the 2^dim kernel
-    vectors, a Gray-code walk of the kernel gives d instead. TooLarge is
-    raised before a level would take the cumulative count past ENUM_BUDGET.
+    are enumerated in turn while the cumulative count stays within the
+    2^dim kernel vectors, until two syndromes collide at weight ceil(d/2)
+    for the least kernel weight d. Past that count one Gray-code walk of
+    the kernel gives d. Either way e = ceil(d/2) - 1 = (d - 1) // 2.
+    TooLarge is raised before a level or the walk would pass ENUM_BUDGET.
     """
     n = len(cols)
     if not kernel:
         return n
+    walk = 1 << len(kernel)
     seen = {0}
     enumerated = 1
-    collision = 0  # weight of the first collision, once the kernel walk ran
     for t in range(1, n + 1):
         enumerated += comb(n, t)
+        if enumerated > walk:
+            break
         if enumerated > ENUM_BUDGET:
             raise TooLarge(f"syndrome enumeration through weight {t} needs {enumerated} vectors")
-        if enumerated > 1 << len(kernel):  # so are all later levels
-            if not collision:
-                steps = (kernel[(i & -i).bit_length() - 1] for i in range(1, 1 << len(kernel)))
-                collision = (min(z.bit_count() for z in accumulate(steps, xor)) + 1) // 2
-            if t == collision:
-                return t - 1
-            continue
         for support in combinations(cols, t):
             s = reduce(xor, support)
             if s in seen:
                 return t - 1
             seen.add(s)
-    raise AssertionError("a nonzero kernel vector must collide with zero")
+    if walk > ENUM_BUDGET:
+        raise TooLarge(f"kernel walk over {walk} vectors")
+    steps = (kernel[(i & -i).bit_length() - 1] for i in range(1, walk))
+    return (min(z.bit_count() for z in accumulate(steps, xor)) - 1) // 2
 
 
 class _Key(Record):
@@ -215,8 +215,8 @@ def keygen(c: BlockCirculant, seed: int) -> tuple[PrivateKey, PublicKey]:
     for H = [I | c].
 
     A0 is rejection-sampled until invertible over F2; B0 is a
-    Fisher-Yates shuffle from the same stream. TooLarge when the
-    capacity enumeration exceeds ENUM_BUDGET.
+    Fisher-Yates shuffle from the same stream. TooLarge, before the
+    draw, when the capacity search would pass ENUM_BUDGET.
     """
     p, m1, m2, ctx = c.p, c.m1, c.m2, c.ctx
     cols = _columns(c.rows, p, m1, m2, ctx.eta)

@@ -29,8 +29,6 @@ from qcnied.conditions import check_iii, sample_compliant
 from qcnied.errors import ConditionIIIViolated, LemmaViolated, TooLarge
 from qcnied.field import FieldCtx
 
-from test_format_properties import PROPERTY
-
 CTX = FieldCtx(2)
 
 # the minority values of this first row sit on {3,4,6}, a (7,3,1) planar
@@ -230,7 +228,6 @@ def block_rows(draw):
     return eta, row
 
 
-@PROPERTY
 @given(block_rows())
 def test_stab_block_equals_bruteforce_oracle(eta_row):
     _eta, row = eta_row
@@ -251,7 +248,6 @@ def iii_failing(draw):
     return c
 
 
-@PROPERTY
 @given(iii_failing())
 def test_full_matrix_fallback_equals_bruteforce_oracle(c):
     g = stab_full(c)
@@ -325,7 +321,6 @@ def with_constant_blocks(draw):
     return c
 
 
-@PROPERTY
 @given(with_constant_blocks())
 def test_stab_full_with_constant_blocks_equals_full_listing(c):
     g = stab_full(c)

@@ -25,8 +25,6 @@ from qcnied.conditions import (
 from qcnied.errors import BudgetExhausted, EtaTooSmall, OutOfRange, SizeMismatch
 from qcnied.field import FieldCtx, is_prime
 
-from test_format_properties import PROPERTY
-
 CTX = FieldCtx(2)
 
 
@@ -127,7 +125,6 @@ def mixed_grids(draw):
     return BlockCirculant(FieldCtx(eta), p, m1, m1 + mc, rows)
 
 
-@PROPERTY
 @given(mixed_grids())
 def test_check_iii_equals_dense_oracle(c):
     assert check_iii(c) == dense_check_iii(c)

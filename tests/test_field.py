@@ -167,7 +167,7 @@ def test_hex_format_and_parse():
     assert ctx.format_hex(0x1FF) == "1ff"
     for a in ctx.elements():
         assert ctx.parse_hex(ctx.format_hex(a)) == a
-    for bad in ("", "0x1", "1F", "g", " 1", "-1"):
+    for bad in ("", "0x1", "1F", "g", " 1", "-1", "1", "01", "0001", "01ff"):
         with pytest.raises(BadDigit):
             ctx.parse_hex(bad)
     with pytest.raises(OutOfRange):

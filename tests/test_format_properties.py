@@ -2,11 +2,11 @@
 
 Canonical text read back and written again is the same text, and any
 integer token with a leading zero or a sign, or any hex token in
-uppercase, is refused with ParseError.
+uppercase or of another width, is refused with ParseError.
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qcnied import io
@@ -14,8 +14,6 @@ from qcnied.circulant import BlockCirculant
 from qcnied.errors import ParseError
 from qcnied.field import FieldCtx, is_irreducible
 from qcnied.niederreiter import PrivateKey, PublicKey
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -55,6 +53,14 @@ def public_keys(draw):
     return PublicKey(hprime, c.p, c.m1, c.m2, c.ctx, e)
 
 
+@st.composite
+def ciphertexts(draw):
+    """(ctx, y): k = m1*p field elements, as a ciphertext carries."""
+    c = draw(matrices())
+    k = c.m1 * c.p
+    return c.ctx, tuple(draw(st.lists(st.integers(0, c.ctx.order - 1), min_size=k, max_size=k)))
+
+
 FORMATS = {
     "matrix": (matrices(), io.write_matrix, io.read_matrix),
     "private": (private_keys(), io.write_private_key, io.read_private_key),
@@ -90,7 +96,6 @@ def with_token(text: str, i: int, j: int, new: str) -> str:
 
 
 @pytest.mark.parametrize("kind", FORMATS)
-@PROPERTY
 @given(data=st.data())
 def test_canonical_text_roundtrips(kind, data):
     strategy, write, read = FORMATS[kind]
@@ -99,7 +104,6 @@ def test_canonical_text_roundtrips(kind, data):
 
 
 @pytest.mark.parametrize("kind", FORMATS)
-@PROPERTY
 @given(data=st.data())
 def test_integer_token_with_leading_zero_or_sign_is_refused(kind, data):
     strategy, write, read = FORMATS[kind]
@@ -112,7 +116,6 @@ def test_integer_token_with_leading_zero_or_sign_is_refused(kind, data):
 
 
 @pytest.mark.parametrize("kind", FORMATS)
-@PROPERTY
 @given(data=st.data())
 def test_uppercase_hex_token_is_refused(kind, data):
     strategy, write, read = FORMATS[kind]
@@ -125,3 +128,24 @@ def test_uppercase_hex_token_is_refused(kind, data):
     i, j, tok = data.draw(st.sampled_from(lettered))
     with pytest.raises(ParseError):
         read(with_token(text, i, j, tok.upper()))
+
+
+@pytest.mark.parametrize("kind", [*FORMATS, "ciphertext"])
+@given(data=st.data())
+def test_hex_token_of_another_width_is_refused(kind, data):
+    # one hex token padded with a zero or trimmed by its first digit
+    if kind == "ciphertext":
+        ctx, y = data.draw(ciphertexts())
+        text = io.write_ciphertext(ctx, y)
+        hex_tokens = [(i, 0, tok) for i, tok in enumerate(text[:-1].split("\n"))]
+
+        def read(t):
+            return io.read_ciphertext(ctx, t, len(y))
+    else:
+        strategy, write, read = FORMATS[kind]
+        text = write(data.draw(strategy))
+        hex_tokens = [(i, j, tok) for i, j, tok, is_int in tokens(kind, text) if not is_int]
+    i, j, tok = data.draw(st.sampled_from(hex_tokens))
+    new = data.draw(st.sampled_from(["0" + tok, tok[1:]]))
+    with pytest.raises(ParseError):
+        read(with_token(text, i, j, new))

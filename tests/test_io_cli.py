@@ -426,6 +426,25 @@ def test_cli_unwritable_output_refused(tmp_path, capsys, c512):
     assert not (tmp_path / "sk").exists()
 
 
+def test_cli_refuses_hex_tokens_of_another_width(tmp_path, capsys, c512):
+    # each of these reads back to a different text, so each is refused
+    mat = tmp_path / "m.qcm"
+    wide = io.write_matrix(BlockCirculant(FieldCtx(9), 5, 1, 2, [(1, 2, 3, 4, 5)]))
+    assert wide.splitlines()[2:] == ["203", "001 002 003 004 005"]
+    good = io.write_matrix(c512)
+    row = good.splitlines()[3]
+    for text in (
+        wide.replace("001 ", "1 "),
+        wide.replace("001 ", "0001 "),
+        wide.replace("\n203\n", "\n0203\n"),
+        good.replace(row, "0" + row),
+    ):
+        mat.write_text(text)
+        assert refused(capsys, ["validate", str(mat), "--desk-scale"]), text
+    mat.write_text(wide)
+    assert main(["validate", str(mat), "--desk-scale"]) != 2
+
+
 def test_cli_validate(tmp_path, c512):
     mat = tmp_path / "m.qcm"
     mat.write_text(io.write_matrix(c512))
@@ -693,6 +712,19 @@ def test_cli_keygen_trivial_kernel(tmp_path, capsys):
     assert main(["keygen", str(mat), "--priv", str(priv_p), "--pub", str(pub_p)]) == 0
     assert capsys.readouterr().out == "e: 26\n"
     support = ",".join(str(j) for j in range(0, 26, 2))
+    assert main(["encrypt", str(pub_p), "--support", support, "-o", str(ct)]) == 0
+    assert main(["decrypt", str(priv_p), str(ct)]) == 0
+    assert capsys.readouterr().out == support + "\n"
+
+
+def test_cli_key_past_condition_v_round_trips(tmp_path, capsys):
+    # a (31,1,2,2) key, as the paper's p > 30 asks: keygen walks the
+    # kernel instead of enumerating, and a message of weight e decrypts
+    mat, priv_p, pub_p, ct = (tmp_path / n for n in ("m.qcm", "sk", "pk", "ct"))
+    assert main(["search", "31", "1", "2", "2", "--seed", "2", "-o", str(mat)]) == 0
+    assert main(["keygen", str(mat), "--seed", "2", "--priv", str(priv_p), "--pub", str(pub_p)]) == 0
+    assert capsys.readouterr().out == "e: 15\n"
+    support = ",".join(str(j) for j in range(0, 30, 2))
     assert main(["encrypt", str(pub_p), "--support", support, "-o", str(ct)]) == 0
     assert main(["decrypt", str(priv_p), str(ct)]) == 0
     assert capsys.readouterr().out == support + "\n"

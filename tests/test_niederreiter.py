@@ -4,19 +4,25 @@ The oracle is the syndrome-table construction this module used before it
 moved to elimination: enumerate syndromes weight by weight, stop at the
 first collision, and decode by table lookup. Its columns come from the
 dense expansion of H and the public columns as published, so it shares
-no code with the elimination path.
+no code with the elimination path. A second oracle, `stepwise_capacity`,
+is the capacity search as it stood before its enumeration and kernel
+walk ran one after the other; the new search must give its e wherever it
+gives one.
 """
 
 import itertools
 import random
 from functools import reduce
+from itertools import accumulate, combinations
+from math import comb
 from operator import xor
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qcnied import io, niederreiter
 from qcnied.circulant import BlockCirculant
-from qcnied.conditions import sample_compliant
+from qcnied.conditions import sample_compliant, sample_variant
 from qcnied.errors import (
     DecodeFailure,
     OutOfRange,
@@ -26,6 +32,7 @@ from qcnied.errors import (
 )
 from qcnied.niederreiter import (
     PrivateKey,
+    _capacity,
     _echelon,
     _inverse,
     decrypt,
@@ -72,6 +79,84 @@ def oracle_table(cols):
             level[s] = support
         table.update(level)
     return n, table
+
+
+def stepwise_capacity(cols, kernel, budget=1 << 24):
+    """The capacity search as it stood before the enumeration and the
+    kernel walk ran one after the other: the walk ran inside the level
+    loop, and the levels after it still counted toward the budget."""
+    n = len(cols)
+    if not kernel:
+        return n
+    seen = {0}
+    enumerated = 1
+    collision = 0  # weight of the first collision, once the kernel walk ran
+    for t in range(1, n + 1):
+        enumerated += comb(n, t)
+        if enumerated > budget:
+            raise TooLarge(f"syndrome enumeration through weight {t} needs {enumerated} vectors")
+        if enumerated > 1 << len(kernel):  # so are all later levels
+            if not collision:
+                steps = (kernel[(i & -i).bit_length() - 1] for i in range(1, 1 << len(kernel)))
+                collision = (min(z.bit_count() for z in accumulate(steps, xor)) + 1) // 2
+            if t == collision:
+                return t - 1
+            continue
+        for support in combinations(cols, t):
+            s = reduce(xor, support)
+            if s in seen:
+                return t - 1
+            seen.add(s)
+    raise AssertionError("a nonzero kernel vector must collide with zero")
+
+
+def least_kernel_weight(cols, kernel):
+    """d by brute force: the least weight over every nonzero sum of kernel
+    basis vectors, each checked to have zero syndrome."""
+    for v in kernel:
+        assert reduce(xor, (col for j, col in enumerate(cols) if v >> j & 1), 0) == 0
+    return min(
+        reduce(xor, (v for i, v in enumerate(kernel) if mask >> i & 1)).bit_count()
+        for mask in range(1, 1 << len(kernel))
+    )
+
+
+# the shapes with p <= 7, m1 <= 2, m2 - m1 <= 3 and eta 2-3 that each
+# sampler can fill; sample_variant needs two blocks in a block-row
+CAPACITY_SHAPES = [
+    (sampler, p, m1, m1 + mc, eta)
+    for sampler in (sample_compliant, sample_variant)
+    for p in (3, 5, 7)
+    for m1 in (1, 2)
+    for mc in (1, 2, 3)
+    for eta in (2, 3)
+    if sampler is sample_compliant or (m1 == 2 and mc >= 2)
+]
+
+
+@given(st.sampled_from(CAPACITY_SHAPES), st.integers(1, 1 << 20))
+@example((sample_compliant, 5, 1, 4, 2), 2)
+@example((sample_compliant, 7, 1, 4, 2), 2)
+def test_capacity_against_stepwise_oracle_and_kernel_walk(shape_, seed):
+    # the stepwise search's e wherever it gives one, and (d - 1) // 2 for
+    # the brute-force d wherever the kernel is small enough to walk here.
+    # Few random shapes have a kernel large enough for the enumeration to
+    # find the collision, so two that do (at weight 2 and 3) are explicit
+    sampler, p, m1, m2, eta = shape_
+    cols = packed_columns(sampler(p, m1, m2, eta, seed=seed))
+    kernel = _echelon(cols)[1]
+    try:
+        e = _capacity(cols, kernel)
+    except TooLarge:
+        e = None
+    try:
+        assert e == stepwise_capacity(cols, kernel)
+    except TooLarge:
+        pass
+    if e is not None and kernel and len(kernel) <= 16:
+        assert e == (least_kernel_weight(cols, kernel) - 1) // 2
+    elif e is not None and not kernel:
+        assert e == len(cols)
 
 
 def lanes(packed, k, eta):
@@ -177,15 +262,13 @@ def test_trivial_kernel_gets_full_capacity():
 
 def test_kernel_walk_replaces_enumeration(monkeypatch):
     # (13,1,2,2) seeds 5 and 2 have a one-vector kernel, of weight 13 and
-    # 26. Weight 1 already outnumbers its two vectors, so the collision
-    # weight ceil(d/2) comes from the kernel walk: 7 gives e = 6, and 13
-    # is refused, as the enumeration would pass ENUM_BUDGET at weight 11,
-    # before any vector is enumerated
+    # 26. Weight 1 already outnumbers its two vectors, so e = (d - 1) // 2
+    # comes from the kernel walk, before any vector is enumerated
     def no_enumeration(*args):
         raise AssertionError("syndrome enumeration started")
 
     monkeypatch.setattr(niederreiter, "combinations", no_enumeration)
-    for seed, d in ((5, 13), (2, 26)):
+    for seed, d, e in ((5, 13, 6), (2, 26, 12)):
         c = sample_compliant(13, 1, 2, 2, seed=seed)
         cols = packed_columns(c)
         (v,) = _echelon(cols)[1]
@@ -194,20 +277,44 @@ def test_kernel_walk_replaces_enumeration(monkeypatch):
             if v >> j & 1:
                 syndrome ^= cols[j]
         assert syndrome == 0 and v.bit_count() == d
-    assert keygen(sample_compliant(13, 1, 2, 2, seed=5), seed=1)[1].e == 6
-    with pytest.raises(TooLarge, match="through weight 11 "):
-        keygen(sample_compliant(13, 1, 2, 2, seed=2), seed=1)
+        assert keygen(c, seed=1)[1].e == e
 
 
 def test_error_capacity_budget_guard(monkeypatch):
-    # seed 3 has a nontrivial kernel and e = 4: the enumeration through
-    # weight 5 needs 638 vectors
-    c = small_matrix(seed=3)
-    monkeypatch.setattr(niederreiter, "ENUM_BUDGET", 637)
-    with pytest.raises(TooLarge):
+    # each method is refused before it would pass ENUM_BUDGET. (7,1,4,2)
+    # seed 2 has a 14-dimensional kernel, and its enumeration collides at
+    # weight 3 after 1 + 28 + 378 + 3276 = 3683 vectors
+    c = sample_compliant(7, 1, 4, 2, seed=2)
+    monkeypatch.setattr(niederreiter, "ENUM_BUDGET", 3682)
+    with pytest.raises(TooLarge, match="through weight 3 needs 3683 vectors"):
         keygen(c, seed=5)
-    monkeypatch.setattr(niederreiter, "ENUM_BUDGET", 638)
+    monkeypatch.setattr(niederreiter, "ENUM_BUDGET", 3683)
+    assert keygen(c, seed=5)[1].e == 2
+    # (5,1,2,2) seed 3 has a one-vector kernel: the walk covers 2 vectors
+    # and gives e = 4, and it is refused before it starts
+    c = small_matrix(seed=3)
+
+    def no_walk(*args):
+        raise AssertionError("kernel walk started")
+
+    monkeypatch.setattr(niederreiter, "ENUM_BUDGET", 1)
+    with monkeypatch.context() as m:
+        m.setattr(niederreiter, "accumulate", no_walk)
+        with pytest.raises(TooLarge, match="kernel walk over 2 vectors"):
+            keygen(c, seed=5)
+    monkeypatch.setattr(niederreiter, "ENUM_BUDGET", 2)
     assert keygen(c, seed=5)[1].e == 4
+
+
+def test_keys_past_condition_v_round_trip_at_capacity():
+    # the paper's keys need p > 30: every (p,1,2,2) key at p in {31, 37,
+    # 41}, seeds 1-40, carries a message of weight exactly e
+    for p in (31, 37, 41):
+        for seed in range(1, 41):
+            priv, pub = keygen(sample_compliant(p, 1, 2, 2, seed=seed), seed)
+            support = set(random.Random(seed).sample(range(pub.n), pub.e))
+            x = tuple(1 if j in support else 0 for j in range(pub.n))
+            assert decrypt(priv, encrypt(pub, x)) == x
 
 
 def test_inflated_e_refused_before_search(monkeypatch):
