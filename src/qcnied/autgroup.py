@@ -216,14 +216,6 @@ class AutGroup(Record):
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def k(self) -> int:
-        return self.m1 * self.p
-
-    @property
-    def n(self) -> int:
-        return self.m2 * self.p
-
     def row_projection(self) -> tuple[Perm, ...]:
         return tuple(sorted({p1 for p1, _ in self.elements}))
 
@@ -305,35 +297,29 @@ def _dsum_all(perms: list[Perm]) -> Perm:
 def stab_full(c: BlockCirculant) -> AutGroup:
     """Stabilizer of the whole matrix C under block-diagonal pairs.
 
-    A constant block aJ is fixed by every pair (P, Q), so it constrains
-    nothing: it is labelled symmetric from its shape and never searched.
-    Every other block gets its pair stabilizer from stab_block. Condition
-    iii justifies the block-diagonal decomposition: the assembly joins
-    those stabilizers, and a P_i or Q_j that no non-constant block
-    constrains ranges over all of S_p. When the group would hold more
-    than STAB_BUDGET elements, TooLarge is raised before it is listed.
-    When condition iii fails the exact search runs on the full matrix
-    for k <= FULL_MATRIX_MAX_K and refuses otherwise. Every element is
+    Condition iii is settled first. When it fails, k > FULL_MATRIX_MAX_K
+    is refused before any block is searched, and a smaller C gets the
+    exact search on the full matrix. When it holds it justifies the
+    block-diagonal decomposition. A constant block aJ is fixed by every
+    pair (P, Q), so it constrains nothing: it is labelled symmetric from
+    its shape and never searched. Every other block gets its pair
+    stabilizer from stab_block; the assembly joins those stabilizers,
+    and a P_i or Q_j that no non-constant block constrains ranges over
+    all of S_p. When the group would hold more than STAB_BUDGET
+    elements, TooLarge is raised before it is listed. Every element is
     verified against the dense matrix before it is returned.
     """
     from .conditions import check_iii
 
     m1, mc, p = c.m1, c.m2 - c.m1, c.p
-    dense = c.expand()
+    full_matrix = check_iii(c).status == "fail"
+    if full_matrix and m1 * p > FULL_MATRIX_MAX_K:
+        raise ConditionIIIViolated(f"condition iii fails and k = {m1 * p} > {FULL_MATRIX_MAX_K}")
     blocks = {divmod(index, mc): row for index, row in enumerate(c.rows)}
     stabs = {ij: stab_block(row) for ij, row in blocks.items() if len(set(row)) > 1}
     labels = {ij: classify(stabs[ij]) if ij in stabs else SYMMETRIC for ij in blocks}
-    if check_iii(c).status == "fail":
-        k = m1 * p
-        if k > FULL_MATRIX_MAX_K:
-            raise ConditionIIIViolated(
-                f"condition iii fails and k = {k} > {FULL_MATRIX_MAX_K}"
-            )
-        group = AutGroup(
-            p=p, m1=m1, m2=c.m2,
-            elements=_stabilizing_pairs(dense),
-            block_labels=labels, method="full-matrix",
-        )
+    if full_matrix:
+        method, elements = "full-matrix", _stabilizing_pairs(c.dense)
     else:
         maps = {}
         for ij, ps in stabs.items():
@@ -359,11 +345,9 @@ def stab_full(c: BlockCirculant) -> AutGroup:
                 p1 = _dsum_all([solution[("P", i)] for i in range(m1)])
                 p2 = _dsum_all([solution[("Q", j)] for j in range(mc)])
                 elements.append((p1, p2))
-        group = AutGroup(
-            p=p, m1=m1, m2=c.m2,
-            elements=tuple(sorted(elements)),
-            block_labels=labels, method="blockwise",
-        )
+        method, elements = "blockwise", tuple(sorted(elements))
+    group = AutGroup(p=p, m1=m1, m2=c.m2, elements=elements, block_labels=labels, method=method)
+    dense = c.dense
     for p1, p2 in group.elements:
         if act(p1, dense, p2) != dense:
             raise AssertionError("assembled element fails to stabilize C")
@@ -391,7 +375,7 @@ def verify_lemma1(c: BlockCirculant, g: AutGroup) -> Lemma1Report:
     """
     from .conditions import check_ii
 
-    dense_c = c.expand()
+    dense_c = c.dense
     witness: object = None
     premise_ok = True
     try:
@@ -422,10 +406,7 @@ def verify_lemma1(c: BlockCirculant, g: AutGroup) -> Lemma1Report:
             relation_ok = False
             if premise_ok:
                 raise LemmaViolated(f"element (P1={p1}, P2={p2}) fails the symmetry relation")
-    by_p1: dict[Perm, set[Perm]] = {}
-    for p1, p2 in g.elements:
-        by_p1.setdefault(p1, set()).add(p2)
-    uniqueness_ok = all(len(v) == 1 for v in by_p1.values())
+    uniqueness_ok = len({p1 for p1, _ in g.elements}) == len(set(g.elements))
     if premise_ok and not uniqueness_ok:
         raise LemmaViolated("multiple column partners for one row permutation")
     ok = premise_ok and relation_ok and uniqueness_ok

@@ -127,10 +127,11 @@ class BlockCirculant(Record):
     length (SizeMismatch), then an entry outside the field (OutOfRange).
     p is not forced prime here; primality is a compliance condition and
     is reported by the condition checkers rather than enforced on the
-    container.
+    container. `dense` keeps expand() from its first use, out of ==.
     """
 
-    __slots__ = ("ctx", "p", "m1", "m2", "rows")
+    _fields = ("ctx", "p", "m1", "m2", "rows")
+    __slots__ = _fields + ("_dense",)
 
     def __init__(self, ctx: FieldCtx, p: int, m1: int, m2: int, rows):
         check_shape(p, m1, m2)
@@ -140,6 +141,13 @@ class BlockCirculant(Record):
         if any(not 0 <= a < ctx.order for row in rows for a in row):
             raise OutOfRange(f"block entry outside [0, {ctx.order})")
         super().__init__(ctx, p, m1, m2, rows)
+
+    @property
+    def dense(self) -> Dense:
+        """expand(), computed once per matrix."""
+        if getattr(self, "_dense", None) is None:
+            object.__setattr__(self, "_dense", self.expand())
+        return self._dense
 
     def expand(self) -> Dense:
         """Dense (m1*p) x ((m2-m1)*p) matrix."""

@@ -26,10 +26,11 @@ information-set argument).
 from __future__ import annotations
 
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from math import comb
 from operator import xor
+from types import MappingProxyType
 
 from ._record import Record
 from .errors import DecodeFailure, OutOfRange, SizeMismatch, TooLarge, WeightTooHigh
@@ -68,8 +69,9 @@ def _echelon(vectors) -> tuple[dict[int, int], list[int]]:
     return pivots, kernel
 
 
-def _inverse(rows) -> tuple[int, ...] | None:
-    """Inverse of a square F2 matrix given as bit-rows; None when singular."""
+@lru_cache(maxsize=1)
+def _inverse(rows: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Inverse of a square F2 matrix as bit-rows, None when singular; the last one is kept."""
     k = len(rows)
     pivots, kernel = _echelon(rows)
     if kernel:
@@ -120,7 +122,16 @@ def _columns(rows, p: int, m1: int, m2: int, eta: int) -> list[int]:
     return cols
 
 
-def _capacity(cols: list[int], kernel: list[int]) -> int:
+@lru_cache(maxsize=1)
+def _syndrome_map(rows, p: int, m1: int, m2: int, eta: int) -> tuple:
+    """H's _columns, then their _echelon rows and kernel basis, all read-only;
+    the last H is kept, so keygen and its PrivateKey derive it once."""
+    cols = _columns(rows, p, m1, m2, eta)
+    pivots, kernel = _echelon(cols)
+    return tuple(cols), MappingProxyType(pivots), tuple(kernel)
+
+
+def _capacity(cols, kernel) -> int:
     """Largest t with distinct syndromes on all vectors of weight <= t.
 
     A trivial kernel makes the map injective outright. Otherwise weights
@@ -175,8 +186,8 @@ class PrivateKey(_Key):
     rows of the wrong count, length or field, and a B0 that does not
     permute range(n) (SizeMismatch or OutOfRange); it inverts A0
     (SizeMismatch when singular) and eliminates H's binary syndrome map,
-    so decrypt does neither. The derived a0inv, pivots and kernel stay
-    out of ==, hash and repr.
+    so decrypt does neither; a key built by keygen reuses keygen's. The
+    derived a0inv, pivots and kernel stay out of ==, hash and repr.
     """
 
     _fields = ("a0", "rows", "b0", "p", "m1", "m2", "ctx", "e")
@@ -184,6 +195,7 @@ class PrivateKey(_Key):
 
     def __init__(self, a0: tuple[int, ...], rows, b0: tuple[int, ...],
                  p: int, m1: int, m2: int, ctx: FieldCtx, e: int):
+        a0, rows = tuple(a0), tuple(map(tuple, rows))
         if p < 1 or not 1 <= m1 < m2:
             raise SizeMismatch(f"need p >= 1 and 1 <= m1 < m2, got p={p} m1={m1} m2={m2}")
         if len(rows) != m1 * (m2 - m1) or any(len(row) != p for row in rows):
@@ -197,11 +209,11 @@ class PrivateKey(_Key):
         a0inv = _inverse(a0)
         if a0inv is None:
             raise SizeMismatch("A0 is singular over F2")
-        pivots, kernel = _echelon(_columns(rows, p, m1, m2, ctx.eta))
+        _, pivots, kernel = _syndrome_map(rows, p, m1, m2, ctx.eta)
         super().__init__(a0, rows, b0, p, m1, m2, ctx, e)
         object.__setattr__(self, "a0inv", a0inv)
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "kernel", tuple(kernel))
+        object.__setattr__(self, "kernel", kernel)
 
 
 class PublicKey(_Key):
@@ -219,8 +231,8 @@ def keygen(c: BlockCirculant, seed: int) -> tuple[PrivateKey, PublicKey]:
     draw, when the capacity search would pass ENUM_BUDGET.
     """
     p, m1, m2, ctx = c.p, c.m1, c.m2, c.ctx
-    cols = _columns(c.rows, p, m1, m2, ctx.eta)
-    e = _capacity(cols, _echelon(cols)[1])
+    cols, _, kernel = _syndrome_map(c.rows, p, m1, m2, ctx.eta)
+    e = _capacity(cols, kernel)
     rng = random.Random(seed)
     k, n, eta = m1 * p, m2 * p, ctx.eta
     a0 = tuple(rng.getrandbits(k) for _ in range(k))
@@ -231,11 +243,9 @@ def keygen(c: BlockCirculant, seed: int) -> tuple[PrivateKey, PublicKey]:
     priv = PrivateKey(a0, c.rows, tuple(b0), p, m1, m2, ctx, e)
     hprime = tuple(_mix(a0, cols[b0[j]], eta) for j in range(n))
     pub = PublicKey(hprime, p, m1, m2, ctx, e)
-    # key relation sanity: undoing A0 and B0 must restore the structured matrix
-    b0inv = [0] * n
-    for j, i in enumerate(b0):
-        b0inv[i] = j
-    if any(_mix(priv.a0inv, hprime[b0inv[j]], eta) != cols[j] for j in range(n)):
+    # key relation sanity: undoing A0 and B0 must restore the structured
+    # matrix, whose column b0[j] is column j of H'
+    if any(_mix(priv.a0inv, hprime[j], eta) != cols[i] for j, i in enumerate(b0)):
         raise AssertionError("key relation A0^-1 H' B0^-1 == H failed")
     return priv, pub
 

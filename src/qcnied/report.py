@@ -53,6 +53,8 @@ def read_report(text: str) -> tuple[dict[str, str], list[tuple[Perm, Perm]]]:
             except QcniedError as exc:
                 raise ParseError(f"report: {exc}") from exc
             elems.append((p1, p2))
+        elif key in fields:
+            raise ParseError(f"report: repeated field {key!r}")
         else:
             fields[key] = value
     return fields, elems
@@ -98,8 +100,9 @@ def _cmd_validate(matrix, desk_scale=False, variant=False, threshold=None, out=N
     return 0 if ok else 1
 
 
-def _surveillance(c: "BlockCirculant", g: "AutGroup", threshold: float) -> tuple[str, bool]:
-    """Judge the computed group against the structural guarantees.
+def _surveillance(rep, g: "AutGroup", pi1: float, pi2: float) -> tuple[str, bool]:
+    """Judge group g, of row and column minimal degrees pi1 and pi2,
+    against the structural guarantees its matrix's ConditionReport gives.
 
     Compliant matrices must have |H| <= p^2 and both minimal degrees at
     least p - 1 with the column one no smaller than the row one; variant
@@ -107,23 +110,17 @@ def _surveillance(c: "BlockCirculant", g: "AutGroup", threshold: float) -> tuple
     guarantees themselves failed, which is reported as a trip, never
     absorbed.
     """
-    from .conditions import validate_all
-
-    rep = validate_all(c, desk_scale=True, ratio_threshold=threshold)
-    p = c.p
+    p = g.p
     if rep.strict_ok():
         if g.order > p * p:
             return f"tripped (order {g.order} > p^2 = {p * p})", True
-        if g.min_degree_pi1 < p - 1:
-            return (
-                f"tripped (row minimal degree {_fmt(g.min_degree_pi1)} < {p - 1})",
-                True,
-            )
-        if g.min_degree_pi2 < g.min_degree_pi1:
+        if pi1 < p - 1:
+            return f"tripped (row minimal degree {_fmt(pi1)} < {p - 1})", True
+        if pi2 < pi1:
             return "tripped (column minimal degree below row minimal degree)", True
         return "clear", False
     if rep.variant_ok():
-        ceiling = p ** (2 * c.m1)
+        ceiling = p ** (2 * g.m1)
         if g.order > ceiling:
             return f"tripped (order {g.order} > p^(2 m1) = {ceiling})", True
         return "clear", False
@@ -132,18 +129,22 @@ def _surveillance(c: "BlockCirculant", g: "AutGroup", threshold: float) -> tuple
 
 def _cmd_autgroup(matrix, threshold=None, out=None) -> int:
     from .autgroup import EXCEPTIONAL, stab_full, verify_lemma1
+    from .conditions import validate_all
 
     c = read_matrix(_read(matrix))
+    # judged before the search: eta = 1 is refused here
+    rep = validate_all(c, desk_scale=True, ratio_threshold=_threshold(threshold))
     g = stab_full(c)
     lem = verify_lemma1(c, g)
-    verdict, tripped = _surveillance(c, g, _threshold(threshold))
+    pi1, pi2 = g.min_degree_pi1, g.min_degree_pi2
+    verdict, tripped = _surveillance(rep, g, pi1, pi2)
     fields = [("kind", "autgroup")]
     fields += _shape_fields(c.p, c.m1, c.m2, c.ctx.eta)
     fields += [
         ("method", g.method),
         ("order", g.order),
-        ("min_degree_rows", _fmt(g.min_degree_pi1)),
-        ("min_degree_cols", _fmt(g.min_degree_pi2)),
+        ("min_degree_rows", _fmt(pi1)),
+        ("min_degree_cols", _fmt(pi2)),
         ("classification", EXCEPTIONAL if tripped else g.classification),
     ]
     for (i, j), label in sorted(g.block_labels.items()):
@@ -179,6 +180,34 @@ def _envelope_shape(m1: int, m2: int, what: str) -> None:
         raise ParseError(f"{what}: bad shape m1={m1} m2={m2}, need 1 <= m1 < m2")
 
 
+def _check_group(elems, where: str) -> None:
+    """Refuse elements that do not form a group under autgroup's pair law
+    (P1, Q1) o (P2, Q2) = (P1 P2, Q2 Q1). Generators are taken greedily
+    and their closure grown; each new one at least doubles it, so this
+    costs at most |H| * ceil(log2 |H|) compositions."""
+    given = [(p1.images, p2.images) for p1, p2 in elems]
+    listed = set(given)
+    identity = tuple(tuple(range(len(side))) for side in given[0])
+    if identity not in listed:
+        raise ParseError(f"{where}: the elements lack the identity")
+    members, reached, gens = [identity], {identity}, []
+    for g in given:
+        if g in reached:
+            continue
+        gens.append(g)
+        old = len(members)
+        # members grows while it is walked: each new member is multiplied
+        # by every generator, each old one only by the new generator
+        for i, (p1, q1) in enumerate(members):
+            for p2, q2 in gens if i >= old else gens[-1:]:
+                h = (tuple(map(p1.__getitem__, p2)), tuple(map(q2.__getitem__, q1)))
+                if h not in listed:
+                    raise ParseError(f"{where}: the elements are not closed under composition")
+                if h not in reached:
+                    reached.add(h)
+                    members.append(h)
+
+
 def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, k=None, n=None,
                out=None) -> int:
     from .distinguish import dk_bound, dk_bound_envelope
@@ -209,6 +238,7 @@ def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, k=None, n=
         order = _int_token(fields["order"], "order")
         if order != len(elems):
             raise ParseError(f"{report}: order {order}, but {len(elems)} elements")
+        _check_group(elems, report)
         r = dk_bound(elems, p, m1, m2)
     else:
         if p is None:

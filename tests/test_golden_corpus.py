@@ -10,8 +10,10 @@ the brute-force stabilizer search that preceded the pruned backtrack
 (with its `mode` and `affine_incomplete` report lines dropped), the
 bound pins from the recursive class-size search that preceded the
 knapsack table, the validate pins from the condition-iii check that
-compared the rows and columns of the expanded C, so they hold the old
-and new code to identical files and outputs. The validate pins cover
+compared the rows and columns of the expanded C, and the autgroup
+refusal pins (exit code and stderr) from the command that searched
+before it judged the matrix, so they hold the old and new code to
+identical files and outputs. The validate pins cover
 each searched corpus matrix and fixed matrices that fail each condition
 in their own way. The help pins cover `qcnied --help` and each subcommand's
 `--help`, rendered from the command table in `qcnied.cli`, which does not
@@ -63,6 +65,22 @@ AUTGROUP_FIXED = {
         FieldCtx(3), 2, 2, 4, [(1, 2), (3, 4), (1, 2), (3, 4)]
     ),
 }
+
+
+def _refused_fixtures() -> dict[str, BlockCirculant]:
+    """Two p = 61 matrices that autgroup refuses before any search: one
+    over F2 (eta = 1), and one whose two block rows hold one multiset, so
+    condition iii fails with k = 122 > 8."""
+    rng = random.Random(1)
+    bits = tuple(rng.randrange(2) for _ in range(61))
+    row = tuple(rng.randrange(4) for _ in range(61))
+    return {
+        "eta_1_p61": BlockCirculant(FieldCtx(1), 61, 1, 2, [bits]),
+        "iii_k122": BlockCirculant(FieldCtx(2), 61, 2, 3, [row, row[5:] + row[:5]]),
+    }
+
+
+AUTGROUP_REFUSED = _refused_fixtures()
 
 
 # written directly: one matrix failing each condition in its own way
@@ -144,6 +162,21 @@ def run_autgroup_corpus(workdir: Path) -> dict[str, tuple[int, str]]:
         pins[f"{tag}/autgroup"] = (code, _sha(g.read_bytes()))
         code, stdout = _run(["bound", "--report", g])
         pins[f"{tag}/bound"] = (code, _sha(stdout.encode()))
+    return pins
+
+
+def run_refused_corpus(workdir: Path) -> dict[str, tuple[int, str]]:
+    """autgroup on each refused fixture; map it to (exit code, stderr).
+    A refusal writes no report and nothing to stdout."""
+    pins: dict[str, tuple[int, str]] = {}
+    for tag, c in AUTGROUP_REFUSED.items():
+        m, g = workdir / f"{tag}.qcm", workdir / f"{tag}.qcr"
+        m.write_text(io.write_matrix(c), encoding="utf-8")
+        err = _io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, stdout = _run(["autgroup", m, "-o", g])
+        assert stdout == "" and not g.exists(), tag
+        pins[f"{tag}/autgroup"] = (code, err.getvalue())
     return pins
 
 
@@ -351,6 +384,12 @@ VALIDATE_PINS = {
 }
 
 
+REFUSED_PINS = {
+    'eta_1_p61/autgroup': (1, 'error: condition ii needs a proper extension field (eta >= 2)\n'),
+    'iii_k122/autgroup': (1, 'error: condition iii fails and k = 122 > 8\n'),
+}
+
+
 BOUND_PINS = {
     'sweep --p 2,3,5,7,11,13,31,61,101': (0, '3c76d3cc614f86bb7cf316184fdcd3b791fe4723b865d00b3df80348deb19b88'),
     'sweep --p 7,31 --m1 2 --m2 3': (0, 'fc148f527443732cd6d2a92c24ab947ac86c10284db4ea2bf90066e1419bcacf'),
@@ -380,6 +419,10 @@ def test_golden_autgroup_corpus(tmp_path):
     assert run_autgroup_corpus(tmp_path) == AUTGROUP_PINS
 
 
+def test_golden_autgroup_refusals(tmp_path):
+    assert run_refused_corpus(tmp_path) == REFUSED_PINS
+
+
 def test_golden_validate_corpus(tmp_path):
     assert run_validate_corpus(tmp_path) == VALIDATE_PINS
 
@@ -394,6 +437,7 @@ def test_golden_help_texts():
 
 if __name__ == "__main__":
     for name, run in (("PINS", run_corpus), ("AUTGROUP_PINS", run_autgroup_corpus),
+                      ("REFUSED_PINS", run_refused_corpus),
                       ("VALIDATE_PINS", run_validate_corpus),
                       ("BOUND_PINS", lambda _: run_bound_corpus()),
                       ("HELP_PINS", lambda _: run_help_corpus())):

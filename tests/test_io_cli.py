@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -597,16 +598,39 @@ def test_cli_bound_refuses_hostile_reports(tmp_path, capsys):
     assert main(["autgroup", str(mat), "-o", str(rep)]) == 0
     text = rep.read_text()
     first = next(line for line in text.split("\n") if line.startswith("elem: "))
+    assert first == "elem: 0 1 2 3 4 | 0 1 2 3 4"                         # the identity
     for edited in (text + first + "\n",                                   # a repeat
                    (text + first + "\n").replace("\norder: 5\n", "\norder: 6\n"),
                    text.replace(first + "\n", "", 1),                      # one dropped
                    text.replace("\norder: 5\n", "\norder: 7\n"),
                    text.replace("\norder: 5\n", "\n"),                     # no order
-                   text.replace("\norder: 5\n", "\norder: 05\n")):
+                   text.replace("\norder: 5\n", "\norder: 05\n"),
+                   # a repeated field: the last value used to win
+                   text.replace("\norder: 5\n", "\norder: 99\norder: 5\n"),
+                   text.replace("\np: 5\n", "\np: 5\np: 7\n"),
+                   # four elements without the identity are no group
+                   text.replace(first + "\n", "", 1).replace("\norder: 5\n", "\norder: 4\n")):
         bad.write_text(edited)
         assert refused(capsys, ["bound", "--report", str(bad), "-o", str(brep)])
         assert not brep.exists()
     assert main(["bound", "--report", str(rep)]) == 0
+
+
+def test_cli_bound_refuses_a_set_that_is_no_group(tmp_path, capsys):
+    # the Fano group is closed under autgroup's pair law
+    # (P1, Q1) o (P2, Q2) = (P1 P2, Q2 Q1) but not under the componentwise
+    # one; inverting every Q swaps which of the two laws it is closed under
+    fano = BlockCirculant(FieldCtx(2), 7, 1, 2, [FANO_ROW])
+    mat, rep, bad = tmp_path / "m.qcm", tmp_path / "g.qcr", tmp_path / "bad.qcr"
+    mat.write_text(io.write_matrix(fano))
+    assert main(["autgroup", str(mat), "-o", str(rep)]) == 3
+    fields, elems = report.read_report(rep.read_text())
+    listed = set(elems)
+    assert all((a * c, d * b) in listed for a, b in elems for c, d in elems)
+    assert not all((a * c, b * d) in listed for a, b in elems for c, d in elems)
+    assert main(["bound", "--report", str(rep)]) == 0
+    bad.write_text(report.write_report(fields.items(), [(a, b.inv()) for a, b in elems]))
+    assert refused(capsys, ["bound", "--report", str(bad)])
 
 
 def test_cli_autgroup_variant_past_p5(tmp_path):
@@ -803,3 +827,72 @@ def test_package_exports_resolve_to_home_modules():
         qcnied.no_such_name
     with pytest.raises(ImportError):
         exec("from qcnied import no_such_name", {})
+
+
+def test_cli_autgroup_refuses_before_any_search(tmp_path, monkeypatch):
+    # eta = 1 fails the judgement autgroup makes first; condition iii with
+    # k = 122 > 8 is settled by stab_full before its block searches
+    from qcnied import autgroup
+
+    from test_golden_corpus import AUTGROUP_REFUSED
+
+    searched = []
+    monkeypatch.setattr(autgroup, "stab_block", searched.append)
+    monkeypatch.setattr(autgroup, "_stabilizing_pairs", searched.append)
+    for tag, c in AUTGROUP_REFUSED.items():
+        mat = tmp_path / f"{tag}.qcm"
+        mat.write_text(io.write_matrix(c))
+        assert main(["autgroup", str(mat)]) == 1, tag
+    assert searched == []
+
+
+def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
+    """Each command of MODULE_TABLE, run through cli.main as in a fresh
+    process, derives each fact once: keygen builds H's columns and
+    eliminates H once and each drawn A0 once; decrypt does the same for
+    the key it loads; autgroup judges C once, before its first block
+    search, expands C once and projects the group once."""
+    from qcnied import autgroup, circulant, niederreiter
+
+    calls = []
+
+    def watch(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append((name, args))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((niederreiter, "_columns"), (niederreiter, "_echelon"),
+                        (conditions, "validate_all"), (autgroup, "stab_block"),
+                        (circulant.BlockCirculant, "expand"),
+                        (autgroup.AutGroup, "row_projection")):
+        watch(owner, name)
+    monkeypatch.chdir(tmp_path)
+    ran = {}
+    for command, _ in MODULE_TABLE[1:]:
+        # what a fresh process would start from
+        niederreiter._inverse.cache_clear()
+        niederreiter._syndrome_map.cache_clear()
+        calls.clear()
+        assert main(command.split()) == 0, command
+        ran.setdefault(command.split()[0], []).extend(calls)
+
+    def count(command):
+        return sorted(Counter(name for name, _ in ran[command]).items())
+
+    n, a0 = 10, io.read_private_key(Path("sk").read_text()).a0
+    eliminated = [args[0] for name, args in ran["keygen"] if name == "_echelon"]
+    assert [len(m) for m in eliminated].count(n) == 1                 # H once
+    drawn = [tuple(m) for m in eliminated if len(m) != n]
+    assert drawn[-1] == a0 and len(set(drawn)) == len(drawn)          # each A0 once
+    assert count("keygen") == [("_columns", 1), ("_echelon", 1 + len(drawn))]
+    assert count("decrypt") == [("_columns", 1), ("_echelon", 2)]
+    assert count("encrypt") == []
+    assert count("autgroup") == [("expand", 1), ("row_projection", 1),
+                                 ("stab_block", 1), ("validate_all", 1)]
+    assert ran["autgroup"][0][0] == "validate_all"
+    assert count("validate") == [("validate_all", 1)]
+    assert count("bound") == count("sweep") == []

@@ -470,3 +470,8 @@ def test_private_key_refuses_a_malformed_key():
         with pytest.raises(error):
             PrivateKey(**{**good, **change})
     assert PrivateKey(**good) == priv
+    # lists are taken and stored as tuples; the shared elimination is read-only
+    twin = PrivateKey(**{**good, "a0": list(priv.a0), "rows": [list(row)]})
+    assert twin == priv and hash(twin) == hash(priv) and twin.kernel == priv.kernel
+    with pytest.raises(TypeError):
+        twin.pivots[0] = 0

@@ -102,3 +102,11 @@ def test_private_key_equality_ignores_derived_fields():
     assert twin == PRIV and hash(twin) == hash(PRIV)
     assert "a0inv" not in repr(PRIV) and "pivots" not in repr(PRIV)
     assert PRIV.a0inv and PRIV.pivots
+
+
+def test_block_circulant_equality_ignores_its_dense_form():
+    twin = BlockCirculant(CTX, 3, 1, 2, (ROW,))
+    assert twin.dense is twin.dense == GRID.expand()
+    assert twin == GRID and hash(twin) == hash(GRID) and repr(twin) == repr(GRID)
+    with pytest.raises(AttributeError):
+        twin.dense = ()
