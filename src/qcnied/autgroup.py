@@ -1,28 +1,32 @@
 """Stabilizers of block-circulant matrices under two-sided permutation action.
 
-A pair (P, Q) of p-point permutations stabilizes a block M when
-P M Q = M as matrix products, i.e. act(P, M, Q) = M. For the full matrix
-C the compliance conditions force every stabilizing pair to act
-block-diagonally, so the full group is assembled from per-block pair
-stabilizers by constraint propagation: row permutation i and column
-permutation j must stabilize block (i, j) jointly, for every block.
-Every pair stabilizes a constant block, so those blocks are skipped.
+A pair (P, Q) of permutations stabilizes a matrix M when P M Q = M as
+matrix products, i.e. act(P, M, Q) = M. The stabilizer of the full
+matrix C comes from one search on C, whether or not condition iii
+holds. When it holds, no row or column of C can leave its block row or
+block column, so every pair acts block-diagonally. Each non-constant
+block is also searched on its own, to label its row projection.
 
-Each group element (P1, P2) of the assembled group corresponds to a
-symmetry (A, P) of the parity check [I | C]: A is the permutation matrix
-of P1^-1 and P = P1^-1 (+) P2 permutes columns, satisfying
-A^-1 [I | C] P = [I | C]. Because the cycle structure of P1 and P1^-1
-agree, every quantity derived downstream (orders, supports, conjugacy
-class sizes) is insensitive to that inversion.
+Each group element (P1, P2) corresponds to a symmetry (A, P) of the
+parity check [I | C]: A is the permutation matrix of P1^-1 and
+P = P1^-1 (+) P2 permutes columns, satisfying A^-1 [I | C] P = [I | C].
+Because the cycle structure of P1 and P1^-1 agree, every quantity
+derived downstream (orders, supports, conjugacy class sizes) is
+insensitive to that inversion.
 
 Pair stabilizers are groups under (P1, Q1) o (P2, Q2) = (P1 P2, Q2 Q1);
 the column side composes in reverse, as it must for a two-sided action.
 
-Every pair stabilizer, per block or of the whole matrix, comes from one
-exact search: a row-by-row backtrack in the spirit of partition
+Every pair stabilizer, of one block or of the whole matrix, comes from
+one exact search: a row-by-row backtrack in the spirit of partition
 backtrack (Leon 1991, "Permutation group algorithms based on
-partitions"). It is complete at every size and held to one work budget,
-STAB_BUDGET, counted in search nodes plus emitted pairs.
+partitions"), rooted on the cyclic shifts. The p block-diagonal shift
+pairs fix every block-circulant matrix and move row 0 anywhere in its
+block row, so the search pins row 0's image to one row per block row
+and composes what it finds with the shifts (orbit-stabilizer; Dixon &
+Mortimer 1996, "Permutation Groups"). It is complete at every size and
+held to one work budget, STAB_BUDGET, counted in candidate rows tried
+plus pairs listed.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from ._record import Record
 from .circulant import BlockCirculant, Dense, Perm, act, expand_row
 from .errors import ConditionIIIViolated, EtaTooSmall, LemmaViolated, TooLarge
 
-# search nodes plus emitted pairs one stabilizer search may spend
+# candidate rows tried plus pairs listed one stabilizer search may spend
 STAB_BUDGET = 1 << 19
-# most rows of C the full-matrix search takes when condition iii fails
+# most rows of C the search takes when condition iii fails
 FULL_MATRIX_MAX_K = 8
 
 AFFINE = "affine-subgroup"
@@ -85,19 +89,47 @@ def _matching_qs(rows, col_map, p_images) -> list[Perm]:
     return out
 
 
-def _stabilizing_pairs(rows: Dense) -> tuple[tuple[Perm, Perm], ...]:
-    """Every (P, Q) with act(P, M, Q) = M, sorted.
+def _block_shift(n: int, p: int, s: int) -> tuple[int, ...]:
+    """Images of i -> i + s mod p within each run of p points of n."""
+    return tuple(i - i % p + (i + s) % p for i in range(n))
 
-    P(0), P(1), ... are picked in turn, and a branch is pruned unless the
-    multiset of column prefixes of rows P(0)..P(t) equals that of rows
-    0..t of M. At a full P the multisets of whole columns agree, so P
-    has exactly prod(|class|!) partners Q over the classes of equal
-    columns. Candidate rows tried plus pairs emitted are held to
-    STAB_BUDGET; TooLarge is raised before the work that would pass it.
+
+def _stabilizing_pairs(rows: Dense, p: int) -> tuple[tuple[Perm, Perm], ...]:
+    """Every (P, Q) with act(P, M, Q) = M, sorted, for M made of p x p
+    circulant blocks.
+
+    The shift pairs (row r -> r + s, column c -> c - s, mod p within each
+    block) fix M, so every pair is a shift pair times one that sends row
+    0 to the first row of a block row. Only those rooted pairs are
+    searched: P(0) ranges over rows 0, p, 2p, ..., then P(1), P(2), ...
+    are picked in turn, and a branch is pruned unless the multiset of
+    column prefixes of rows P(0)..P(t) equals that of rows 0..t of M. At
+    a full P the multisets of whole columns agree, so P has exactly
+    prod(|class|!) partners Q over the classes of equal columns, and each
+    (P, Q) is composed with the p shift pairs.
+
+    Candidate rows tried plus pairs listed are held to STAB_BUDGET;
+    TooLarge is raised before the work that would pass it. A matrix whose
+    shape already forces more pairs is refused before any search: the
+    shifts times every permutation of identical rows and of identical
+    columns.
     """
     size = len(rows)
     col_map = _column_map(rows)
-    per_leaf = math.prod(math.factorial(len(js)) for js in col_map.values())
+    per_q = math.prod(math.factorial(len(js)) for js in col_map.values())
+    per_p = math.prod(math.factorial(rows.count(row)) for row in set(rows))
+    row_shifts = [_block_shift(size, p, s) for s in range(p)]
+    # a shift that only permutes identical rows also only permutes
+    # identical columns, so it is counted once in the forced subgroup
+    inside = sum(all(rows[x] == row for x, row in zip(shift, rows)) for shift in row_shifts)
+    forced = p // inside * per_p * per_q
+    if forced > STAB_BUDGET:
+        raise TooLarge(
+            f"the shifts and repeated rows and columns of a {size}-row matrix "
+            f"force {forced} stabilizing pairs, more than {STAB_BUDGET}"
+        )
+    col_shifts = [_block_shift(len(rows[0]), p, -s) for s in range(p)]
+    per_leaf = p * per_q
     base = 1 + max(map(max, rows))
     # levels[t] numbers the distinct column prefixes over rows 0..t of M,
     # keyed by the id of the prefix over rows 0..t-1 times base plus the
@@ -127,11 +159,13 @@ def _stabilizing_pairs(rows: Dense) -> tuple[tuple[Perm, Perm], ...]:
         t = len(images)
         if t == size:
             spend(per_leaf)
-            perm = Perm(images)
-            pairs.extend((perm, q) for q in _matching_qs(rows, col_map, images))
+            qs = _matching_qs(rows, col_map, images)
+            for row_shift, col_shift in zip(row_shifts, col_shifts):
+                perm = Perm(map(row_shift.__getitem__, images))
+                pairs.extend((perm, Perm(map(q.images.__getitem__, col_shift))) for q in qs)
             return
         level, want = levels[t], wants[t]
-        for x in range(size):
+        for x in range(0, size, p) if t == 0 else range(size):
             if used[x]:
                 continue
             spend(1)
@@ -170,7 +204,7 @@ def stab_block(row: tuple[int, ...]) -> PairStab:
     column permutations are listed.
     """
     row = tuple(row)
-    return PairStab(row=row, pairs=_stabilizing_pairs(expand_row(row)))
+    return PairStab(row=row, pairs=_stabilizing_pairs(expand_row(row), len(row)))
 
 
 def classify(ps: PairStab) -> str:
@@ -202,15 +236,14 @@ def minimal_degree(perms) -> float:
 
 
 class AutGroup(Record):
-    """Assembled stabilizer of a full block-circulant matrix.
+    """Stabilizer of a full block-circulant matrix.
 
     elements holds (P1, P2): P1 permutes the k = m1*p rows, P2 the
     n - k columns, with P1 C P2 = C. block_labels maps each block (i, j)
-    to the classification of its pair stabilizer; method names the
-    search that produced the elements.
+    to the classification of its pair stabilizer.
     """
 
-    __slots__ = ("p", "m1", "m2", "elements", "block_labels", "method")
+    __slots__ = ("p", "m1", "m2", "elements", "block_labels")
 
     @property
     def order(self) -> int:
@@ -242,120 +275,41 @@ class AutGroup(Record):
         return AFFINE
 
 
-def _assemble(maps: dict) -> list[dict]:
-    """All joint assignments of the constrained row perms P_i and column
-    perms Q_j: maps[(i, j)] = (pq, qp) for each block that constrains its
-    pair, where pq sends P to the Q with (P, Q) in the block's pair
-    stabilizer and qp sends Q to those P. Backtracking with
-    smallest-domain-first ordering; blocks with small stabilizers (the
-    condition-iv blocks) therefore drive the search."""
-    domains: dict[tuple[str, int], set] = {}
-    links: dict[tuple[str, int], list] = {}
-    for (i, j), (pq, qp) in maps.items():
-        for var, other, partners_of in ((("P", i), ("Q", j), pq), (("Q", j), ("P", i), qp)):
-            domains[var] = domains[var] & partners_of.keys() if var in domains else set(partners_of)
-            links.setdefault(var, []).append((other, partners_of))
-    results: list[dict] = []
-    assign: dict = {}
-
-    def backtrack(doms):
-        if len(assign) == len(doms):
-            results.append(dict(assign))
-            return
-        var = min(
-            (v for v in doms if v not in assign),
-            key=lambda v: (len(doms[v]), v),
-        )
-        for val in sorted(doms[var]):
-            assign[var] = val
-            nxt = dict(doms)
-            feasible = True
-            for other, partners_of in links[var]:
-                partners = partners_of.get(val, frozenset())
-                if other in assign:
-                    feasible = assign[other] in partners
-                else:
-                    nxt[other] = nxt[other] & partners
-                    feasible = bool(nxt[other])
-                if not feasible:
-                    break
-            if feasible:
-                backtrack(nxt)
-            del assign[var]
-
-    backtrack(domains)
-    return results
-
-
-def _dsum_all(perms: list[Perm]) -> Perm:
-    out = perms[0]
-    for perm in perms[1:]:
-        out = out.dsum(perm)
-    return out
-
-
 def stab_full(c: BlockCirculant) -> AutGroup:
-    """Stabilizer of the whole matrix C under block-diagonal pairs.
+    """Stabilizer of the whole matrix C, from one search on C.
 
-    Condition iii is settled first. When it fails, k > FULL_MATRIX_MAX_K
-    is refused before any block is searched, and a smaller C gets the
-    exact search on the full matrix. When it holds it justifies the
-    block-diagonal decomposition. A constant block aJ is fixed by every
-    pair (P, Q), so it constrains nothing: it is labelled symmetric from
-    its shape and never searched. Every other block gets its pair
-    stabilizer from stab_block; the assembly joins those stabilizers,
-    and a P_i or Q_j that no non-constant block constrains ranges over
-    all of S_p. When the group would hold more than STAB_BUDGET
-    elements, TooLarge is raised before it is listed. Every element is
-    verified against the dense matrix before it is returned.
+    Condition iii is settled first: when it fails, k > FULL_MATRIX_MAX_K
+    is refused before any search. A C whose shape forces more than
+    STAB_BUDGET pairs is refused next, also before any search. Each
+    non-constant block is labelled from its pair stabilizer (stab_block).
+    A constant block aJ is fixed by every pair (P, Q), so it is labelled
+    symmetric from its shape and never searched. A C of one non-constant
+    block is searched once: its block search is the search on C. Every
+    element is verified against the dense matrix before it is returned.
     """
     from .conditions import check_iii
 
     m1, mc, p = c.m1, c.m2 - c.m1, c.p
-    full_matrix = check_iii(c).status == "fail"
-    if full_matrix and m1 * p > FULL_MATRIX_MAX_K:
+    if check_iii(c).status == "fail" and m1 * p > FULL_MATRIX_MAX_K:
         raise ConditionIIIViolated(f"condition iii fails and k = {m1 * p} > {FULL_MATRIX_MAX_K}")
     blocks = {divmod(index, mc): row for index, row in enumerate(c.rows)}
-    stabs = {ij: stab_block(row) for ij, row in blocks.items() if len(set(row)) > 1}
-    labels = {ij: classify(stabs[ij]) if ij in stabs else SYMMETRIC for ij in blocks}
-    if full_matrix:
-        method, elements = "full-matrix", _stabilizing_pairs(c.dense)
+    searched = [ij for ij, row in blocks.items() if len(set(row)) > 1]
+    if len(blocks) == len(searched) == 1:
+        stabs = {(0, 0): stab_block(c.rows[0])}
+        elements = stabs[0, 0].pairs
     else:
-        maps = {}
-        for ij, ps in stabs.items():
-            pq: dict[Perm, set] = {}
-            qp: dict[Perm, set] = {}
-            for pr, qc in ps.pairs:
-                pq.setdefault(pr, set()).add(qc)
-                qp.setdefault(qc, set()).add(pr)
-            maps[ij] = (pq, qp)
-        solutions = _assemble(maps)
-        free = [("P", i) for i in range(m1) if all((i, j) not in maps for j in range(mc))]
-        free += [("Q", j) for j in range(mc) if all((i, j) not in maps for i in range(m1))]
-        if len(solutions) * math.factorial(p) ** len(free) > STAB_BUDGET:
-            raise TooLarge(
-                f"{len(free)} block permutations range over S_{p}: the group has "
-                f"more than {STAB_BUDGET} elements"
-            )
-        sym = [Perm(images) for images in permutations(range(p))] if free else []
-        elements = []
-        for solution in solutions:
-            for choice in product(sym, repeat=len(free)):
-                solution.update(zip(free, choice))
-                p1 = _dsum_all([solution[("P", i)] for i in range(m1)])
-                p2 = _dsum_all([solution[("Q", j)] for j in range(mc)])
-                elements.append((p1, p2))
-        method, elements = "blockwise", tuple(sorted(elements))
-    group = AutGroup(p=p, m1=m1, m2=c.m2, elements=elements, block_labels=labels, method=method)
+        elements = _stabilizing_pairs(c.dense, p)
+        stabs = {ij: stab_block(blocks[ij]) for ij in searched}
+    labels = {ij: classify(stabs[ij]) if ij in stabs else SYMMETRIC for ij in blocks}
     dense = c.dense
-    for p1, p2 in group.elements:
+    for p1, p2 in elements:
         if act(p1, dense, p2) != dense:
-            raise AssertionError("assembled element fails to stabilize C")
-    return group
+            raise AssertionError("searched element fails to stabilize C")
+    return AutGroup(p=p, m1=m1, m2=c.m2, elements=elements, block_labels=labels)
 
 
 class Lemma1Report(Record):
-    """Outcome of replaying assembled elements against the parity check."""
+    """Outcome of replaying a group's elements against the parity check."""
 
     __slots__ = ("premise_ok", "premise_witness", "relation_ok", "uniqueness_ok",
                  "checked", "ok")
@@ -371,7 +325,7 @@ def verify_lemma1(c: BlockCirculant, g: AutGroup) -> Lemma1Report:
     an identity column and no two columns of C coincide; when that
     premise fails the report says so instead of judging the claims.
     A relation failure with the premise intact raises LemmaViolated,
-    since it would mean the assembly itself is broken.
+    since it would mean the search itself is broken.
     """
     from .conditions import check_ii
 

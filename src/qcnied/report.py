@@ -141,7 +141,6 @@ def _cmd_autgroup(matrix, threshold=None, out=None) -> int:
     fields = [("kind", "autgroup")]
     fields += _shape_fields(c.p, c.m1, c.m2, c.ctx.eta)
     fields += [
-        ("method", g.method),
         ("order", g.order),
         ("min_degree_rows", _fmt(pi1)),
         ("min_degree_cols", _fmt(pi2)),

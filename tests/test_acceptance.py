@@ -1,4 +1,4 @@
-"""Acceptance gate: the eleven shipped guarantees, one test and one
+"""Acceptance gate: the twelve shipped guarantees, one test and one
 printed verdict line each (run with -s to see them).
 
 Criteria 4, 5 and 9 share the seeded (p = 7) stabilizer corpus; it is
@@ -9,6 +9,7 @@ exceptional group, and it serves below as the fixture proving that the
 surveillance exit actually fires.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -37,6 +38,18 @@ from test_distinguish import brute_class_sizes, cycle_types
 
 C4_SEEDS_M2 = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21)
 C4_SEEDS_M3 = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+
+# search 61 1 2 2 --seed s writes these matrices, and each gets the same
+# report (the 61 shift pairs) and bound. The pins were taken from the
+# blockwise search that preceded the rooted one, with its `method` report
+# line dropped.
+P61_MATRICES = {
+    1: "5aa4f816323ce6547b090ca71bc877cfa4591b606eb106d9aae825373f8bfdd4",
+    2: "af8d81f08fea9abe2a68370865d13af04cab14078e7f56d4158fb7ee3e3a888b",
+    3: "8a241c2c853b3b57228da561e612ffc5be97bee34c8f6f7ebbbf5c129da480b0",
+}
+P61_REPORT = "7fead14fff3341fed1f68c49fb4bddb60e0833d7a61da15d246bef6a216b1c10"
+P61_BOUND = "b19980fc0c4d85f535a50cdd639840a65c8f2648127b40cc99708e435e741b66"
 
 _corpus_cache: list = []
 
@@ -252,3 +265,20 @@ def test_criterion_11_variant_regime():
             g = stab_full(c)
             assert g.order <= 625
             assert g.min_degree_pi1 >= 4
+
+
+def test_criterion_12_paper_regime(tmp_path, capsys):
+    with criterion(12, "search 61 1 2 2 -> autgroup -> bound pinned, autgroup < 1 s, seeds 1..3"):
+        for seed, matrix_sha in P61_MATRICES.items():
+            mat, rep = tmp_path / f"m{seed}.qcm", tmp_path / f"g{seed}.qcr"
+            assert cli.main(["search", "61", "1", "2", "2", "--seed", str(seed),
+                             "-o", str(mat)]) == 0
+            assert hashlib.sha256(mat.read_bytes()).hexdigest() == matrix_sha
+            t0 = time.perf_counter()
+            assert cli.main(["autgroup", str(mat), "-o", str(rep)]) == 0
+            assert time.perf_counter() - t0 < 1.0
+            assert hashlib.sha256(rep.read_bytes()).hexdigest() == P61_REPORT
+            assert report.read_report(rep.read_text())[0]["surveillance"] == "clear"
+            capsys.readouterr()
+            assert cli.main(["bound", "--report", str(rep)]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == P61_BOUND

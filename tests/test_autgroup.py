@@ -25,7 +25,7 @@ from qcnied.autgroup import (
     verify_lemma1,
 )
 from qcnied.circulant import BlockCirculant, Perm, act, expand_row
-from qcnied.conditions import check_iii, sample_compliant
+from qcnied.conditions import check_iii, good_shape, sample_compliant
 from qcnied.errors import ConditionIIIViolated, LemmaViolated, TooLarge
 from qcnied.field import FieldCtx
 
@@ -63,6 +63,53 @@ def bruteforce_pairs(rows) -> tuple[tuple[Perm, Perm], ...]:
     for images in itertools.permutations(range(len(rows))):
         perm = Perm(images)
         pairs.extend((perm, q) for q in _matching_qs(rows, col_map, images))
+    return tuple(sorted(pairs))
+
+
+def unrooted_pairs(rows) -> tuple[tuple[Perm, Perm], ...]:
+    """Every (P, Q) with act(P, M, Q) = M, sorted, by the backtrack that
+    tries every row as the image of row 0: the stabilizer search as it
+    stood before it was rooted on the shift pairs, without its budget.
+    Reference oracle for the rooted search at sizes past permutations(k).
+
+    P(0), P(1), ... are picked in turn, and a branch is pruned unless the
+    multiset of column prefixes of rows P(0)..P(t) equals that of rows
+    0..t of M. At a full P the multisets of whole columns agree, so P has
+    exactly prod(|class|!) partners Q over the classes of equal columns.
+    """
+    size = len(rows)
+    col_map = _column_map(rows)
+    base = 1 + max(map(max, rows))
+    levels, wants = [], []
+    prefix = [0] * len(rows[0])
+    for row in rows:
+        level: dict[int, int] = {}
+        prefix = [level.setdefault(i * base + v, len(level)) for i, v in zip(prefix, row)]
+        levels.append(level)
+        wants.append(sorted(prefix))
+    pairs: list[tuple[Perm, Perm]] = []
+    images: list[int] = []
+    used = [False] * size
+
+    def extend(ids: list[int]) -> None:
+        t = len(images)
+        if t == size:
+            perm = Perm(images)
+            pairs.extend((perm, q) for q in _matching_qs(rows, col_map, images))
+            return
+        level, want = levels[t], wants[t]
+        for x in range(size):
+            if used[x]:
+                continue
+            nxt = [level.get(i * base + v, -1) for i, v in zip(ids, rows[x])]
+            if sorted(nxt) == want:
+                used[x] = True
+                images.append(x)
+                extend(nxt)
+                images.pop()
+                used[x] = False
+
+    extend([0] * len(rows[0]))
     return tuple(sorted(pairs))
 
 
@@ -208,17 +255,20 @@ def test_stab_block_matches_bruteforce():
 
 
 @st.composite
-def block_rows(draw):
-    """(eta, first row) with p in 2..7 and eta in 1..3; constant and
+def block_rows(draw, max_p=7):
+    """(eta, first row) with p in 2..max_p and eta in 1..3; constant and
     near-constant rows are drawn on purpose. Constant rows stop at p = 5:
     from p = 6 on their (p!)^2 pairs are more than the oracle should list
-    (and at p = 7 more than STAB_BUDGET admits)."""
-    eta, p = draw(st.integers(1, 3)), draw(st.integers(2, 7))
+    (and at p = 7 more than STAB_BUDGET admits). Near-constant rows stop
+    at p = 7 for their p! pairs, and past it a row must have the
+    condition-iv shape and p distinct rotations."""
+    eta, p = draw(st.integers(1, 3)), draw(st.integers(2, max_p))
     values = st.integers(0, (1 << eta) - 1)
-    kind = draw(st.sampled_from(["generic", "near"] + ["constant"] * (p <= 5)))
+    kind = draw(st.sampled_from(["generic"] + ["near"] * (p <= 7) + ["constant"] * (p <= 5)))
     if kind == "generic":
         row = tuple(draw(values) for _ in range(p))
         assume(p <= 5 or len(set(row)) > 1)
+        assume(p <= 7 or good_shape(row) and len(set(expand_row(row))) == p)
     elif kind == "near":
         a = draw(values)
         b, j = draw(values.filter(lambda v: v != a)), draw(st.integers(0, p - 1))
@@ -232,6 +282,46 @@ def block_rows(draw):
 def test_stab_block_equals_bruteforce_oracle(eta_row):
     _eta, row = eta_row
     assert stab_block(row).pairs == bruteforce_pairs(expand_row(row))
+
+
+@given(block_rows(max_p=13))
+def test_rooted_block_search_equals_unrooted_oracle(eta_row):
+    _eta, row = eta_row
+    assert stab_block(row).pairs == unrooted_pairs(expand_row(row))
+
+
+@st.composite
+def mixed_grids(draw):
+    """Matrices with p <= 5 and m1, m2 - m1 in 1..2, each block drawn
+    constant or not. Condition iii may fail, and then k <= 8. At most 720
+    choices of the block permutations that only constant blocks touch are
+    drawn, so the oracle's listing stays quick."""
+    p = draw(st.integers(2, 5))
+    m1, mc, eta = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    values = st.integers(0, (1 << eta) - 1)
+    rows = [
+        (draw(values),) * p if draw(st.booleans()) else tuple(draw(values) for _ in range(p))
+        for _ in range(m1 * mc)
+    ]
+    # a block row or block column repeated with its blocks rotated keeps
+    # its multiset, so condition iii fails
+    repeat, s = draw(st.sampled_from(["none", "row", "col"])), draw(st.integers(0, p - 1))
+    for i in range(m1):
+        for j in range(mc):
+            if (repeat, i) == ("row", 1) or (repeat, j) == ("col", 1):
+                row = rows[j] if repeat == "row" else rows[i * mc]
+                rows[i * mc + j] = row[s:] + row[:s]
+    constant = [[len(set(rows[i * mc + j])) == 1 for j in range(mc)] for i in range(m1)]
+    free = sum(map(all, constant)) + sum(map(all, zip(*constant)))
+    assume(math.factorial(p) ** free <= 720)
+    c = BlockCirculant(FieldCtx(eta), p, m1, m1 + mc, rows)
+    assume(m1 * p <= autgroup.FULL_MATRIX_MAX_K or check_iii(c).status == "pass")
+    return c
+
+
+@given(mixed_grids())
+def test_whole_matrix_search_equals_unrooted_oracle(c):
+    assert stab_full(c).elements == unrooted_pairs(c.expand())
 
 
 @st.composite
@@ -250,9 +340,7 @@ def iii_failing(draw):
 
 @given(iii_failing())
 def test_full_matrix_fallback_equals_bruteforce_oracle(c):
-    g = stab_full(c)
-    assert g.method == "full-matrix"
-    assert g.elements == bruteforce_pairs(c.expand())
+    assert stab_full(c).elements == bruteforce_pairs(c.expand())
 
 
 def test_stab_block_guards():
@@ -264,16 +352,19 @@ def test_stab_block_guards():
 
 
 def test_stab_block_budget(monkeypatch):
-    # constant p = 5: 5 + 20 + 60 + 120 + 120 = 325 candidate rows tried
-    # and 120 * 120 = 14,400 pairs; the budget admits exactly that much
+    # constant p = 5, row 0 pinned to row 0: 1 + 4 + 12 + 24 + 24 = 65
+    # candidate rows tried, and 24 leaves of 120 partners Q each, composed
+    # with the 5 shifts, list 14,400 pairs; the budget admits exactly that
     flat = (2,) * 5
-    monkeypatch.setattr(autgroup, "STAB_BUDGET", 325 + 14_400)
+    monkeypatch.setattr(autgroup, "STAB_BUDGET", 65 + 14_400)
     assert stab_block(flat).order == 14_400
-    monkeypatch.setattr(autgroup, "STAB_BUDGET", 325 + 14_400 - 1)
-    with pytest.raises(TooLarge):
+    monkeypatch.setattr(autgroup, "STAB_BUDGET", 65 + 14_400 - 1)
+    with pytest.raises(TooLarge, match="nodes plus pairs"):
         stab_block(flat)
-    monkeypatch.setattr(autgroup, "STAB_BUDGET", 14_000)
-    with pytest.raises(TooLarge):
+    # the shifts and the S_5 x S_5 of identical rows and columns force
+    # 14,400 pairs, so a smaller budget refuses before any search
+    monkeypatch.setattr(autgroup, "STAB_BUDGET", 14_400 - 1)
+    with pytest.raises(TooLarge, match="force 14400 stabilizing pairs"):
         stab_block(flat)
 
 
@@ -294,7 +385,6 @@ def test_stab_full_blockwise_product_structure():
     s00 = stab_block(c.rows[0])
     s11 = stab_block(c.rows[3])
     assert g.order == s00.order * s11.order
-    assert g.method == "blockwise"
     dense = c.expand()
     for p1, p2 in g.elements:
         assert act(p1, dense, p2) == dense
@@ -323,9 +413,7 @@ def with_constant_blocks(draw):
 
 @given(with_constant_blocks())
 def test_stab_full_with_constant_blocks_equals_full_listing(c):
-    g = stab_full(c)
-    assert g.method == "blockwise"
-    assert g.elements == full_listing_elements(c)
+    assert stab_full(c).elements == full_listing_elements(c)
 
 
 def test_stab_full_searches_only_non_constant_blocks(monkeypatch):
@@ -340,57 +428,60 @@ def test_stab_full_searches_only_non_constant_blocks(monkeypatch):
     g = stab_full(blockwise)
     assert searched == [(0, 1, 2, 3, 1), (1, 0, 2, 2, 3)]
     assert g.block_labels[0, 1] == g.block_labels[1, 0] == SYMMETRIC
-    # the condition-iii fallback labels its constant blocks unsearched too
+    # a condition-iii failure labels its constant blocks unsearched too
     searched.clear()
     fallback = BlockCirculant(
         FieldCtx(3), 2, 2, 4,
         [(1, 2), (3, 3), (1, 2), (3, 3)],
     )
     g = stab_full(fallback)
-    assert g.method == "full-matrix"
     assert searched == [(1, 2), (1, 2)]
     assert g.block_labels[0, 1] == g.block_labels[1, 1] == SYMMETRIC
 
 
 def test_stab_full_free_block_perms_budget(monkeypatch):
     # P_1 meets only a constant block, so it ranges over S_9: the 9 shifts
-    # of block (0, 0) times 9! elements pass STAB_BUDGET and are refused
-    # before any is listed
+    # times the 9! permutations of the identical rows of block row 1 pass
+    # STAB_BUDGET and are refused before any search
     c = BlockCirculant(
         CTX, 9, 2, 3, [(0, 1, 2, 3, 0, 1, 2, 3, 0), (2,) * 9],
     )
     t0 = time.perf_counter()
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="force 3265920 stabilizing pairs"):
         stab_full(c)
     assert time.perf_counter() - t0 < 0.25
-    # a lone constant p = 5 block leaves P_0 and Q_0 free: 120 * 120
-    # elements, which the budget admits exactly
-    flat = BlockCirculant(CTX, 5, 1, 2, [(2,) * 5])
-    monkeypatch.setattr(autgroup, "STAB_BUDGET", 14_400)
-    assert stab_full(flat).order == 14_400
-    monkeypatch.setattr(autgroup, "STAB_BUDGET", 14_400 - 1)
-    with pytest.raises(TooLarge):
-        stab_full(flat)
+    # a constant block beside a generic one leaves Q_1 free: the 5 shifts
+    # times 5! elements. Row 0 pinned, the search tries 1 + 4 + 3 + 2 + 1
+    # = 11 candidate rows and lists 600 pairs; the budget admits exactly
+    # that, and below 600 the forced subgroup refuses before any search
+    free_q = BlockCirculant(FieldCtx(3), 5, 1, 3, [(0, 1, 2, 3, 4), (2,) * 5])
+    monkeypatch.setattr(autgroup, "STAB_BUDGET", 11 + 600)
+    assert stab_full(free_q).order == 600
+    monkeypatch.setattr(autgroup, "STAB_BUDGET", 11 + 600 - 1)
+    with pytest.raises(TooLarge, match="nodes plus pairs"):
+        stab_full(free_q)
+    monkeypatch.setattr(autgroup, "STAB_BUDGET", 600 - 1)
+    with pytest.raises(TooLarge, match="force 600 stabilizing pairs"):
+        stab_full(free_q)
 
 
 def test_stab_full_reverifies_assembled_elements(monkeypatch):
-    # an assembly that proposes a non-stabilizing pair is caught against
-    # the dense matrix before the group is returned
-    bogus = {("P", 0): Perm.shift(5, 1), ("Q", 0): Perm.identity(5)}
-    monkeypatch.setattr(autgroup, "_assemble", lambda *args: [bogus])
+    # a search that proposes a non-stabilizing pair is caught against the
+    # dense matrix before the group is returned
+    bogus = ((Perm.shift(5, 1), Perm.identity(5)),)
+    monkeypatch.setattr(autgroup, "_stabilizing_pairs", lambda *args: bogus)
     with pytest.raises(AssertionError, match="fails to stabilize"):
         stab_full(sample_compliant(5, 1, 2, 2, seed=6))
 
 
 def test_stab_full_falls_back_when_iii_breaks():
     # m1 = 2 with identical block rows: condition iii fails, k = 4 <= 8,
-    # so the full-matrix search runs and finds the cross-row swap
+    # so the search runs and finds the cross-row swap
     c = BlockCirculant(
         FieldCtx(3), 2, 2, 4,
         [(1, 2), (3, 4), (1, 2), (3, 4)],
     )
     g = stab_full(c)
-    assert g.method == "full-matrix"
     swap = Perm((2, 3, 0, 1))
     assert any(p1 == swap for p1, _ in g.elements)
 
@@ -430,7 +521,7 @@ def test_h_group_matches_stabilizer_at_p3():
     pairs = h_group_exhaustive(c)
     assert len(pairs) == g.order
     # the exhaustive search verifies A^-1 H P = H internally; confirm the
-    # column permutations are exactly the ones the assembled group implies
+    # column permutations are exactly the ones the searched group implies
     sigmas = {sigma for _, sigma in pairs}
     expect = {p1.inv().dsum(p2) for p1, p2 in g.elements}
     assert sigmas == expect
@@ -470,7 +561,7 @@ def test_verify_lemma1_eta1_premise():
 def test_verify_lemma1_rejects_a_non_symmetry():
     # a row shift with no matching column move maps H to another matrix
     bogus = AutGroup(p=5, m1=1, m2=2, elements=((Perm.shift(5, 1), Perm.identity(5)),),
-                     block_labels={}, method="report")
+                     block_labels={})
     c = sample_compliant(5, 1, 2, 2, seed=6)
     with pytest.raises(LemmaViolated):
         verify_lemma1(c, bogus)

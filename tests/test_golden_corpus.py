@@ -7,7 +7,9 @@ private key, public key, ciphertext, reports) and of each stdout. The
 key pins were taken from the syndrome-table implementation this package
 used before its decoder moved to F2 elimination, the autgroup pins from
 the brute-force stabilizer search that preceded the pruned backtrack
-(with its `mode` and `affine_incomplete` report lines dropped), the
+(with its `mode` and `affine_incomplete` report lines dropped, and the
+`method` line dropped when the blockwise assembly gave way to one
+search rooted on the shifts), the
 bound pins from the recursive class-size search that preceded the
 knapsack table, the validate pins from the condition-iii check that
 compared the rows and columns of the expanded C, and the autgroup
@@ -58,7 +60,7 @@ AUTGROUP_CORPUS = tuple(
 ) + ((5, 2, 4, 2, 3, True),)
 
 # written directly: the order-168 trip wire and a condition-iii failure
-# that takes the full-matrix search
+# with k <= 8, which is searched
 AUTGROUP_FIXED = {
     "fano": BlockCirculant(FieldCtx(2), 7, 1, 2, [FANO_ROW]),
     "iii_fallback": BlockCirculant(
@@ -315,29 +317,29 @@ AUTGROUP_PINS = {
     '7_1_3_2_2/search': (0, '2d2ec1aa0b4453946fbb548b61afb620bc8c78e6eea9535145b7815179ee5742'),
     '7_1_3_2_3/search': (0, 'fbbffcf9b90aabe135287ce5db54b5787cc6f025265e17edfc63b02ad5f1d67e'),
     '5_2_4_2_3_variant/search': (0, '2672322d23d25382a50b6950c3690725a57504c12f4e9faa6917be88c2b328f2'),
-    '5_1_2_2_1/autgroup': (0, 'be90dfaf037581a8edac3d2449623c07979aac62716e954a49f8aace151f3d9c'),
+    '5_1_2_2_1/autgroup': (0, '2b4a94ab0ed960e660504c457d591e9b212d743c4e170cc28144a0fe30b4b112'),
     '5_1_2_2_1/bound': (0, 'f6cf825ba8adca213feac4317c70ff3fa45a0dede32f2dcfbcca76a09b763b41'),
-    '5_1_2_2_2/autgroup': (0, 'be90dfaf037581a8edac3d2449623c07979aac62716e954a49f8aace151f3d9c'),
+    '5_1_2_2_2/autgroup': (0, '2b4a94ab0ed960e660504c457d591e9b212d743c4e170cc28144a0fe30b4b112'),
     '5_1_2_2_2/bound': (0, 'f6cf825ba8adca213feac4317c70ff3fa45a0dede32f2dcfbcca76a09b763b41'),
-    '5_1_2_2_3/autgroup': (0, 'be90dfaf037581a8edac3d2449623c07979aac62716e954a49f8aace151f3d9c'),
+    '5_1_2_2_3/autgroup': (0, '2b4a94ab0ed960e660504c457d591e9b212d743c4e170cc28144a0fe30b4b112'),
     '5_1_2_2_3/bound': (0, 'f6cf825ba8adca213feac4317c70ff3fa45a0dede32f2dcfbcca76a09b763b41'),
-    '7_1_2_2_1/autgroup': (0, '0dc45d9d06e538398d8fedbd6b7910a378485b5d99ba00264a760709f8d46f04'),
+    '7_1_2_2_1/autgroup': (0, '4dba1dc19bfee915b0c3f0f329f9e1720ef4ab8f77a79e370e9b2115bb842886'),
     '7_1_2_2_1/bound': (0, '1b9e6c198b074c52f4957e0535f9dc1ad39a7be8dcb1419679d5e2ddac0cc166'),
-    '7_1_2_2_2/autgroup': (0, '0dc45d9d06e538398d8fedbd6b7910a378485b5d99ba00264a760709f8d46f04'),
+    '7_1_2_2_2/autgroup': (0, '4dba1dc19bfee915b0c3f0f329f9e1720ef4ab8f77a79e370e9b2115bb842886'),
     '7_1_2_2_2/bound': (0, '1b9e6c198b074c52f4957e0535f9dc1ad39a7be8dcb1419679d5e2ddac0cc166'),
-    '7_1_2_2_3/autgroup': (0, '0dc45d9d06e538398d8fedbd6b7910a378485b5d99ba00264a760709f8d46f04'),
+    '7_1_2_2_3/autgroup': (0, '4dba1dc19bfee915b0c3f0f329f9e1720ef4ab8f77a79e370e9b2115bb842886'),
     '7_1_2_2_3/bound': (0, '1b9e6c198b074c52f4957e0535f9dc1ad39a7be8dcb1419679d5e2ddac0cc166'),
-    '7_1_3_2_1/autgroup': (0, 'a283f0c19677cd81b478e52b5d7a7b2045fe74e019d4850a9852abe897a97734'),
+    '7_1_3_2_1/autgroup': (0, '08af5a1848fbbe30f4c39d9cffeda402c357e2a514717eda1caabed0c0180fb4'),
     '7_1_3_2_1/bound': (0, '029274868bae4a623307c5452415966c97c40d0fc0d44dfece9c111f903e379f'),
-    '7_1_3_2_2/autgroup': (0, 'a283f0c19677cd81b478e52b5d7a7b2045fe74e019d4850a9852abe897a97734'),
+    '7_1_3_2_2/autgroup': (0, '08af5a1848fbbe30f4c39d9cffeda402c357e2a514717eda1caabed0c0180fb4'),
     '7_1_3_2_2/bound': (0, '029274868bae4a623307c5452415966c97c40d0fc0d44dfece9c111f903e379f'),
-    '7_1_3_2_3/autgroup': (0, 'a283f0c19677cd81b478e52b5d7a7b2045fe74e019d4850a9852abe897a97734'),
+    '7_1_3_2_3/autgroup': (0, '08af5a1848fbbe30f4c39d9cffeda402c357e2a514717eda1caabed0c0180fb4'),
     '7_1_3_2_3/bound': (0, '029274868bae4a623307c5452415966c97c40d0fc0d44dfece9c111f903e379f'),
-    '5_2_4_2_3_variant/autgroup': (0, '7d65591f239f47bb3e315dc3559bc36128c76b84a1da8f27f89d1e281984f9b8'),
+    '5_2_4_2_3_variant/autgroup': (0, '722d3ba918ab2febb9df63b4ae7fc420256bbfe13727d316ea3cae27423fdede'),
     '5_2_4_2_3_variant/bound': (0, '7d7a6871b049574aeaf4507136e8872b4f172e36a8c57ba569521bd179d3b5a0'),
-    'fano/autgroup': (3, 'e1acc84fe124e8bd43ca1f2660cc657212060c1fe55ff131245ab4432361e0fa'),
+    'fano/autgroup': (3, '50444c6379616e1c7bc7b298bc0a8bfab17ad9986e8273f6277079fc9dcddb81'),
     'fano/bound': (0, 'a004970844a6631b2e06c08a4afeac46131701df4cf68314094bd054477b5fb3'),
-    'iii_fallback/autgroup': (0, '95daa09dce8300dc2fef1cf85fa3e27fb992f1f45b97a4ff07a59d115a2fc9e4'),
+    'iii_fallback/autgroup': (0, '76beb8b9e13cba78a6acb70b22e335be7ef1a8463b08348f01e754a329103c1a'),
     'iii_fallback/bound': (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }
 

@@ -851,7 +851,8 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     process, derives each fact once: keygen builds H's columns and
     eliminates H once and each drawn A0 once; decrypt does the same for
     the key it loads; autgroup judges C once, before its first block
-    search, expands C once and projects the group once."""
+    search, searches its one-block C once, expands C once and projects
+    the group once."""
     from qcnied import autgroup, circulant, niederreiter
 
     calls = []
@@ -867,6 +868,7 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
 
     for owner, name in ((niederreiter, "_columns"), (niederreiter, "_echelon"),
                         (conditions, "validate_all"), (autgroup, "stab_block"),
+                        (autgroup, "_stabilizing_pairs"),
                         (circulant.BlockCirculant, "expand"),
                         (autgroup.AutGroup, "row_projection")):
         watch(owner, name)
@@ -891,8 +893,9 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     assert count("keygen") == [("_columns", 1), ("_echelon", 1 + len(drawn))]
     assert count("decrypt") == [("_columns", 1), ("_echelon", 2)]
     assert count("encrypt") == []
-    assert count("autgroup") == [("expand", 1), ("row_projection", 1),
-                                 ("stab_block", 1), ("validate_all", 1)]
+    assert count("autgroup") == [("_stabilizing_pairs", 1), ("expand", 1),
+                                 ("row_projection", 1), ("stab_block", 1),
+                                 ("validate_all", 1)]
     assert ran["autgroup"][0][0] == "validate_all"
     assert count("validate") == [("validate_all", 1)]
     assert count("bound") == count("sweep") == []

@@ -27,8 +27,8 @@ SAMPLES = {
     Verdict: (("fail", (0, 1)), ("fail", (1, 0))),
     ConditionReport: ((PASS,) * 7, (PASS,) * 6 + (FAIL,)),
     PairStab: ((ROW, (SHIFT,)), (OTHER_ROW, (SHIFT,))),
-    AutGroup: ((3, 1, 2, (SHIFT,), {(0, 0): "affine-subgroup"}, "blockwise"),
-               (3, 1, 2, (SHIFT,), {(0, 0): "affine-subgroup"}, "report")),
+    AutGroup: ((3, 1, 2, (SHIFT,), {(0, 0): "affine-subgroup"}),
+               (3, 1, 2, (SHIFT,), {(0, 0): "symmetric"})),
     Lemma1Report: ((True, None, True, True, 3, True), (False, {"premise": "x"}, True, True, 3, False)),
     BoundReport: (("envelope", 5, 10, 25, 1.5, -2.0, -3.0, -1.9, 4.0, 0, 5, 1, 2),
                   ("exact", 5, 10, 25, 1.5, -2.0, -3.0, -1.9, 4.0, 0, 5, 1, 2)),
