@@ -4,8 +4,9 @@ A pair (P, Q) of permutations stabilizes a matrix M when P M Q = M as
 matrix products, i.e. act(P, M, Q) = M. The stabilizer of the full
 matrix C comes from one search on C, whether or not condition iii
 holds. When it holds, no row or column of C can leave its block row or
-block column, so every pair acts block-diagonally. Each non-constant
-block is also searched on its own, to label its row projection.
+block column, so every pair acts block-diagonally. Each block of the
+condition-iv shape is also searched on its own, to label its row
+projection.
 
 Each group element (P1, P2) corresponds to a symmetry (A, P) of the
 parity check [I | C]: A is the permutation matrix of P1^-1 and
@@ -280,20 +281,21 @@ def stab_full(c: BlockCirculant) -> AutGroup:
 
     Condition iii is settled first: when it fails, k > FULL_MATRIX_MAX_K
     is refused before any search. A C whose shape forces more than
-    STAB_BUDGET pairs is refused next, also before any search. Each
-    non-constant block is labelled from its pair stabilizer (stab_block).
-    A constant block aJ is fixed by every pair (P, Q), so it is labelled
-    symmetric from its shape and never searched. A C of one non-constant
-    block is searched once: its block search is the search on C. Every
-    element is verified against the dense matrix before it is returned.
+    STAB_BUDGET pairs is refused next, also before any search. Each block
+    of the condition-iv shape (good_shape) is labelled from its pair
+    stabilizer (stab_block). A constant or near-constant block has all of
+    S_p as its row projection, so classify labels it symmetric from its
+    shape, and it is never searched. A C of one good-shape block is
+    searched once: its block search is the search on C. Every element is
+    verified against the dense matrix before it is returned.
     """
-    from .conditions import check_iii
+    from .conditions import check_iii, good_shape
 
     m1, mc, p = c.m1, c.m2 - c.m1, c.p
     if check_iii(c).status == "fail" and m1 * p > FULL_MATRIX_MAX_K:
         raise ConditionIIIViolated(f"condition iii fails and k = {m1 * p} > {FULL_MATRIX_MAX_K}")
     blocks = {divmod(index, mc): row for index, row in enumerate(c.rows)}
-    searched = [ij for ij, row in blocks.items() if len(set(row)) > 1]
+    searched = [ij for ij, row in blocks.items() if good_shape(row)]
     if len(blocks) == len(searched) == 1:
         stabs = {(0, 0): stab_block(c.rows[0])}
         elements = stabs[0, 0].pairs

@@ -5,7 +5,7 @@ A circulant block of size p over GF(2^eta) is determined by its first row
 so entry (i, j) is c_{(j-i) mod p}. A block-circulant matrix is an
 m1 x (m2-m1) grid of such blocks sharing p and the field, held as their
 first rows; the parity check built on it is the k x n matrix [I | C]
-with k = m1*p, n = m2*p.
+with k = m1*p, n = m2*p. BlockCirculant is the gate for such a grid.
 
 A dense matrix is an immutable tuple of rows, each a tuple of ints, so
 two matrices are equal exactly when they compare equal as tuples, and
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import OutOfRange, SizeMismatch
-from .field import FieldCtx
+from .field import FieldCtx, check_block_rows
 
 Dense = tuple[tuple[int, ...], ...]
 
@@ -107,12 +107,6 @@ class Perm:
         return f"Perm{self.images}"
 
 
-def check_shape(p: int, m1: int, m2: int) -> None:
-    """Refuse a shape without p >= 1 and 1 <= m1 < m2 (SizeMismatch)."""
-    if p < 1 or not 1 <= m1 < m2:
-        raise SizeMismatch(f"need p >= 1 and 1 <= m1 < m2, got p={p} m1={m1} m2={m2}")
-
-
 def expand_row(row: tuple[int, ...]) -> Dense:
     """Dense p x p circulant of a first row: entry (i, j) = row[(j - i) mod p]."""
     return tuple(row[-i:] + row[:-i] for i in range(len(row)))
@@ -124,7 +118,8 @@ class BlockCirculant(Record):
     (i, j) has first row rows[i * (m2 - m1) + j].
 
     Construction refuses a bad shape, then rows of the wrong count or
-    length (SizeMismatch), then an entry outside the field (OutOfRange).
+    length (SizeMismatch), then an entry outside the field (OutOfRange):
+    field.check_block_rows, the rule PrivateKey applies to the same rows.
     p is not forced prime here; primality is a compliance condition and
     is reported by the condition checkers rather than enforced on the
     container. `dense` keeps expand() from its first use, out of ==.
@@ -134,13 +129,7 @@ class BlockCirculant(Record):
     __slots__ = _fields + ("_dense",)
 
     def __init__(self, ctx: FieldCtx, p: int, m1: int, m2: int, rows):
-        check_shape(p, m1, m2)
-        rows = tuple(tuple(row) for row in rows)
-        if len(rows) != m1 * (m2 - m1) or any(len(row) != p for row in rows):
-            raise SizeMismatch(f"expected {m1 * (m2 - m1)} block rows of {p} entries")
-        if any(not 0 <= a < ctx.order for row in rows for a in row):
-            raise OutOfRange(f"block entry outside [0, {ctx.order})")
-        super().__init__(ctx, p, m1, m2, rows)
+        super().__init__(ctx, p, m1, m2, check_block_rows(ctx, p, m1, m2, rows))
 
     @property
     def dense(self) -> Dense:

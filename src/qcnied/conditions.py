@@ -36,9 +36,9 @@ from __future__ import annotations
 import random
 
 from ._record import Record
-from .circulant import BlockCirculant, check_shape
+from .circulant import BlockCirculant
 from .errors import BudgetExhausted, EtaTooSmall, OutOfRange
-from .field import FieldCtx, is_prime
+from .field import FieldCtx, check_shape, is_prime
 
 PASS = "pass"
 FAIL = "fail"
@@ -73,13 +73,7 @@ class ConditionReport(Record):
         return all(v.ok for v in (self.i_variant, self.ii, self.iii, self.iv_variant, self.v))
 
     def items(self):
-        yield "i", self.i
-        yield "ii", self.ii
-        yield "iii", self.iii
-        yield "iv", self.iv
-        yield "v", self.v
-        yield "i_variant", self.i_variant
-        yield "iv_variant", self.iv_variant
+        return zip(self._fields, self._values())
 
 
 def _constant_row(row: tuple[int, ...]) -> bool:
@@ -184,12 +178,15 @@ def validate_all(
     )
 
 
-def _draw_matrix(rng: random.Random, p: int, m1: int, m2: int, order: int, ctx) -> BlockCirculant:
-    rows = [
-        tuple(rng.randrange(order) for _ in range(p))
-        for _ in range(m1 * (m2 - m1))
-    ]
-    return BlockCirculant(ctx, p, m1, m2, rows)
+def _sampler_field(p: int, m1: int, m2: int, eta: int, what: str) -> FieldCtx:
+    """The field a sampler draws from, after refusing a bad shape, a
+    composite p and eta < 2, all before the first draw."""
+    check_shape(p, m1, m2)
+    if not is_prime(p):
+        raise OutOfRange(f"p must be prime, got {p}")
+    if eta < 2:
+        raise EtaTooSmall(f"{what} matrices need eta >= 2")
+    return FieldCtx(eta)
 
 
 def sample_compliant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCirculant:
@@ -200,15 +197,11 @@ def sample_compliant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCirc
     report passes, so the output is uniform over the compliant set. A bad
     shape is refused before the first draw.
     """
-    check_shape(p, m1, m2)
-    if not is_prime(p):
-        raise OutOfRange(f"p must be prime, got {p}")
-    if eta < 2:
-        raise EtaTooSmall("compliant matrices need eta >= 2")
-    ctx = FieldCtx(eta)
+    ctx = _sampler_field(p, m1, m2, eta, "compliant")
     rng = random.Random(seed)
     for _ in range(MAX_ATTEMPTS):
-        c = _draw_matrix(rng, p, m1, m2, ctx.order, ctx)
+        rows = [tuple(rng.randrange(ctx.order) for _ in range(p)) for _ in range(m1 * (m2 - m1))]
+        c = BlockCirculant(ctx, p, m1, m2, rows)
         if validate_all(c, desk_scale=True).strict_ok():
             return c
     raise BudgetExhausted(f"no compliant matrix in {MAX_ATTEMPTS} attempts")
@@ -226,12 +219,7 @@ def sample_variant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCircul
     uniform draw. Condition v is waived at desk scale. A bad shape is
     refused before the first draw.
     """
-    check_shape(p, m1, m2)
-    if not is_prime(p):
-        raise OutOfRange(f"p must be prime, got {p}")
-    if eta < 2:
-        raise EtaTooSmall("variant matrices need eta >= 2")
-    ctx = FieldCtx(eta)
+    ctx = _sampler_field(p, m1, m2, eta, "variant")
     rng = random.Random(seed)
     mc = m2 - m1
     for _ in range(MAX_ATTEMPTS):

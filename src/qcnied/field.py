@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .errors import BadDegree, BadDigit, DivisionByZero, OutOfRange, ReducibleModulus
+from .errors import BadDegree, BadDigit, DivisionByZero, OutOfRange, ReducibleModulus, SizeMismatch
 
 MAX_ETA = 16
+# every hex token of the file formats is lowercase
+HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def poly_degree(a: int) -> int:
@@ -66,6 +68,25 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def check_shape(p: int, m1: int, m2: int) -> None:
+    """Refuse a shape without p >= 1 and 1 <= m1 < m2 (SizeMismatch)."""
+    if p < 1 or not 1 <= m1 < m2:
+        raise SizeMismatch(f"need p >= 1 and 1 <= m1 < m2, got p={p} m1={m1} m2={m2}")
+
+
+def check_block_rows(ctx: FieldCtx, p: int, m1: int, m2: int, rows) -> tuple:
+    """The m1 * (m2 - m1) block first rows of C as tuples, after refusing
+    a bad shape, then rows of the wrong count or length (SizeMismatch),
+    then an entry outside the field (OutOfRange)."""
+    check_shape(p, m1, m2)
+    rows = tuple(tuple(row) for row in rows)
+    if len(rows) != m1 * (m2 - m1) or any(len(row) != p for row in rows):
+        raise SizeMismatch(f"expected {m1 * (m2 - m1)} block rows of {p} entries")
+    if any(not 0 <= a < ctx.order for row in rows for a in row):
+        raise OutOfRange(f"block entry outside [0, {ctx.order})")
+    return rows
 
 
 _DEFAULT_MODULI: dict[int, int] = {}
@@ -165,7 +186,7 @@ class FieldCtx:
         return format(a, f"0{self.hex_width}x")
 
     def parse_hex(self, s: str) -> int:
-        if len(s) != self.hex_width or any(ch not in "0123456789abcdef" for ch in s):
+        if len(s) != self.hex_width or not HEX_DIGITS.issuperset(s):
             raise BadDigit(f"not a lowercase hex token of {self.hex_width} digits: {s!r}")
         a = int(s, 16)
         if a >= self.order:

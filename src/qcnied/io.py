@@ -14,9 +14,11 @@ for byte.
               dense hex rows of H'. Both carry `p m1 m2 eta e`.
   ciphertext  k lines, one hex field element per line, no header.
 
-Every reader refuses a shape without p >= 1 and 1 <= m1 < m2 before it
-reads the rest of the file. The matrix and key records are flat, as
-their files are, so the key readers build no circulant objects.
+Every reader refuses a bad shape (field.check_shape) before it reads
+the lines the shape lays out. The matrix reader leaves the block-row
+count to BlockCirculant, and a record's refusal becomes ParseError.
+The records are flat, as their files are, so the key readers build no
+circulant objects.
 
 The QCREP v1 report format lives in `report`, with the commands that
 write it. Each reader and writer imports the layer whose types it
@@ -25,12 +27,11 @@ builds, so a command loads only the layers its files need.
 
 from __future__ import annotations
 
-from .errors import ParseError, QcniedError
-from .field import FieldCtx
+from .errors import ParseError, QcniedError, SizeMismatch
+from .field import HEX_DIGITS, FieldCtx, check_shape
 
 QCMAT_HEADER = "QCMAT v1"
 NIEDQC_HEADER = "NIEDQC v1"
-_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 def _int_token(tok: str, what: str) -> int:
@@ -49,13 +50,16 @@ def _parse_params(line: str, n_fields: int, what: str) -> list[int]:
 
 
 def _check_shape(p: int, m1: int, m2: int, what: str) -> None:
-    if p < 1 or m1 < 1 or m2 <= m1:
-        raise ParseError(f"{what}: bad shape p={p} m1={m1} m2={m2}")
+    """check_shape, refused as ParseError before the shape lays out the lines."""
+    try:
+        check_shape(p, m1, m2)
+    except SizeMismatch:
+        raise ParseError(f"{what}: bad shape p={p} m1={m1} m2={m2}") from None
 
 
 def _ctx_from(eta: int, modulus_hex: str) -> FieldCtx:
     # lowercase like every other hex token, and canonical: no leading zero
-    if not modulus_hex or modulus_hex[0] == "0" or not _HEX_DIGITS.issuperset(modulus_hex):
+    if not modulus_hex or modulus_hex[0] == "0" or not HEX_DIGITS.issuperset(modulus_hex):
         raise ParseError(f"bad modulus hex {modulus_hex!r}")
     modulus = int(modulus_hex, 16)
     try:
@@ -103,11 +107,7 @@ def read_matrix(text: str) -> BlockCirculant:
     p, m1, m2, eta = _parse_params(lines[1], 4, "matrix params")
     _check_shape(p, m1, m2, "matrix file")
     ctx = _ctx_from(eta, lines[2])
-    n_blocks = m1 * (m2 - m1)
-    body = lines[3:]
-    if len(body) != n_blocks:
-        raise ParseError(f"matrix file: expected {n_blocks} block rows, got {len(body)}")
-    rows = [_parse_row(ctx, line, p) for line in body]
+    rows = [_parse_row(ctx, line, p) for line in lines[3:]]
     try:
         return BlockCirculant(ctx, p, m1, m2, rows)
     except QcniedError as exc:
@@ -115,7 +115,7 @@ def read_matrix(text: str) -> BlockCirculant:
 
 
 def _unpack_bits(tok: str, width: int) -> int:
-    if len(tok) != (width + 3) // 4 or not _HEX_DIGITS.issuperset(tok):
+    if len(tok) != (width + 3) // 4 or not HEX_DIGITS.issuperset(tok):
         raise ParseError(f"bad bit-packed row {tok!r}")
     value = int(tok, 16)
     if value >> width:

@@ -34,6 +34,7 @@ from types import MappingProxyType
 
 from ._record import Record
 from .errors import DecodeFailure, OutOfRange, SizeMismatch, TooLarge, WeightTooHigh
+from .field import check_block_rows
 
 ENUM_BUDGET = 1 << 24
 
@@ -182,9 +183,9 @@ class PrivateKey(_Key):
     """A0's bit-rows, C's block first rows, B0's images, the shape, the
     field and e, with what decryption derives from them once.
 
-    Construction refuses a shape without 1 <= m1 < m2 and p >= 1, block
-    rows of the wrong count, length or field, and a B0 that does not
-    permute range(n) (SizeMismatch or OutOfRange); it inverts A0
+    Construction refuses C's block rows by BlockCirculant's rule
+    (field.check_block_rows), then a B0 that does not permute range(n)
+    (OutOfRange) and an A0 of other than k rows; it inverts A0
     (SizeMismatch when singular) and eliminates H's binary syndrome map,
     so decrypt does neither; a key built by keygen reuses keygen's. The
     derived a0inv, pivots and kernel stay out of ==, hash and repr.
@@ -195,13 +196,7 @@ class PrivateKey(_Key):
 
     def __init__(self, a0: tuple[int, ...], rows, b0: tuple[int, ...],
                  p: int, m1: int, m2: int, ctx: FieldCtx, e: int):
-        a0, rows = tuple(a0), tuple(map(tuple, rows))
-        if p < 1 or not 1 <= m1 < m2:
-            raise SizeMismatch(f"need p >= 1 and 1 <= m1 < m2, got p={p} m1={m1} m2={m2}")
-        if len(rows) != m1 * (m2 - m1) or any(len(row) != p for row in rows):
-            raise SizeMismatch(f"expected {m1 * (m2 - m1)} block rows of {p} entries")
-        if any(not 0 <= a < ctx.order for row in rows for a in row):
-            raise OutOfRange(f"block entry outside [0, {ctx.order})")
+        a0, rows = tuple(a0), check_block_rows(ctx, p, m1, m2, rows)
         if sorted(b0) != list(range(m2 * p)):
             raise OutOfRange(f"not a permutation: {tuple(b0)}")
         if len(a0) != m1 * p:

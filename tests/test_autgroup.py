@@ -428,15 +428,27 @@ def test_stab_full_searches_only_non_constant_blocks(monkeypatch):
     g = stab_full(blockwise)
     assert searched == [(0, 1, 2, 3, 1), (1, 0, 2, 2, 3)]
     assert g.block_labels[0, 1] == g.block_labels[1, 0] == SYMMETRIC
-    # a condition-iii failure labels its constant blocks unsearched too
+    # a condition-iii failure labels its constant blocks unsearched too,
+    # and at p = 2 the row (1, 2) is near-constant, so no block is searched
     searched.clear()
     fallback = BlockCirculant(
         FieldCtx(3), 2, 2, 4,
         [(1, 2), (3, 3), (1, 2), (3, 3)],
     )
     g = stab_full(fallback)
-    assert searched == [(1, 2), (1, 2)]
+    assert searched == []
     assert g.block_labels[0, 1] == g.block_labels[1, 1] == SYMMETRIC
+
+
+def test_stab_full_labels_a_near_constant_block_unsearched():
+    # the near-constant block's own pair stabilizer holds all of S_11, far
+    # past STAB_BUDGET; the whole C has only its 11 shift pairs
+    c = BlockCirculant(CTX, 11, 1, 3, [(0, 1, 2, 3, 1, 2, 0, 3, 3, 1, 2), (1,) + (2,) * 10])
+    t0 = time.perf_counter()
+    g = stab_full(c)
+    assert time.perf_counter() - t0 < 0.1
+    assert g.order == 11
+    assert g.block_labels == {(0, 0): AFFINE, (0, 1): SYMMETRIC}
 
 
 def test_stab_full_free_block_perms_budget(monkeypatch):

@@ -17,8 +17,15 @@ refusal pins (exit code and stderr) from the command that searched
 before it judged the matrix, so they hold the old and new code to
 identical files and outputs. The validate pins cover
 each searched corpus matrix and fixed matrices that fail each condition
-in their own way. The help pins cover `qcnied --help` and each subcommand's
-`--help`, rendered from the command table in `qcnied.cli`, which does not
+in their own way. The hostile pins hold the exit code and exact stderr
+of validate and keygen on malformed matrix files, of decrypt on
+malformed private keys and of encrypt on malformed public keys: a bad
+shape each of four ways, a body line short or long, a short row, an
+entry outside the field, and a B0 that is not a permutation or a
+singular A0; they were taken before the block-grid checks moved into
+one rule, and only the matrix file's line-count refusal changed, to the
+constructor's wording. The help pins cover `qcnied --help` and each
+subcommand's `--help`, rendered from the command table in `qcnied.cli`, which does not
 depend on the terminal width or the Python version. Regenerate the
 tables with
 
@@ -199,6 +206,64 @@ def run_validate_corpus(workdir: Path) -> dict[str, tuple[int, str]]:
         for name, flags in VALIDATE_FLAGS.items():
             code, stdout = _run(["validate", m, *flags])
             pins[f"{tag}/{name}"] = (code, _sha(stdout.encode()))
+    return pins
+
+
+# the commands that read each kind of file; decrypt reads a good ciphertext
+HOSTILE_COMMANDS = {
+    "matrix": (["validate", "{}"], ["keygen", "{}", "--priv", "{}.sk", "--pub", "{}.pk"]),
+    "priv": (["decrypt", "{}", "good.ct"],),
+    "pub": (["encrypt", "{}", "--support", "0"],),
+}
+
+
+def _corrupt(kind: str, text: str) -> dict[str, str]:
+    """Malformed copies of one good (5,1,2,2) file: a bad shape in each of
+    the four ways, one body line short and one long, a short last row, an
+    entry outside GF(4), and for a private key a B0 that repeats an image
+    and a singular A0."""
+    lines = text.split("\n")[:-1]
+    at = 1 if kind == "matrix" else 2  # the params line
+
+    def edit(index: int, line: str) -> str:
+        return "\n".join(lines[:index] + [line] + lines[index + 1:]) + "\n"
+
+    params, last = lines[at].split(" "), lines[-1].split(" ")
+    shape = {"p0": ("0", "1", "2"), "m1_0": ("5", "0", "2"),
+             "m1_eq_m2": ("5", "2", "2"), "m1_gt_m2": ("5", "3", "2")}
+    out = {f"shape_{name}": edit(at, " ".join(pm + tuple(params[3:])))
+           for name, pm in shape.items()}
+    out["lines_short"] = "\n".join(lines[:-1]) + "\n"
+    out["lines_long"] = text + lines[-1] + "\n"
+    out["row_short"] = edit(len(lines) - 1, " ".join(last[:-1]))
+    out["entry_outside"] = edit(len(lines) - 1, " ".join(["4"] + last[1:]))
+    if kind == "priv":
+        k = int(params[1]) * int(params[0])
+        images = lines[4 + k].split(" ")
+        out["b0_repeat"] = edit(4 + k, " ".join(images[1:2] + images[1:]))
+        out["a0_singular"] = "\n".join(lines[:4] + ["00"] * k + lines[4 + k:]) + "\n"
+    return out
+
+
+def run_hostile_corpus(workdir: Path) -> dict[str, tuple[int, str]]:
+    """Each command on each malformed file; map it to (exit code, stderr).
+    A refusal writes no file and nothing to stdout."""
+    good = {"matrix": workdir / "good.qcm", "priv": workdir / "good.sk",
+            "pub": workdir / "good.pk"}
+    _run(["search", 5, 1, 2, 2, "--seed", 1, "-o", good["matrix"]])
+    _run(["keygen", good["matrix"], "--seed", 1, "--priv", good["priv"], "--pub", good["pub"]])
+    _run(["encrypt", good["pub"], "--support", "0", "-o", workdir / "good.ct"])
+    pins: dict[str, tuple[int, str]] = {}
+    for kind, path in good.items():
+        for name, text in _corrupt(kind, path.read_text(encoding="utf-8")).items():
+            bad = workdir / f"{kind}_{name}"
+            bad.write_text(text, encoding="utf-8")
+            for argv in HOSTILE_COMMANDS[kind]:
+                err = _io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code, stdout = _run([arg.format(bad) for arg in argv])
+                assert stdout == "" and not Path(f"{bad}.sk").exists(), (kind, name)
+                pins[f"{kind}_{name}/{argv[0]}"] = (code, err.getvalue())
     return pins
 
 
@@ -392,6 +457,44 @@ REFUSED_PINS = {
 }
 
 
+HOSTILE_PINS = {
+    'matrix_shape_p0/validate': (2, 'error: matrix file: bad shape p=0 m1=1 m2=2\n'),
+    'matrix_shape_p0/keygen': (2, 'error: matrix file: bad shape p=0 m1=1 m2=2\n'),
+    'matrix_shape_m1_0/validate': (2, 'error: matrix file: bad shape p=5 m1=0 m2=2\n'),
+    'matrix_shape_m1_0/keygen': (2, 'error: matrix file: bad shape p=5 m1=0 m2=2\n'),
+    'matrix_shape_m1_eq_m2/validate': (2, 'error: matrix file: bad shape p=5 m1=2 m2=2\n'),
+    'matrix_shape_m1_eq_m2/keygen': (2, 'error: matrix file: bad shape p=5 m1=2 m2=2\n'),
+    'matrix_shape_m1_gt_m2/validate': (2, 'error: matrix file: bad shape p=5 m1=3 m2=2\n'),
+    'matrix_shape_m1_gt_m2/keygen': (2, 'error: matrix file: bad shape p=5 m1=3 m2=2\n'),
+    'matrix_lines_short/validate': (2, 'error: matrix file: expected 1 block rows of 5 entries\n'),
+    'matrix_lines_short/keygen': (2, 'error: matrix file: expected 1 block rows of 5 entries\n'),
+    'matrix_lines_long/validate': (2, 'error: matrix file: expected 1 block rows of 5 entries\n'),
+    'matrix_lines_long/keygen': (2, 'error: matrix file: expected 1 block rows of 5 entries\n'),
+    'matrix_row_short/validate': (2, 'error: block row: expected 5 tokens, got 4\n'),
+    'matrix_row_short/keygen': (2, 'error: block row: expected 5 tokens, got 4\n'),
+    'matrix_entry_outside/validate': (2, "error: bad block row '4 0 2 0 3': '4' encodes 4, outside [0, 4)\n"),
+    'matrix_entry_outside/keygen': (2, "error: bad block row '4 0 2 0 3': '4' encodes 4, outside [0, 4)\n"),
+    'priv_shape_p0/decrypt': (2, 'error: key params: bad shape p=0 m1=1 m2=2\n'),
+    'priv_shape_m1_0/decrypt': (2, 'error: key params: bad shape p=5 m1=0 m2=2\n'),
+    'priv_shape_m1_eq_m2/decrypt': (2, 'error: key params: bad shape p=5 m1=2 m2=2\n'),
+    'priv_shape_m1_gt_m2/decrypt': (2, 'error: key params: bad shape p=5 m1=3 m2=2\n'),
+    'priv_lines_short/decrypt': (2, 'error: private key: expected 11 lines, got 10\n'),
+    'priv_lines_long/decrypt': (2, 'error: private key: expected 11 lines, got 12\n'),
+    'priv_row_short/decrypt': (2, 'error: block row: expected 5 tokens, got 4\n'),
+    'priv_entry_outside/decrypt': (2, "error: bad block row '4 0 2 0 3': '4' encodes 4, outside [0, 4)\n"),
+    'priv_b0_repeat/decrypt': (2, 'error: private key: not a permutation: (2, 2, 0, 8, 5, 6, 3, 9, 4, 1)\n'),
+    'priv_a0_singular/decrypt': (2, 'error: private key: A0 is singular over F2\n'),
+    'pub_shape_p0/encrypt': (2, 'error: key params: bad shape p=0 m1=1 m2=2\n'),
+    'pub_shape_m1_0/encrypt': (2, 'error: key params: bad shape p=5 m1=0 m2=2\n'),
+    'pub_shape_m1_eq_m2/encrypt': (2, 'error: key params: bad shape p=5 m1=2 m2=2\n'),
+    'pub_shape_m1_gt_m2/encrypt': (2, 'error: key params: bad shape p=5 m1=3 m2=2\n'),
+    'pub_lines_short/encrypt': (2, 'error: public key: expected 9 lines, got 8\n'),
+    'pub_lines_long/encrypt': (2, 'error: public key: expected 9 lines, got 10\n'),
+    'pub_row_short/encrypt': (2, 'error: block row: expected 10 tokens, got 9\n'),
+    'pub_entry_outside/encrypt': (2, "error: bad block row '4 0 0 2 2 2 1 1 1 0': '4' encodes 4, outside [0, 4)\n"),
+}
+
+
 BOUND_PINS = {
     'sweep --p 2,3,5,7,11,13,31,61,101': (0, '3c76d3cc614f86bb7cf316184fdcd3b791fe4723b865d00b3df80348deb19b88'),
     'sweep --p 7,31 --m1 2 --m2 3': (0, 'fc148f527443732cd6d2a92c24ab947ac86c10284db4ea2bf90066e1419bcacf'),
@@ -425,6 +528,10 @@ def test_golden_autgroup_refusals(tmp_path):
     assert run_refused_corpus(tmp_path) == REFUSED_PINS
 
 
+def test_golden_hostile_inputs(tmp_path):
+    assert run_hostile_corpus(tmp_path) == HOSTILE_PINS
+
+
 def test_golden_validate_corpus(tmp_path):
     assert run_validate_corpus(tmp_path) == VALIDATE_PINS
 
@@ -440,6 +547,7 @@ def test_golden_help_texts():
 if __name__ == "__main__":
     for name, run in (("PINS", run_corpus), ("AUTGROUP_PINS", run_autgroup_corpus),
                       ("REFUSED_PINS", run_refused_corpus),
+                      ("HOSTILE_PINS", run_hostile_corpus),
                       ("VALIDATE_PINS", run_validate_corpus),
                       ("BOUND_PINS", lambda _: run_bound_corpus()),
                       ("HELP_PINS", lambda _: run_help_corpus())):

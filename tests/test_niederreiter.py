@@ -30,6 +30,7 @@ from qcnied.errors import (
     TooLarge,
     WeightTooHigh,
 )
+from qcnied.field import FieldCtx
 from qcnied.niederreiter import (
     PrivateKey,
     _capacity,
@@ -475,3 +476,39 @@ def test_private_key_refuses_a_malformed_key():
     assert twin == priv and hash(twin) == hash(priv) and twin.kernel == priv.kernel
     with pytest.raises(TypeError):
         twin.pivots[0] = 0
+
+
+@st.composite
+def block_grids(draw):
+    """(ctx, p, m1, m2, rows) near the rule's edges: shapes with p, m1 or
+    m2 - m1 at zero or below, row counts and lengths one off, and entries
+    up to the field's order."""
+    ctx = FieldCtx(draw(st.integers(1, 3)))
+    # each of p, m1 and m2 - m1 is in range five times in six, else 0 or -1
+    edge = st.integers(0, 5).flatmap(lambda k: st.integers(1, 3) if k else st.integers(-1, 0))
+    p, m1 = draw(edge), draw(edge)
+    m2 = m1 + draw(edge)
+    blocks = max(m1 * (m2 - m1), 0)
+    count = draw(st.sampled_from([blocks] * 4 + [blocks - 1, blocks + 1]))
+    lengths = st.sampled_from([p] * 6 + [p - 1, p + 1]).filter(lambda n: n >= 0)
+    entries = st.integers(0, ctx.order)
+    rows = [draw(lengths.flatmap(lambda n: st.lists(entries, min_size=n, max_size=n)))
+            for _ in range(max(count, 0))]
+    return ctx, p, m1, m2, rows
+
+
+@given(block_grids())
+def test_constructors_share_one_block_grid_gate(grid):
+    """BlockCirculant and PrivateKey accept the same grids, as the same
+    rows, and refuse the rest with the same error and message."""
+    ctx, p, m1, m2, rows = grid
+
+    def outcome(build):
+        try:
+            return build().rows
+        except (SizeMismatch, OutOfRange) as exc:
+            return type(exc), str(exc)
+
+    a0, b0 = tuple(1 << i for i in range(max(m1 * p, 0))), tuple(range(max(m2 * p, 0)))
+    assert outcome(lambda: BlockCirculant(ctx, p, m1, m2, rows)) == outcome(
+        lambda: PrivateKey(a0, rows, b0, p, m1, m2, ctx, 0))
