@@ -22,7 +22,7 @@ print(f"exact  p=5   ln_s0={r.s0_log:+.3f} ln_s1={r.s1_log:+.3f} ln_dk={r.dk_log
 # the envelope needs no group: it assumes the worst order p^2 and the
 # worst class sizes compatible with minimal degree p - 1
 for p in (7, 11, 13, 17, 23, 31):
-    r = dk_bound_envelope(p, p, 2 * p, m1=1, m2=2)
+    r = dk_bound_envelope(p)
     print(
         f"envelope p={p:<3} ln_dk={r.dk_log:+10.3f}  "
         f"max_c={r.max_c:>2}  (|H| <= {r.h_order})"
@@ -31,6 +31,6 @@ for p in (7, 11, 13, 17, 23, 31):
 # max_c is the largest c with dk <= (ln |G^2 x| F2|)^-c. At p = 7 the
 # bound exceeds 1 and certifies nothing; from p = 11 on it bites, and
 # at p = 31 any distinguisher needs more than (ln |G^2|)^5 samples.
-r = dk_bound_envelope(31, 31, 62, m1=1, m2=2)
+r = dk_bound_envelope(31)
 assert r.max_c == 5 and math.isfinite(r.dk_log)
 print(f"\np=31: dk <= exp({r.dk_log:.4f}) ~ {math.exp(r.dk_log):.3e}")

@@ -25,9 +25,9 @@ partitions"), rooted on the cyclic shifts. The p block-diagonal shift
 pairs fix every block-circulant matrix and move row 0 anywhere in its
 block row, so the search pins row 0's image to one row per block row
 and composes what it finds with the shifts (orbit-stabilizer; Dixon &
-Mortimer 1996, "Permutation Groups"). It is complete at every size and
-held to one work budget, STAB_BUDGET, counted in candidate rows tried
-plus pairs listed.
+Mortimer 1996, "Permutation Groups"). It is complete at every size,
+takes every matrix whatever conditions it fails, and is held to one work
+budget, STAB_BUDGET, counted in candidate rows tried plus pairs listed.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ from itertools import chain, permutations, product
 
 from ._record import Record
 from .circulant import BlockCirculant, Dense, Perm, act, expand_row
-from .errors import ConditionIIIViolated, EtaTooSmall, LemmaViolated, TooLarge
+from .errors import EtaTooSmall, LemmaViolated, TooLarge
 
 # candidate rows tried plus pairs listed one stabilizer search may spend
 STAB_BUDGET = 1 << 19
-# most rows of C the search takes when condition iii fails
-FULL_MATRIX_MAX_K = 8
 
 AFFINE = "affine-subgroup"
 SYMMETRIC = "symmetric"
@@ -279,9 +277,10 @@ class AutGroup(Record):
 def stab_full(c: BlockCirculant) -> AutGroup:
     """Stabilizer of the whole matrix C, from one search on C.
 
-    Condition iii is settled first: when it fails, k > FULL_MATRIX_MAX_K
-    is refused before any search. A C whose shape forces more than
-    STAB_BUDGET pairs is refused next, also before any search. Each block
+    Condition iii need not hold: a C that fails it is searched like any
+    other. The only refusals are STAB_BUDGET's: a C whose shape forces
+    more than STAB_BUDGET pairs is refused before any search, and a
+    search that would spend more is refused before that work. Each block
     of the condition-iv shape (good_shape) is labelled from its pair
     stabilizer (stab_block). A constant or near-constant block has all of
     S_p as its row projection, so classify labels it symmetric from its
@@ -289,11 +288,9 @@ def stab_full(c: BlockCirculant) -> AutGroup:
     searched once: its block search is the search on C. Every element is
     verified against the dense matrix before it is returned.
     """
-    from .conditions import check_iii, good_shape
+    from .conditions import good_shape
 
     m1, mc, p = c.m1, c.m2 - c.m1, c.p
-    if check_iii(c).status == "fail" and m1 * p > FULL_MATRIX_MAX_K:
-        raise ConditionIIIViolated(f"condition iii fails and k = {m1 * p} > {FULL_MATRIX_MAX_K}")
     blocks = {divmod(index, mc): row for index, row in enumerate(c.rows)}
     searched = [ij for ij, row in blocks.items() if good_shape(row)]
     if len(blocks) == len(searched) == 1:

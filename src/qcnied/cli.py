@@ -89,8 +89,6 @@ COMMANDS = {
         ("--p", INT, "envelope circulant size"),
         ("--m1", INT, "envelope block rows (default 1)"),
         ("--m2", INT, "envelope block columns (default 2)"),
-        ("--k", INT, "envelope code dimension (default m1 * p)"),
-        ("--n", INT, "envelope code length (default m2 * p)"),
         _OUT,
     )),
     "sweep": ("envelope bounds over a list of p, as CSV", "report._cmd_sweep", (

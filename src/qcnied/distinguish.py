@@ -118,7 +118,6 @@ class BoundReport(Record):
 
     __slots__ = ("mode", "k", "n", "h_order", "log_g", "s0_log", "s1_log",
                  "dk_log", "log_group2", "max_c", "p", "m1", "m2")
-    _defaults = {"p": None, "m1": None, "m2": None}
 
 
 def _max_c(dk_log: float, log_group2: float, cap: int = 64) -> int:
@@ -130,7 +129,9 @@ def _max_c(dk_log: float, log_group2: float, cap: int = 64) -> int:
     return min(cap, int(math.floor(-dk_log / math.log(log_group2))))
 
 
-def _report(mode, k, n, h_order, s0_log, p=None, m1=None, m2=None) -> BoundReport:
+def _report(mode, p, m1, m2, h_order, s0_log) -> BoundReport:
+    """The bound on a code of shape (p, m1, m2): k = m1*p, n = m2*p."""
+    k, n = m1 * p, m2 * p
     log_g = log_gl_order(k) + log_factorial(n)
     s1_log = s1_term(h_order, k, n)
     dk_log = logsumexp([s0_log, s1_log])
@@ -146,8 +147,7 @@ def _report(mode, k, n, h_order, s0_log, p=None, m1=None, m2=None) -> BoundRepor
 def dk_bound(elements, p: int, m1: int, m2: int) -> BoundReport:
     """Exact bound from the elements of a group of shape (p, m1, m2):
     P1 on the k = m1*p rows, P2 on the n - k columns of C."""
-    return _report("exact", m1 * p, m2 * p, len(elements), s0_exact(elements),
-                   p=p, m1=m1, m2=m2)
+    return _report("exact", p, m1, m2, len(elements), s0_exact(elements))
 
 
 # _weights[s]: the greatest prod(j^c_j c_j!) over partitions of s into
@@ -206,8 +206,9 @@ class EnvelopeStats(Record):
     __slots__ = ("order", "delta", "min_class_k", "min_class_n")
 
 
-def worst_case_h(p: int, k: int, n: int) -> EnvelopeStats:
-    """Pessimistic envelope: order p^2, minimum displacement p - 1.
+def worst_case_h(p: int, m1: int = 1, m2: int = 2) -> EnvelopeStats:
+    """Pessimistic envelope for shape (p, m1, m2): order p^2, minimum
+    displacement p - 1 on the k = m1*p rows and the n = m2*p columns.
 
     InfeasibleSupport for p < 2, which leaves no non-identity element,
     and for a composite p, which no admissible shape has.
@@ -217,22 +218,21 @@ def worst_case_h(p: int, k: int, n: int) -> EnvelopeStats:
     if not is_prime(p):
         raise InfeasibleSupport(f"the envelope needs a prime p, got p = {p}")
     delta = p - 1
-    if delta > k:
-        raise InfeasibleSupport(f"support floor {delta} exceeds k = {k}")
     return EnvelopeStats(
         order=p * p,
         delta=delta,
-        min_class_k=min_class_size(k, delta),
-        min_class_n=min_class_size(n, delta),
+        min_class_k=min_class_size(m1 * p, delta),
+        min_class_n=min_class_size(m2 * p, delta),
     )
 
 
-def dk_bound_envelope(p: int, k: int, n: int, m1=None, m2=None) -> BoundReport:
-    """Bound from the envelope alone, no explicit group required."""
-    stats = worst_case_h(p, k, n)
+def dk_bound_envelope(p: int, m1: int = 1, m2: int = 2) -> BoundReport:
+    """Bound from the envelope of shape (p, m1, m2) alone, no explicit
+    group required."""
+    stats = worst_case_h(p, m1, m2)
     s0_log = (
         math.log(stats.order)
         + math.log(stats.order - 1)
         - 0.5 * (math.log(stats.min_class_k) + math.log(stats.min_class_n))
     )
-    return _report("envelope", k, n, stats.order, s0_log, p=p, m1=m1, m2=m2)
+    return _report("envelope", p, m1, m2, stats.order, s0_log)

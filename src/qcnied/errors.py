@@ -65,10 +65,6 @@ class DecodeFailure(QcniedError):
 
 # automorphism machinery
 
-class ConditionIIIViolated(QcniedError):
-    pass
-
-
 class LemmaViolated(QcniedError):
     pass
 

@@ -15,8 +15,10 @@ for byte.
   ciphertext  k lines, one hex field element per line, no header.
 
 Every reader refuses a bad shape (field.check_shape) before it reads
-the lines the shape lays out. The matrix reader leaves the block-row
-count to BlockCirculant, and a record's refusal becomes ParseError.
+the lines the shape lays out. The matrix reader parses at most one
+block line past the count and leaves the count's refusal to
+BlockCirculant; a record's refusal becomes ParseError. A row refusal
+names its file and row kind.
 The records are flat, as their files are, so the key readers build no
 circulant objects.
 
@@ -68,14 +70,15 @@ def _ctx_from(eta: int, modulus_hex: str) -> FieldCtx:
         raise ParseError(f"bad field parameters: {exc}") from exc
 
 
-def _parse_row(ctx: FieldCtx, line: str, p: int) -> tuple[int, ...]:
+def _parse_row(ctx: FieldCtx, line: str, p: int, what: str) -> tuple[int, ...]:
+    """p hex field elements; what names the file and the row kind."""
     toks = line.split(" ")
     if len(toks) != p:
-        raise ParseError(f"block row: expected {p} tokens, got {len(toks)}")
+        raise ParseError(f"{what}: expected {p} tokens, got {len(toks)}")
     try:
         return tuple(ctx.parse_hex(t) for t in toks)
     except QcniedError as exc:
-        raise ParseError(f"bad block row {line!r}: {exc}") from exc
+        raise ParseError(f"{what} {line!r}: {exc}") from exc
 
 
 def _format_row(ctx: FieldCtx, row) -> str:
@@ -107,7 +110,9 @@ def read_matrix(text: str) -> BlockCirculant:
     p, m1, m2, eta = _parse_params(lines[1], 4, "matrix params")
     _check_shape(p, m1, m2, "matrix file")
     ctx = _ctx_from(eta, lines[2])
-    rows = [_parse_row(ctx, line, p) for line in lines[3:]]
+    # one line past the block count is enough for BlockCirculant to refuse it
+    body = lines[3:4 + m1 * (m2 - m1)]
+    rows = [_parse_row(ctx, line, p, "matrix file: block row") for line in body]
     try:
         return BlockCirculant(ctx, p, m1, m2, rows)
     except QcniedError as exc:
@@ -159,7 +164,8 @@ def read_private_key(text: str) -> PrivateKey:
         raise ParseError(f"private key: expected {expect} lines, got {len(lines)}")
     a0 = tuple(_unpack_bits(lines[4 + i], k) for i in range(k))
     b0 = tuple(_parse_params(lines[4 + k], n, "permutation images"))
-    rows = tuple(_parse_row(ctx, lines[5 + k + i], p) for i in range(n_blocks))
+    rows = tuple(_parse_row(ctx, lines[5 + k + i], p, "private key: block row")
+                 for i in range(n_blocks))
     try:
         return PrivateKey(a0, rows, b0, p, m1, m2, ctx, e)
     except QcniedError as exc:
@@ -190,7 +196,7 @@ def read_public_key(text: str) -> PublicKey:
     k, n = m1 * p, m2 * p
     if len(lines) != 4 + k:
         raise ParseError(f"public key: expected {4 + k} lines, got {len(lines)}")
-    rows = [_parse_row(ctx, lines[4 + i], n) for i in range(k)]
+    rows = [_parse_row(ctx, lines[4 + i], n, "public key: H' row") for i in range(k)]
     hprime = tuple(pack_column(col, eta) for col in zip(*rows))
     return PublicKey(hprime, p, m1, m2, ctx, e)
 

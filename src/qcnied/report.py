@@ -156,10 +156,10 @@ def _cmd_autgroup(matrix, threshold=None, out=None) -> int:
 
 
 def _bound_fields(r) -> list:
-    fields = [("kind", "bound"), ("mode", r.mode)]
-    if r.p is not None:
-        fields += _shape_fields(r.p, r.m1, r.m2)
-    fields += [
+    return [
+        ("kind", "bound"),
+        ("mode", r.mode),
+        *_shape_fields(r.p, r.m1, r.m2),
         ("k", r.k),
         ("n", r.n),
         ("h_order", r.h_order),
@@ -170,7 +170,6 @@ def _bound_fields(r) -> list:
         ("ln_group2", _fmt(r.log_group2)),
         ("max_c", r.max_c),
     ]
-    return fields
 
 
 def _envelope_shape(m1: int, m2: int, what: str) -> None:
@@ -207,8 +206,7 @@ def _check_group(elems, where: str) -> None:
                     members.append(h)
 
 
-def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, k=None, n=None,
-               out=None) -> int:
+def _cmd_bound(report=None, envelope=False, p=None, m1=1, m2=2, out=None) -> int:
     from .distinguish import dk_bound, dk_bound_envelope
 
     if (report is None) == (not envelope):
@@ -242,14 +240,8 @@ def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, k=None, n=
     else:
         if p is None:
             raise ParseError("envelope mode needs --p")
-        m1 = 1 if m1 is None else m1
-        m2 = 2 if m2 is None else m2
         _envelope_shape(m1, m2, "bound --envelope")
-        k = m1 * p if k is None else k
-        n = m2 * p if n is None else n
-        if k > n:
-            raise ParseError(f"envelope shape has k = {k} > n = {n}")
-        r = dk_bound_envelope(p, k, n, m1=m1, m2=m2)
+        r = dk_bound_envelope(p, m1, m2)
     _emit(write_report(_bound_fields(r)), out)
     return 0
 
@@ -263,12 +255,11 @@ def _cmd_sweep(p, m1=1, m2=2, out=None) -> int:
     _envelope_shape(m1, m2, "sweep")
     lines = ["p,m1,m2,k,n,h_order,ln_s0,ln_s1,ln_dk,max_c"]
     for q in ps:
-        k, n = m1 * q, m2 * q
-        r = dk_bound_envelope(q, k, n, m1=m1, m2=m2)
+        r = dk_bound_envelope(q, m1, m2)
         lines.append(
             ",".join(
                 [
-                    str(q), str(m1), str(m2), str(k), str(n),
+                    str(q), str(m1), str(m2), str(r.k), str(r.n),
                     str(r.h_order), _fmt(r.s0_log), _fmt(r.s1_log),
                     _fmt(r.dk_log), str(r.max_c),
                 ]

@@ -236,7 +236,7 @@ def test_criterion_09_bound_formulas():
                 math.exp(s0 - m) + math.exp(s1 - m), rel=1e-9
             )
         for c, g in corpus():
-            env = dk_bound_envelope(7, g.m1 * 7, g.m2 * 7, m1=g.m1, m2=g.m2)
+            env = dk_bound_envelope(7, g.m1, g.m2)
             assert env.dk_log >= dk_bound(g.elements, g.p, g.m1, g.m2).dk_log
 
 

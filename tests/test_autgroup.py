@@ -26,7 +26,7 @@ from qcnied.autgroup import (
 )
 from qcnied.circulant import BlockCirculant, Perm, act, expand_row
 from qcnied.conditions import check_iii, good_shape, sample_compliant
-from qcnied.errors import ConditionIIIViolated, LemmaViolated, TooLarge
+from qcnied.errors import LemmaViolated, TooLarge
 from qcnied.field import FieldCtx
 
 CTX = FieldCtx(2)
@@ -293,9 +293,9 @@ def test_rooted_block_search_equals_unrooted_oracle(eta_row):
 @st.composite
 def mixed_grids(draw):
     """Matrices with p <= 5 and m1, m2 - m1 in 1..2, each block drawn
-    constant or not. Condition iii may fail, and then k <= 8. At most 720
-    choices of the block permutations that only constant blocks touch are
-    drawn, so the oracle's listing stays quick."""
+    constant or not. Condition iii may fail. At most 720 choices of the
+    block permutations that only constant blocks touch are drawn, so the
+    oracle's listing stays quick."""
     p = draw(st.integers(2, 5))
     m1, mc, eta = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
     values = st.integers(0, (1 << eta) - 1)
@@ -314,13 +314,38 @@ def mixed_grids(draw):
     constant = [[len(set(rows[i * mc + j])) == 1 for j in range(mc)] for i in range(m1)]
     free = sum(map(all, constant)) + sum(map(all, zip(*constant)))
     assume(math.factorial(p) ** free <= 720)
-    c = BlockCirculant(FieldCtx(eta), p, m1, m1 + mc, rows)
-    assume(m1 * p <= autgroup.FULL_MATRIX_MAX_K or check_iii(c).status == "pass")
-    return c
+    return BlockCirculant(FieldCtx(eta), p, m1, m1 + mc, rows)
 
 
 @given(mixed_grids())
 def test_whole_matrix_search_equals_unrooted_oracle(c):
+    assert stab_full(c).elements == unrooted_pairs(c.expand())
+
+
+@st.composite
+def iii_failing_past_eight(draw):
+    """Matrices with k = m1 * p in 9..14 on which condition iii fails and
+    no two rows of C are equal. Block row 1 (block column 1 when m1 = 1)
+    repeats block row 0 (block column 0) with each block's first row
+    moved by its own i -> u*i + s mod p, a rotation or a multiplication,
+    which keeps the multiset of its entries."""
+    p, m1 = draw(st.sampled_from(((3, 3), (3, 4), (5, 2), (7, 2), (11, 1), (13, 1))))
+    mc = 2 if m1 == 1 else draw(st.integers(1, 2))
+    eta = draw(st.integers(2, 3))
+    values = st.integers(0, (1 << eta) - 1)
+    rows = [tuple(draw(values) for _ in range(p)) for _ in range(m1 * mc)]
+    copies = [(1, 0)] if m1 == 1 else [(j, mc + j) for j in range(mc)]
+    for source, target in copies:
+        u, s = draw(st.integers(1, p - 1)), draw(st.integers(0, p - 1))
+        rows[target] = tuple(rows[source][(u * i + s) % p] for i in range(p))
+    c = BlockCirculant(FieldCtx(eta), p, m1, m1 + mc, rows)
+    assume(len(set(c.dense)) == len(c.dense))
+    return c
+
+
+@given(iii_failing_past_eight())
+def test_iii_failures_past_eight_rows_equal_unrooted_oracle(c):
+    assert check_iii(c).status == "fail"
     assert stab_full(c).elements == unrooted_pairs(c.expand())
 
 
@@ -487,8 +512,8 @@ def test_stab_full_reverifies_assembled_elements(monkeypatch):
 
 
 def test_stab_full_falls_back_when_iii_breaks():
-    # m1 = 2 with identical block rows: condition iii fails, k = 4 <= 8,
-    # so the search runs and finds the cross-row swap
+    # m1 = 2 with identical block rows: condition iii fails, and the
+    # search runs as on any matrix and finds the cross-row swap
     c = BlockCirculant(
         FieldCtx(3), 2, 2, 4,
         [(1, 2), (3, 4), (1, 2), (3, 4)],
@@ -498,12 +523,16 @@ def test_stab_full_falls_back_when_iii_breaks():
     assert any(p1 == swap for p1, _ in g.elements)
 
 
-def test_stab_full_refuses_large_iii_failures():
+def test_stab_full_searches_large_iii_failures():
+    # identical block rows: condition iii fails with k = 10, and the
+    # search finds the group, the 5 shifts times the swaps of equal rows
     rows = [(0, 1, 2, 3, 1), (2, 3, 0, 2, 1),
             (0, 1, 2, 3, 1), (2, 3, 0, 2, 1)]
     c = BlockCirculant(CTX, 5, 2, 4, rows)
-    with pytest.raises(ConditionIIIViolated):
-        stab_full(c)
+    assert check_iii(c).status == "fail"
+    g = stab_full(c)
+    assert g.order == 160
+    assert g.elements == unrooted_pairs(c.expand())
 
 
 def test_column_orbit_equals_reordering_set():

@@ -250,22 +250,20 @@ def test_sweep_time_budget(monkeypatch):
 
 
 def test_worst_case_h_small():
-    st = worst_case_h(3, 3, 6)
+    st = worst_case_h(3)
     assert (st.order, st.delta) == (9, 2)
     # S_3: the 3-cycle class (2 elements) is the smallest moving >= 2 points;
     # S_6: the transposition class of size 15
     assert st.min_class_k == 2
     assert st.min_class_n == 15
-    with pytest.raises(InfeasibleSupport):
-        worst_case_h(7, 3, 6)
     with pytest.raises(InfeasibleSupport):  # composite p
-        worst_case_h(4, 4, 8)
+        worst_case_h(4)
 
 
 def test_envelope_anchor_p31():
     # frozen regression anchor, cross-checked against a 60-digit mpmath
     # recomputation with class sizes from full cycle-type enumeration
-    r = dk_bound_envelope(31, 31, 62, m1=1, m2=2)
+    r = dk_bound_envelope(31)
     assert r.h_order == 961
     assert r.dk_log == pytest.approx(-44.6688360993728881, rel=1e-12)
     assert r.max_c == 5
@@ -276,15 +274,15 @@ def test_envelope_dominates_exact_on_samples():
     for seed in (1, 2, 3):
         c = sample_compliant(7, 1, 2, 2, seed=seed)
         g = stab_full(c)
-        env = dk_bound_envelope(7, 7, 14, m1=1, m2=2)
+        env = dk_bound_envelope(7)
         assert env.dk_log >= dk_bound(g.elements, g.p, g.m1, g.m2).dk_log
 
 
 def test_max_c_semantics():
     # at p = 7 the envelope dk exceeds 1, so no admissible exponent exists
-    r = dk_bound_envelope(7, 7, 14)
+    r = dk_bound_envelope(7)
     assert r.dk_log > 0 and r.max_c == -1
-    r31 = dk_bound_envelope(31, 31, 62)
+    r31 = dk_bound_envelope(31)
     assert r31.max_c >= 1
 
 

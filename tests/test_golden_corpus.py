@@ -24,7 +24,8 @@ shape each of four ways, a body line short or long, a short row, an
 entry outside the field, and a B0 that is not a permutation or a
 singular A0; they were taken before the block-grid checks moved into
 one rule, and only the matrix file's line-count refusal changed, to the
-constructor's wording. The help pins cover `qcnied --help` and each
+constructor's wording, and then the row refusals, to name their file
+and row kind. The help pins cover `qcnied --help` and each
 subcommand's `--help`, rendered from the command table in `qcnied.cli`, which does not
 depend on the terminal width or the Python version. Regenerate the
 tables with
@@ -66,8 +67,8 @@ AUTGROUP_CORPUS = tuple(
     (p, 1, m2, 2, seed, False) for p, m2 in ((5, 2), (7, 2), (7, 3)) for seed in (1, 2, 3)
 ) + ((5, 2, 4, 2, 3, True),)
 
-# written directly: the order-168 trip wire and a condition-iii failure
-# with k <= 8, which is searched
+# written directly: the order-168 trip wire and a condition-iii failure,
+# which is searched like any other matrix
 AUTGROUP_FIXED = {
     "fano": BlockCirculant(FieldCtx(2), 7, 1, 2, [FANO_ROW]),
     "iii_fallback": BlockCirculant(
@@ -78,8 +79,9 @@ AUTGROUP_FIXED = {
 
 def _refused_fixtures() -> dict[str, BlockCirculant]:
     """Two p = 61 matrices that autgroup refuses before any search: one
-    over F2 (eta = 1), and one whose two block rows hold one multiset, so
-    condition iii fails with k = 122 > 8."""
+    over F2 (eta = 1), and one whose second block row is the first one
+    shifted, so condition iii fails and every row of C appears twice,
+    which forces more stabilizing pairs than STAB_BUDGET."""
     rng = random.Random(1)
     bits = tuple(rng.randrange(2) for _ in range(61))
     row = tuple(rng.randrange(4) for _ in range(61))
@@ -453,7 +455,7 @@ VALIDATE_PINS = {
 
 REFUSED_PINS = {
     'eta_1_p61/autgroup': (1, 'error: condition ii needs a proper extension field (eta >= 2)\n'),
-    'iii_k122/autgroup': (1, 'error: condition iii fails and k = 122 > 8\n'),
+    'iii_k122/autgroup': (1, 'error: the shifts and repeated rows and columns of a 122-row matrix force 140656423562035331072 stabilizing pairs, more than 524288\n'),
 }
 
 
@@ -470,18 +472,18 @@ HOSTILE_PINS = {
     'matrix_lines_short/keygen': (2, 'error: matrix file: expected 1 block rows of 5 entries\n'),
     'matrix_lines_long/validate': (2, 'error: matrix file: expected 1 block rows of 5 entries\n'),
     'matrix_lines_long/keygen': (2, 'error: matrix file: expected 1 block rows of 5 entries\n'),
-    'matrix_row_short/validate': (2, 'error: block row: expected 5 tokens, got 4\n'),
-    'matrix_row_short/keygen': (2, 'error: block row: expected 5 tokens, got 4\n'),
-    'matrix_entry_outside/validate': (2, "error: bad block row '4 0 2 0 3': '4' encodes 4, outside [0, 4)\n"),
-    'matrix_entry_outside/keygen': (2, "error: bad block row '4 0 2 0 3': '4' encodes 4, outside [0, 4)\n"),
+    'matrix_row_short/validate': (2, 'error: matrix file: block row: expected 5 tokens, got 4\n'),
+    'matrix_row_short/keygen': (2, 'error: matrix file: block row: expected 5 tokens, got 4\n'),
+    'matrix_entry_outside/validate': (2, "error: matrix file: block row '4 0 2 0 3': '4' encodes 4, outside [0, 4)\n"),
+    'matrix_entry_outside/keygen': (2, "error: matrix file: block row '4 0 2 0 3': '4' encodes 4, outside [0, 4)\n"),
     'priv_shape_p0/decrypt': (2, 'error: key params: bad shape p=0 m1=1 m2=2\n'),
     'priv_shape_m1_0/decrypt': (2, 'error: key params: bad shape p=5 m1=0 m2=2\n'),
     'priv_shape_m1_eq_m2/decrypt': (2, 'error: key params: bad shape p=5 m1=2 m2=2\n'),
     'priv_shape_m1_gt_m2/decrypt': (2, 'error: key params: bad shape p=5 m1=3 m2=2\n'),
     'priv_lines_short/decrypt': (2, 'error: private key: expected 11 lines, got 10\n'),
     'priv_lines_long/decrypt': (2, 'error: private key: expected 11 lines, got 12\n'),
-    'priv_row_short/decrypt': (2, 'error: block row: expected 5 tokens, got 4\n'),
-    'priv_entry_outside/decrypt': (2, "error: bad block row '4 0 2 0 3': '4' encodes 4, outside [0, 4)\n"),
+    'priv_row_short/decrypt': (2, 'error: private key: block row: expected 5 tokens, got 4\n'),
+    'priv_entry_outside/decrypt': (2, "error: private key: block row '4 0 2 0 3': '4' encodes 4, outside [0, 4)\n"),
     'priv_b0_repeat/decrypt': (2, 'error: private key: not a permutation: (2, 2, 0, 8, 5, 6, 3, 9, 4, 1)\n'),
     'priv_a0_singular/decrypt': (2, 'error: private key: A0 is singular over F2\n'),
     'pub_shape_p0/encrypt': (2, 'error: key params: bad shape p=0 m1=1 m2=2\n'),
@@ -490,8 +492,8 @@ HOSTILE_PINS = {
     'pub_shape_m1_gt_m2/encrypt': (2, 'error: key params: bad shape p=5 m1=3 m2=2\n'),
     'pub_lines_short/encrypt': (2, 'error: public key: expected 9 lines, got 8\n'),
     'pub_lines_long/encrypt': (2, 'error: public key: expected 9 lines, got 10\n'),
-    'pub_row_short/encrypt': (2, 'error: block row: expected 10 tokens, got 9\n'),
-    'pub_entry_outside/encrypt': (2, "error: bad block row '4 0 0 2 2 2 1 1 1 0': '4' encodes 4, outside [0, 4)\n"),
+    'pub_row_short/encrypt': (2, "error: public key: H' row: expected 10 tokens, got 9\n"),
+    'pub_entry_outside/encrypt': (2, "error: public key: H' row '4 0 0 2 2 2 1 1 1 0': '4' encodes 4, outside [0, 4)\n"),
 }
 
 
@@ -511,7 +513,7 @@ HELP_PINS = {
     'encrypt --help': (0, '20acc850b3c9de07414f9125b6e134007bec50e2a34121f4598fc0a42d5c7f27'),
     'decrypt --help': (0, '29b13560ccbdc1f280c78d8045fc61bed89a76c5eb9969ec4fa3ec8244529817'),
     'autgroup --help': (0, '4991d4159856bd99e6204bd8a50b4ff47574b7c19b9501d61070cd3308354ddd'),
-    'bound --help': (0, '1cea4beb1b2b9301c54378887d151d77cfa10a85e118cea6d9d022d0fea11cae'),
+    'bound --help': (0, '2fe41985a4ace9126de3292fe1ebc83ee925ae8fc78b33e1587759ac48392bf5'),
     'sweep --help': (0, 'ca9a7ee3755258716267e5ed9b1c97ee58a653145a6653e2043e1b1af20960cd'),
 }
 

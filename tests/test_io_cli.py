@@ -72,6 +72,19 @@ def test_matrix_rejections(c512):
             io.read_matrix(good.replace("5 1 2 2", params))
 
 
+def test_matrix_reader_parses_one_block_line_past_the_count(monkeypatch):
+    # a (5,1,2,2) text with 200,001 block lines: the reader parses the one
+    # block line the shape lays out and one more, and the constructor
+    # refuses the count
+    calls = []
+    real = io._parse_row
+    monkeypatch.setattr(io, "_parse_row", lambda *args: calls.append(args) or real(*args))
+    text = "QCMAT v1\n5 1 2 2\n7\n" + "0 1 2 3 1\n" * 200_001
+    with pytest.raises(ParseError, match="matrix file: expected 1 block rows of 5 entries"):
+        io.read_matrix(text)
+    assert len(calls) == 2
+
+
 def test_matrix_rejects_bad_tokens():
     ctx = FieldCtx(4)
     c = BlockCirculant(ctx, 5, 1, 2, [(1, 10, 3, 2, 5)])
@@ -269,20 +282,13 @@ PARENT_FORMS = [
     ("autgroup m.qcm --threshold 0.5 -o g.qcr",
      {"matrix": "m.qcm", "threshold": 0.5, "out": "g.qcr"}),
     ("bound --report g.qcr",
-     {"report": "g.qcr", "envelope": False, "p": None, "m1": None, "m2": None, "k": None,
-      "n": None, "out": None}),
+     {"report": "g.qcr", "envelope": False, "p": None, "m1": 1, "m2": 2, "out": None}),
     ("bound --report g.qcr -o b.qcr",
-     {"report": "g.qcr", "envelope": False, "p": None, "m1": None, "m2": None, "k": None,
-      "n": None, "out": "b.qcr"}),
+     {"report": "g.qcr", "envelope": False, "p": None, "m1": 1, "m2": 2, "out": "b.qcr"}),
     ("bound --envelope --p 31",
-     {"report": None, "envelope": True, "p": 31, "m1": None, "m2": None, "k": None,
-      "n": None, "out": None}),
+     {"report": None, "envelope": True, "p": 31, "m1": 1, "m2": 2, "out": None}),
     ("bound --envelope --p 31 -o env.qcr",
-     {"report": None, "envelope": True, "p": 31, "m1": None, "m2": None, "k": None,
-      "n": None, "out": "env.qcr"}),
-    ("bound --envelope --p 5 --m1 2 --m2 3 --k 9 --n 15",
-     {"report": None, "envelope": True, "p": 5, "m1": 2, "m2": 3, "k": 9, "n": 15,
-      "out": None}),
+     {"report": None, "envelope": True, "p": 31, "m1": 1, "m2": 2, "out": "env.qcr"}),
     ("sweep --p 7,11,13,17,23,31 -o sweep.csv",
      {"p": "7,11,13,17,23,31", "m1": 1, "m2": 2, "out": "sweep.csv"}),
     ("sweep --p 31,61,101 -o sweep.csv",
@@ -310,6 +316,7 @@ MALFORMED_FORMS = [
     "bound --report g.qcr --envelope",                   # both modes
     "bound",                                             # neither mode
     "bound --p 31",
+    "bound --envelope --p 5 --k 9",                      # k and n follow from the shape
 ]
 
 
@@ -697,7 +704,7 @@ def test_cli_bound_envelope_and_sweep(tmp_path, capsys):
     assert main(["sweep", "--p", "\u0663\u0661"]) == 2   # Arabic-Indic 31
     assert main(["sweep", "--p", "07"]) == 2
     assert refused(capsys, ["bound", "--envelope", "--p", "\u0663\u0661"])
-    assert refused(capsys, ["bound", "--envelope", "--p", "31", "--k", "031"])
+    assert refused(capsys, ["bound", "--envelope", "--p", "31", "--m1", "01"])
     assert refused(capsys, ["sweep", "--p", "7", "--m1", "\u0662", "--m2", "\u0663"])
     assert refused(capsys, ["sweep", "--p", "7", "--m2", "-3"])
     # the comma-list rule of --support: an empty entry is a bad token
@@ -716,14 +723,11 @@ def test_cli_envelope_refuses_degenerate_shapes(capsys):
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
-    # k > n makes n - k negative: a usage error before any bound is computed
-    assert refused(capsys, ["bound", "--envelope", "--p", "5", "--k", "9", "--n", "4"])
     # block counts outside 1 <= m1 < m2 are refused as the file readers
-    # refuse them, with k and n given or not
+    # refuse them
     for m1, m2 in (("3", "2"), ("2", "2"), ("0", "2"), ("0", "1")):
         shape = ["--m1", m1, "--m2", m2]
         assert refused(capsys, ["bound", "--envelope", "--p", "5", *shape])
-        assert refused(capsys, ["bound", "--envelope", "--p", "5", *shape, "--k", "5", "--n", "10"])
         assert refused(capsys, ["sweep", "--p", "7", *shape])
     assert refused(capsys, ["sweep", "--p", "5", "--m1", "0"])
 
@@ -829,21 +833,28 @@ def test_package_exports_resolve_to_home_modules():
         exec("from qcnied import no_such_name", {})
 
 
-def test_cli_autgroup_refuses_before_any_search(tmp_path, monkeypatch):
-    # eta = 1 fails the judgement autgroup makes first; condition iii with
-    # k = 122 > 8 is settled by stab_full before its block searches
+def test_cli_autgroup_refuses_before_any_search(tmp_path, monkeypatch, capsys):
+    # eta = 1 fails the judgement autgroup makes first, so no search
+    # starts; every row of the (61,2,3) C repeats, so the forced-subgroup
+    # check refuses it before the search tries a candidate row
     from qcnied import autgroup
 
     from test_golden_corpus import AUTGROUP_REFUSED
 
     searched = []
+    real = autgroup._stabilizing_pairs
     monkeypatch.setattr(autgroup, "stab_block", searched.append)
-    monkeypatch.setattr(autgroup, "_stabilizing_pairs", searched.append)
+    monkeypatch.setattr(autgroup, "_stabilizing_pairs",
+                        lambda rows, p: searched.append(len(rows)) or real(rows, p))
+    refusals = {}
     for tag, c in AUTGROUP_REFUSED.items():
         mat = tmp_path / f"{tag}.qcm"
         mat.write_text(io.write_matrix(c))
+        capsys.readouterr()
         assert main(["autgroup", str(mat)]) == 1, tag
-    assert searched == []
+        refusals[tag] = capsys.readouterr().err
+    assert searched == [122]
+    assert " force " in refusals["iii_k122"] and "stabilizing pairs" in refusals["iii_k122"]
 
 
 def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
@@ -899,3 +910,28 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     assert ran["autgroup"][0][0] == "validate_all"
     assert count("validate") == [("validate_all", 1)]
     assert count("bound") == count("sweep") == []
+
+
+def test_every_error_class_is_raised_or_caught():
+    """Each QcniedError subclass of errors.py is raised or caught somewhere
+    else in the package, so a retired refusal cannot leave its class
+    behind."""
+    src = Path(__file__).resolve().parent.parent / "src" / "qcnied"
+    tree = ast.parse((src / "errors.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    classes.discard("QcniedError")
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                target = node.type
+            else:
+                continue
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    used.add(name.id)
+    assert classes and classes <= used, sorted(classes - used)

@@ -88,8 +88,6 @@ def test_record_defaults_and_repr():
     assert Verdict("pass") == Verdict("pass", None)
     assert repr(Verdict("pass")) == "Verdict(status='pass', witness=None)"
     assert Verdict(status="fail").witness is None
-    r = BoundReport("envelope", 5, 10, 25, 1.5, -2.0, -3.0, -1.9, 4.0, 0)
-    assert (r.p, r.m1, r.m2) == (None, None, None)
     assert repr(EnvelopeStats(25, 4, 5, 6)) == (
         "EnvelopeStats(order=25, delta=4, min_class_k=5, min_class_n=6)"
     )
