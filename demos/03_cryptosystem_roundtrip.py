@@ -10,13 +10,16 @@ cost more than a walk of the binary kernel, by walking the kernel once
 for its least weight d, so that e = (d - 1) // 2. Encryption is a syndrome
 computation against the scrambled public matrix. Decryption undoes the
 row scrambler, solves for one preimage by F2 elimination, and searches
-that preimage's kernel coset for the unique one of weight <= e.
+that preimage's kernel coset for the unique one of weight <= e. The
+scrambler acts on each bit-plane of a packed column as a binary matrix
+on a k-bit vector: one parity per row and plane.
 """
 
 import itertools
 
 from qcnied import keygen, encrypt, decrypt
 from qcnied import sample_compliant
+from qcnied.niederreiter import unpack_column
 
 c = sample_compliant(5, 1, 2, 2, seed=3)
 
@@ -26,9 +29,10 @@ print("error capacity e =", pub.e, "kernel dimension", len(priv.kernel))
 
 # the public matrix is the private one with rows mixed by an invertible
 # binary matrix and columns permuted; it looks nothing like [I | C].
-# It is held as n packed columns, entry i in bits [i*eta, (i+1)*eta).
-mask = (1 << pub.ctx.eta) - 1
-public_row0 = [col & mask for col in pub.hprime]
+# It is held as n packed columns of eta bit-planes, bit b*k + i holding
+# bit b of entry i, so each plane is indexed like the scrambler's rows;
+# unpack_column reads a column's k entries back.
+public_row0 = [unpack_column(col, pub.k, pub.ctx.eta)[0] for col in pub.hprime]
 private_row0 = [1] + [0] * (pub.k - 1) + list(c.expand()[0])
 print("private [I|C] first row:", private_row0)
 print("public  H'    first row:", public_row0)

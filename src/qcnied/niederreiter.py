@@ -9,12 +9,14 @@ ciphertext is the syndrome H' x^T, the XOR of the columns on its
 support, so no field multiplication runs here.
 
 Binary matrices are Python ints: A0 and A0^-1 are k bit-rows (bit j =
-column j) as the key file stores them; H, H' and syndromes are packed
-columns, entry i in bits [i*eta, (i+1)*eta). One F2 elimination serves
-A0's rank and inverse and the binary syndrome map z -> H z^T. e, the
-largest t with that map injective on weights <= t, is n when its kernel
-is trivial. Else weights are enumerated while cheaper than a kernel walk,
-then one walk gives d and e = (d - 1) // 2, each within ENUM_BUDGET.
+column j) as the key file stores them. H, H' and syndromes are packed
+columns of eta bit-planes, bit b*k + i holding bit b of entry i, so each
+plane is a k-bit vector indexed like A0's rows and the scrambler is one
+parity per row and plane. One F2 elimination serves A0's rank and inverse
+and the binary syndrome map z -> H z^T. e, the largest t with that map
+injective on weights <= t, is n when its kernel is trivial. Else weights
+are enumerated while cheaper than a kernel walk, then one walk gives d
+and e = (d - 1) // 2, each within ENUM_BUDGET.
 
 Decryption strips A0, eliminates for a solution z0 that is zero off the
 pivot columns, and searches z0 + ker H over sums of at most e kernel
@@ -82,45 +84,37 @@ def _inverse(rows: tuple[int, ...]) -> tuple[int, ...] | None:
 
 
 def _mix(rows, column: int, eta: int) -> int:
-    """Packed column with lane i = XOR of its lanes l where rows[i] has bit l."""
-    mask = (1 << eta) - 1
-    lanes = [(column >> (l * eta)) & mask for l in range(len(rows))]
+    """Packed column with entry i = XOR of its entries l where rows[i] has
+    bit l: bit i of plane b is the parity of rows[i] & plane b."""
+    k = len(rows)
     out = 0
-    for i, row in enumerate(rows):
-        acc = 0
-        for l, lane in enumerate(lanes):
-            if row >> l & 1:
-                acc ^= lane
-        out |= acc << (i * eta)
+    for b in range(eta):
+        plane = column >> (b * k) & ((1 << k) - 1)
+        for i, row in enumerate(rows):
+            out |= ((row & plane).bit_count() & 1) << (b * k + i)
     return out
 
 
 def pack_column(values, eta: int) -> int:
-    """Field elements as one packed column, entry i in bits [i*eta, (i+1)*eta)."""
-    out = 0
-    for i, a in enumerate(values):
-        out |= a << (i * eta)
-    return out
+    """A sequence of k field elements as one packed column, bit b of entry
+    i at bit b*k + i."""
+    k = len(values)
+    return sum((a >> b & 1) << (b * k + i) for b in range(eta) for i, a in enumerate(values))
 
 
 def unpack_column(packed: int, k: int, eta: int) -> tuple[int, ...]:
     """The k field elements of a packed column."""
-    mask = (1 << eta) - 1
-    return tuple((packed >> (i * eta)) & mask for i in range(k))
+    return tuple(sum((packed >> (b * k + i) & 1) << b for b in range(eta)) for i in range(k))
 
 
 def _columns(rows, p: int, m1: int, m2: int, eta: int) -> list[int]:
     """The n packed columns of H = [I | C], C given by its block first rows
     in row-major grid order; entry (r, s) of a block is row[(s - r) % p]."""
     mc = m2 - m1
-    cols = [1 << (i * eta) for i in range(m1 * p)]
-    for bj in range(mc):
-        for s in range(p):
-            cols.append(pack_column(
-                (rows[bi * mc + bj][(s - r) % p] for bi in range(m1) for r in range(p)),
-                eta,
-            ))
-    return cols
+    return [1 << i for i in range(m1 * p)] + [
+        pack_column([rows[bi * mc + bj][(s - r) % p] for bi in range(m1) for r in range(p)], eta)
+        for bj in range(mc) for s in range(p)
+    ]
 
 
 @lru_cache(maxsize=1)

@@ -206,12 +206,14 @@ def _check_group(elems, where: str) -> None:
                     members.append(h)
 
 
-def _cmd_bound(report=None, envelope=False, p=None, m1=1, m2=2, out=None) -> int:
+def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, out=None) -> int:
     from .distinguish import dk_bound, dk_bound_envelope
 
     if (report is None) == (not envelope):
         raise ParseError("bound: give exactly one of --report and --envelope")
     if report is not None:
+        if (p, m1, m2) != (None, None, None):
+            raise ParseError("bound: --report takes its shape from the report, not --p/--m1/--m2")
         fields, elems = read_report(_read(report))
         if fields.get("kind") != "autgroup":
             raise ParseError(f"{report}: expected an autgroup report")
@@ -240,6 +242,7 @@ def _cmd_bound(report=None, envelope=False, p=None, m1=1, m2=2, out=None) -> int
     else:
         if p is None:
             raise ParseError("envelope mode needs --p")
+        m1, m2 = 1 if m1 is None else m1, 2 if m2 is None else m2
         _envelope_shape(m1, m2, "bound --envelope")
         r = dk_bound_envelope(p, m1, m2)
     _emit(write_report(_bound_fields(r)), out)

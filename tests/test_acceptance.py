@@ -1,4 +1,4 @@
-"""Acceptance gate: the twelve shipped guarantees, one test and one
+"""Acceptance gate: the thirteen shipped guarantees, one test and one
 printed verdict line each (run with -s to see them).
 
 Criteria 4, 5 and 9 share the seeded (p = 7) stabilizer corpus; it is
@@ -50,6 +50,25 @@ P61_MATRICES = {
 }
 P61_REPORT = "7fead14fff3341fed1f68c49fb4bddb60e0833d7a61da15d246bef6a216b1c10"
 P61_BOUND = "b19980fc0c4d85f535a50cdd639840a65c8f2648127b40cc99708e435e741b66"
+
+# search 127 1 2 2 --seed s, then keygen --seed s, then encrypt of a
+# seeded weight-e support: sha256 of the matrix, the private key, the
+# public key and the ciphertext. The pins were taken from the lane-packed
+# scrambler that preceded the bit-planes.
+P127_PINS = {
+    1: ("49bb96f43d85814deee78c3ee729295f1aea2d5263b0ca0005e5f251d6ce3fa1",
+        "bc2ff092277b53acff367613e176be3beab008046c375de389f83ae29c20c273",
+        "6a8b97683594ee580b085eb590a1f851bd0099373b7d50980b67f397b08b6bb8",
+        "50d71d2c576dc4676dcbfae93c4ee7fb76a710760efdb56b2511b76ccbc199b3"),
+    2: ("729c25a7600658d73c3590f7c200c344fe4263dde1a253801d7c8af9f6f07f92",
+        "1365afff3a69ee9d408bc9261f8e8bbd7f062e59ceafcda657cbff010dff1937",
+        "b1390d8e6d89b232ccd4021477c5398fb6dfe655bda2f5672224f45b4eab16a5",
+        "c24ca0314774c7f71c0982f4b06e183fedac57acbc93b5f35bbde0e57b0c3344"),
+    3: ("f79143ebf5eff28adc0326dd6ea8dfe9ceffa36feb49fdaca241c408c5bad28c",
+        "666eec18cfcf371e3da7e00d44b6b59d39921e7afed339fd69a2b4eb50c9262f",
+        "103ac6832c9f7fb4e4d7444830f322133ef90396712f04869ca1b4ed5433c4fe",
+        "46ad7188790cf438ab2743e21ab36d399a8f8ad02d67ca63279088446422cb47"),
+}
 
 _corpus_cache: list = []
 
@@ -282,3 +301,25 @@ def test_criterion_12_paper_regime(tmp_path, capsys):
             capsys.readouterr()
             assert cli.main(["bound", "--report", str(rep)]) == 0
             assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == P61_BOUND
+
+
+def test_criterion_13_keys_at_the_paper_p(tmp_path, capsys):
+    with criterion(13, "search 127 1 2 2 -> keygen -> encrypt -> decrypt pinned, "
+                       "keygen < 0.5 s, seeds 1..3"):
+        sha = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+        for seed, pins in P127_PINS.items():
+            mat, sk, pk, ct, out = (tmp_path / f"{name}{seed}"
+                                    for name in ("m", "sk", "pk", "ct", "out"))
+            assert cli.main(["search", "127", "1", "2", "2", "--seed", str(seed),
+                             "-o", str(mat)]) == 0
+            t0 = time.perf_counter()
+            assert cli.main(["keygen", str(mat), "--seed", str(seed),
+                             "--priv", str(sk), "--pub", str(pk)]) == 0
+            assert time.perf_counter() - t0 < 0.5
+            priv = io.read_private_key(sk.read_text())
+            support = ",".join(map(str, sorted(random.Random(seed).sample(range(priv.n), priv.e))))
+            assert cli.main(["encrypt", str(pk), "--support", support, "-o", str(ct)]) == 0
+            assert (sha(mat), sha(sk), sha(pk), sha(ct)) == pins
+            assert cli.main(["decrypt", str(sk), str(ct), "-o", str(out)]) == 0
+            assert out.read_text() == support + "\n"
+            capsys.readouterr()

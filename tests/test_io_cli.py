@@ -282,13 +282,13 @@ PARENT_FORMS = [
     ("autgroup m.qcm --threshold 0.5 -o g.qcr",
      {"matrix": "m.qcm", "threshold": 0.5, "out": "g.qcr"}),
     ("bound --report g.qcr",
-     {"report": "g.qcr", "envelope": False, "p": None, "m1": 1, "m2": 2, "out": None}),
+     {"report": "g.qcr", "envelope": False, "p": None, "m1": None, "m2": None, "out": None}),
     ("bound --report g.qcr -o b.qcr",
-     {"report": "g.qcr", "envelope": False, "p": None, "m1": 1, "m2": 2, "out": "b.qcr"}),
+     {"report": "g.qcr", "envelope": False, "p": None, "m1": None, "m2": None, "out": "b.qcr"}),
     ("bound --envelope --p 31",
-     {"report": None, "envelope": True, "p": 31, "m1": 1, "m2": 2, "out": None}),
+     {"report": None, "envelope": True, "p": 31, "m1": None, "m2": None, "out": None}),
     ("bound --envelope --p 31 -o env.qcr",
-     {"report": None, "envelope": True, "p": 31, "m1": 1, "m2": 2, "out": "env.qcr"}),
+     {"report": None, "envelope": True, "p": 31, "m1": None, "m2": None, "out": "env.qcr"}),
     ("sweep --p 7,11,13,17,23,31 -o sweep.csv",
      {"p": "7,11,13,17,23,31", "m1": 1, "m2": 2, "out": "sweep.csv"}),
     ("sweep --p 31,61,101 -o sweep.csv",
@@ -317,6 +317,7 @@ MALFORMED_FORMS = [
     "bound",                                             # neither mode
     "bound --p 31",
     "bound --envelope --p 5 --k 9",                      # k and n follow from the shape
+    "bound --report g.qcr --p 7 --m1 3 --m2 9",          # a report carries its shape
 ]
 
 
@@ -619,6 +620,12 @@ def test_cli_bound_refuses_hostile_reports(tmp_path, capsys):
                    text.replace(first + "\n", "", 1).replace("\norder: 5\n", "\norder: 4\n")):
         bad.write_text(edited)
         assert refused(capsys, ["bound", "--report", str(bad), "-o", str(brep)])
+        assert not brep.exists()
+    # the report carries its shape, so the envelope's shape options are
+    # refused with it, even when they agree with the report
+    for shape in (["--p", "7", "--m1", "3", "--m2", "9"], ["--p", "5"], ["--m1", "1"],
+                  ["--m2", "2"]):
+        assert refused(capsys, ["bound", "--report", str(rep), "-o", str(brep), *shape])
         assert not brep.exists()
     assert main(["bound", "--report", str(rep)]) == 0
 

@@ -36,9 +36,12 @@ from qcnied.niederreiter import (
     _capacity,
     _echelon,
     _inverse,
+    _mix,
     decrypt,
     encrypt,
     keygen,
+    pack_column,
+    unpack_column,
 )
 
 from test_golden_corpus import CORPUS
@@ -60,9 +63,8 @@ def dense_h(c):
 
 
 def packed_columns(c):
-    """Columns of the dense expansion of [I | c], entry i in bits [i*eta, (i+1)*eta)."""
-    eta = c.ctx.eta
-    return [sum(a << (i * eta) for i, a in enumerate(col)) for col in zip(*dense_h(c))]
+    """Columns of the dense expansion of [I | c], packed by pack_column."""
+    return [pack_column(col, c.ctx.eta) for col in zip(*dense_h(c))]
 
 
 def oracle_table(cols):
@@ -160,8 +162,51 @@ def test_capacity_against_stepwise_oracle_and_kernel_walk(shape_, seed):
         assert e == len(cols)
 
 
-def lanes(packed, k, eta):
+def lane_pack(values, eta):
+    """The lane layout packed columns had before the bit-planes: entry i in
+    bits [i*eta, (i+1)*eta)."""
+    return sum(a << (i * eta) for i, a in enumerate(values))
+
+
+def lane_unpack(packed, k, eta):
     return tuple((packed >> (i * eta)) & ((1 << eta) - 1) for i in range(k))
+
+
+def lane_mix(rows, column, eta):
+    """The scrambler as it was applied to a lane-packed column: lane i =
+    XOR of its lanes l where rows[i] has bit l."""
+    mask = (1 << eta) - 1
+    lanes = [(column >> (l * eta)) & mask for l in range(len(rows))]
+    out = 0
+    for i, row in enumerate(rows):
+        acc = 0
+        for l, lane in enumerate(lanes):
+            if row >> l & 1:
+                acc ^= lane
+        out |= acc << (i * eta)
+    return out
+
+
+@st.composite
+def mix_cases(draw):
+    """(rows, values, eta): k in 1..40 rows of k bits, singular ones
+    included, and k entries of GF(2^eta) for eta in 1..4."""
+    k, eta = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=k, max_size=k))
+    values = draw(st.lists(st.integers(0, (1 << eta) - 1), min_size=k, max_size=k))
+    return rows, values, eta
+
+
+@given(mix_cases())
+def test_plane_mix_equals_lane_mix(case):
+    # the old lane-by-lane scrambler is the oracle, read through each
+    # layout's own unpacking
+    rows, values, eta = case
+    k = len(values)
+    assert unpack_column(pack_column(values, eta), k, eta) == tuple(values)
+    planes = _mix(rows, pack_column(values, eta), eta)
+    lanes = lane_mix(rows, lane_pack(values, eta), eta)
+    assert unpack_column(planes, k, eta) == lane_unpack(lanes, k, eta)
 
 
 def mix(rows, lanes_in):
@@ -185,7 +230,7 @@ def check_against_oracle(priv, pub, supports):
         for j in sup:
             s ^= pub.hprime[j]
         want = table.get(s)
-        y = lanes(s, pub.k, pub.ctx.eta)
+        y = unpack_column(s, pub.k, pub.ctx.eta)
         if want is None:
             with pytest.raises(DecodeFailure):
                 decrypt(priv, y)
@@ -347,8 +392,8 @@ def test_keygen_publishes_scrambled_matrix():
     # undo the scrambler and the column permutation: structure returns
     cols = packed_columns(c)
     for j in range(n):
-        undone = mix(priv.a0inv, lanes(pub.hprime[j], k, c.ctx.eta))
-        assert undone == lanes(cols[priv.b0[j]], k, c.ctx.eta)
+        undone = mix(priv.a0inv, unpack_column(pub.hprime[j], k, c.ctx.eta))
+        assert undone == unpack_column(cols[priv.b0[j]], k, c.ctx.eta)
 
 
 def test_keygen_public_matrix_is_a0_h_b0():
@@ -367,7 +412,7 @@ def test_keygen_public_matrix_is_a0_h_b0():
             )
             for i in range(k)
         )
-        assert tuple(zip(*(lanes(col, k, eta) for col in pub.hprime))) == expected
+        assert tuple(zip(*(unpack_column(col, k, eta) for col in pub.hprime))) == expected
 
 
 def test_roundtrip_all_weights():
@@ -409,7 +454,7 @@ def test_decrypt_rejections():
     packed = 0
     while packed in table:
         packed += 1
-    y = mix(priv.a0, lanes(packed, k, c.ctx.eta))
+    y = mix(priv.a0, unpack_column(packed, k, c.ctx.eta))
     with pytest.raises(DecodeFailure):
         decrypt(priv, y)
 
