@@ -10,14 +10,16 @@ bounds how distinguishable the induced hidden-subgroup states are:
 
 dk is compared against (ln |G^2 x| F2|)^(-c) and the largest admissible
 c is reported (capped at 64). Class sizes and group orders are exact
-integers; logs are taken only at the final reduction, and sums in the
-linear domain go through log-sum-exp, so nothing underflows for n into
-the hundreds.
+integers; a log is taken once of each, and sums in the linear domain go
+through log-sum-exp with one rounding (math.fsum), so nothing underflows
+for n into the hundreds and every term has the same bits on every
+supported Python.
 
 The worst-case envelope replaces an explicit H by the most pessimistic
 statistics compatible with the structural guarantees: order p^2 and every
 non-identity component sitting in the smallest conjugacy class that
-still moves at least p - 1 points.
+still moves at least p - 1 points. It is refused (TooLarge) above
+n = ENVELOPE_MAX_N columns, before any class size is computed.
 """
 
 from __future__ import annotations
@@ -27,8 +29,13 @@ from math import factorial
 from operator import mul
 
 from ._record import Record
-from .errors import InfeasibleSupport, StructureViolation
+from .errors import InfeasibleSupport, StructureViolation, TooLarge
 from .field import is_prime
+
+# Largest n = m2*p the envelope accepts. Its cost grows as n^2 exact
+# integer products; near n = 1024 one envelope takes 0.15-0.6 s on a
+# 2-vCPU host (most when m1*p is close to n and p is small).
+ENVELOPE_MAX_N = 1024
 
 
 def class_size_sn(t) -> int:
@@ -47,28 +54,27 @@ def log_factorial(n: int) -> float:
 
 
 def gl2_order(k: int) -> int:
-    """Order of GL_k(F2), exact."""
+    """Order of GL_k(F2), exact: prod_{i<k} (2^k - 2^i), built as
+    prod_{j<=k} (2^j - 1) shifted left by k(k-1)/2."""
     out = 1
-    for i in range(k):
-        out *= (1 << k) - (1 << i)
-    return out
+    for j in range(1, k + 1):
+        out *= (1 << j) - 1
+    return out << (k * (k - 1) // 2)
 
 
 def log_gl_order(k: int) -> float:
-    """ln |GL_k(F2)|; exact product for k <= 64, summed logs beyond."""
-    if k <= 0:
-        return 0.0
-    if k <= 64:
-        return math.log(gl2_order(k))
-    return sum(math.log((1 << k) - (1 << i)) for i in range(k))
+    """ln |GL_k(F2)|, one math.log of the exact order for every k."""
+    return math.log(gl2_order(k))
 
 
 def logsumexp(values) -> float:
+    """ln sum exp(v) over values, -inf when all are -inf; the shifted
+    terms are added with math.fsum, so the sum is rounded once."""
     values = [v for v in values if v != -math.inf]
     if not values:
         return -math.inf
     m = max(values)
-    return m + math.log(sum(math.exp(v - m) for v in values))
+    return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
 def _merged_type(p1, p2) -> tuple[int, ...]:
@@ -150,32 +156,30 @@ def dk_bound(elements, p: int, m1: int, m2: int) -> BoundReport:
     return _report("exact", p, m1, m2, len(elements), s0_exact(elements))
 
 
-# _weights[s]: the greatest prod(j^c_j c_j!) over partitions of s into
-# parts >= 2, 0 when there is none (s = 1). It does not depend on n, so
-# one table, grown to the largest n asked, serves every call.
-_weights = [1]
-
-
 def _centralizer_weights(n: int) -> list[int]:
-    """The table above through index n, built by a knapsack over part sizes.
+    """w[s] for s in 0..n: the greatest prod(j^c_j c_j!) over cycle types
+    on s points with parts 2 and 3 only, 0 when there is none (s = 1).
 
-    Part size j enters with multiplicity c at weight j*c and factor
-    j^c c!; the factors of different part sizes multiply, so taking the
-    sizes one at a time and keeping the best product per total is exact.
-    O(n^2 log n) integer products.
+    Parts 2 and 3 suffice. Take the c cycles of one length j >= 4. If
+    j = 2m, m*c 2-cycles replace them; if j = 2m+1, c 3-cycles and
+    (m-1)*c 2-cycles do. By (a+b)! >= a! b! and (mc)! >= (m!)^c c!, the
+    product grows by a factor of at least (2^(m-1) (m-1)!)^c in the even
+    case and (3 2^(m-1) / (2m+1))^c >= 1 in the odd one. Repeating this
+    for each length >= 4 never lowers the product, so w[s] is also the
+    greatest over all parts >= 2.
+
+    A knapsack over the two part sizes: size j enters with multiplicity
+    c at weight j*c and factor j^c c!, and the factors multiply.
     """
-    global _weights
-    if len(_weights) <= n:
-        w = [1] + [0] * n
-        for j in range(2, n + 1):
-            factors = [1]  # factors[c] = j^c c!
-            for c in range(1, n // j + 1):
-                factors.append(factors[-1] * j * c)
-            # totals descend, so w[s - c*j] still excludes part size j
-            for s in range(n, j - 1, -1):
-                w[s] = max(map(mul, factors, w[s::-j]))
-        _weights = w
-    return _weights
+    w = [1] + [0] * n
+    for j in (2, 3):
+        factors = [1]  # factors[c] = j^c c!
+        for c in range(1, n // j + 1):
+            factors.append(factors[-1] * j * c)
+        # totals descend, so w[s - c*j] still excludes part size j
+        for s in range(n, j - 1, -1):
+            w[s] = max(map(mul, factors, w[s::-j]))
+    return w
 
 
 def min_class_size(n: int, delta: int) -> int:
@@ -183,9 +187,9 @@ def min_class_size(n: int, delta: int) -> int:
 
     A class is n! over its centralizer order (n - s)! * prod(j^c_j c_j!),
     where s is the moved-point count and the c_j count the cycles of each
-    length j >= 2. The greatest centralizer for each s comes from one
-    knapsack table (_centralizer_weights), so the result is exact and
-    the search is a maximum over s in [delta, n].
+    length j >= 2. The greatest centralizer for each s is read from a
+    table built for this call (_centralizer_weights), so the result is
+    exact and the search is a maximum over s in [delta, n].
     """
     if delta > n:
         raise InfeasibleSupport(f"no element of S_{n} moves {delta} points")
@@ -211,10 +215,15 @@ def worst_case_h(p: int, m1: int = 1, m2: int = 2) -> EnvelopeStats:
     displacement p - 1 on the k = m1*p rows and the n = m2*p columns.
 
     InfeasibleSupport for p < 2, which leaves no non-identity element,
-    and for a composite p, which no admissible shape has.
+    and for a composite p, which no admissible shape has. TooLarge, before
+    the primality test and any class size, for n above ENVELOPE_MAX_N.
     """
     if p < 2:
         raise InfeasibleSupport(f"the envelope needs p >= 2, got p = {p}")
+    if m2 * p > ENVELOPE_MAX_N:
+        raise TooLarge(
+            f"the envelope at n = {m2 * p} is above n = {ENVELOPE_MAX_N}"
+        )
     if not is_prime(p):
         raise InfeasibleSupport(f"the envelope needs a prime p, got p = {p}")
     delta = p - 1

@@ -179,7 +179,8 @@ class PrivateKey(_Key):
 
     Construction refuses C's block rows by BlockCirculant's rule
     (field.check_block_rows), then a B0 that does not permute range(n)
-    (OutOfRange) and an A0 of other than k rows; it inverts A0
+    (OutOfRange), an A0 of other than k rows and an A0 bit-row outside
+    [0, 2^k) (OutOfRange); it inverts A0
     (SizeMismatch when singular) and eliminates H's binary syndrome map,
     so decrypt does neither; a key built by keygen reuses keygen's. The
     derived a0inv, pivots and kernel stay out of ==, hash and repr.
@@ -193,8 +194,12 @@ class PrivateKey(_Key):
         a0, rows = tuple(a0), check_block_rows(ctx, p, m1, m2, rows)
         if sorted(b0) != list(range(m2 * p)):
             raise OutOfRange(f"not a permutation: {tuple(b0)}")
-        if len(a0) != m1 * p:
-            raise SizeMismatch(f"A0 has {len(a0)} rows, expected k = {m1 * p}")
+        k = m1 * p
+        if len(a0) != k:
+            raise SizeMismatch(f"A0 has {len(a0)} rows, expected k = {k}")
+        for row in a0:
+            if not 0 <= row < 1 << k:
+                raise OutOfRange(f"A0 bit-row {row} outside [0, 2^{k})")
         a0inv = _inverse(a0)
         if a0inv is None:
             raise SizeMismatch("A0 is singular over F2")

@@ -8,6 +8,7 @@ import time
 from collections import Counter
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 import mpmath as mp
 import pytest
@@ -31,7 +32,7 @@ from qcnied.distinguish import (
     s1_term,
     worst_case_h,
 )
-from qcnied.errors import InfeasibleSupport, StructureViolation
+from qcnied.errors import InfeasibleSupport, StructureViolation, TooLarge
 
 mp.mp.dps = 50
 
@@ -73,6 +74,20 @@ def max_one_free_weight(rem: int, min_part: int) -> int:
             mult += 1
             total += part
     return best
+
+
+def all_lengths_weights(n: int) -> list[int]:
+    """w[s] for s in 0..n: the greatest prod(j^c_j c_j!) over partitions
+    of s into parts >= 2 of every length, 0 when there is none, by a
+    knapsack over all part sizes 2..n. Reference for the 2/3-cycle table."""
+    w = [1] + [0] * n
+    for j in range(2, n + 1):
+        factors = [1]  # factors[c] = j^c c!
+        for c in range(1, n // j + 1):
+            factors.append(factors[-1] * j * c)
+        for s in range(n, j - 1, -1):
+            w[s] = max(map(mul, factors, w[s::-j]))
+    return w
 
 
 def recursive_min_class_size(n: int, delta: int) -> int | None:
@@ -224,11 +239,8 @@ def test_min_class_size_against_bruteforce():
         min_class_size(5, 6)
 
 
-def test_min_class_size_against_recursive_search(monkeypatch):
-    # a fresh table, grown in steps as a sweep grows it, then read at
-    # small n once it holds all of 0..202
-    monkeypatch.setattr(distinguish, "_weights", [1])
-    for n in [*range(41), 62, 122, 202, *range(41)]:
+def test_min_class_size_against_recursive_search():
+    for n in [*range(41), 62, 122, 202]:
         for delta in range(-1, n + 2):
             want = recursive_min_class_size(n, delta)
             if want is None:
@@ -238,15 +250,52 @@ def test_min_class_size_against_recursive_search(monkeypatch):
                 assert min_class_size(n, delta) == want, (n, delta)
 
 
-def test_sweep_time_budget(monkeypatch):
-    # from an empty table, so the knapsack runs inside the timed region
-    monkeypatch.setattr(distinguish, "_weights", [1])
+def test_two_three_cycle_table_equals_all_lengths_knapsack():
+    # parts of length >= 4 never give a greater centralizer factor, so
+    # the per-call table over parts 2 and 3 is the full table's prefix
+    want = all_lengths_weights(400)
+    for n in range(401):
+        assert distinguish._centralizer_weights(n) == want[: n + 1], n
+
+
+def _sweep_in_process(argv) -> tuple[float, list[str]]:
     out = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(out):
-        assert main(["sweep", "--p", "31,61,101"]) == 0
-    assert time.perf_counter() - t0 < 0.5
-    assert out.getvalue().splitlines()[-1].startswith("101,1,2,101,202,10201,")
+        assert main(argv) == 0
+    return time.perf_counter() - t0, out.getvalue().splitlines()
+
+
+def test_sweep_time_budget():
+    elapsed, lines = _sweep_in_process(["sweep", "--p", "31,61,101"])
+    assert elapsed < 0.5
+    assert lines[-1].startswith("101,1,2,101,202,10201,")
+
+
+def test_sweep_time_budget_every_prime_to_127():
+    primes = [q for q in range(2, 128) if all(q % d for d in range(2, q))]
+    elapsed, lines = _sweep_in_process(
+        ["sweep", "--p", ",".join(map(str, primes)), "--m1", "2", "--m2", "4"]
+    )
+    assert elapsed < 0.5
+    assert len(lines) == 32 and lines[-1].startswith("127,2,4,254,508,16129,")
+
+
+def test_envelope_size_guard_comes_first(monkeypatch):
+    # refused above ENVELOPE_MAX_N before the primality test (a composite
+    # p is refused as too large) and before any class size
+    calls = []
+    monkeypatch.setattr(distinguish, "min_class_size",
+                        lambda n, delta: calls.append(n) or 1)
+    limit = distinguish.ENVELOPE_MAX_N
+    assert limit >= 4 * 127  # every p <= 127 with m2 <= 4 is accepted
+    for p, m1, m2 in ((2, 1, limit // 2 + 1), (limit + 1, 1, 2), (100003, 1, 2),
+                      (10**12, 1, 2)):
+        with pytest.raises(TooLarge):
+            worst_case_h(p, m1, m2)
+    assert calls == []
+    worst_case_h(2, 1, limit // 2)
+    assert calls == [2, limit]
 
 
 def test_worst_case_h_small():

@@ -492,7 +492,7 @@ def test_private_key_carries_decoder():
 
 def test_private_key_refuses_a_malformed_key():
     # the checks BlockCirculant and Perm make: shape, block rows, field
-    # entries and B0, then a singular A0
+    # entries and B0, then A0's rows (count and width), then a singular A0
     priv, _pub = keygen(small_matrix(seed=1), seed=1)
     good = dict(a0=priv.a0, rows=priv.rows, b0=priv.b0, p=5, m1=1, m2=2, ctx=priv.ctx, e=priv.e)
     (row,) = priv.rows
@@ -510,6 +510,9 @@ def test_private_key_refuses_a_malformed_key():
         (OutOfRange, dict(b0=(priv.b0[1],) + priv.b0[1:])),
         (OutOfRange, dict(b0=tuple(range(1, 11)))),
         (SizeMismatch, dict(a0=priv.a0[:-1])),
+        (OutOfRange, dict(a0=(priv.a0[0] | 1 << 8,) + priv.a0[1:])),
+        (OutOfRange, dict(a0=priv.a0[:-1] + (priv.a0[-1] | 1 << 5,))),  # bit k
+        (OutOfRange, dict(a0=(-1,) + priv.a0[1:])),
         (SizeMismatch, dict(a0=(0,) * 5)),                 # singular
     ]
     for error, change in bad:
