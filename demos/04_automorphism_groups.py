@@ -20,7 +20,7 @@ print("compliant block:", list(c.rows))
 print("order", g.order, "classification", g.classification)
 print("min degree rows", g.min_degree_pi1, "cols", g.min_degree_pi2)
 for p1, p2 in sorted(g.elements)[:3]:
-    print("  element", p1.images, "|", p2.images)
+    print("  element", p1, "|", p2)
 
 # structural relation behind the group: undoing P1 on the rows of the
 # dense matrix is the same as applying the induced column permutation

@@ -34,13 +34,17 @@ from __future__ import annotations
 
 import math
 from itertools import chain, permutations, product
+from operator import itemgetter
 
 from ._record import Record
-from .circulant import BlockCirculant, Dense, Perm, act, expand_row
+from .circulant import BlockCirculant, Dense, act, expand_row, inverse
 from .errors import EtaTooSmall, LemmaViolated, TooLarge
 
 # candidate rows tried plus pairs listed one stabilizer search may spend
 STAB_BUDGET = 1 << 19
+
+# a stabilizing pair (P, Q), each permutation as its image tuple
+Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
 AFFINE = "affine-subgroup"
 SYMMETRIC = "symmetric"
@@ -48,17 +52,22 @@ ALTERNATING = "alternating"
 EXCEPTIONAL = "exceptional"
 
 
-def is_affine(perm: Perm, p: int) -> bool:
+def is_affine(perm: tuple[int, ...], p: int) -> bool:
     """Whether perm is i -> u*i + v mod p for some unit u."""
-    if perm.n != p:
+    if len(perm) != p:
         return False
     if p == 1:
         return True
-    v = perm(0)
-    u = (perm(1) - v) % p
+    v = perm[0]
+    u = (perm[1] - v) % p
     if u == 0:
         return False
-    return all(perm(i) == (u * i + v) % p for i in range(p))
+    return all(perm[i] == (u * i + v) % p for i in range(p))
+
+
+def support(perm: tuple[int, ...]) -> int:
+    """Number of moved points."""
+    return sum(i != img for i, img in enumerate(perm))
 
 
 def _column_map(rows: Dense) -> dict[tuple[int, ...], list[int]]:
@@ -68,7 +77,7 @@ def _column_map(rows: Dense) -> dict[tuple[int, ...], list[int]]:
     return cols
 
 
-def _matching_qs(rows, col_map, p_images) -> list[Perm]:
+def _matching_qs(rows, col_map, p_images) -> list[tuple[int, ...]]:
     """All Q with act(P, M, Q) = M, i.e. column c of the row-permuted
     matrix equals column Q(c) of M. Unique when columns are distinct;
     repeated columns yield one Q per class bijection."""
@@ -84,7 +93,7 @@ def _matching_qs(rows, col_map, p_images) -> list[Perm]:
     for assignment in product(*[permutations(t) for _, t in per_class]):
         for c, j in zip(positions, chain.from_iterable(assignment)):
             images[c] = j
-        out.append(Perm(images))
+        out.append(tuple(images))
     return out
 
 
@@ -93,7 +102,7 @@ def _block_shift(n: int, p: int, s: int) -> tuple[int, ...]:
     return tuple(i - i % p + (i + s) % p for i in range(n))
 
 
-def _stabilizing_pairs(rows: Dense, p: int) -> tuple[tuple[Perm, Perm], ...]:
+def _stabilizing_pairs(rows: Dense, p: int) -> tuple[Pair, ...]:
     """Every (P, Q) with act(P, M, Q) = M, sorted, for M made of p x p
     circulant blocks.
 
@@ -140,7 +149,7 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[tuple[Perm, Perm], ...]:
         prefix = [level.setdefault(i * base + v, len(level)) for i, v in zip(prefix, row)]
         levels.append(level)
         wants.append(sorted(prefix))
-    pairs: list[tuple[Perm, Perm]] = []
+    pairs: list[Pair] = []
     images: list[int] = []
     used = [False] * size
     spent = 0
@@ -160,8 +169,8 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[tuple[Perm, Perm], ...]:
             spend(per_leaf)
             qs = _matching_qs(rows, col_map, images)
             for row_shift, col_shift in zip(row_shifts, col_shifts):
-                perm = Perm(map(row_shift.__getitem__, images))
-                pairs.extend((perm, Perm(map(q.images.__getitem__, col_shift))) for q in qs)
+                perm = tuple(map(row_shift.__getitem__, images))
+                pairs.extend((perm, tuple(map(q.__getitem__, col_shift))) for q in qs)
             return
         level, want = levels[t], wants[t]
         for x in range(0, size, p) if t == 0 else range(size):
@@ -181,43 +190,30 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[tuple[Perm, Perm], ...]:
     return tuple(sorted(pairs))
 
 
-class PairStab(Record):
-    """Pair stabilizer of one circulant block: its first row and its sorted pairs."""
-
-    __slots__ = ("row", "pairs")
-
-    @property
-    def order(self) -> int:
-        return len(self.pairs)
-
-    def row_projection(self) -> tuple[Perm, ...]:
-        return tuple(sorted({p for p, _ in self.pairs}))
-
-
-def stab_block(row: tuple[int, ...]) -> PairStab:
-    """Pair stabilizer of the circulant block with this first row, exact
-    at every p.
+def stab_block(row: tuple[int, ...]) -> tuple[Pair, ...]:
+    """Sorted pair stabilizer of the circulant block with this first
+    row, exact at every p.
 
     Every block contains the shift pair (i -> i+1, j -> j-1), so the
     result is never trivial. When block columns repeat, all matching
     column permutations are listed.
     """
-    row = tuple(row)
-    return PairStab(row=row, pairs=_stabilizing_pairs(expand_row(row), len(row)))
+    return _stabilizing_pairs(expand_row(tuple(row)), len(row))
 
 
-def classify(ps: PairStab) -> str:
-    """Label the row projection: affine first, then order tests.
+def classify(row: tuple[int, ...], pairs) -> str:
+    """Label the row projection of a block's pairs (stab_block(row)):
+    affine first, then order tests.
 
     Constant and near-constant blocks provably have the full symmetric
     group as row projection, so they are labeled from the block shape.
     """
     from .conditions import good_shape
 
-    p = len(ps.row)
-    if not good_shape(ps.row):
+    p = len(row)
+    if not good_shape(row):
         return SYMMETRIC
-    projection = ps.row_projection()
+    projection = {p1 for p1, _ in pairs}
     if all(is_affine(perm, p) for perm in projection):
         return AFFINE
     order = len(projection)
@@ -230,8 +226,7 @@ def classify(ps: PairStab) -> str:
 
 def minimal_degree(perms) -> float:
     """Least support among non-identity permutations; +inf if none."""
-    supports = [perm.support() for perm in perms if not perm.is_identity()]
-    return min(supports) if supports else math.inf
+    return min(filter(None, map(support, perms)), default=math.inf)
 
 
 class AutGroup(Record):
@@ -248,8 +243,8 @@ class AutGroup(Record):
     def order(self) -> int:
         return len(self.elements)
 
-    def row_projection(self) -> tuple[Perm, ...]:
-        return tuple(sorted({p1 for p1, _ in self.elements}))
+    def row_projection(self) -> set[tuple[int, ...]]:
+        return {p1 for p1, _ in self.elements}
 
     @property
     def min_degree_pi1(self) -> float:
@@ -258,12 +253,8 @@ class AutGroup(Record):
     @property
     def min_degree_pi2(self) -> float:
         """Least support of the full column permutation P1^-1 (+) P2."""
-        supports = [
-            p1.support() + p2.support()
-            for p1, p2 in self.elements
-            if not (p1.is_identity() and p2.is_identity())
-        ]
-        return min(supports) if supports else math.inf
+        supports = (support(p1) + support(p2) for p1, p2 in self.elements)
+        return min(filter(None, supports), default=math.inf)
 
     @property
     def classification(self) -> str:
@@ -286,7 +277,8 @@ def stab_full(c: BlockCirculant) -> AutGroup:
     S_p as its row projection, so classify labels it symmetric from its
     shape, and it is never searched. A C of one good-shape block is
     searched once: its block search is the search on C. Every element is
-    verified against the dense matrix before it is returned.
+    verified before it is returned: both parts must be permutations, and
+    the pair must fix the dense matrix.
     """
     from .conditions import good_shape
 
@@ -295,13 +287,17 @@ def stab_full(c: BlockCirculant) -> AutGroup:
     searched = [ij for ij, row in blocks.items() if good_shape(row)]
     if len(blocks) == len(searched) == 1:
         stabs = {(0, 0): stab_block(c.rows[0])}
-        elements = stabs[0, 0].pairs
+        elements = stabs[0, 0]
     else:
         elements = _stabilizing_pairs(c.dense, p)
         stabs = {ij: stab_block(blocks[ij]) for ij in searched}
-    labels = {ij: classify(stabs[ij]) if ij in stabs else SYMMETRIC for ij in blocks}
+    labels = {ij: classify(row, stabs[ij]) if ij in stabs else SYMMETRIC
+              for ij, row in blocks.items()}
     dense = c.dense
     for p1, p2 in elements:
+        for part in (p1, p2):
+            if sorted(part) != list(range(len(part))):
+                raise AssertionError(f"searched element part is not a permutation: {part}")
         if act(p1, dense, p2) != dense:
             raise AssertionError("searched element fails to stabilize C")
     return AutGroup(p=p, m1=m1, m2=c.m2, elements=elements, block_labels=labels)
@@ -352,9 +348,10 @@ def verify_lemma1(c: BlockCirculant, g: AutGroup) -> Lemma1Report:
     dense = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(dense_c))
     relation_ok = True
     for p1, p2 in g.elements:
-        sigma = p1.inv().dsum(p2)
-        lhs = tuple(dense[i] for i in p1.images)
-        rhs = tuple(tuple(row[j] for j in sigma.images) for row in dense)
+        sigma = inverse(p1) + tuple(k + j for j in p2)
+        lhs = tuple(dense[i] for i in p1)
+        # sigma moves n >= 2 points, so the getter returns a tuple per row
+        rhs = tuple(map(itemgetter(*sigma), dense))
         if lhs != rhs:
             relation_ok = False
             if premise_ok:

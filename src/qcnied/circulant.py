@@ -11,100 +11,21 @@ A dense matrix is an immutable tuple of rows, each a tuple of ints, so
 two matrices are equal exactly when they compare equal as tuples, and
 column j is the j-th item of zip(*rows).
 
-Permutations act on dense matrices two-sidedly: act(P, M, Q) has entry
-(i, j) equal to M[P(i)][Q^-1(j)], which in matrix terms is P^-1 M Q^-1
-(so the stabilizer condition act(P, M, Q) = M reads P M Q = M).
+A permutation of {0..n-1} is its image tuple P, so P(i) is P[i], and
+composition follows function application: (P Q)(i) = P[Q[i]], which
+matches the product of the permutation matrices. Permutations act on
+dense matrices two-sidedly: act(P, M, Q) has entry (i, j) equal to
+M[P(i)][Q^-1(j)], which in matrix terms is P^-1 M Q^-1 (so the
+stabilizer condition act(P, M, Q) = M reads P M Q = M).
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .errors import OutOfRange, SizeMismatch
+from .errors import SizeMismatch
 from .field import FieldCtx, check_block_rows
 
 Dense = tuple[tuple[int, ...], ...]
-
-
-class Perm:
-    """Permutation of {0..n-1} stored as its image tuple.
-
-    Composition follows function application: (a * b)(i) = a(b(i)), which
-    matches the product of the corresponding permutation matrices.
-    """
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        if not images or sorted(images) != list(range(len(images))):
-            raise OutOfRange(f"not a permutation: {images}")
-        self.images = images
-
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(range(n))
-
-    @classmethod
-    def shift(cls, n: int, k: int) -> "Perm":
-        """Cyclic shift i -> i + k mod n."""
-        return cls((i + k) % n for i in range(n))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        if self.n != other.n:
-            raise SizeMismatch("composing permutations of different sizes")
-        return Perm(self.images[other.images[i]] for i in range(self.n))
-
-    def inv(self) -> "Perm":
-        out = [0] * self.n
-        for i, img in enumerate(self.images):
-            out[img] = i
-        return Perm(out)
-
-    def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
-
-    def support(self) -> int:
-        """Number of moved points."""
-        return sum(1 for i, img in enumerate(self.images) if i != img)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths, longest first, fixed points included."""
-        seen = [False] * self.n
-        lengths = []
-        for i in range(self.n):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths, reverse=True))
-
-    def dsum(self, other: "Perm") -> "Perm":
-        """Block-diagonal direct sum acting on the first n then the rest."""
-        return Perm(self.images + tuple(self.n + i for i in other.images))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
-
-    def __repr__(self) -> str:
-        return f"Perm{self.images}"
 
 
 def expand_row(row: tuple[int, ...]) -> Dense:
@@ -149,14 +70,22 @@ class BlockCirculant(Record):
         )
 
 
-def act(p_row: Perm, m: Dense, q_col: Perm) -> Dense:
+def inverse(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of the permutation with these images."""
+    out = [0] * len(images)
+    for i, img in enumerate(images):
+        out[img] = i
+    return tuple(out)
+
+
+def act(p_row: tuple[int, ...], m: Dense, q_col: tuple[int, ...]) -> Dense:
     """Two-sided action: result[i][j] = m[p_row(i)][q_col^-1(j)].
 
     act(P, M, Q) = M exactly when P M Q = M as matrix products. The group
     law is act(p2, act(p1, m, q1), q2) = act(p1*p2, m, q2*q1); note the
     column side composes in reverse, as it must for a two-sided action.
     """
-    if len(m) != p_row.n or any(len(row) != q_col.n for row in m):
-        raise SizeMismatch(f"matrix rows do not fit perms ({p_row.n}, {q_col.n})")
-    cols = q_col.inv().images
-    return tuple(tuple(m[i][j] for j in cols) for i in p_row.images)
+    if len(m) != len(p_row) or any(len(row) != len(q_col) for row in m):
+        raise SizeMismatch(f"matrix rows do not fit perms ({len(p_row)}, {len(q_col)})")
+    cols = inverse(q_col)
+    return tuple(tuple(m[i][j] for j in cols) for i in p_row)

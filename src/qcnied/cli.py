@@ -6,8 +6,7 @@ computation legitimately refused), 2 malformed input or usage,
 3 invariant-surveillance trip. Outputs are deterministic: identical
 inputs and seeds give byte-identical files.
 
-Seeds come from --seed when given, else the QCNIED_SEED environment
-variable, else 0.
+Seeds come from --seed when given, else 0.
 
 `COMMANDS` is the whole command surface: each command's one-line help,
 the name of its handler and its argument specs. `parse` reads an
@@ -37,7 +36,7 @@ INT = "int"              # a canonical nonnegative integer (io._int_token)
 THRESHOLD = "threshold"  # a finite, positive decimal such as 0.5
 
 _OUT = ("--out", STR, "file to write; stdout when omitted or '-'")
-_SEED = ("--seed", INT, "seed; else QCNIED_SEED, else 0")
+_SEED = ("--seed", INT, "seed; else 0")
 _SHORT = {"-o": "--out"}
 _HELP = ("-h", "--help")
 
@@ -238,23 +237,16 @@ def _int_list(arg: str, what: str) -> list[int]:
     return [_int_token(tok.strip(), what) for tok in arg.split(",")]
 
 
-def _seed_of(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get("QCNIED_SEED")
-    return 0 if env is None else _int_token(env, "QCNIED_SEED")
-
-
-def _cmd_search(p, m1, m2, eta, seed=None, variant=False, out=None) -> int:
+def _cmd_search(p, m1, m2, eta, seed=0, variant=False, out=None) -> int:
     from .conditions import sample_compliant, sample_variant
 
     sampler = sample_variant if variant else sample_compliant
-    c = sampler(p, m1, m2, eta, _seed_of(seed))
+    c = sampler(p, m1, m2, eta, seed)
     _emit(io.write_matrix(c), out)
     return 0
 
 
-def _cmd_keygen(matrix, priv, pub, seed=None) -> int:
+def _cmd_keygen(matrix, priv, pub, seed=0) -> int:
     from .niederreiter import keygen
 
     # stdout carries the `e:` line, and one path would hold only the public key
@@ -264,7 +256,7 @@ def _cmd_keygen(matrix, priv, pub, seed=None) -> int:
             os.path.exists(priv) and os.path.exists(pub) and os.path.samefile(priv, pub)):
         raise ParseError(f"keygen: --priv and --pub name the same file {pub!r}")
     c = io.read_matrix(_read(matrix))
-    sk, pk = keygen(c, _seed_of(seed))
+    sk, pk = keygen(c, seed)
     priv_text, pub_text = io.write_private_key(sk), io.write_public_key(pk)
     _emit(priv_text, priv)
     try:

@@ -180,10 +180,14 @@ def validate_all(
 
 def _sampler_field(p: int, m1: int, m2: int, eta: int, what: str) -> FieldCtx:
     """The field a sampler draws from, after refusing a bad shape, a
-    composite p and eta < 2, all before the first draw."""
+    composite p, p = 2 and eta < 2, all before the first draw. At p = 2
+    every first row is constant or near-constant, so no block has the
+    condition-iv shape that both samplers need."""
     check_shape(p, m1, m2)
     if not is_prime(p):
         raise OutOfRange(f"p must be prime, got {p}")
+    if p == 2:
+        raise OutOfRange("p = 2 leaves no block of the condition-iv shape")
     if eta < 2:
         raise EtaTooSmall(f"{what} matrices need eta >= 2")
     return FieldCtx(eta)
@@ -217,9 +221,17 @@ def sample_variant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCircul
     distinct. Blocks are drawn constant with probability
     CONSTANT_FRACTION because this set has negligible mass under the
     uniform draw. Condition v is waived at desk scale. A bad shape is
-    refused before the first draw.
+    refused before the first draw, and so is a shape with no such
+    matrix: with m1 = 1 the constant block is its whole block column,
+    and with m2 - m1 = 1 its whole block row, which then has no
+    condition-iv block.
     """
     ctx = _sampler_field(p, m1, m2, eta, "variant")
+    if m1 == 1 or m2 - m1 == 1:
+        raise OutOfRange(
+            f"variant matrices need m1 >= 2 and m2 - m1 >= 2, got m1={m1} m2={m2}: "
+            "the constant block would fill its block column or block row"
+        )
     rng = random.Random(seed)
     mc = m2 - m1
     for _ in range(MAX_ATTEMPTS):

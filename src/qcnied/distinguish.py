@@ -77,8 +77,20 @@ def logsumexp(values) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
-def _merged_type(p1, p2) -> tuple[int, ...]:
-    return tuple(sorted(p1.cycle_type() + p2.cycle_type(), reverse=True))
+def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths of the permutation with these images, longest
+    first, fixed points included."""
+    seen = [False] * len(perm)
+    lengths = []
+    for i in range(len(perm)):
+        length, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def s0_exact(elements) -> float:
@@ -93,15 +105,17 @@ def s0_exact(elements) -> float:
     """
     term_logs = []
     for p1, p2 in elements:
-        id1, id2 = p1.is_identity(), p2.is_identity()
+        t1, t2 = cycle_type(p1), cycle_type(p2)
+        # a permutation is the identity when every point is its own cycle
+        id1, id2 = len(t1) == len(p1), len(t2) == len(p2)
         if id1 and id2:
             continue
         if id1 or id2:
             raise StructureViolation(
                 "non-identity element with an identity component"
             )
-        c_row = class_size_sn(p1.cycle_type())
-        c_col = class_size_sn(_merged_type(p1, p2))
+        c_row = class_size_sn(t1)
+        c_col = class_size_sn(t1 + t2)
         term_logs.append(-0.5 * (math.log(c_row) + math.log(c_col)))
     if not term_logs:
         return -math.inf

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+from ._record import Record
 from .errors import BadDegree, BadDigit, DivisionByZero, OutOfRange, ReducibleModulus, SizeMismatch
 
 MAX_ETA = 16
@@ -102,8 +103,10 @@ def default_modulus(eta: int) -> int:
     return _DEFAULT_MODULI[eta]
 
 
-class FieldCtx:
-    """Context for GF(2^eta) arithmetic on int-encoded elements.
+class FieldCtx(Record):
+    """Context for GF(2^eta) arithmetic on int-encoded elements: a frozen
+    record of eta and the modulus, which alone set ==, hash and repr (the
+modulus in hex, as the matrix files write it).
 
     Parameters
     ----------
@@ -122,7 +125,8 @@ class FieldCtx:
         If the modulus factors over F2.
     """
 
-    __slots__ = ("eta", "modulus", "order", "hex_width")
+    _fields = ("eta", "modulus")
+    __slots__ = _fields + ("order", "hex_width")
 
     def __init__(self, eta: int, modulus: int | None = None):
         if not 1 <= eta <= MAX_ETA:
@@ -135,10 +139,9 @@ class FieldCtx:
             )
         if not is_irreducible(modulus):
             raise ReducibleModulus(f"modulus {modulus:#x} factors over F2")
-        self.eta = eta
-        self.modulus = modulus
-        self.order = 1 << eta
-        self.hex_width = (eta + 3) // 4
+        super().__init__(eta, modulus)
+        object.__setattr__(self, "order", 1 << eta)
+        object.__setattr__(self, "hex_width", (eta + 3) // 4)
 
     def check(self, a: int) -> int:
         """Validate that a encodes an element of this field."""
@@ -192,16 +195,6 @@ class FieldCtx:
         if a >= self.order:
             raise OutOfRange(f"{s!r} encodes {a}, outside [0, {self.order})")
         return a
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldCtx)
-            and self.eta == other.eta
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.eta, self.modulus))
 
     def __repr__(self) -> str:
         return f"FieldCtx(eta={self.eta}, modulus={self.modulus:#x})"

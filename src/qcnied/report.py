@@ -15,7 +15,7 @@ import math
 
 from .cli import _emit, _int_list, _read
 from .errors import ParseError, QcniedError
-from .io import _int_token, _lines, _parse_params, read_matrix
+from .io import _int_token, _lines, read_matrix
 
 QCREP_HEADER = "QCREP v1"
 
@@ -25,20 +25,25 @@ def write_report(fields, elems=None) -> str:
     out.extend(f"{key}: {value}" for key, value in fields)
     if elems:
         for p1, p2 in elems:
-            left = " ".join(str(i) for i in p1.images)
-            right = " ".join(str(i) for i in p2.images)
-            out.append(f"elem: {left} | {right}")
+            out.append(f"elem: {' '.join(map(str, p1))} | {' '.join(map(str, p2))}")
     return "\n".join(out) + "\n"
 
 
-def read_report(text: str) -> tuple[dict[str, str], list[tuple[Perm, Perm]]]:
-    from .circulant import Perm
+def _permutation(text: str) -> tuple[int, ...]:
+    """The images on one side of an element line, refused unless they
+    permute range(len(images))."""
+    images = tuple(_int_token(tok, "element images") for tok in text.split(" "))
+    if sorted(images) != list(range(len(images))):
+        raise ParseError(f"not a permutation: {images}")
+    return images
 
+
+def read_report(text: str) -> tuple[dict[str, str], list[tuple]]:
     lines = _lines(text, "report")
     if not lines or lines[0] != QCREP_HEADER:
         raise ParseError(f"report: expected header {QCREP_HEADER!r}")
     fields: dict[str, str] = {}
-    elems: list[tuple[Perm, Perm]] = []
+    elems = []
     for line in lines[1:]:
         key, sep, value = line.partition(": ")
         if not sep:
@@ -48,11 +53,9 @@ def read_report(text: str) -> tuple[dict[str, str], list[tuple[Perm, Perm]]]:
             if not bar:
                 raise ParseError(f"report: bad element line {line!r}")
             try:
-                p1 = Perm(_parse_params(left, len(left.split(" ")), "element images"))
-                p2 = Perm(_parse_params(right, len(right.split(" ")), "element images"))
+                elems.append((_permutation(left), _permutation(right)))
             except QcniedError as exc:
                 raise ParseError(f"report: {exc}") from exc
-            elems.append((p1, p2))
         elif key in fields:
             raise ParseError(f"report: repeated field {key!r}")
         else:
@@ -183,13 +186,12 @@ def _check_group(elems, where: str) -> None:
     (P1, Q1) o (P2, Q2) = (P1 P2, Q2 Q1). Generators are taken greedily
     and their closure grown; each new one at least doubles it, so this
     costs at most |H| * ceil(log2 |H|) compositions."""
-    given = [(p1.images, p2.images) for p1, p2 in elems]
-    listed = set(given)
-    identity = tuple(tuple(range(len(side))) for side in given[0])
+    listed = set(elems)
+    identity = tuple(tuple(range(len(side))) for side in elems[0])
     if identity not in listed:
         raise ParseError(f"{where}: the elements lack the identity")
     members, reached, gens = [identity], {identity}, []
-    for g in given:
+    for g in elems:
         if g in reached:
             continue
         gens.append(g)
@@ -223,9 +225,9 @@ def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, out=None) 
             raise ParseError(f"{report}: missing p/m1/m2") from exc
         k, n = m1 * p, m2 * p
         for p1, p2 in elems:
-            if p1.n != k or p2.n != n - k:
+            if len(p1) != k or len(p2) != n - k:
                 raise ParseError(
-                    f"{report}: element shape {p1.n}/{p2.n}, expected {k}/{n - k}"
+                    f"{report}: element shape {len(p1)}/{len(p2)}, expected {k}/{n - k}"
                 )
         if not elems:
             raise ParseError(f"{report}: report carries no group elements")

@@ -5,14 +5,17 @@ import random
 
 import pytest
 
+from qcnied.autgroup import stab_block, support
 from qcnied.circulant import (
     BlockCirculant,
-    Perm,
     act,
     expand_row,
+    inverse,
 )
-from qcnied.errors import OutOfRange, SizeMismatch
+from qcnied.distinguish import class_size_sn, cycle_type
+from qcnied.errors import OutOfRange, ParseError, SizeMismatch
 from qcnied.field import FieldCtx
+from qcnied.report import read_report
 
 CTX = FieldCtx(2)
 
@@ -37,58 +40,82 @@ def rotate(row: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(row[(j - k) % p] for j in range(p))
 
 
+def compose(a, b):
+    """(a b)(i) = a(b(i)) on image tuples: the product of the
+    permutation matrices."""
+    return tuple(a[i] for i in b)
+
+
+def identity(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
+
+
+def shift(n: int, k: int) -> tuple[int, ...]:
+    """Cyclic shift i -> i + k mod n."""
+    return tuple((i + k) % n for i in range(n))
+
+
 def test_perm_composition_convention():
-    a = Perm((1, 2, 0))
-    b = Perm((0, 2, 1))
-    # (a*b)(i) = a(b(i))
+    a = (1, 2, 0)
+    b = (0, 2, 1)
+    ab = compose(a, b)
     for i in range(3):
-        assert (a * b)(i) == a(b(i))
-    assert a * a.inv() == Perm.identity(3)
-    assert a.inv() * a == Perm.identity(3)
+        assert ab[i] == a[b[i]]
+    assert inverse(a) == (2, 0, 1)
+    assert compose(a, inverse(a)) == compose(inverse(a), a) == identity(3)
+    assert inverse(identity(4)) == identity(4)
 
 
 def test_perm_validation():
-    with pytest.raises(OutOfRange):
-        Perm((0, 0, 1))
-    with pytest.raises(OutOfRange):
-        Perm((0, 3, 1))
-    with pytest.raises(OutOfRange):
-        Perm(())
+    # a permutation read from a file is checked where it enters
+    for bad in ("0 0 1", "0 3 1"):
+        images = tuple(map(int, bad.split()))
+        with pytest.raises(ParseError) as refused:
+            read_report(f"QCREP v1\nelem: {bad} | 0 1\n")
+        assert str(refused.value) == f"report: not a permutation: {images}"
+    with pytest.raises(ParseError, match="element images"):
+        read_report("QCREP v1\nelem:  | 0 1\n")
 
 
-def affine(p: int, u: int, v: int) -> Perm:
+def affine(p: int, u: int, v: int) -> tuple[int, ...]:
     """The map i -> u*i + v mod p."""
-    return Perm((u * i + v) % p for i in range(p))
+    return tuple((u * i + v) % p for i in range(p))
 
 
 def test_perm_shift_and_affine():
-    s = Perm.shift(5, 1)
-    assert [s(i) for i in range(5)] == [1, 2, 3, 4, 0]
-    assert s.cycle_type() == (5,)
-    assert s.support() == 5
+    s = shift(5, 1)
+    assert list(s) == [1, 2, 3, 4, 0]
+    assert cycle_type(s) == (5,)
+    assert support(s) == 5
     t = affine(5, 2, 0)
-    assert [t(i) for i in range(5)] == [0, 2, 4, 1, 3]
-    assert t(0) == 0 and t.support() == 4
+    assert list(t) == [0, 2, 4, 1, 3]
+    assert t[0] == 0 and support(t) == 4
     # affine maps with u != 1 fix exactly one point
     for u in range(2, 5):
         for v in range(5):
-            assert affine(5, u, v).support() == 4
+            assert support(affine(5, u, v)) == 4
 
 
 def test_cycle_type_and_dsum():
-    p = Perm((1, 0, 2, 3))
-    assert p.cycle_type() == (2, 1, 1)
-    q = Perm((1, 2, 0))
-    d = p.dsum(q)
-    assert d.n == 7
-    assert d.cycle_type() == (3, 2, 1, 1)
-    assert [d(i) for i in range(7)] == [1, 0, 2, 3, 5, 6, 4]
+    p = (1, 0, 2, 3)
+    assert cycle_type(p) == (2, 1, 1)
+    assert cycle_type(identity(3)) == (1, 1, 1)
+    q = (1, 2, 0)
+    # the direct sum acts on the first 4 points by p, on the rest by q
+    d = p + tuple(len(p) + i for i in q)
+    assert list(d) == [1, 0, 2, 3, 5, 6, 4]
+    assert cycle_type(d) == (3, 2, 1, 1)
+    # its class in S_7 depends only on the merged cycle types
+    assert class_size_sn(cycle_type(d)) == class_size_sn(cycle_type(p) + cycle_type(q))
 
 
 def test_perm_ordering_and_hash():
-    a, b = Perm((0, 1, 2)), Perm((0, 2, 1))
-    assert a < b
-    assert len({a, b, Perm((0, 1, 2))}) == 2
+    # a block's pair stabilizer is a tuple of (P, Q) image-tuple pairs,
+    # sorted and each listed once
+    for row in ((0, 1, 2, 3, 1), (0, 1, 2, 3, 4), (1, 2, 2, 2, 2)):
+        pairs = stab_block(row)
+        assert pairs == tuple(sorted(set(pairs)))
+        assert all(type(part) is tuple for pair in pairs for part in pair)
 
 
 def test_block_expand_layout():
@@ -167,37 +194,37 @@ def test_act_definition_and_group_law():
         cols = list(range(4))
         rng.shuffle(rows)
         rng.shuffle(cols)
-        p, q = Perm(rows), Perm(cols)
+        p, q = tuple(rows), tuple(cols)
         out = act(p, m, q)
         for i in range(4):
             for j in range(4):
-                assert out[i][j] == m[p(i)][q.inv()(j)]
+                assert out[i][j] == m[p[i]][inverse(q)[j]]
     # act(p2, act(p1, m, q1), q2) = act(p1*p2, m, q2*q1)
     for _ in range(20):
         perms = []
         for _ in range(4):
             images = list(range(4))
             rng.shuffle(images)
-            perms.append(Perm(images))
+            perms.append(tuple(images))
         p1, q1, p2, q2 = perms
         lhs = act(p2, act(p1, m, q1), q2)
-        rhs = act(p1 * p2, m, q2 * q1)
+        rhs = act(compose(p1, p2), m, compose(q2, q1))
         assert lhs == rhs
 
 
 def test_act_shift_pair_stabilizes_circulants():
     b = expand_row((0, 1, 2, 3, 1))
-    p = Perm.shift(5, 1)
-    q = Perm.shift(5, 4)
+    p = shift(5, 1)
+    q = shift(5, 4)
     assert act(p, b, q) == b
-    assert act(p, b, Perm.identity(5)) != b
+    assert act(p, b, identity(5)) != b
 
 
 def test_act_size_mismatch():
     m = ((0, 0, 0), (0, 0, 0))
     with pytest.raises(SizeMismatch):
-        act(Perm.identity(3), m, Perm.identity(3))
+        act(identity(3), m, identity(3))
     with pytest.raises(SizeMismatch):
-        act(Perm.identity(2), m, Perm.identity(2))
+        act(identity(2), m, identity(2))
     with pytest.raises(SizeMismatch):
-        act(Perm.identity(2), ((0, 0, 0), (0, 0)), Perm.identity(3))
+        act(identity(2), ((0, 0, 0), (0, 0)), identity(3))

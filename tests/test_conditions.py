@@ -203,7 +203,7 @@ def test_sample_compliant_rejections(monkeypatch):
     with pytest.raises(BudgetExhausted):
         sample_compliant(5, 1, 2, 2, seed=0)
     with pytest.raises(BudgetExhausted):
-        sample_variant(5, 1, 2, 2, seed=0)
+        sample_variant(5, 2, 4, 2, seed=0)
 
 
 def test_sample_variant_regime():

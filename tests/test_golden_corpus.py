@@ -510,8 +510,8 @@ BOUND_PINS = {
 HELP_PINS = {
     '--help': (0, 'ba9db4a1b7a539db0b5fdcabc32cfb1ba8eb057a7ac9e7a7941ef66784d54199'),
     'validate --help': (0, 'e831a48edab551ada5d10be57fb463bd6ca8546b240634623c6a48e26492514c'),
-    'search --help': (0, '824a02c2aae2e11e472ea2b583e2ccbe90bf401915712b12fb47ad6f686212c4'),
-    'keygen --help': (0, '3e70819356db370b09435df10bbab850d3f735bf0cfee5ba711ebef078ee1f8b'),
+    'search --help': (0, '1020b843b4e15fbf853a29d89d67024e1d7bcf7c352ba6b11777e87594128b7d'),
+    'keygen --help': (0, '19b2b8340ed8b9d4fd99f7543c43580a6e57dd6108cf76123f35a3d3f29f866e'),
     'encrypt --help': (0, '20acc850b3c9de07414f9125b6e134007bec50e2a34121f4598fc0a42d5c7f27'),
     'decrypt --help': (0, '29b13560ccbdc1f280c78d8045fc61bed89a76c5eb9969ec4fa3ec8244529817'),
     'autgroup --help': (0, '4991d4159856bd99e6204bd8a50b4ff47574b7c19b9501d61070cd3308354ddd'),

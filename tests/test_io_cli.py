@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from qcnied import cli, conditions, io, report
-from qcnied.circulant import BlockCirculant, Perm
+from qcnied.circulant import BlockCirculant, inverse
 from qcnied.cli import main
 from qcnied.conditions import sample_compliant, sample_variant
 from qcnied.distinguish import dk_bound
@@ -221,7 +221,7 @@ def test_ciphertext_roundtrip(c512):
 
 def test_report_roundtrip():
     fields = [("kind", "autgroup"), ("p", 5), ("order", 25)]
-    elems = [(Perm((1, 2, 0)), Perm((0, 1, 2, 3)))]
+    elems = [((1, 2, 0), (0, 1, 2, 3))]
     text = report.write_report(fields, elems)
     back_fields, back_elems = report.read_report(text)
     assert back_fields == {"kind": "autgroup", "p": "5", "order": "25"}
@@ -270,7 +270,7 @@ PARENT_FORMS = [
     ("keygen m.qcm --seed 9 --priv sk --pub pk",
      {"matrix": "m.qcm", "seed": 9, "priv": "sk", "pub": "pk"}),
     ("keygen --priv sk m.qcm --pub=pk",
-     {"matrix": "m.qcm", "seed": None, "priv": "sk", "pub": "pk"}),
+     {"matrix": "m.qcm", "seed": 0, "priv": "sk", "pub": "pk"}),
     ("encrypt pk --support 0,3 -o ct", {"pub": "pk", "support": "0,3", "out": "ct"}),
     ("encrypt pk --support  -o ct", {"pub": "pk", "support": "", "out": "ct"}),
     ("encrypt pk --support= --out=ct", {"pub": "pk", "support": "", "out": "ct"}),
@@ -503,25 +503,59 @@ def test_cli_refuses_a_bad_matrix_shape_first(tmp_path, monkeypatch, capsys):
             "error: need p >= 1 and 1 <= m1 < m2, got p=5 m1=2 m2=1\n")
 
 
+def test_cli_search_refuses_shapes_without_a_matrix_before_drawing(monkeypatch, capsys):
+    # at p = 2 every row is constant or near-constant, so neither sampler
+    # can find a condition-iv block; a variant matrix needs a constant
+    # block that neither fills its block column (m1 = 1) nor its block
+    # row (m2 - m1 = 1)
+    def no_draws(seed):
+        raise AssertionError("the sampler drew before refusing the shape")
+
+    monkeypatch.setattr(conditions, "random", SimpleNamespace(Random=no_draws))
+    capsys.readouterr()
+    shape_2 = "error: p = 2 leaves no block of the condition-iv shape\n"
+    for argv, err in ((["2", "1", "2", "2"], shape_2),
+                      (["2", "2", "4", "2", "--variant"], shape_2),
+                      (["7", "1", "3", "2", "--variant"], "m1=1 m2=3"),
+                      (["31", "1", "2", "2", "--variant"], "m1=1 m2=2"),
+                      (["7", "2", "3", "2", "--variant"], "m1=2 m2=3")):
+        assert main(["search", *argv]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1 and err in out.err
+        if err != shape_2:
+            assert "block column or block row" in out.err
+
+
 def test_cli_search_deterministic(tmp_path, monkeypatch, capsys):
     a, b, c = (tmp_path / name for name in ("a", "b", "c"))
     assert main(["search", "5", "1", "2", "2", "--seed", "5", "-o", str(a)]) == 0
     assert main(["search", "5", "1", "2", "2", "--seed", "5", "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    monkeypatch.setenv("QCNIED_SEED", "5")
-    assert main(["search", "5", "1", "2", "2", "-o", str(c)]) == 0
-    assert c.read_bytes() == a.read_bytes()
     # integer arguments follow the canonical token rule of the formats
     for seed in ("-1", " 1", "007", "+1", "\u0663"):
         assert refused(capsys, ["search", "5", "1", "2", "2", "--seed", seed, "-o", str(c)])
     assert refused(capsys, ["search", "\u0665", "1", "2", "2", "-o", str(c)])  # Arabic-Indic 5
-    for env in ("zzz", "\u0663", "-1", "03"):
-        monkeypatch.setenv("QCNIED_SEED", env)
-        assert refused(capsys, ["search", "5", "1", "2", "2", "-o", str(c)])
-    assert c.read_bytes() == a.read_bytes()
+    assert not c.exists()
     # composite p is a domain refusal, not a parse problem
-    monkeypatch.delenv("QCNIED_SEED")
     assert main(["search", "9", "1", "2", "2"]) == 1
+
+
+def test_cli_seed_comes_only_from_the_option(tmp_path, monkeypatch):
+    # an exported QCNIED_SEED changes no output: without --seed the seed is 0
+    mat, out = tmp_path / "m.qcm", tmp_path / "out"
+    runs = (["search", "5", "1", "2", "2", "-o", str(out)],
+            ["keygen", str(mat), "--priv", str(tmp_path / "sk"), "--pub", str(out)])
+    mat.write_text(io.write_matrix(sample_compliant(5, 1, 2, 2, seed=3)))
+    expected = []
+    for argv in runs:
+        assert main(argv) == 0
+        expected.append(out.read_bytes())
+    assert expected[0] == io.write_matrix(sample_compliant(5, 1, 2, 2, seed=0)).encode()
+    for env in ("5", "zzz", "-1"):
+        monkeypatch.setenv("QCNIED_SEED", env)
+        for argv, want in zip(runs, expected):
+            assert main(argv) == 0
+            assert out.read_bytes() == want
 
 
 def test_cli_key_pipeline(tmp_path, capsys, c512):
@@ -631,6 +665,20 @@ def test_cli_bound_refuses_hostile_reports(tmp_path, capsys):
     assert main(["bound", "--report", str(rep)]) == 0
 
 
+def test_cli_bound_report_refuses_a_non_permutation(tmp_path, capsys):
+    # each side of an element line must permute its points
+    mat, rep, bad = tmp_path / "m.qcm", tmp_path / "g.qcr", tmp_path / "bad.qcr"
+    mat.write_text(io.write_matrix(sample_compliant(5, 1, 2, 2, seed=1)))
+    assert main(["autgroup", str(mat), "-o", str(rep)]) == 0
+    text = rep.read_text()
+    for line, images in (("elem: 0 0 2 3 4 | 0 1 2 3 4", "(0, 0, 2, 3, 4)"),
+                         ("elem: 0 1 2 3 4 | 0 1 2 3 5", "(0, 1, 2, 3, 5)")):
+        bad.write_text(text.replace("elem: 0 1 2 3 4 | 0 1 2 3 4", line))
+        capsys.readouterr()
+        assert main(["bound", "--report", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: report: not a permutation: {images}\n"
+
+
 def test_cli_bound_refuses_a_set_that_is_no_group(tmp_path, capsys):
     # the Fano group is closed under autgroup's pair law
     # (P1, Q1) o (P2, Q2) = (P1 P2, Q2 Q1) but not under the componentwise
@@ -641,10 +689,13 @@ def test_cli_bound_refuses_a_set_that_is_no_group(tmp_path, capsys):
     assert main(["autgroup", str(mat), "-o", str(rep)]) == 3
     fields, elems = report.read_report(rep.read_text())
     listed = set(elems)
-    assert all((a * c, d * b) in listed for a, b in elems for c, d in elems)
-    assert not all((a * c, b * d) in listed for a, b in elems for c, d in elems)
+    def compose(x, y):
+        return tuple(x[i] for i in y)
+
+    assert all((compose(a, c), compose(d, b)) in listed for a, b in elems for c, d in elems)
+    assert not all((compose(a, c), compose(b, d)) in listed for a, b in elems for c, d in elems)
     assert main(["bound", "--report", str(rep)]) == 0
-    bad.write_text(report.write_report(fields.items(), [(a, b.inv()) for a, b in elems]))
+    bad.write_text(report.write_report(fields.items(), [(a, inverse(b)) for a, b in elems]))
     assert refused(capsys, ["bound", "--report", str(bad)])
 
 
@@ -783,19 +834,19 @@ def test_cli_key_past_condition_v_round_trips(tmp_path, capsys):
 # A command's qcnied modules beyond the five every command loads, in run
 # order: each row reads the files the rows before it wrote. "" is a bare
 # `import qcnied.cli`.
-EVERY_COMMAND = ("qcnied", "qcnied.cli", "qcnied.io", "qcnied.errors", "qcnied.field")
+EVERY_COMMAND = ("qcnied", "qcnied.cli", "qcnied.io", "qcnied.errors", "qcnied.field",
+                 "qcnied._record")
 MODULE_TABLE = [
     ("", ()),
-    ("search 5 1 2 2 --seed 3 -o m.qcm", ("_record", "circulant", "conditions")),
-    ("validate m.qcm --desk-scale -o v.qcr", ("_record", "circulant", "conditions", "report")),
-    ("keygen m.qcm --seed 9 --priv sk --pub pk", ("_record", "circulant", "niederreiter")),
-    ("encrypt pk --support 0,3 -o ct", ("_record", "niederreiter")),
-    ("decrypt sk ct -o out", ("_record", "niederreiter")),
-    ("autgroup m.qcm -o g.qcr",
-     ("_record", "circulant", "conditions", "autgroup", "report")),
-    ("bound --report g.qcr -o b.qcr", ("_record", "circulant", "distinguish", "report")),
-    ("bound --envelope --p 31 -o e.qcr", ("_record", "distinguish", "report")),
-    ("sweep --p 7,31 -o s.csv", ("_record", "distinguish", "report")),
+    ("search 5 1 2 2 --seed 3 -o m.qcm", ("circulant", "conditions")),
+    ("validate m.qcm --desk-scale -o v.qcr", ("circulant", "conditions", "report")),
+    ("keygen m.qcm --seed 9 --priv sk --pub pk", ("circulant", "niederreiter")),
+    ("encrypt pk --support 0,3 -o ct", ("niederreiter",)),
+    ("decrypt sk ct -o out", ("niederreiter",)),
+    ("autgroup m.qcm -o g.qcr", ("circulant", "conditions", "autgroup", "report")),
+    ("bound --report g.qcr -o b.qcr", ("distinguish", "report")),
+    ("bound --envelope --p 31 -o e.qcr", ("distinguish", "report")),
+    ("sweep --p 7,31 -o s.csv", ("distinguish", "report")),
 ]
 # never loaded, by any command or by importing every layer
 ABSENT = ("numpy", "argparse", "gettext", "locale", "dataclasses", "inspect", "typing",

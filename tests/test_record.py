@@ -4,8 +4,8 @@ positional or keyword construction with defaults, no mutation."""
 import pytest
 
 from qcnied._record import Record
-from qcnied.autgroup import AutGroup, Lemma1Report, PairStab
-from qcnied.circulant import BlockCirculant, Perm
+from qcnied.autgroup import AutGroup, Lemma1Report
+from qcnied.circulant import BlockCirculant
 from qcnied.conditions import ConditionReport, Verdict
 from qcnied.distinguish import BoundReport, EnvelopeStats
 from qcnied.field import FieldCtx
@@ -16,7 +16,7 @@ ROW, OTHER_ROW = (0, 1, 2), (1, 2, 3)
 GRID = BlockCirculant(CTX, 3, 1, 2, (ROW,))
 PRIV, PUB = keygen(GRID, seed=1)
 PRIV_FIELDS = (PRIV.a0, PRIV.rows, PRIV.b0, 3, 1, 2, CTX)
-SHIFT = (Perm.shift(3, 1), Perm.shift(3, 2))
+SHIFT = ((1, 2, 0), (2, 0, 1))
 PASS, FAIL = Verdict("pass"), Verdict("fail", (0, 1))
 
 # class -> (field values, field values differing in one field)
@@ -26,7 +26,7 @@ SAMPLES = {
     PublicKey: ((PUB.hprime, 3, 1, 2, CTX, PUB.e), (PUB.hprime, 3, 1, 2, CTX, PUB.e - 1)),
     Verdict: (("fail", (0, 1)), ("fail", (1, 0))),
     ConditionReport: ((PASS,) * 7, (PASS,) * 6 + (FAIL,)),
-    PairStab: ((ROW, (SHIFT,)), (OTHER_ROW, (SHIFT,))),
+    FieldCtx: ((4, 0x13), (4, 0x19)),
     AutGroup: ((3, 1, 2, (SHIFT,), {(0, 0): "affine-subgroup"}),
                (3, 1, 2, (SHIFT,), {(0, 0): "symmetric"})),
     Lemma1Report: ((True, None, True, True, 3, True), (False, {"premise": "x"}, True, True, 3, False)),
@@ -80,7 +80,9 @@ def test_value_types_are_frozen_records(cls):
     with pytest.raises(TypeError):
         cls(**dict(zip(fields, values)), bogus=1)
 
-    body = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+    # FieldCtx prints its modulus in hex, as the matrix files write it
+    shown = {"modulus": hex} if cls is FieldCtx else {}
+    body = ", ".join(f"{f}={shown.get(f, repr)(v)}" for f, v in zip(fields, values))
     assert repr(a) == f"{cls.__name__}({body})"
 
 
@@ -100,6 +102,16 @@ def test_private_key_equality_ignores_derived_fields():
     assert twin == PRIV and hash(twin) == hash(PRIV)
     assert "a0inv" not in repr(PRIV) and "pivots" not in repr(PRIV)
     assert PRIV.a0inv and PRIV.pivots
+
+
+def test_field_ctx_derived_slots_are_frozen():
+    ctx = FieldCtx(4)
+    for name in ("order", "hex_width"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, 1)
+    with pytest.raises(AttributeError):
+        GRID.ctx.order = 1
+    assert (ctx.order, ctx.hex_width, GRID.ctx.order) == (16, 1, 4)
 
 
 def test_block_circulant_equality_ignores_its_dense_form():
