@@ -34,3 +34,9 @@ for p in (7, 11, 13, 17, 23, 31):
 r = dk_bound_envelope(31)
 assert r.max_c == 5 and math.isfinite(r.dk_log)
 print(f"\np=31: dk <= exp({r.dk_log:.4f}) ~ {math.exp(r.dk_log):.3e}")
+
+# the class sizes and ln |GL_k(F2)| have closed forms, so the envelope
+# reaches real QC block sizes: BIKE level 1 has r = 12323, n = 2r, where
+# max_c reaches its cap of 64
+r = dk_bound_envelope(12323)
+print(f"BIKE level 1, p={r.p}: n={r.n}  ln_dk={r.dk_log:.2f}  max_c={r.max_c}")

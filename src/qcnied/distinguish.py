@@ -9,33 +9,37 @@ bounds how distinguishable the induced hidden-subgroup states are:
   dk = s0 + s1
 
 dk is compared against (ln |G^2 x| F2|)^(-c) and the largest admissible
-c is reported (capped at 64). Class sizes and group orders are exact
-integers; a log is taken once of each, and sums in the linear domain go
-through log-sum-exp with one rounding (math.fsum), so nothing underflows
-for n into the hundreds and every term has the same bits on every
-supported Python.
+c is reported (capped at MAX_C). Class sizes are exact integers, logged
+once each; ln |GL_k(F2)| is a correctly rounded sum of logs. Sums in the
+linear domain go through log-sum-exp with one rounding (math.fsum), so
+nothing underflows and every term has the same bits on every Python.
 
 The worst-case envelope replaces an explicit H by the most pessimistic
 statistics compatible with the structural guarantees: order p^2 and every
 non-identity component sitting in the smallest conjugacy class that
-still moves at least p - 1 points. It is refused (TooLarge) above
-n = ENVELOPE_MAX_N columns, before any class size is computed.
+still moves at least p - 1 points, a closed form (min_class_size). It is
+refused (TooLarge) above n = ENVELOPE_MAX_N, before any class size.
 """
 
 from __future__ import annotations
 
 import math
 from math import factorial
-from operator import mul
 
 from ._record import Record
 from .errors import InfeasibleSupport, StructureViolation, TooLarge
-from .field import is_prime
+from .field import check_shape, is_prime
 
-# Largest n = m2*p the envelope accepts. Its cost grows as n^2 exact
-# integer products; near n = 1024 one envelope takes 0.15-0.6 s on a
-# 2-vCPU host (most when m1*p is close to n and p is small).
-ENVELOPE_MAX_N = 1024
+# Largest n = m2*p the envelope accepts; near it one envelope, a few
+# exact factorials of at most n, takes at most 0.25 s on a 2-vCPU host.
+ENVELOPE_MAX_N = 32768
+
+MAX_C = 64
+
+# ln 2 as an exact sum: a 21-bit high part, whose product with any
+# k^2 < 2^32 is exact, and the double nearest the rest.
+LN2_HI = float.fromhex("0x1.62e42p-1")
+LN2_LO = float.fromhex("0x1.fdf473de6af28p-22")
 
 
 def class_size_sn(t) -> int:
@@ -53,18 +57,14 @@ def log_factorial(n: int) -> float:
     return math.log(factorial(n)) if n >= 2 else 0.0
 
 
-def gl2_order(k: int) -> int:
-    """Order of GL_k(F2), exact: prod_{i<k} (2^k - 2^i), built as
-    prod_{j<=k} (2^j - 1) shifted left by k(k-1)/2."""
-    out = 1
-    for j in range(1, k + 1):
-        out *= (1 << j) - 1
-    return out << (k * (k - 1) // 2)
-
-
 def log_gl_order(k: int) -> float:
-    """ln |GL_k(F2)|, one math.log of the exact order for every k."""
-    return math.log(gl2_order(k))
+    """ln |GL_k(F2)| for k >= 1, with no big integer: the order is
+    prod_{i<k} (2^k - 2^i) = 2^(k^2 - 1) prod_{2<=j<=k} (1 - 2^-j), so its
+    log is one math.fsum of (k^2 - 1) (LN2_HI + LN2_LO) and log1p(-2^-j).
+    It is correctly rounded at every k <= 600, and 0.0 at k = 1."""
+    e = k * k - 1
+    terms = (math.log1p(-0.5**j) for j in range(2, k + 1))
+    return math.fsum([LN2_HI * e, LN2_LO * e, *terms])
 
 
 def logsumexp(values) -> float:
@@ -140,13 +140,13 @@ class BoundReport(Record):
                  "dk_log", "log_group2", "max_c", "p", "m1", "m2")
 
 
-def _max_c(dk_log: float, log_group2: float, cap: int = 64) -> int:
+def _max_c(dk_log: float, log_group2: float) -> int:
     """Largest integer c >= 0 with dk <= (ln |G^2 x| F2|)^(-c); -1 if none."""
     if dk_log == -math.inf:
-        return cap
+        return MAX_C
     if dk_log > 0.0:
         return -1
-    return min(cap, int(math.floor(-dk_log / math.log(log_group2))))
+    return min(MAX_C, int(math.floor(-dk_log / math.log(log_group2))))
 
 
 def _report(mode, p, m1, m2, h_order, s0_log) -> BoundReport:
@@ -170,51 +170,48 @@ def dk_bound(elements, p: int, m1: int, m2: int) -> BoundReport:
     return _report("exact", p, m1, m2, len(elements), s0_exact(elements))
 
 
-def _centralizer_weights(n: int) -> list[int]:
-    """w[s] for s in 0..n: the greatest prod(j^c_j c_j!) over cycle types
-    on s points with parts 2 and 3 only, 0 when there is none (s = 1).
+def _centralizer_weight(s: int) -> int:
+    """w[s], s != 1: the greatest prod(j^c_j c_j!) over cycle types on s
+    points with no fixed point, where c_j counts the j-cycles.
 
-    Parts 2 and 3 suffice. Take the c cycles of one length j >= 4. If
-    j = 2m, m*c 2-cycles replace them; if j = 2m+1, c 3-cycles and
-    (m-1)*c 2-cycles do. By (a+b)! >= a! b! and (mc)! >= (m!)^c c!, the
-    product grows by a factor of at least (2^(m-1) (m-1)!)^c in the even
-    case and (3 2^(m-1) / (2m+1))^c >= 1 in the odd one. Repeating this
-    for each length >= 4 never lowers the product, so w[s] is also the
-    greatest over all parts >= 2.
-
-    A knapsack over the two part sizes: size j enters with multiplicity
-    c at weight j*c and factor j^c c!, and the factors multiply.
+    Parts 2 and 3 suffice: c cycles of length j = 2m give way to m*c
+    2-cycles, and of length j = 2m+1 >= 5 to c 3-cycles and (m-1)*c
+    2-cycles; by (a+b)! >= a! b! and (mc)! >= (m!)^c c!, the product
+    grows by at least (2^(m-1) (m-1)!)^c or (3 2^(m-1) / (2m+1))^c >= 1.
+    With a 2-cycles and b 3-cycles, turning two 3-cycles into three
+    2-cycles multiplies it by 8(a+1)(a+2)(a+3) / (9b(b-1)), which falls
+    as b grows, so the best b is the least (0 or 1) or the greatest
+    (a <= 2). From s to s + 6 the greatest-b product gains 9(b+1)(b+2),
+    b <= s/3, and the least-b one 8(a+1)(a+2)(a+3), a >= (s-3)/2, no
+    less for s >= 9. The least b wins at s = 10..15, so at all s >= 10;
+    below that it loses only at s = 9.
     """
-    w = [1] + [0] * n
-    for j in (2, 3):
-        factors = [1]  # factors[c] = j^c c!
-        for c in range(1, n // j + 1):
-            factors.append(factors[-1] * j * c)
-        # totals descend, so w[s - c*j] still excludes part size j
-        for s in range(n, j - 1, -1):
-            w[s] = max(map(mul, factors, w[s::-j]))
-    return w
+    if s == 9:
+        return 162  # three 3-cycles: 3^3 * 3!
+    if s % 2:
+        return 3 * _centralizer_weight(s - 3)  # one 3-cycle, the rest 2-cycles
+    return factorial(s // 2) << (s // 2)  # s/2 2-cycles
 
 
 def min_class_size(n: int, delta: int) -> int:
     """Smallest S_n conjugacy class among elements moving >= delta points.
 
-    A class is n! over its centralizer order (n - s)! * prod(j^c_j c_j!),
-    where s is the moved-point count and the c_j count the cycles of each
-    length j >= 2. The greatest centralizer for each s is read from a
-    table built for this call (_centralizer_weights), so the result is
-    exact and the search is a maximum over s in [delta, n].
+    A class is n! over its centralizer order (n - s)! * w, where s points
+    move and w, the cycle-type factor, is at most w[s] (_centralizer_weight).
+    So the exact answer is n! / max f(s), f(s) = (n - s)! * w[s], over
+    max(2, delta) <= s <= n. Within one parity, f(s+2)/f(s) =
+    (w[s+2]/w[s]) / ((n-s)(n-s-1)): the w ratios (2, 4, 6, 8, ... for even
+    s; 2, 4, 6.75, 7.11, 10, 12, ... for odd s) rise and the denominator
+    falls, so f peaks at an end of each parity class: at max(2, delta),
+    max(2, delta) + 1, n - 1 or n.
     """
-    if delta > n:
-        raise InfeasibleSupport(f"no element of S_{n} moves {delta} points")
     if delta <= 0:
         return 1
-    weights = _centralizer_weights(n)
-    best = 0
-    for s in range(max(2, delta), n + 1):
-        best = max(best, factorial(n - s) * weights[s])
-    if best == 0:
+    low = max(2, delta)
+    if low > n:
         raise InfeasibleSupport(f"no element of S_{n} moves >= {delta} points")
+    best = max(factorial(n - s) * _centralizer_weight(s)
+               for s in {low, low + 1, n - 1, n} if low <= s <= n)
     return factorial(n) // best
 
 
@@ -229,11 +226,13 @@ def worst_case_h(p: int, m1: int = 1, m2: int = 2) -> EnvelopeStats:
     displacement p - 1 on the k = m1*p rows and the n = m2*p columns.
 
     InfeasibleSupport for p < 2, which leaves no non-identity element,
-    and for a composite p, which no admissible shape has. TooLarge, before
-    the primality test and any class size, for n above ENVELOPE_MAX_N.
+    and for a composite p, which no admissible shape has; SizeMismatch
+    without 1 <= m1 < m2; TooLarge, before the primality test and any
+    class size, for n above ENVELOPE_MAX_N.
     """
     if p < 2:
         raise InfeasibleSupport(f"the envelope needs p >= 2, got p = {p}")
+    check_shape(p, m1, m2)
     if m2 * p > ENVELOPE_MAX_N:
         raise TooLarge(
             f"the envelope at n = {m2 * p} is above n = {ENVELOPE_MAX_N}"

@@ -23,7 +23,6 @@ from qcnied.distinguish import (
     cycle_type,
     dk_bound,
     dk_bound_envelope,
-    gl2_order,
     log_factorial,
     log_gl_order,
     logsumexp,
@@ -32,7 +31,7 @@ from qcnied.distinguish import (
     s1_term,
     worst_case_h,
 )
-from qcnied.errors import InfeasibleSupport, StructureViolation, TooLarge
+from qcnied.errors import InfeasibleSupport, SizeMismatch, StructureViolation, TooLarge
 
 mp.mp.dps = 50
 
@@ -88,6 +87,16 @@ def all_lengths_weights(n: int) -> list[int]:
         for s in range(n, j - 1, -1):
             w[s] = max(map(mul, factors, w[s::-j]))
     return w
+
+
+def gl2_order(k: int) -> int:
+    """Order of GL_k(F2), exact: prod_{i<k} (2^k - 2^i), built as
+    prod_{j<=k} (2^j - 1) shifted left by k(k-1)/2. Reference for
+    log_gl_order."""
+    out = 1
+    for j in range(1, k + 1):
+        out *= (1 << j) - 1
+    return out << (k * (k - 1) // 2)
 
 
 def recursive_min_class_size(n: int, delta: int) -> int | None:
@@ -163,6 +172,19 @@ def test_gl_orders():
     for i in range(8):
         exact *= (1 << 8) - (1 << i)
     assert log_gl_order(8) == pytest.approx(math.log(exact), rel=1e-14)
+
+
+def test_log_gl_order_within_one_ulp_of_the_exact_order():
+    # |GL_k| = |GL_(k-1)| * (2^k - 1) * 2^(k-1); mpmath converts a huge
+    # int slowly, so it takes the log of the top 200 bits and adds the
+    # shift's, a relative error of at most 2^-199
+    order = 1
+    for k in range(1, 601):
+        order = order * ((1 << k) - 1) << (k - 1)
+        shift = max(0, order.bit_length() - 200)
+        want = float(mp.log(order >> shift) + shift * mp.log(2))
+        assert abs(log_gl_order(k) - want) <= math.ulp(want), k
+    assert order == gl2_order(600)
 
 
 def test_logsumexp_against_mpmath():
@@ -250,15 +272,16 @@ def test_min_class_size_against_recursive_search():
                 assert min_class_size(n, delta) == want, (n, delta)
 
 
-def test_two_three_cycle_table_equals_all_lengths_knapsack():
-    # parts of length >= 4 never give a greater centralizer factor, so
-    # the per-call table over parts 2 and 3 is the full table's prefix
+def test_closed_form_weights_equal_all_lengths_knapsack():
+    # parts of length >= 4 never give a greater centralizer factor, and
+    # among 2- and 3-cycles the closed form picks the greatest product
     want = all_lengths_weights(400)
-    for n in range(401):
-        assert distinguish._centralizer_weights(n) == want[: n + 1], n
+    assert want[1] == 0  # one point cannot move
+    for s in [0, *range(2, 401)]:
+        assert distinguish._centralizer_weight(s) == want[s], s
 
 
-def _sweep_in_process(argv) -> tuple[float, list[str]]:
+def _cli_in_process(argv) -> tuple[float, list[str]]:
     out = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(out):
@@ -267,18 +290,34 @@ def _sweep_in_process(argv) -> tuple[float, list[str]]:
 
 
 def test_sweep_time_budget():
-    elapsed, lines = _sweep_in_process(["sweep", "--p", "31,61,101"])
+    elapsed, lines = _cli_in_process(["sweep", "--p", "31,61,101"])
     assert elapsed < 0.5
     assert lines[-1].startswith("101,1,2,101,202,10201,")
 
 
 def test_sweep_time_budget_every_prime_to_127():
     primes = [q for q in range(2, 128) if all(q % d for d in range(2, q))]
-    elapsed, lines = _sweep_in_process(
+    elapsed, lines = _cli_in_process(
         ["sweep", "--p", ",".join(map(str, primes)), "--m1", "2", "--m2", "4"]
     )
     assert elapsed < 0.5
     assert len(lines) == 32 and lines[-1].startswith("127,2,4,254,508,16129,")
+
+
+def test_envelope_time_budget_at_bike_level_1():
+    # BIKE's level-1 block size r = 12323, n = 2r
+    elapsed, lines = _cli_in_process(["bound", "--envelope", "--p", "12323"])
+    assert elapsed < 0.5
+    assert "n: 24646" in lines and "max_c: 64" in lines
+
+
+def test_envelope_time_budget_near_the_size_limit():
+    for p, m1, m2 in ((16381, 1, 2), (8191, 3, 4), (2, 16383, 16384)):
+        elapsed, lines = _cli_in_process(
+            ["bound", "--envelope", "--p", str(p), "--m1", str(m1), "--m2", str(m2)]
+        )
+        assert elapsed < 1.0, (p, m1, m2)
+        assert f"n: {m2 * p}" in lines
 
 
 def test_envelope_size_guard_comes_first(monkeypatch):
@@ -288,14 +327,25 @@ def test_envelope_size_guard_comes_first(monkeypatch):
     monkeypatch.setattr(distinguish, "min_class_size",
                         lambda n, delta: calls.append(n) or 1)
     limit = distinguish.ENVELOPE_MAX_N
-    assert limit >= 4 * 127  # every p <= 127 with m2 <= 4 is accepted
-    for p, m1, m2 in ((2, 1, limit // 2 + 1), (limit + 1, 1, 2), (100003, 1, 2),
-                      (10**12, 1, 2)):
+    assert limit == 32768  # BIKE's level-1 n = 24646 is accepted
+    for p, m1, m2 in ((2, 1, limit // 2 + 1), (3, 1, 10923), (limit + 1, 1, 2),
+                      (100003, 1, 2), (10**12, 1, 2)):
         with pytest.raises(TooLarge):
             worst_case_h(p, m1, m2)
     assert calls == []
     worst_case_h(2, 1, limit // 2)
     assert calls == [2, limit]
+
+
+def test_envelope_refuses_a_bad_shape(monkeypatch):
+    # k > n and k = n are no QC shape; refused before any class size
+    calls = []
+    monkeypatch.setattr(distinguish, "min_class_size",
+                        lambda n, delta: calls.append(n) or 1)
+    for p, m1, m2 in ((7, 3, 2), (7, 2, 2), (7, 0, 2), (10**12, 2, 1)):
+        with pytest.raises(SizeMismatch):
+            dk_bound_envelope(p, m1, m2)
+    assert calls == []
 
 
 def test_worst_case_h_small():

@@ -13,7 +13,11 @@ search rooted on the shifts), the
 bound pins from the recursive class-size search that preceded the
 knapsack table (the two p = 101 pins were re-taken when ln |GL_k(F2)|
 for k > 64 became one log of the exact order, which moved the last
-digits of ln_g, ln_s1 and ln_group2 and no other field), the validate pins from the condition-iii check that
+digits of ln_g, ln_s1 and ln_group2 and no other field, and the
+`sweep --p 7,31 --m1 2 --m2 3` pin when ln |GL_k(F2)| became a
+correctly rounded sum of logs, which moved the last digit of ln_s1 at
+k = 62; the p = 12323 and p = 8191 pins, past the old n <= 1024 limit,
+were taken from the closed-form class sizes), the validate pins from the condition-iii check that
 compared the rows and columns of the expanded C, and the autgroup
 refusal pins (exit code and stderr) from the command that searched
 before it judged the matrix, so they hold the old and new code to
@@ -277,6 +281,8 @@ BOUND_CORPUS = (
     ("sweep", "--p", "7,31", "--m1", "2", "--m2", "3"),
     ("bound", "--envelope", "--p", "31"),
     ("bound", "--envelope", "--p", "101"),
+    ("bound", "--envelope", "--p", "12323"),
+    ("sweep", "--p", "8191", "--m1", "3", "--m2", "4"),
 )
 
 
@@ -501,9 +507,11 @@ HOSTILE_PINS = {
 
 BOUND_PINS = {
     'sweep --p 2,3,5,7,11,13,31,61,101': (0, 'a828128e65fa40b73ad9581bb8f7c8709beb4638ee863db5891d195e20e1c756'),
-    'sweep --p 7,31 --m1 2 --m2 3': (0, 'fc148f527443732cd6d2a92c24ab947ac86c10284db4ea2bf90066e1419bcacf'),
+    'sweep --p 7,31 --m1 2 --m2 3': (0, '116f0a80f98b3792e61ac9cfe5fe83fde01c46811da28f43f8ea486b09ac24a2'),
     'bound --envelope --p 31': (0, 'b4c50f2dc8ba4ab4d193b12482783078741b66b9cedb668d6557c853c243f16a'),
     'bound --envelope --p 101': (0, '5565216a35f4ec6f6fd5c5c74b077e395db8b0459f9ce3e672ad318bef8ad6a5'),
+    'bound --envelope --p 12323': (0, 'b254c463adc5fd0821373df1d4a58ec13692e61c83e201fdf4a5f97bcbe8f775'),
+    'sweep --p 8191 --m1 3 --m2 4': (0, 'df9bb8b22882c35db7d51d7c6258fef7a7306877e50bdffae4133f39f6849e4a'),
 }
 
 

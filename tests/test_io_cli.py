@@ -793,16 +793,16 @@ def test_cli_envelope_refuses_degenerate_shapes(capsys):
 
 def test_cli_envelope_refuses_a_large_shape_at_once(capsys):
     # n = m2*p above ENVELOPE_MAX_N is a domain refusal, taken before the
-    # class sizes that would cost seconds to minutes
+    # class sizes that would cost seconds
     for argv, n in ((["bound", "--envelope", "--p", "100003"], 200006),
                     (["sweep", "--p", "7,100003"], 200006),
-                    (["bound", "--envelope", "--p", "5", "--m2", "205"], 1025)):
+                    (["bound", "--envelope", "--p", "3", "--m2", "10923"], 32769)):
         capsys.readouterr()
         t0 = time.perf_counter()
         assert main(argv) == 1, argv
         assert time.perf_counter() - t0 < 0.05, argv
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: the envelope at n = {n} is above n = 1024\n"
+        assert out == "" and err == f"error: the envelope at n = {n} is above n = 32768\n"
 
 
 def test_cli_keygen_trivial_kernel(tmp_path, capsys):
