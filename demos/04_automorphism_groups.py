@@ -23,9 +23,16 @@ for p1, p2 in sorted(g.elements)[:3]:
     print("  element", p1, "|", p2)
 
 # structural relation behind the group: undoing P1 on the rows of the
-# dense matrix is the same as applying the induced column permutation
-lem = verify_lemma1(c, g)
-print("relation checked on", lem.checked, "elements:", lem.ok)
+# dense matrix is the same as applying the induced column permutation;
+# verify_lemma1 replays every element and returns the failed premise,
+# or None when the premise holds (a broken relation would raise)
+premise = verify_lemma1(c, g)
+print("relation checked on", g.order, "elements, failed premise:", premise)
+
+# a block column stuck in {0, 1} admits identity-like columns, so the
+# lemma's premise fails and its claims are not judged
+stuck = BlockCirculant(ctx, 5, 1, 2, [(1, 1, 0, 1, 0)])
+print("failed premise:", verify_lemma1(stuck, stab_full(stuck)))
 
 # constant block: every (P1, P2) works, the projection is all of S_5
 flat = BlockCirculant(ctx, 5, 1, 2, [(2, 2, 2, 2, 2)])

@@ -20,8 +20,8 @@ _EXPORTS = {
     "distinguish": "BoundReport EnvelopeStats class_size_sn dk_bound "
                    "dk_bound_envelope log_gl_order logsumexp min_class_size "
                    "s0_exact s1_term worst_case_h",
-    "autgroup": "AutGroup Lemma1Report classify minimal_degree "
-                "stab_block stab_full verify_lemma1",
+    "autgroup": "AutGroup classify minimal_degree stab_block stab_full "
+                "verify_lemma1",
     "field": "FieldCtx default_modulus is_irreducible",
     "niederreiter": "PrivateKey PublicKey decrypt encrypt keygen",
 }

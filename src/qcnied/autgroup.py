@@ -4,16 +4,18 @@ A pair (P, Q) of permutations stabilizes a matrix M when P M Q = M as
 matrix products, i.e. act(P, M, Q) = M. The stabilizer of the full
 matrix C comes from one search on C, whether or not condition iii
 holds. When it holds, no row or column of C can leave its block row or
-block column, so every pair acts block-diagonally. Each block of the
-condition-iv shape is also searched on its own, to label its row
-projection.
+block column, so every pair acts block-diagonally. Each distinct first
+row of the condition-iv shape is also searched once on its own, to label
+the row projection of its blocks.
 
 Each group element (P1, P2) corresponds to a symmetry (A, P) of the
 parity check [I | C]: A is the permutation matrix of P1^-1 and
 P = P1^-1 (+) P2 permutes columns, satisfying A^-1 [I | C] P = [I | C].
 Because the cycle structure of P1 and P1^-1 agree, every quantity
 derived downstream (orders, supports, conjugacy class sizes) is
-insensitive to that inversion.
+insensitive to that inversion. verify_lemma1 replays every element
+against [I | C] and returns the premise of that correspondence that C
+fails, or None.
 
 Pair stabilizers are groups under (P1, Q1) o (P2, Q2) = (P1 P2, Q2 Q1);
 the column side composes in reverse, as it must for a two-sided action.
@@ -38,6 +40,7 @@ from operator import itemgetter
 
 from ._record import Record
 from .circulant import BlockCirculant, Dense, act, expand_row, inverse
+from .conditions import FAIL, check_ii, good_shape
 from .errors import EtaTooSmall, LemmaViolated, TooLarge
 
 # candidate rows tried plus pairs listed one stabilizer search may spend
@@ -70,28 +73,19 @@ def support(perm: tuple[int, ...]) -> int:
     return sum(i != img for i, img in enumerate(perm))
 
 
-def _column_map(rows: Dense) -> dict[tuple[int, ...], list[int]]:
-    cols: dict[tuple[int, ...], list[int]] = {}
-    for j, col in enumerate(zip(*rows)):
-        cols.setdefault(col, []).append(j)
-    return cols
-
-
-def _matching_qs(rows, col_map, p_images) -> list[tuple[int, ...]]:
-    """All Q with act(P, M, Q) = M, i.e. column c of the row-permuted
-    matrix equals column Q(c) of M. Unique when columns are distinct;
-    repeated columns yield one Q per class bijection."""
-    per_class = []
-    for col, positions in _column_map([rows[i] for i in p_images]).items():
-        targets = col_map.get(col)
-        if targets is None or len(targets) != len(positions):
-            return []
-        per_class.append((positions, targets))
-    positions = [c for ps, _ in per_class for c in ps]
-    images = [0] * len(positions)
+def _matching_qs(ids: list[int], classes: list[list[int]]) -> list[tuple[int, ...]]:
+    """All Q with act(P, M, Q) = M at a leaf of the search, i.e. column c
+    of the row-permuted matrix equals column Q(c) of M. ids[c] numbers
+    column c of the row-permuted matrix as the search numbers M's whole
+    columns, and classes[i] lists M's columns of id i, so Q(c) ranges
+    over classes[ids[c]]: one Q per bijection within each class."""
+    positions: list[list[int]] = [[] for _ in classes]
+    for c, i in enumerate(ids):
+        positions[i].append(c)
+    images = [0] * len(ids)
     out = []
-    for assignment in product(*[permutations(t) for _, t in per_class]):
-        for c, j in zip(positions, chain.from_iterable(assignment)):
+    for assignment in product(*map(permutations, classes)):
+        for c, j in zip(chain.from_iterable(positions), chain.from_iterable(assignment)):
             images[c] = j
         out.append(tuple(images))
     return out
@@ -113,8 +107,9 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[Pair, ...]:
     are picked in turn, and a branch is pruned unless the multiset of
     column prefixes of rows P(0)..P(t) equals that of rows 0..t of M. At
     a full P the multisets of whole columns agree, so P has exactly
-    prod(|class|!) partners Q over the classes of equal columns, and each
-    (P, Q) is composed with the p shift pairs.
+    prod(|class|!) partners Q over the classes of equal columns, read off
+    the leaf's column ids, and each (P, Q) is composed with the p shift
+    pairs.
 
     Candidate rows tried plus pairs listed are held to STAB_BUDGET;
     TooLarge is raised before the work that would pass it. A matrix whose
@@ -123,8 +118,23 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[Pair, ...]:
     columns.
     """
     size = len(rows)
-    col_map = _column_map(rows)
-    per_q = math.prod(math.factorial(len(js)) for js in col_map.values())
+    base = 1 + max(map(max, rows))
+    # levels[t] numbers the distinct column prefixes over rows 0..t of M,
+    # keyed by the id of the prefix over rows 0..t-1 times base plus the
+    # entry in row t; wants[t] is the sorted list of those ids by column
+    levels, wants = [], []
+    prefix = [0] * len(rows[0])
+    for row in rows:
+        level: dict[int, int] = {}
+        prefix = [level.setdefault(i * base + v, len(level)) for i, v in zip(prefix, row)]
+        levels.append(level)
+        wants.append(sorted(prefix))
+    # the last level numbers M's whole columns, so classes[i] lists M's
+    # equal columns of id i, and a leaf's ids name each column's class
+    classes: list[list[int]] = [[] for _ in levels[-1]]
+    for j, i in enumerate(prefix):
+        classes[i].append(j)
+    per_q = math.prod(math.factorial(len(js)) for js in classes)
     per_p = math.prod(math.factorial(rows.count(row)) for row in set(rows))
     row_shifts = [_block_shift(size, p, s) for s in range(p)]
     # a shift that only permutes identical rows also only permutes
@@ -138,17 +148,6 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[Pair, ...]:
         )
     col_shifts = [_block_shift(len(rows[0]), p, -s) for s in range(p)]
     per_leaf = p * per_q
-    base = 1 + max(map(max, rows))
-    # levels[t] numbers the distinct column prefixes over rows 0..t of M,
-    # keyed by the id of the prefix over rows 0..t-1 times base plus the
-    # entry in row t; wants[t] is the sorted list of those ids by column
-    levels, wants = [], []
-    prefix = [0] * len(rows[0])
-    for row in rows:
-        level: dict[int, int] = {}
-        prefix = [level.setdefault(i * base + v, len(level)) for i, v in zip(prefix, row)]
-        levels.append(level)
-        wants.append(sorted(prefix))
     pairs: list[Pair] = []
     images: list[int] = []
     used = [False] * size
@@ -167,7 +166,7 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[Pair, ...]:
         t = len(images)
         if t == size:
             spend(per_leaf)
-            qs = _matching_qs(rows, col_map, images)
+            qs = _matching_qs(ids, classes)
             for row_shift, col_shift in zip(row_shifts, col_shifts):
                 perm = tuple(map(row_shift.__getitem__, images))
                 pairs.extend((perm, tuple(map(q.__getitem__, col_shift))) for q in qs)
@@ -208,8 +207,6 @@ def classify(row: tuple[int, ...], pairs) -> str:
     Constant and near-constant blocks provably have the full symmetric
     group as row projection, so they are labeled from the block shape.
     """
-    from .conditions import good_shape
-
     p = len(row)
     if not good_shape(row):
         return SYMMETRIC
@@ -271,100 +268,66 @@ def stab_full(c: BlockCirculant) -> AutGroup:
     Condition iii need not hold: a C that fails it is searched like any
     other. The only refusals are STAB_BUDGET's: a C whose shape forces
     more than STAB_BUDGET pairs is refused before any search, and a
-    search that would spend more is refused before that work. Each block
-    of the condition-iv shape (good_shape) is labelled from its pair
-    stabilizer (stab_block). A constant or near-constant block has all of
-    S_p as its row projection, so classify labels it symmetric from its
-    shape, and it is never searched. A C of one good-shape block is
-    searched once: its block search is the search on C. Every element is
-    verified before it is returned: both parts must be permutations, and
-    the pair must fix the dense matrix.
+    search that would spend more is refused before that work. Each
+    distinct first row of the condition-iv shape (good_shape) is searched
+    once, in grid order, for its pair stabilizer (stab_block); on a
+    one-block C that is the search on C. classify labels every block: a
+    constant or near-constant block, never searched, has all of S_p as
+    its row projection and is labelled symmetric from its shape. Every
+    element is verified before it is returned: both parts must be
+    permutations, and the pair must fix the dense matrix.
     """
-    from .conditions import good_shape
-
-    m1, mc, p = c.m1, c.m2 - c.m1, c.p
-    blocks = {divmod(index, mc): row for index, row in enumerate(c.rows)}
-    searched = [ij for ij, row in blocks.items() if good_shape(row)]
-    if len(blocks) == len(searched) == 1:
-        stabs = {(0, 0): stab_block(c.rows[0])}
-        elements = stabs[0, 0]
-    else:
-        elements = _stabilizing_pairs(c.dense, p)
-        stabs = {ij: stab_block(blocks[ij]) for ij in searched}
-    labels = {ij: classify(row, stabs[ij]) if ij in stabs else SYMMETRIC
-              for ij, row in blocks.items()}
     dense = c.dense
+    elements = _stabilizing_pairs(dense, c.p)
+    stabs = {c.rows[0]: elements} if len(c.rows) == 1 else {}
+    for row in c.rows:
+        if good_shape(row) and row not in stabs:
+            stabs[row] = stab_block(row)
+    labels = {(i, j): classify(row, stabs.get(row, ()))
+              for i, block_row in enumerate(c.grid) for j, row in enumerate(block_row)}
     for p1, p2 in elements:
         for part in (p1, p2):
             if sorted(part) != list(range(len(part))):
                 raise AssertionError(f"searched element part is not a permutation: {part}")
         if act(p1, dense, p2) != dense:
             raise AssertionError("searched element fails to stabilize C")
-    return AutGroup(p=p, m1=m1, m2=c.m2, elements=elements, block_labels=labels)
+    return AutGroup(p=c.p, m1=c.m1, m2=c.m2, elements=elements, block_labels=labels)
 
 
-class Lemma1Report(Record):
-    """Outcome of replaying a group's elements against the parity check."""
-
-    __slots__ = ("premise_ok", "premise_witness", "relation_ok", "uniqueness_ok",
-                 "checked", "ok")
-
-
-def verify_lemma1(c: BlockCirculant, g: AutGroup) -> Lemma1Report:
-    """Confirm each element yields a genuine symmetry of H = [I | c].
+def verify_lemma1(c: BlockCirculant, g: AutGroup) -> str | None:
+    """Confirm each element yields a genuine symmetry of H = [I | c], and
+    return the premise that failed, or None when it holds.
 
     For (P1, P2) the scrambler A is the permutation matrix of P1^-1 and
     the column permutation is P1^-1 (+) P2; the relation to confirm is
     row-permuted H equals column-permuted H. Per-P1 uniqueness of P2 is
     the second claim. Both claims presuppose that no column of C matches
-    an identity column and no two columns of C coincide; when that
-    premise fails the report says so instead of judging the claims.
-    A relation failure with the premise intact raises LemmaViolated,
-    since it would mean the search itself is broken.
+    an identity column and no two columns of C coincide. Every element
+    is replayed; with the premise intact, a relation or uniqueness
+    failure raises LemmaViolated, since it would mean the search itself
+    is broken. With the premise failed the claims are not judged.
     """
-    from .conditions import check_ii
-
     dense_c = c.dense
-    witness: object = None
-    premise_ok = True
     try:
-        ii_fails = check_ii(c).status == "fail"
+        ii_fails = check_ii(c).status == FAIL
     except EtaTooSmall:
         # over F2 the sole nonzero value is 1, so identity-like columns
         # are unavoidable; same premise failure, different detection
         ii_fails = True
+    premise = None
     if ii_fails:
-        premise_ok = False
-        witness = {"premise": "identity-like column present (condition ii fails)"}
-    else:
-        cols = {}
-        for j, key in enumerate(zip(*dense_c)):
-            if key in cols:
-                premise_ok = False
-                witness = {"premise": "repeated columns", "pair": [cols[key], j]}
-                break
-            cols[key] = j
+        premise = "identity-like column present (condition ii fails)"
+    elif len(set(zip(*dense_c))) < len(dense_c[0]):
+        premise = "repeated columns"
     k = c.m1 * c.p
     dense = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(dense_c))
-    relation_ok = True
     for p1, p2 in g.elements:
         sigma = inverse(p1) + tuple(k + j for j in p2)
         lhs = tuple(dense[i] for i in p1)
         # sigma moves n >= 2 points, so the getter returns a tuple per row
         rhs = tuple(map(itemgetter(*sigma), dense))
-        if lhs != rhs:
-            relation_ok = False
-            if premise_ok:
-                raise LemmaViolated(f"element (P1={p1}, P2={p2}) fails the symmetry relation")
-    uniqueness_ok = len({p1 for p1, _ in g.elements}) == len(set(g.elements))
-    if premise_ok and not uniqueness_ok:
+        if lhs != rhs and premise is None:
+            raise LemmaViolated(f"element (P1={p1}, P2={p2}) fails the symmetry relation")
+    if premise is None and len({p1 for p1, _ in g.elements}) != len(set(g.elements)):
         raise LemmaViolated("multiple column partners for one row permutation")
-    ok = premise_ok and relation_ok and uniqueness_ok
-    return Lemma1Report(
-        premise_ok=premise_ok,
-        premise_witness=witness,
-        relation_ok=relation_ok,
-        uniqueness_ok=uniqueness_ok,
-        checked=g.order,
-        ok=ok,
-    )
+    return premise

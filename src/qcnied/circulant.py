@@ -35,22 +35,27 @@ def expand_row(row: tuple[int, ...]) -> Dense:
 
 class BlockCirculant(Record):
     """C as its QCMAT file carries it: the field, the shape and the
-    m1 * (m2 - m1) block first rows in row-major grid order, so block
-    (i, j) has first row rows[i * (m2 - m1) + j].
+    m1 * (m2 - m1) block first rows in row-major grid order. `grid` holds
+    the same rows as m1 block rows of m2 - m1 each, so block (i, j) has
+    first row grid[i][j], and zip(*grid) gives the block columns.
 
     Construction refuses a bad shape, then rows of the wrong count or
     length (SizeMismatch), then an entry outside the field (OutOfRange):
     field.check_block_rows, the rule PrivateKey applies to the same rows.
     p is not forced prime here; primality is a compliance condition and
     is reported by the condition checkers rather than enforced on the
-    container. `dense` keeps expand() from its first use, out of ==.
+    container. `dense` keeps expand() from its first use; it and `grid`
+    stay out of ==, hash and repr.
     """
 
     _fields = ("ctx", "p", "m1", "m2", "rows")
-    __slots__ = _fields + ("_dense",)
+    __slots__ = _fields + ("grid", "_dense")
 
     def __init__(self, ctx: FieldCtx, p: int, m1: int, m2: int, rows):
-        super().__init__(ctx, p, m1, m2, check_block_rows(ctx, p, m1, m2, rows))
+        rows = check_block_rows(ctx, p, m1, m2, rows)
+        super().__init__(ctx, p, m1, m2, rows)
+        mc = m2 - m1
+        object.__setattr__(self, "grid", tuple(rows[i:i + mc] for i in range(0, len(rows), mc)))
 
     @property
     def dense(self) -> Dense:
@@ -61,12 +66,10 @@ class BlockCirculant(Record):
 
     def expand(self) -> Dense:
         """Dense (m1*p) x ((m2-m1)*p) matrix."""
-        mc = self.m2 - self.m1
-        blocks = [expand_row(row) for row in self.rows]
         return tuple(
             sum(parts, ())
-            for i in range(0, len(blocks), mc)
-            for parts in zip(*blocks[i:i + mc])
+            for block_row in self.grid
+            for parts in zip(*map(expand_row, block_row))
         )
 
 

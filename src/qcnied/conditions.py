@@ -96,27 +96,25 @@ def good_shape(row: tuple[int, ...]) -> bool:
 
 
 def check_i(c: BlockCirculant) -> Verdict:
-    for index, row in enumerate(c.rows):
-        if _constant_row(row):
-            return Verdict(FAIL, {"block": list(divmod(index, c.m2 - c.m1)), "value": row[0]})
+    for i, block_row in enumerate(c.grid):
+        for j, row in enumerate(block_row):
+            if _constant_row(row):
+                return Verdict(FAIL, {"block": [i, j], "value": row[0]})
     return Verdict(PASS)
 
 
 def check_ii(c: BlockCirculant) -> Verdict:
     if c.ctx.eta < 2:
         raise EtaTooSmall("condition ii needs a proper extension field (eta >= 2)")
-    mc = c.m2 - c.m1
-    for j in range(mc):
-        if not any(a >= 2 for row in c.rows[j::mc] for a in row):
+    for j, block_col in enumerate(zip(*c.grid)):
+        if not any(a >= 2 for row in block_col for a in row):
             return Verdict(FAIL, {"block_col": j})
     return Verdict(PASS)
 
 
 def check_iii(c: BlockCirculant) -> Verdict:
-    mc = c.m2 - c.m1
-    block_rows = [sorted(a for row in c.rows[i * mc:(i + 1) * mc] for a in row)
-                  for i in range(c.m1)]
-    block_cols = [sorted(a for row in c.rows[j::mc] for a in row) for j in range(mc)]
+    block_rows = [sorted(a for row in block_row for a in row) for block_row in c.grid]
+    block_cols = [sorted(a for row in block_col for a in row) for block_col in zip(*c.grid)]
     for side, multisets in (("rows", block_rows), ("cols", block_cols)):
         for a, multiset in enumerate(multisets):
             for b in range(a + 1, len(multisets)):
@@ -127,10 +125,11 @@ def check_iii(c: BlockCirculant) -> Verdict:
 
 def check_iv(c: BlockCirculant) -> Verdict:
     shapes = []
-    for index, row in enumerate(c.rows):
-        if good_shape(row):
-            return Verdict(PASS)
-        shapes.append([*divmod(index, c.m2 - c.m1), _classes(row)])
+    for i, block_row in enumerate(c.grid):
+        for j, row in enumerate(block_row):
+            if good_shape(row):
+                return Verdict(PASS)
+            shapes.append([i, j, _classes(row)])
     return Verdict(FAIL, {"all_blocks_degenerate": shapes})
 
 
@@ -154,9 +153,8 @@ def check_variant(
         vi = Verdict(PASS, {"ratio": ratio})
     else:
         vi = Verdict(FAIL, {"ratio": ratio, "threshold": ratio_threshold})
-    mc = c.m2 - c.m1
-    for i in range(c.m1):
-        if not any(good_shape(row) for row in c.rows[i * mc:(i + 1) * mc]):
+    for i, block_row in enumerate(c.grid):
+        if not any(good_shape(row) for row in block_row):
             return vi, Verdict(FAIL, {"block_row": i})
     return vi, Verdict(PASS)
 
@@ -247,7 +245,7 @@ def sample_variant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCircul
             continue
         if not (rep.ii.ok and rep.iii.ok and rep.iv_variant.ok and rep.v.ok):
             continue
-        if any(all(_constant_row(row) for row in c.rows[j::mc]) for j in range(mc)):
+        if any(all(map(_constant_row, block_col)) for block_col in zip(*c.grid)):
             continue
         return c
     raise BudgetExhausted(f"no variant matrix in {MAX_ATTEMPTS} attempts")

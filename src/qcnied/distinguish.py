@@ -122,15 +122,16 @@ def s0_exact(elements) -> float:
     return math.log(len(elements)) + logsumexp(term_logs)
 
 
-def s1_term(h_order: int, k: int, n: int) -> float:
-    """ln s1 = ln(|H|^2 sqrt(|H|^2 + |H|) / sqrt(|GL_k(F2)| n!))."""
+def _s1_log(h_order: int, log_g: float) -> float:
+    """ln s1 = ln(|H|^2 sqrt(|H|^2 + |H|) / sqrt(|G|)), given ln |G|."""
     if h_order < 1:
         raise StructureViolation("group order must be positive")
-    return (
-        2.0 * math.log(h_order)
-        + 0.5 * math.log(h_order * h_order + h_order)
-        - 0.5 * (log_gl_order(k) + log_factorial(n))
-    )
+    return 2.0 * math.log(h_order) + 0.5 * math.log(h_order * h_order + h_order) - 0.5 * log_g
+
+
+def s1_term(h_order: int, k: int, n: int) -> float:
+    """ln s1 = ln(|H|^2 sqrt(|H|^2 + |H|) / sqrt(|GL_k(F2)| n!))."""
+    return _s1_log(h_order, log_gl_order(k) + log_factorial(n))
 
 
 class BoundReport(Record):
@@ -141,9 +142,8 @@ class BoundReport(Record):
 
 
 def _max_c(dk_log: float, log_group2: float) -> int:
-    """Largest integer c >= 0 with dk <= (ln |G^2 x| F2|)^(-c); -1 if none."""
-    if dk_log == -math.inf:
-        return MAX_C
+    """Largest integer c >= 0 with dk <= (ln |G^2 x| F2|)^(-c); -1 if none.
+    dk_log is finite, since its s1 term is."""
     if dk_log > 0.0:
         return -1
     return min(MAX_C, int(math.floor(-dk_log / math.log(log_group2))))
@@ -153,7 +153,7 @@ def _report(mode, p, m1, m2, h_order, s0_log) -> BoundReport:
     """The bound on a code of shape (p, m1, m2): k = m1*p, n = m2*p."""
     k, n = m1 * p, m2 * p
     log_g = log_gl_order(k) + log_factorial(n)
-    s1_log = s1_term(h_order, k, n)
+    s1_log = _s1_log(h_order, log_g)
     dk_log = logsumexp([s0_log, s1_log])
     log_group2 = math.log(2.0) + 2.0 * log_g
     return BoundReport(

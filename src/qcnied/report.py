@@ -131,6 +131,10 @@ def _surveillance(rep, g: "AutGroup", pi1: float, pi2: float) -> tuple[str, bool
 
 
 def _cmd_autgroup(matrix, threshold=None, out=None) -> int:
+    """Judge C once, search its stabilizer once and replay every element
+    against [I | C]: `lemma1` is ok unless verify_lemma1 names a failed
+    premise, and `lemma1_checked` counts the replayed elements, the
+    order. Exit 3 when the surveillance trips."""
     from .autgroup import EXCEPTIONAL, stab_full, verify_lemma1
     from .conditions import validate_all
 
@@ -138,7 +142,7 @@ def _cmd_autgroup(matrix, threshold=None, out=None) -> int:
     # judged before the search: eta = 1 is refused here
     rep = validate_all(c, desk_scale=True, ratio_threshold=_threshold(threshold))
     g = stab_full(c)
-    lem = verify_lemma1(c, g)
+    premise = verify_lemma1(c, g)
     pi1, pi2 = g.min_degree_pi1, g.min_degree_pi2
     verdict, tripped = _surveillance(rep, g, pi1, pi2)
     fields = [("kind", "autgroup")]
@@ -151,8 +155,8 @@ def _cmd_autgroup(matrix, threshold=None, out=None) -> int:
     ]
     for (i, j), label in sorted(g.block_labels.items()):
         fields.append((f"block_{i}_{j}", label))
-    fields.append(("lemma1", "ok" if lem.ok else "premise-failed"))
-    fields.append(("lemma1_checked", lem.checked))
+    fields.append(("lemma1", "ok" if premise is None else "premise-failed"))
+    fields.append(("lemma1_checked", g.order))
     fields.append(("surveillance", verdict))
     _emit(write_report(fields, elems=g.elements), out)
     return 3 if tripped else 0

@@ -15,8 +15,6 @@ from qcnied.autgroup import (
     AutGroup,
     EXCEPTIONAL,
     SYMMETRIC,
-    _column_map,
-    _matching_qs,
     classify,
     is_affine,
     minimal_degree,
@@ -74,13 +72,41 @@ def reordering_count(row) -> int:
     return count
 
 
+def column_map(rows) -> dict[tuple[int, ...], list[int]]:
+    """Each distinct column of rows -> the indices where it stands."""
+    cols: dict[tuple[int, ...], list[int]] = {}
+    for j, col in enumerate(zip(*rows)):
+        cols.setdefault(col, []).append(j)
+    return cols
+
+
+def matching_qs(rows, col_map, p_images) -> list[tuple[int, ...]]:
+    """All Q with act(P, M, Q) = M, i.e. column c of the row-permuted
+    matrix equals column Q(c) of M, for any row permutation P: none when
+    the column multisets differ, else one Q per class bijection."""
+    per_class = []
+    for col, positions in column_map([rows[i] for i in p_images]).items():
+        targets = col_map.get(col)
+        if targets is None or len(targets) != len(positions):
+            return []
+        per_class.append((positions, targets))
+    positions = [c for ps, _ in per_class for c in ps]
+    images = [0] * len(positions)
+    out = []
+    for assignment in itertools.product(*[itertools.permutations(t) for _, t in per_class]):
+        for c, j in zip(positions, itertools.chain.from_iterable(assignment)):
+            images[c] = j
+        out.append(tuple(images))
+    return out
+
+
 def bruteforce_pairs(rows) -> tuple:
     """Every (P, Q) with act(P, M, Q) = M, over all len(rows)! row
     permutations P, sorted. Reference oracle for the pruned search."""
-    col_map = _column_map(rows)
+    col_map = column_map(rows)
     pairs = []
     for images in itertools.permutations(range(len(rows))):
-        pairs.extend((images, q) for q in _matching_qs(rows, col_map, images))
+        pairs.extend((images, q) for q in matching_qs(rows, col_map, images))
     return tuple(sorted(pairs))
 
 
@@ -96,7 +122,7 @@ def unrooted_pairs(rows) -> tuple:
     exactly prod(|class|!) partners Q over the classes of equal columns.
     """
     size = len(rows)
-    col_map = _column_map(rows)
+    col_map = column_map(rows)
     base = 1 + max(map(max, rows))
     levels, wants = [], []
     prefix = [0] * len(rows[0])
@@ -113,7 +139,7 @@ def unrooted_pairs(rows) -> tuple:
         t = len(images)
         if t == size:
             perm = tuple(images)
-            pairs.extend((perm, q) for q in _matching_qs(rows, col_map, images))
+            pairs.extend((perm, q) for q in matching_qs(rows, col_map, images))
             return
         level, want = levels[t], wants[t]
         for x in range(size):
@@ -483,6 +509,25 @@ def test_stab_full_searches_only_non_constant_blocks(monkeypatch):
     assert g.block_labels[0, 1] == g.block_labels[1, 1] == SYMMETRIC
 
 
+def test_stab_full_searches_each_distinct_block_row_once(monkeypatch):
+    # the two diagonal blocks share a first row, so its pair stabilizer is
+    # searched once and labels both; a one-block C is searched once, as C
+    searched = []
+    search = autgroup.stab_block
+    monkeypatch.setattr(autgroup, "stab_block", lambda row: searched.append(row) or search(row))
+    row = (0, 1, 2, 3, 1)
+    c = BlockCirculant(CTX, 5, 2, 4, [row, (2,) * 5, (3,) * 5, row])
+    g = stab_full(c)
+    assert searched == [row]
+    assert g.block_labels == {(0, 0): AFFINE, (0, 1): SYMMETRIC,
+                              (1, 0): SYMMETRIC, (1, 1): AFFINE}
+    assert g.order == len(search(row)) ** 2
+    searched.clear()
+    one = BlockCirculant(CTX, 5, 1, 2, [row])
+    assert stab_full(one).elements == search(row)
+    assert searched == []
+
+
 def test_stab_full_labels_a_near_constant_block_unsearched():
     # the near-constant block's own pair stabilizer holds all of S_11, far
     # past STAB_BUDGET; the whole C has only its 11 shift pairs
@@ -605,28 +650,29 @@ def test_h_group_size_guard():
 
 
 def test_verify_lemma1_on_compliant_matrix():
+    # the premise holds and every element passes, so no failed premise
+    # is returned and nothing is raised
     c = sample_compliant(5, 1, 2, 2, seed=6)
     g = stab_full(c)
-    rep = verify_lemma1(c, g)
-    assert rep.ok and rep.premise_ok and rep.relation_ok and rep.uniqueness_ok
-    assert rep.checked == g.order
+    assert verify_lemma1(c, g) is None
 
 
 def test_verify_lemma1_premise_failure_reported():
     # a block column stuck in {0,1} admits identity-like columns, which
     # is exactly the precondition the lemma needs; no exception, just a
-    # premise-failed report
+    # returned premise
     c = BlockCirculant(CTX, 5, 1, 2, [(1, 1, 0, 1, 0)])
     g = stab_full(c)
-    rep = verify_lemma1(c, g)
-    assert not rep.premise_ok and not rep.ok
+    assert verify_lemma1(c, g) == "identity-like column present (condition ii fails)"
+    # condition ii holds, but block columns 0 and 1 are equal
+    twin = BlockCirculant(CTX, 5, 1, 3, [(0, 1, 2, 3, 1)] * 2)
+    assert verify_lemma1(twin, stab_full(twin)) == "repeated columns"
 
 
 def test_verify_lemma1_eta1_premise():
     c = BlockCirculant(FieldCtx(1), 5, 1, 2, [(1, 1, 0, 1, 0)])
     g = stab_full(c)
-    rep = verify_lemma1(c, g)
-    assert not rep.premise_ok
+    assert verify_lemma1(c, g) == "identity-like column present (condition ii fails)"
 
 
 def test_verify_lemma1_rejects_a_non_symmetry():
@@ -636,10 +682,10 @@ def test_verify_lemma1_rejects_a_non_symmetry():
     c = sample_compliant(5, 1, 2, 2, seed=6)
     with pytest.raises(LemmaViolated):
         verify_lemma1(c, bogus)
-    # with the premise already failed the relation is reported, not raised
+    # with the premise already failed the claims are not judged: the
+    # failed premise is returned, and nothing is raised
     degenerate = BlockCirculant(CTX, 5, 1, 2, [(1, 1, 0, 1, 0)])
-    rep = verify_lemma1(degenerate, bogus)
-    assert not rep.premise_ok and not rep.relation_ok
+    assert verify_lemma1(degenerate, bogus) == "identity-like column present (condition ii fails)"
 
 
 def test_full_group_on_fano_matrix():
@@ -648,4 +694,4 @@ def test_full_group_on_fano_matrix():
     assert g.order == 168
     assert g.classification == EXCEPTIONAL
     assert g.min_degree_pi1 == 4
-    assert verify_lemma1(c, g).ok
+    assert verify_lemma1(c, g) is None

@@ -141,11 +141,13 @@ def test_block_circulant_expand():
     c = BlockCirculant(CTX, 3, 2, 4, [(0, 1, 2), (1, 1, 3), (3, 2, 1), (0, 0, 2)])
     m = c.expand()
     assert len(m) == 6 and all(len(row) == 6 for row in m)
-    # block (i, j) is the circulant of rows[i * (m2 - m1) + j]
+    # block (i, j) is the circulant of grid[i][j] = rows[i * (m2 - m1) + j]
     for index, row in enumerate(c.rows):
         i, j = divmod(index, 2)
+        assert c.grid[i][j] == row
         assert tuple(line[3 * j:3 * j + 3] for line in m[3 * i:3 * i + 3]) == expand_row(row)
     assert c.rows == ((0, 1, 2), (1, 1, 3), (3, 2, 1), (0, 0, 2))
+    assert list(zip(*c.grid)) == [((0, 1, 2), (3, 2, 1)), ((1, 1, 3), (0, 0, 2))]
 
 
 def test_block_circulant_shape_validation():

@@ -4,7 +4,7 @@ positional or keyword construction with defaults, no mutation."""
 import pytest
 
 from qcnied._record import Record
-from qcnied.autgroup import AutGroup, Lemma1Report
+from qcnied.autgroup import AutGroup
 from qcnied.circulant import BlockCirculant
 from qcnied.conditions import ConditionReport, Verdict
 from qcnied.distinguish import BoundReport, EnvelopeStats
@@ -29,7 +29,6 @@ SAMPLES = {
     FieldCtx: ((4, 0x13), (4, 0x19)),
     AutGroup: ((3, 1, 2, (SHIFT,), {(0, 0): "affine-subgroup"}),
                (3, 1, 2, (SHIFT,), {(0, 0): "symmetric"})),
-    Lemma1Report: ((True, None, True, True, 3, True), (False, {"premise": "x"}, True, True, 3, False)),
     BoundReport: (("envelope", 5, 10, 25, 1.5, -2.0, -3.0, -1.9, 4.0, 0, 5, 1, 2),
                   ("exact", 5, 10, 25, 1.5, -2.0, -3.0, -1.9, 4.0, 0, 5, 1, 2)),
     EnvelopeStats: ((25, 4, 5, 6), (25, 4, 5, 7)),
@@ -117,6 +116,8 @@ def test_field_ctx_derived_slots_are_frozen():
 def test_block_circulant_equality_ignores_its_dense_form():
     twin = BlockCirculant(CTX, 3, 1, 2, (ROW,))
     assert twin.dense is twin.dense == GRID.expand()
+    assert twin.grid == GRID.grid == ((ROW,),)
     assert twin == GRID and hash(twin) == hash(GRID) and repr(twin) == repr(GRID)
-    with pytest.raises(AttributeError):
-        twin.dense = ()
+    for name in ("dense", "grid"):
+        with pytest.raises(AttributeError):
+            setattr(twin, name, ())
