@@ -6,7 +6,8 @@ matrix C comes from one search on C, whether or not condition iii
 holds. When it holds, no row or column of C can leave its block row or
 block column, so every pair acts block-diagonally. Each distinct first
 row of the condition-iv shape is also searched once on its own, to label
-the row projection of its blocks.
+the row projection of its blocks; classify proves that it is never A_p or
+S_p.
 
 Each group element (P1, P2) corresponds to a symmetry (A, P) of the
 parity check [I | C]: A is the permutation matrix of P1^-1 and
@@ -51,20 +52,14 @@ Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
 AFFINE = "affine-subgroup"
 SYMMETRIC = "symmetric"
-ALTERNATING = "alternating"
 EXCEPTIONAL = "exceptional"
 
 
 def is_affine(perm: tuple[int, ...], p: int) -> bool:
-    """Whether perm is i -> u*i + v mod p for some unit u."""
-    if len(perm) != p:
-        return False
-    if p == 1:
-        return True
+    """Whether perm, a permutation of range(p) with p >= 2, is
+    i -> u*i + v mod p for some unit u."""
     v = perm[0]
     u = (perm[1] - v) % p
-    if u == 0:
-        return False
     return all(perm[i] == (u * i + v) % p for i in range(p))
 
 
@@ -201,23 +196,23 @@ def stab_block(row: tuple[int, ...]) -> tuple[Pair, ...]:
 
 
 def classify(row: tuple[int, ...], pairs) -> str:
-    """Label the row projection of a block's pairs (stab_block(row)):
-    affine first, then order tests.
+    """Label the row projection G of a block's pairs (stab_block(row)).
 
-    Constant and near-constant blocks provably have the full symmetric
-    group as row projection, so they are labeled from the block shape.
+    A constant or near-constant block has all of S_p as G, so it is
+    labelled symmetric from its shape. Any other G is affine-subgroup or
+    exceptional, as it never holds A_p. If the row's entries are distinct,
+    each value fills one wrapped diagonal and G is the shifts. Else some
+    value occurs k times, 2 <= k <= p - 2; G permutes the at most p
+    k-sets of rows where it sits, column by column, but a group holding
+    A_p is k-homogeneous and would need all C(p, k) > p of them. At prime
+    p an exceptional G is 2-transitive (Burnside 1911): PSL(d, q),
+    PSL(2, 11), M11 or M23 by Feit (1980).
     """
-    p = len(row)
     if not good_shape(row):
         return SYMMETRIC
-    projection = {p1 for p1, _ in pairs}
-    if all(is_affine(perm, p) for perm in projection):
+    p = len(row)
+    if all(is_affine(p1, p) for p1, _ in pairs):
         return AFFINE
-    order = len(projection)
-    if order == math.factorial(p):
-        return SYMMETRIC
-    if 2 * order == math.factorial(p):
-        return ALTERNATING
     return EXCEPTIONAL
 
 
@@ -256,7 +251,7 @@ class AutGroup(Record):
     @property
     def classification(self) -> str:
         labels = set(self.block_labels.values())
-        for worst in (SYMMETRIC, ALTERNATING, EXCEPTIONAL):
+        for worst in (SYMMETRIC, EXCEPTIONAL):
             if worst in labels:
                 return worst
         return AFFINE

@@ -47,13 +47,11 @@ def poly_rem_f2(a: int, m: int) -> int:
 
 
 def is_irreducible(m: int) -> bool:
-    """Trial division by every polynomial of degree up to deg(m)/2."""
+    """Trial division by every polynomial of degree 1 up to deg(m)/2."""
     d = poly_degree(m)
     if d < 1:
         return False
     for div in range(2, 1 << (d // 2 + 1)):
-        if poly_degree(div) < 1:
-            continue
         if poly_rem_f2(m, div) == 0:
             return False
     return True
@@ -90,17 +88,13 @@ def check_block_rows(ctx: FieldCtx, p: int, m1: int, m2: int, rows) -> tuple:
     return rows
 
 
-_DEFAULT_MODULI: dict[int, int] = {}
-
-
 def default_modulus(eta: int) -> int:
-    """Smallest odd irreducible of degree eta (x+1, x^2+x+1, x^3+x+1, ...)."""
-    if eta not in _DEFAULT_MODULI:
-        m = (1 << eta) | 1
-        while not is_irreducible(m):
-            m += 2
-        _DEFAULT_MODULI[eta] = m
-    return _DEFAULT_MODULI[eta]
+    """Smallest odd irreducible of degree eta (x+1, x^2+x+1, x^3+x+1, ...),
+    searched on every call; a command needs it at most once."""
+    m = (1 << eta) | 1
+    while not is_irreducible(m):
+        m += 2
+    return m
 
 
 class FieldCtx(Record):

@@ -15,9 +15,10 @@ import math
 
 from .cli import _emit, _int_list, _read
 from .errors import ParseError, QcniedError
-from .io import _int_token, _lines, read_matrix
+from .io import _check_shape, _int_token, _lines, read_matrix
 
 QCREP_HEADER = "QCREP v1"
+SWEEP_COLUMNS = ("p", "m1", "m2", "k", "n", "h_order", "ln_s0", "ln_s1", "ln_dk", "max_c")
 
 
 def write_report(fields, elems=None) -> str:
@@ -227,6 +228,7 @@ def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, out=None) 
             p, m1, m2 = (_int_token(fields[key], key) for key in ("p", "m1", "m2"))
         except KeyError as exc:
             raise ParseError(f"{report}: missing p/m1/m2") from exc
+        _check_shape(p, m1, m2, report)
         k, n = m1 * p, m2 * p
         for p1, p2 in elems:
             if len(p1) != k or len(p2) != n - k:
@@ -262,17 +264,9 @@ def _cmd_sweep(p, m1=1, m2=2, out=None) -> int:
         raise ParseError("empty p list")
     ps = _int_list(p, "p list entry")
     _envelope_shape(m1, m2, "sweep")
-    lines = ["p,m1,m2,k,n,h_order,ln_s0,ln_s1,ln_dk,max_c"]
+    lines = [",".join(SWEEP_COLUMNS)]
     for q in ps:
-        r = dk_bound_envelope(q, m1, m2)
-        lines.append(
-            ",".join(
-                [
-                    str(q), str(m1), str(m2), str(r.k), str(r.n),
-                    str(r.h_order), _fmt(r.s0_log), _fmt(r.s1_log),
-                    _fmt(r.dk_log), str(r.max_c),
-                ]
-            )
-        )
+        fields = dict(_bound_fields(dk_bound_envelope(q, m1, m2)))
+        lines.append(",".join(str(fields[key]) for key in SWEEP_COLUMNS))
     _emit("\n".join(lines) + "\n", out)
     return 0

@@ -290,6 +290,48 @@ def test_stab_block_fano_is_exceptional():
     assert minimal_degree(row_projection(ps)) == 4
 
 
+def ordered_classify(row, pairs):
+    """The labelling rule before A_p was proved impossible: affine first,
+    then order tests for S_p and A_p, with a guarded affine predicate."""
+    p = len(row)
+    if not good_shape(row):
+        return SYMMETRIC
+    projection = {p1 for p1, _ in pairs}
+
+    def affine(perm):
+        if len(perm) != p:
+            return False
+        if p == 1:
+            return True
+        u = (perm[1] - perm[0]) % p
+        return u != 0 and all(perm[i] == (u * i + perm[0]) % p for i in range(p))
+
+    if all(map(affine, projection)):
+        return AFFINE
+    if len(projection) == math.factorial(p):
+        return SYMMETRIC
+    if 2 * len(projection) == math.factorial(p):
+        return "alternating"
+    return EXCEPTIONAL
+
+
+def test_classify_equals_the_ordered_rule_on_every_good_shape_row():
+    # every good-shape row over q values at p = 3..7, composite p included:
+    # classify never needs an order test, and only A_3 = the shifts, which
+    # is affine, has order p! or p!/2
+    labels, big = [], []
+    for p, q in ((3, 4), (4, 4), (5, 4), (6, 3), (7, 3)):
+        for row in filter(good_shape, itertools.product(range(q), repeat=p)):
+            pairs = stab_block(row)
+            label = classify(row, pairs)
+            assert label == ordered_classify(row, pairs), row
+            labels.append(label)
+            if math.factorial(p) <= 2 * len({p1 for p1, _ in pairs}):
+                big.append(p)
+    assert labels.count(AFFINE) == 3672 and labels.count(EXCEPTIONAL) == 348
+    assert len(labels) == 4020 and set(big) == {3}
+
+
 def test_stab_block_matches_bruteforce():
     for seed in range(1, 8):
         c = sample_compliant(7, 1, 2, 2, seed=seed)

@@ -19,7 +19,7 @@ from qcnied.conditions import sample_compliant, sample_variant
 from qcnied.distinguish import dk_bound
 from qcnied.errors import ParseError
 from qcnied.field import FieldCtx
-from qcnied.niederreiter import encrypt, keygen
+from qcnied.niederreiter import encrypt, keygen, unpack_column
 from qcnied.autgroup import stab_full
 
 from test_autgroup import FANO_ROW
@@ -652,10 +652,25 @@ def test_cli_bound_refuses_hostile_reports(tmp_path, capsys):
                    text.replace("\norder: 5\n", "\norder: 99\norder: 5\n"),
                    text.replace("\np: 5\n", "\np: 5\np: 7\n"),
                    # four elements without the identity are no group
-                   text.replace(first + "\n", "", 1).replace("\norder: 5\n", "\norder: 4\n")):
+                   text.replace(first + "\n", "", 1).replace("\norder: 5\n", "\norder: 4\n"),
+                   text.replace("\nkind: autgroup\n", "\nkind: conditions\n"),
+                   text.replace("\nm2: 2\n", "\n"),
+                   text.replace("\nm1: 1\nm2: 2\n", "\nm1: 2\nm2: 2\n"),
+                   text.replace("\np: 5\n", "\np: 0\n"),
+                   # the column side one image short, still a permutation
+                   text.replace(first, first[:-2]),
+                   # every element dropped, and the order agreeing
+                   "".join(line for line in text.splitlines(keepends=True)
+                           if not line.startswith("elem: ")).replace("\norder: 5\n", "\norder: 0\n")):
         bad.write_text(edited)
         assert refused(capsys, ["bound", "--report", str(bad), "-o", str(brep)])
         assert not brep.exists()
+    # the shape is refused as every file reader refuses it, before any element
+    bad.write_text(text.replace("\nm1: 1\nm2: 2\n", "\nm1: 2\nm2: 1\n"))
+    capsys.readouterr()
+    assert main(["bound", "--report", str(bad), "-o", str(brep)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: bad shape p=5 m1=2 m2=1\n"
+    assert not brep.exists()
     # the report carries its shape, so the envelope's shape options are
     # refused with it, even when they agree with the report
     for shape in (["--p", "7", "--m1", "3", "--m2", "9"], ["--p", "5"], ["--m1", "1"],
@@ -829,6 +844,24 @@ def test_cli_key_past_condition_v_round_trips(tmp_path, capsys):
     assert main(["encrypt", str(pub_p), "--support", support, "-o", str(ct)]) == 0
     assert main(["decrypt", str(priv_p), str(ct)]) == 0
     assert capsys.readouterr().out == support + "\n"
+
+
+def test_cli_decrypt_refuses_a_syndrome_outside_the_span(tmp_path, capsys):
+    # this key's H has rank 9 over its 10 syndrome bits, so half of the
+    # 1,024 ciphertexts are no syndrome of any error vector
+    mat, priv_p, pub_p, ct = (tmp_path / n for n in ("m.qcm", "sk", "pk", "ct"))
+    assert main(["search", "5", "1", "2", "2", "--seed", "1", "-o", str(mat)]) == 0
+    assert main(["keygen", str(mat), "--priv", str(priv_p), "--pub", str(pub_p)]) == 0
+    pub = io.read_public_key(pub_p.read_text())
+    span = {0}
+    for col in pub.hprime:
+        span |= {s ^ col for s in span}
+    assert len(span) == 512
+    y = unpack_column(min(set(range(1024)) - span), pub.k, pub.ctx.eta)
+    ct.write_text(io.write_ciphertext(pub.ctx, y))
+    capsys.readouterr()
+    assert main(["decrypt", str(priv_p), str(ct)]) == 1
+    assert capsys.readouterr() == ("", "error: syndrome outside the column span of H\n")
 
 
 # A command's qcnied modules beyond the five every command loads, in run
