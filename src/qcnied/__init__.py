@@ -17,9 +17,8 @@ _EXPORTS = {
     "conditions": "ConditionReport Verdict check_i check_ii check_iii check_iv "
                   "check_v check_variant good_shape sample_compliant "
                   "sample_variant validate_all",
-    "distinguish": "BoundReport EnvelopeStats class_size_sn dk_bound "
-                   "dk_bound_envelope log_gl_order logsumexp min_class_size "
-                   "s0_exact s1_term worst_case_h",
+    "distinguish": "BoundReport class_size_sn dk_bound dk_bound_envelope "
+                   "log_gl_order logsumexp min_class_size s0_exact s1_term",
     "autgroup": "AutGroup classify minimal_degree stab_block stab_full "
                 "verify_lemma1",
     "field": "FieldCtx default_modulus is_irreducible",

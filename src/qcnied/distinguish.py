@@ -14,11 +14,12 @@ once each; ln |GL_k(F2)| is a correctly rounded sum of logs. Sums in the
 linear domain go through log-sum-exp with one rounding (math.fsum), so
 nothing underflows and every term has the same bits on every Python.
 
-The worst-case envelope replaces an explicit H by the most pessimistic
-statistics compatible with the structural guarantees: order p^2 and every
-non-identity component sitting in the smallest conjugacy class that
-still moves at least p - 1 points, a closed form (min_class_size). It is
-refused (TooLarge) above n = ENVELOPE_MAX_N, before any class size.
+The worst-case envelope (dk_bound_envelope) replaces an explicit H by
+the most pessimistic statistics compatible with the structural
+guarantees: order p^2 and every non-identity component sitting in the
+smallest conjugacy class that still moves at least p - 1 points, a
+closed form (min_class_size). Its refusals all come before any class
+size, among them TooLarge above n = ENVELOPE_MAX_N.
 """
 
 from __future__ import annotations
@@ -215,15 +216,10 @@ def min_class_size(n: int, delta: int) -> int:
     return factorial(n) // best
 
 
-class EnvelopeStats(Record):
-    """Worst-case group statistics implied by the structural guarantees."""
-
-    __slots__ = ("order", "delta", "min_class_k", "min_class_n")
-
-
-def worst_case_h(p: int, m1: int = 1, m2: int = 2) -> EnvelopeStats:
-    """Pessimistic envelope for shape (p, m1, m2): order p^2, minimum
-    displacement p - 1 on the k = m1*p rows and the n = m2*p columns.
+def dk_bound_envelope(p: int, m1: int = 1, m2: int = 2) -> BoundReport:
+    """Bound from the envelope of shape (p, m1, m2) alone, no explicit
+    group required: order p^2, and every non-identity element moving at
+    least p - 1 of the k = m1*p rows and of the n = m2*p columns.
 
     InfeasibleSupport for p < 2, which leaves no non-identity element,
     and for a composite p, which no admissible shape has; SizeMismatch
@@ -239,22 +235,11 @@ def worst_case_h(p: int, m1: int = 1, m2: int = 2) -> EnvelopeStats:
         )
     if not is_prime(p):
         raise InfeasibleSupport(f"the envelope needs a prime p, got p = {p}")
-    delta = p - 1
-    return EnvelopeStats(
-        order=p * p,
-        delta=delta,
-        min_class_k=min_class_size(m1 * p, delta),
-        min_class_n=min_class_size(m2 * p, delta),
-    )
-
-
-def dk_bound_envelope(p: int, m1: int = 1, m2: int = 2) -> BoundReport:
-    """Bound from the envelope of shape (p, m1, m2) alone, no explicit
-    group required."""
-    stats = worst_case_h(p, m1, m2)
+    order = p * p
     s0_log = (
-        math.log(stats.order)
-        + math.log(stats.order - 1)
-        - 0.5 * (math.log(stats.min_class_k) + math.log(stats.min_class_n))
+        math.log(order)
+        + math.log(order - 1)
+        - 0.5 * (math.log(min_class_size(m1 * p, p - 1))
+                 + math.log(min_class_size(m2 * p, p - 1)))
     )
-    return _report("envelope", p, m1, m2, stats.order, s0_log)
+    return _report("envelope", p, m1, m2, order, s0_log)

@@ -29,7 +29,6 @@ from qcnied.distinguish import (
     min_class_size,
     s0_exact,
     s1_term,
-    worst_case_h,
 )
 from qcnied.errors import InfeasibleSupport, SizeMismatch, StructureViolation, TooLarge
 
@@ -331,32 +330,36 @@ def test_envelope_size_guard_comes_first(monkeypatch):
     for p, m1, m2 in ((2, 1, limit // 2 + 1), (3, 1, 10923), (limit + 1, 1, 2),
                       (100003, 1, 2), (10**12, 1, 2)):
         with pytest.raises(TooLarge):
-            worst_case_h(p, m1, m2)
+            dk_bound_envelope(p, m1, m2)
     assert calls == []
-    worst_case_h(2, 1, limit // 2)
+    dk_bound_envelope(2, 1, limit // 2)
     assert calls == [2, limit]
 
 
 def test_envelope_refuses_a_bad_shape(monkeypatch):
-    # k > n and k = n are no QC shape; refused before any class size
+    # k > n and k = n are no QC shape; refused before any class size, after
+    # p < 2 and before the size guard and the primality test
     calls = []
     monkeypatch.setattr(distinguish, "min_class_size",
                         lambda n, delta: calls.append(n) or 1)
-    for p, m1, m2 in ((7, 3, 2), (7, 2, 2), (7, 0, 2), (10**12, 2, 1)):
+    for p, m1, m2 in ((7, 3, 2), (7, 2, 2), (7, 0, 2), (10**12, 2, 1), (9, 3, 2)):
         with pytest.raises(SizeMismatch):
             dk_bound_envelope(p, m1, m2)
+    with pytest.raises(InfeasibleSupport):
+        dk_bound_envelope(1, 3, 2)
     assert calls == []
 
 
-def test_worst_case_h_small():
-    st = worst_case_h(3)
-    assert (st.order, st.delta) == (9, 2)
+def test_envelope_small():
     # S_3: the 3-cycle class (2 elements) is the smallest moving >= 2 points;
     # S_6: the transposition class of size 15
-    assert st.min_class_k == 2
-    assert st.min_class_n == 15
+    assert min_class_size(3, 2) == 2
+    assert min_class_size(6, 2) == 15
+    r = dk_bound_envelope(3)
+    assert r.h_order == 9
+    assert r.s0_log == math.log(9) + math.log(8) - 0.5 * (math.log(2) + math.log(15))
     with pytest.raises(InfeasibleSupport):  # composite p
-        worst_case_h(4)
+        dk_bound_envelope(4)
 
 
 def test_envelope_anchor_p31():

@@ -357,6 +357,19 @@ def test_cli_help_from_the_table(capsys):
         "_cmd_decrypt", {"priv": "-h", "ciphertext": "ct"})
 
 
+def test_cli_entry_exits_with_main_code(monkeypatch, capsys):
+    # the [project.scripts] target reads sys.argv and exits with main's code
+    for argv, code in ((["--help"], 0), (["frobnicate"], 2),
+                       (["bound", "--envelope", "--p", "4"], 1)):
+        monkeypatch.setattr(sys, "argv", ["qcnied", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code, argv
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: qcnied")
+    assert err.count("\n") == 2 and err.startswith("error: ")
+
+
 def refused(capsys, argv) -> bool:
     """main exits 2 with a single stderr line (and so no traceback)."""
     capsys.readouterr()

@@ -7,7 +7,7 @@ from qcnied._record import Record
 from qcnied.autgroup import AutGroup
 from qcnied.circulant import BlockCirculant
 from qcnied.conditions import ConditionReport, Verdict
-from qcnied.distinguish import BoundReport, EnvelopeStats
+from qcnied.distinguish import BoundReport
 from qcnied.field import FieldCtx
 from qcnied.niederreiter import PrivateKey, PublicKey, keygen
 
@@ -31,7 +31,6 @@ SAMPLES = {
                (3, 1, 2, (SHIFT,), {(0, 0): "symmetric"})),
     BoundReport: (("envelope", 5, 10, 25, 1.5, -2.0, -3.0, -1.9, 4.0, 0, 5, 1, 2),
                   ("exact", 5, 10, 25, 1.5, -2.0, -3.0, -1.9, 4.0, 0, 5, 1, 2)),
-    EnvelopeStats: ((25, 4, 5, 6), (25, 4, 5, 7)),
 }
 
 
@@ -89,9 +88,6 @@ def test_record_defaults_and_repr():
     assert Verdict("pass") == Verdict("pass", None)
     assert repr(Verdict("pass")) == "Verdict(status='pass', witness=None)"
     assert Verdict(status="fail").witness is None
-    assert repr(EnvelopeStats(25, 4, 5, 6)) == (
-        "EnvelopeStats(order=25, delta=4, min_class_k=5, min_class_n=6)"
-    )
 
 
 def test_private_key_equality_ignores_derived_fields():
