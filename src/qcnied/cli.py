@@ -12,10 +12,11 @@ Seeds come from --seed when given, else 0.
 the name of its handler and its argument specs. `parse` reads an
 argument list against it and `render_help` prints it. The handlers of
 validate, autgroup, bound and sweep live in `report` with the report
-format, and each handler imports the layers it runs, so each command
-loads only those: a keygen, encrypt or decrypt process loads neither the
-report code nor the condition checks, the stabilizer search or the
-bounds, and no analysis command loads the key layer.
+format. Every handler reads and writes files through `io`, and no
+module imports this one. Each handler imports the layers it runs, so
+each command loads only those: a keygen, encrypt or decrypt process
+loads neither the report code nor the condition checks, the stabilizer
+search or the bounds, and no analysis command loads the key layer.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 
 from . import io
 from .errors import LemmaViolated, ParseError, QcniedError
-from .io import _int_token
+from .io import _emit, _int_list, _int_token, _read
 
 # argument kinds
 STR = "string"           # any string, may be omitted
@@ -211,32 +212,6 @@ def _cmd_help(command: str | None = None) -> int:
     return 0
 
 
-def _read(path: str) -> str:
-    try:
-        # newline="" hands CR through to the parsers, which refuse it
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ParseError(f"cannot write {out}: {exc}") from exc
-
-
-def _int_list(arg: str, what: str) -> list[int]:
-    """Comma-separated canonical integers, spaces around an entry allowed;
-    an empty entry is refused like any other bad token."""
-    return [_int_token(tok.strip(), what) for tok in arg.split(",")]
-
-
 def _cmd_search(p, m1, m2, eta, seed=0, variant=False, out=None) -> int:
     from .conditions import sample_compliant, sample_variant
 
@@ -258,15 +233,14 @@ def _cmd_keygen(matrix, priv, pub, seed=0) -> int:
     c = io.read_matrix(_read(matrix))
     sk, pk = keygen(c, seed)
     priv_text, pub_text = io.write_private_key(sk), io.write_public_key(pk)
-    _emit(priv_text, priv)
+    # the public key first: a refused one leaves an existing private key as it was
+    _emit(pub_text, pub)
     try:
-        _emit(pub_text, pub)
+        _emit(priv_text, priv)
     except ParseError:
-        # no private key is left behind without its public key
-        try:
-            os.remove(priv)
-        except FileNotFoundError:
-            pass
+        # no public key is left behind without its private key
+        if os.path.isfile(pub):
+            os.remove(pub)
         raise
     print(f"e: {pk.e}")
     return 0

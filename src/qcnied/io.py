@@ -22,12 +22,16 @@ names its file and row kind.
 The records are flat, as their files are, so the key readers build no
 circulant objects.
 
-The QCREP v1 report format lives in `report`, with the commands that
-write it. Each reader and writer imports the layer whose types it
-builds, so a command loads only the layers its files need.
+This module owns the file boundary: `_read` and `_emit` open every
+file, and `_framed` checks every header. The QCREP v1 report format
+lives in `report`, with the commands that write it. Each reader and
+writer imports the layer whose types it builds, so a command loads only
+the layers its files need.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .errors import ParseError, QcniedError, SizeMismatch
 from .field import HEX_DIGITS, FieldCtx, check_shape
@@ -85,12 +89,47 @@ def _format_row(ctx: FieldCtx, row) -> str:
     return " ".join(ctx.format_hex(a) for a in row)
 
 
+def _read(path: str) -> str:
+    try:
+        # newline="" hands CR through to the parsers, which refuse it
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _emit(text: str, out: str | None) -> None:
+    if out is None or out == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out}: {exc}") from exc
+
+
+def _int_list(arg: str, what: str) -> list[int]:
+    """Comma-separated canonical integers, spaces around an entry allowed;
+    an empty entry is refused like any other bad token."""
+    return [_int_token(tok.strip(), what) for tok in arg.split(",")]
+
+
 def _lines(text: str, what: str) -> list[str]:
     if "\r" in text:
         raise ParseError(f"{what}: CR line endings are not accepted")
     if not text.endswith("\n"):
         raise ParseError(f"{what}: missing trailing newline")
     return text[:-1].split("\n")
+
+
+def _framed(text: str, what: str, header: str, least: int = 1) -> list[str]:
+    """The lines of text, refused unless header is the first of at least
+    `least` lines."""
+    lines = _lines(text, what)
+    if len(lines) < least or lines[0] != header:
+        raise ParseError(f"{what}: expected header {header!r}")
+    return lines
 
 
 def write_matrix(c: BlockCirculant) -> str:
@@ -102,9 +141,7 @@ def write_matrix(c: BlockCirculant) -> str:
 def read_matrix(text: str) -> BlockCirculant:
     from .circulant import BlockCirculant
 
-    lines = _lines(text, "matrix file")
-    if not lines or lines[0] != QCMAT_HEADER:
-        raise ParseError(f"matrix file: expected header {QCMAT_HEADER!r}")
+    lines = _framed(text, "matrix file", QCMAT_HEADER)
     if len(lines) < 3:
         raise ParseError("matrix file: truncated")
     p, m1, m2, eta = _parse_params(lines[1], 4, "matrix params")
@@ -128,19 +165,26 @@ def _unpack_bits(tok: str, width: int) -> int:
     return value
 
 
-def _key_params(line: str) -> tuple[int, int, int, int, int]:
-    """`p m1 m2 eta e` of a key file; a bad shape or a capacity e above
-    n = m2*p is refused."""
-    p, m1, m2, eta, e = _parse_params(line, 5, "key params")
+def _key_head(key: PrivateKey | PublicKey, kind: str) -> list[str]:
+    return [NIEDQC_HEADER, kind, f"{key.p} {key.m1} {key.m2} {key.ctx.eta} {key.e}",
+            format(key.ctx.modulus, "x")]
+
+
+def _read_key_head(text: str, kind: str) -> tuple:
+    """The lines of a `kind` key file and its head: `p m1 m2 e` and the
+    field. A bad shape or a capacity e above n = m2*p is refused."""
+    lines = _framed(text, f"{kind} key", NIEDQC_HEADER, 4)
+    if lines[1] != kind:
+        raise ParseError(f"{kind} key: expected kind {kind!r}, got {lines[1]!r}")
+    p, m1, m2, eta, e = _parse_params(lines[2], 5, "key params")
     _check_shape(p, m1, m2, "key params")
     if e > m2 * p:
         raise ParseError(f"key params: capacity e = {e} exceeds n = {m2 * p}")
-    return p, m1, m2, eta, e
+    return lines, p, m1, m2, e, _ctx_from(eta, lines[3])
 
 
 def write_private_key(priv: PrivateKey) -> str:
-    out = [NIEDQC_HEADER, "private", f"{priv.p} {priv.m1} {priv.m2} {priv.ctx.eta} {priv.e}",
-           format(priv.ctx.modulus, "x")]
+    out = _key_head(priv, "private")
     out.extend(format(row, f"0{(priv.k + 3) // 4}x") for row in priv.a0)
     out.append(" ".join(str(i) for i in priv.b0))
     out.extend(_format_row(priv.ctx, row) for row in priv.rows)
@@ -150,13 +194,7 @@ def write_private_key(priv: PrivateKey) -> str:
 def read_private_key(text: str) -> PrivateKey:
     from .niederreiter import PrivateKey
 
-    lines = _lines(text, "private key")
-    if len(lines) < 4 or lines[0] != NIEDQC_HEADER:
-        raise ParseError(f"private key: expected header {NIEDQC_HEADER!r}")
-    if lines[1] != "private":
-        raise ParseError(f"private key: expected kind 'private', got {lines[1]!r}")
-    p, m1, m2, eta, e = _key_params(lines[2])
-    ctx = _ctx_from(eta, lines[3])
+    lines, p, m1, m2, e, ctx = _read_key_head(text, "private")
     k, n = m1 * p, m2 * p
     n_blocks = m1 * (m2 - m1)
     expect = 4 + k + 1 + n_blocks
@@ -176,8 +214,7 @@ def write_public_key(pub: PublicKey) -> str:
     from .niederreiter import unpack_column
 
     ctx = pub.ctx
-    out = [NIEDQC_HEADER, "public", f"{pub.p} {pub.m1} {pub.m2} {ctx.eta} {pub.e}",
-           format(ctx.modulus, "x")]
+    out = _key_head(pub, "public")
     columns = [unpack_column(col, pub.k, ctx.eta) for col in pub.hprime]
     out.extend(_format_row(ctx, row) for row in zip(*columns))
     return "\n".join(out) + "\n"
@@ -186,18 +223,12 @@ def write_public_key(pub: PublicKey) -> str:
 def read_public_key(text: str) -> PublicKey:
     from .niederreiter import PublicKey, pack_column
 
-    lines = _lines(text, "public key")
-    if len(lines) < 4 or lines[0] != NIEDQC_HEADER:
-        raise ParseError(f"public key: expected header {NIEDQC_HEADER!r}")
-    if lines[1] != "public":
-        raise ParseError(f"public key: expected kind 'public', got {lines[1]!r}")
-    p, m1, m2, eta, e = _key_params(lines[2])
-    ctx = _ctx_from(eta, lines[3])
+    lines, p, m1, m2, e, ctx = _read_key_head(text, "public")
     k, n = m1 * p, m2 * p
     if len(lines) != 4 + k:
         raise ParseError(f"public key: expected {4 + k} lines, got {len(lines)}")
     rows = [_parse_row(ctx, lines[4 + i], n, "public key: H' row") for i in range(k)]
-    hprime = tuple(pack_column(col, eta) for col in zip(*rows))
+    hprime = tuple(pack_column(col, ctx.eta) for col in zip(*rows))
     return PublicKey(hprime, p, m1, m2, ctx, e)
 
 

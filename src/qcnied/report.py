@@ -5,17 +5,14 @@
 
 validate, autgroup, bound and sweep run here. `cli` imports this module
 only to run one of them, so a keygen, encrypt or decrypt process never
-compiles it. Same format discipline as `io`: UTF-8, LF endings, an exact
-header, canonical output.
+compiles it. Files are read, framed and written through `io`, with its
+discipline: UTF-8, LF endings, an exact header, canonical output.
 """
 
 from __future__ import annotations
 
-import math
-
-from .cli import _emit, _int_list, _read
 from .errors import ParseError, QcniedError
-from .io import _check_shape, _int_token, _lines, read_matrix
+from .io import _check_shape, _emit, _framed, _int_list, _int_token, _read, read_matrix
 
 QCREP_HEADER = "QCREP v1"
 SWEEP_COLUMNS = ("p", "m1", "m2", "k", "n", "h_order", "ln_s0", "ln_s1", "ln_dk", "max_c")
@@ -40,9 +37,7 @@ def _permutation(text: str) -> tuple[int, ...]:
 
 
 def read_report(text: str) -> tuple[dict[str, str], list[tuple]]:
-    lines = _lines(text, "report")
-    if not lines or lines[0] != QCREP_HEADER:
-        raise ParseError(f"report: expected header {QCREP_HEADER!r}")
+    lines = _framed(text, "report", QCREP_HEADER)
     fields: dict[str, str] = {}
     elems = []
     for line in lines[1:]:
@@ -67,10 +62,7 @@ def read_report(text: str) -> tuple[dict[str, str], list[tuple]]:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
+    # str of a float is its repr, and "inf" or "-inf" when infinite
     return str(value)
 
 

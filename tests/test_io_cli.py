@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,12 +16,12 @@ import pytest
 from qcnied import cli, conditions, io, report
 from qcnied.circulant import BlockCirculant, inverse
 from qcnied.cli import main
-from qcnied.conditions import sample_compliant, sample_variant
+from qcnied.conditions import ConditionReport, Verdict, sample_compliant, sample_variant
 from qcnied.distinguish import dk_bound
 from qcnied.errors import ParseError
 from qcnied.field import FieldCtx
 from qcnied.niederreiter import encrypt, keygen, unpack_column
-from qcnied.autgroup import stab_full
+from qcnied.autgroup import AutGroup, stab_full
 
 from test_autgroup import FANO_ROW
 
@@ -445,8 +446,20 @@ def test_cli_unwritable_output_refused(tmp_path, capsys, c512):
                             "--pub", str(tmp_path / "pk")])
     assert refused(capsys, ["keygen", str(mat), "--priv", str(tmp_path / "sk"),
                             "--pub", str(missing / "pk")])
-    # the private key written first is removed with its public key refused
+    # the public key is written first, so its refusal leaves no private key
     assert not (tmp_path / "sk").exists()
+
+
+def test_cli_keygen_refused_keeps_an_existing_private_key(tmp_path, capsys, c512):
+    mat, missing = tmp_path / "m.qcm", tmp_path / "missing"
+    sk, pk = tmp_path / "sk", tmp_path / "pk"
+    mat.write_text(io.write_matrix(c512))
+    sk.write_bytes(b"OLD KEY\n")
+    assert refused(capsys, ["keygen", str(mat), "--priv", str(sk), "--pub", str(missing / "pk")])
+    assert sk.read_bytes() == b"OLD KEY\n"
+    # the public key written first is removed with its private key refused
+    assert refused(capsys, ["keygen", str(mat), "--priv", str(missing / "sk"), "--pub", str(pk)])
+    assert not pk.exists()
 
 
 def test_cli_refuses_hex_tokens_of_another_width(tmp_path, capsys, c512):
@@ -751,6 +764,37 @@ def test_cli_autgroup_surveillance_trip(tmp_path):
     assert fields["order"] == "168" and len(elems) == 168
 
 
+def _condition_report(strict):
+    """Every condition passes; with strict False, i and iv fail and their
+    variants pass."""
+    ok, bad = Verdict("pass"), Verdict("pass" if strict else "fail")
+    return ConditionReport(i=bad, ii=ok, iii=ok, iv=bad, v=ok, i_variant=ok, iv_variant=ok)
+
+
+def test_surveillance_trips_on_each_breach():
+    """The three breaches no matrix of the corpus reaches, each judged on
+    a group made up for it."""
+    def judge(rep, g):
+        return report._surveillance(rep, g, g.min_degree_pi1, g.min_degree_pi2)
+
+    ident, swap = (0, 1, 2, 3, 4), (1, 0, 2, 3, 4)
+    # a transposition of rows: order 2 <= 25, row minimal degree 2 < p - 1
+    g = AutGroup(5, 1, 2, ((ident, ident), (swap, swap)), {})
+    assert judge(_condition_report(True), g) == ("tripped (row minimal degree 2 < 4)", True)
+    # rows move only in 5-cycles, but a column transposition moves alone
+    shifts = [tuple((i + s) % 5 for i in range(5)) for s in range(5)]
+    g = AutGroup(5, 1, 2, tuple((r, q) for r in shifts for q in (ident, swap)), {})
+    assert (g.order, g.min_degree_pi1, g.min_degree_pi2) == (10, 5, 2)
+    assert judge(_condition_report(True), g) == (
+        "tripped (column minimal degree below row minimal degree)", True)
+    # a variant matrix's ceiling p^(2 m1) = 9, passed by S_3 x S_3
+    s3 = list(permutations(range(3)))
+    g = AutGroup(3, 1, 2, tuple((a, b) for a in s3 for b in s3), {})
+    rep = _condition_report(False)
+    assert not rep.strict_ok() and rep.variant_ok()
+    assert judge(rep, g) == ("tripped (order 36 > p^(2 m1) = 9)", True)
+
+
 @pytest.mark.parametrize("p, minority, order", [
     # {0,1,3,9} is a planar difference set mod 13: the block is the
     # incidence structure of PG(2,3), whose 5,616 collineations stabilize it
@@ -931,6 +975,31 @@ def test_cli_loads_only_the_layers_it_runs(tmp_path):
     every_layer = ("qcnied.cli, qcnied.conditions, qcnied.niederreiter, qcnied.autgroup, "
                    "qcnied.distinguish, qcnied.report")
     assert loaded(every_layer)[1][1] == []
+
+
+def _relative_imports(path):
+    """The sibling modules a source file imports, at module level or
+    inside a function."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module.split(".")[0]] if node.module
+                         else (alias.name for alias in node.names))
+    return names
+
+
+def test_relative_imports_form_no_cycle_and_none_reaches_cli():
+    src = Path(__file__).resolve().parent.parent / "src" / "qcnied"
+    graph = {path.stem: _relative_imports(path) & {p.stem for p in src.glob("*.py")}
+             for path in src.glob("*.py")}
+    # both kinds of import are seen: cli loads report only inside a function
+    assert {"io", "report"} <= graph["cli"] and "io" in graph["report"]
+    assert [name for name, deps in graph.items() if "cli" in deps] == []
+    # peel off the modules that import nothing still left; a cycle never peels
+    left = set(graph)
+    while leaves := {name for name in left if not graph[name] & left}:
+        left -= leaves
+    assert left == set(), f"import cycle among or through {sorted(left)}"
 
 
 def test_package_exports_resolve_to_home_modules():
