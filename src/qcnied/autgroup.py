@@ -16,10 +16,8 @@ Because the cycle structure of P1 and P1^-1 agree, every quantity
 derived downstream (orders, supports, conjugacy class sizes) is
 insensitive to that inversion. verify_lemma1 replays every element
 against [I | C] and returns the premise of that correspondence that C
-fails, or None.
-
-Pair stabilizers are groups under (P1, Q1) o (P2, Q2) = (P1 P2, Q2 Q1);
-the column side composes in reverse, as it must for a two-sided action.
+fails, or None. Pairs, their law and their action on matrices are
+`perm`'s.
 
 Every pair stabilizer, of one block or of the whole matrix, comes from
 one exact search: a row-by-row backtrack in the spirit of partition
@@ -37,35 +35,20 @@ from __future__ import annotations
 
 import math
 from itertools import chain, permutations, product
-from operator import itemgetter
 
 from ._record import Record
-from .circulant import BlockCirculant, Dense, act, expand_row, inverse
+from .circulant import BlockCirculant, Dense, expand_row
 from .conditions import FAIL, check_ii, good_shape
 from .errors import EtaTooSmall, LemmaViolated, TooLarge
+from .perm import (Pair, act, inverse, is_affine, is_permutation, minimal_degree,
+                   pair_product, support)
 
 # candidate rows tried plus pairs listed one stabilizer search may spend
 STAB_BUDGET = 1 << 19
 
-# a stabilizing pair (P, Q), each permutation as its image tuple
-Pair = tuple[tuple[int, ...], tuple[int, ...]]
-
 AFFINE = "affine-subgroup"
 SYMMETRIC = "symmetric"
 EXCEPTIONAL = "exceptional"
-
-
-def is_affine(perm: tuple[int, ...], p: int) -> bool:
-    """Whether perm, a permutation of range(p) with p >= 2, is
-    i -> u*i + v mod p for some unit u."""
-    v = perm[0]
-    u = (perm[1] - v) % p
-    return all(perm[i] == (u * i + v) % p for i in range(p))
-
-
-def support(perm: tuple[int, ...]) -> int:
-    """Number of moved points."""
-    return sum(i != img for i, img in enumerate(perm))
 
 
 def _matching_qs(ids: list[int], classes: list[list[int]]) -> list[tuple[int, ...]]:
@@ -141,7 +124,7 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[Pair, ...]:
             f"the shifts and repeated rows and columns of a {size}-row matrix "
             f"force {forced} stabilizing pairs, more than {STAB_BUDGET}"
         )
-    col_shifts = [_block_shift(len(rows[0]), p, -s) for s in range(p)]
+    shifts = list(zip(row_shifts, [_block_shift(len(rows[0]), p, -s) for s in range(p)]))
     per_leaf = p * per_q
     pairs: list[Pair] = []
     images: list[int] = []
@@ -162,9 +145,7 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[Pair, ...]:
         if t == size:
             spend(per_leaf)
             qs = _matching_qs(ids, classes)
-            for row_shift, col_shift in zip(row_shifts, col_shifts):
-                perm = tuple(map(row_shift.__getitem__, images))
-                pairs.extend((perm, tuple(map(q.__getitem__, col_shift))) for q in qs)
+            pairs.extend(pair_product(shift, (images, q)) for shift in shifts for q in qs)
             return
         level, want = levels[t], wants[t]
         for x in range(0, size, p) if t == 0 else range(size):
@@ -214,11 +195,6 @@ def classify(row: tuple[int, ...], pairs) -> str:
     if all(is_affine(p1, p) for p1, _ in pairs):
         return AFFINE
     return EXCEPTIONAL
-
-
-def minimal_degree(perms) -> float:
-    """Least support among non-identity permutations; +inf if none."""
-    return min(filter(None, map(support, perms)), default=math.inf)
 
 
 class AutGroup(Record):
@@ -282,7 +258,7 @@ def stab_full(c: BlockCirculant) -> AutGroup:
               for i, block_row in enumerate(c.grid) for j, row in enumerate(block_row)}
     for p1, p2 in elements:
         for part in (p1, p2):
-            if sorted(part) != list(range(len(part))):
+            if not is_permutation(part):
                 raise AssertionError(f"searched element part is not a permutation: {part}")
         if act(p1, dense, p2) != dense:
             raise AssertionError("searched element fails to stabilize C")
@@ -294,13 +270,13 @@ def verify_lemma1(c: BlockCirculant, g: AutGroup) -> str | None:
     return the premise that failed, or None when it holds.
 
     For (P1, P2) the scrambler A is the permutation matrix of P1^-1 and
-    the column permutation is P1^-1 (+) P2; the relation to confirm is
-    row-permuted H equals column-permuted H. Per-P1 uniqueness of P2 is
-    the second claim. Both claims presuppose that no column of C matches
-    an identity column and no two columns of C coincide. Every element
-    is replayed; with the premise intact, a relation or uniqueness
-    failure raises LemmaViolated, since it would mean the search itself
-    is broken. With the premise failed the claims are not judged.
+    the column permutation is sigma = P1^-1 (+) P2; the relation to
+    confirm is act(P1, H, sigma) = H. Per-P1 uniqueness of P2 is the
+    second claim. Both claims presuppose that no column of C matches an
+    identity column and no two columns of C coincide. Every element is
+    replayed; with the premise intact, a relation or uniqueness failure
+    raises LemmaViolated, since it would mean the search itself is
+    broken. With the premise failed the claims are not judged.
     """
     dense_c = c.dense
     try:
@@ -318,10 +294,7 @@ def verify_lemma1(c: BlockCirculant, g: AutGroup) -> str | None:
     dense = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(dense_c))
     for p1, p2 in g.elements:
         sigma = inverse(p1) + tuple(k + j for j in p2)
-        lhs = tuple(dense[i] for i in p1)
-        # sigma moves n >= 2 points, so the getter returns a tuple per row
-        rhs = tuple(map(itemgetter(*sigma), dense))
-        if lhs != rhs and premise is None:
+        if act(p1, dense, sigma) != dense and premise is None:
             raise LemmaViolated(f"element (P1={p1}, P2={p2}) fails the symmetry relation")
     if premise is None and len({p1 for p1, _ in g.elements}) != len(set(g.elements)):
         raise LemmaViolated("multiple column partners for one row permutation")

@@ -1,4 +1,4 @@
-"""Circulant blocks, block-circulant matrices, and two-sided permutation actions.
+"""Circulant blocks and block-circulant matrices.
 
 A circulant block of size p over GF(2^eta) is determined by its first row
 (c_0, ..., c_{p-1}); row i is that row cyclically shifted i places right,
@@ -9,20 +9,13 @@ with k = m1*p, n = m2*p. BlockCirculant is the gate for such a grid.
 
 A dense matrix is an immutable tuple of rows, each a tuple of ints, so
 two matrices are equal exactly when they compare equal as tuples, and
-column j is the j-th item of zip(*rows).
-
-A permutation of {0..n-1} is its image tuple P, so P(i) is P[i], and
-composition follows function application: (P Q)(i) = P[Q[i]], which
-matches the product of the permutation matrices. Permutations act on
-dense matrices two-sidedly: act(P, M, Q) has entry (i, j) equal to
-M[P(i)][Q^-1(j)], which in matrix terms is P^-1 M Q^-1 (so the
-stabilizer condition act(P, M, Q) = M reads P M Q = M).
+column j is the j-th item of zip(*rows). Permutations and their
+two-sided action on dense matrices live in `perm`.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .errors import SizeMismatch
 from .field import FieldCtx, check_block_rows
 
 Dense = tuple[tuple[int, ...], ...]
@@ -72,23 +65,3 @@ class BlockCirculant(Record):
             for parts in zip(*map(expand_row, block_row))
         )
 
-
-def inverse(images: tuple[int, ...]) -> tuple[int, ...]:
-    """The inverse of the permutation with these images."""
-    out = [0] * len(images)
-    for i, img in enumerate(images):
-        out[img] = i
-    return tuple(out)
-
-
-def act(p_row: tuple[int, ...], m: Dense, q_col: tuple[int, ...]) -> Dense:
-    """Two-sided action: result[i][j] = m[p_row(i)][q_col^-1(j)].
-
-    act(P, M, Q) = M exactly when P M Q = M as matrix products. The group
-    law is act(p2, act(p1, m, q1), q2) = act(p1*p2, m, q2*q1); note the
-    column side composes in reverse, as it must for a two-sided action.
-    """
-    if len(m) != len(p_row) or any(len(row) != len(q_col) for row in m):
-        raise SizeMismatch(f"matrix rows do not fit perms ({len(p_row)}, {len(q_col)})")
-    cols = inverse(q_col)
-    return tuple(tuple(m[i][j] for j in cols) for i in p_row)

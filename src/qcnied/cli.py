@@ -232,16 +232,7 @@ def _cmd_keygen(matrix, priv, pub, seed=0) -> int:
         raise ParseError(f"keygen: --priv and --pub name the same file {pub!r}")
     c = io.read_matrix(_read(matrix))
     sk, pk = keygen(c, seed)
-    priv_text, pub_text = io.write_private_key(sk), io.write_public_key(pk)
-    # the public key first: a refused one leaves an existing private key as it was
-    _emit(pub_text, pub)
-    try:
-        _emit(priv_text, priv)
-    except ParseError:
-        # no public key is left behind without its private key
-        if os.path.isfile(pub):
-            os.remove(pub)
-        raise
+    io._emit_all(((io.write_public_key(pk), pub), (io.write_private_key(sk), priv)))
     print(f"e: {pk.e}")
     return 0
 

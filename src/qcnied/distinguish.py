@@ -13,6 +13,7 @@ c is reported (capped at MAX_C). Class sizes are exact integers, logged
 once each; ln |GL_k(F2)| is a correctly rounded sum of logs. Sums in the
 linear domain go through log-sum-exp with one rounding (math.fsum), so
 nothing underflows and every term has the same bits on every Python.
+s0_exact reads cycle types through `perm`, which no envelope loads.
 
 The worst-case envelope (dk_bound_envelope) replaces an explicit H by
 the most pessimistic statistics compatible with the structural
@@ -78,22 +79,6 @@ def logsumexp(values) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
-def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle lengths of the permutation with these images, longest
-    first, fixed points included."""
-    seen = [False] * len(perm)
-    lengths = []
-    for i in range(len(perm)):
-        length, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
 def s0_exact(elements) -> float:
     """ln s0 for a group given as its (P1, P2) elements; -inf for the
     trivial group.
@@ -104,6 +89,8 @@ def s0_exact(elements) -> float:
     component breaks the structural uniqueness this sum relies on and is
     rejected.
     """
+    from .perm import cycle_type
+
     term_logs = []
     for p1, p2 in elements:
         t1, t2 = cycle_type(p1), cycle_type(p2)

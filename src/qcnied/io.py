@@ -22,15 +22,16 @@ names its file and row kind.
 The records are flat, as their files are, so the key readers build no
 circulant objects.
 
-This module owns the file boundary: `_read` and `_emit` open every
-file, and `_framed` checks every header. The QCREP v1 report format
-lives in `report`, with the commands that write it. Each reader and
-writer imports the layer whose types it builds, so a command loads only
-the layers its files need.
+This module owns the file boundary: `_read`, `_emit` and `_emit_all`
+open every file, and `_framed` checks every header. The QCREP v1
+report format lives in `report`, with the commands that write it. Each
+reader and writer imports the layer whose types it builds, so a command
+loads only the layers its files need.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 from .errors import ParseError, QcniedError, SizeMismatch
@@ -107,6 +108,38 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write {out}: {exc}") from exc
+
+
+def _emit_all(outputs) -> None:
+    """Write each (text, path) of outputs, or none of them: each text goes
+    to a temporary file beside the file it replaces, with that file's
+    mode, and the temporary files are renamed into place once all are
+    written. A refusal names the path, as _emit's does, and leaves no
+    temporary file. A path that exists but is no regular file (a device,
+    a directory) is written, or refused, in place by _emit."""
+    staged = []
+    try:
+        for text, path in outputs:
+            real = os.path.realpath(path)
+            if os.path.exists(real) and not os.path.isfile(real):
+                _emit(text, path)
+                continue
+            tmp = f"{real}.{os.getpid()}.tmp"
+            try:
+                with open(tmp, "x", encoding="utf-8", newline="") as fh:
+                    staged.append((tmp, real))
+                    fh.write(text)
+                if os.path.isfile(real):
+                    os.chmod(tmp, os.stat(real).st_mode)
+            except OSError as exc:
+                named = OSError(exc.errno, exc.strerror, path)
+                raise ParseError(f"cannot write {path}: {named}") from exc
+        while staged:
+            os.replace(*staged[-1])
+            staged.pop()
+    finally:
+        for tmp, _ in staged:
+            os.remove(tmp)
 
 
 def _int_list(arg: str, what: str) -> list[int]:

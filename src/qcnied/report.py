@@ -7,6 +7,7 @@ validate, autgroup, bound and sweep run here. `cli` imports this module
 only to run one of them, so a keygen, encrypt or decrypt process never
 compiles it. Files are read, framed and written through `io`, with its
 discipline: UTF-8, LF endings, an exact header, canonical output.
+`perm`, which judges element lines, loads only when a report is read.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ def write_report(fields, elems=None) -> str:
 def _permutation(text: str) -> tuple[int, ...]:
     """The images on one side of an element line, refused unless they
     permute range(len(images))."""
+    from .perm import is_permutation
+
     images = tuple(_int_token(tok, "element images") for tok in text.split(" "))
-    if sorted(images) != list(range(len(images))):
+    if not is_permutation(images):
         raise ParseError(f"not a permutation: {images}")
     return images
 
@@ -183,6 +186,8 @@ def _check_group(elems, where: str) -> None:
     (P1, Q1) o (P2, Q2) = (P1 P2, Q2 Q1). Generators are taken greedily
     and their closure grown; each new one at least doubles it, so this
     costs at most |H| * ceil(log2 |H|) compositions."""
+    from .perm import pair_product
+
     listed = set(elems)
     identity = tuple(tuple(range(len(side))) for side in elems[0])
     if identity not in listed:
@@ -195,9 +200,9 @@ def _check_group(elems, where: str) -> None:
         old = len(members)
         # members grows while it is walked: each new member is multiplied
         # by every generator, each old one only by the new generator
-        for i, (p1, q1) in enumerate(members):
-            for p2, q2 in gens if i >= old else gens[-1:]:
-                h = (tuple(map(p1.__getitem__, p2)), tuple(map(q2.__getitem__, q1)))
+        for i, a in enumerate(members):
+            for b in gens if i >= old else gens[-1:]:
+                h = pair_product(a, b)
                 if h not in listed:
                     raise ParseError(f"{where}: the elements are not closed under composition")
                 if h not in reached:

@@ -16,16 +16,15 @@ from qcnied.autgroup import (
     EXCEPTIONAL,
     SYMMETRIC,
     classify,
-    is_affine,
-    minimal_degree,
     stab_block,
     stab_full,
     verify_lemma1,
 )
-from qcnied.circulant import BlockCirculant, act, expand_row, inverse
+from qcnied.circulant import BlockCirculant, expand_row
 from qcnied.conditions import check_iii, good_shape, sample_compliant
 from qcnied.errors import LemmaViolated, TooLarge
 from qcnied.field import FieldCtx
+from qcnied.perm import act, inverse, is_affine, minimal_degree
 
 CTX = FieldCtx(2)
 
@@ -728,6 +727,21 @@ def test_verify_lemma1_rejects_a_non_symmetry():
     # failed premise is returned, and nothing is raised
     degenerate = BlockCirculant(CTX, 5, 1, 2, [(1, 1, 0, 1, 0)])
     assert verify_lemma1(degenerate, bogus) == "identity-like column present (condition ii fails)"
+
+
+def test_verify_lemma1_rejects_an_element_broken_in_the_c_part():
+    # one searched element keeps its row part, but two of its C columns
+    # trade images: the premise holds, so the replay must refuse it
+    c = sample_compliant(5, 1, 2, 2, seed=6)
+    g = stab_full(c)
+    assert verify_lemma1(c, g) is None
+    target = next(el for el in g.elements if el[0] != tuple(range(5)))
+    p1, p2 = target
+    broken = (p1, (p2[1], p2[0]) + p2[2:])
+    elements = tuple(broken if el == target else el for el in g.elements)
+    tampered = AutGroup(p=5, m1=1, m2=2, elements=elements, block_labels={})
+    with pytest.raises(LemmaViolated, match="fails the symmetry relation"):
+        verify_lemma1(c, tampered)
 
 
 def test_full_group_on_fano_matrix():

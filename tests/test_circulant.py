@@ -5,16 +5,12 @@ import random
 
 import pytest
 
-from qcnied.autgroup import stab_block, support
-from qcnied.circulant import (
-    BlockCirculant,
-    act,
-    expand_row,
-    inverse,
-)
-from qcnied.distinguish import class_size_sn, cycle_type
+from qcnied.autgroup import stab_block
+from qcnied.circulant import BlockCirculant, expand_row
+from qcnied.distinguish import class_size_sn
 from qcnied.errors import OutOfRange, ParseError, SizeMismatch
 from qcnied.field import FieldCtx
+from qcnied.perm import act, cycle_type, inverse, support
 from qcnied.report import read_report
 
 CTX = FieldCtx(2)

@@ -20,7 +20,6 @@ from qcnied.autgroup import stab_full
 from qcnied.distinguish import (
     BoundReport,
     class_size_sn,
-    cycle_type,
     dk_bound,
     dk_bound_envelope,
     log_factorial,
@@ -31,6 +30,7 @@ from qcnied.distinguish import (
     s1_term,
 )
 from qcnied.errors import InfeasibleSupport, SizeMismatch, StructureViolation, TooLarge
+from qcnied.perm import cycle_type
 
 mp.mp.dps = 50
 

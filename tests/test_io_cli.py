@@ -3,6 +3,7 @@
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,13 +15,14 @@ from types import SimpleNamespace
 import pytest
 
 from qcnied import cli, conditions, io, report
-from qcnied.circulant import BlockCirculant, inverse
+from qcnied.circulant import BlockCirculant
 from qcnied.cli import main
 from qcnied.conditions import ConditionReport, Verdict, sample_compliant, sample_variant
 from qcnied.distinguish import dk_bound
 from qcnied.errors import ParseError
 from qcnied.field import FieldCtx
 from qcnied.niederreiter import encrypt, keygen, unpack_column
+from qcnied.perm import inverse
 from qcnied.autgroup import AutGroup, stab_full
 
 from test_autgroup import FANO_ROW
@@ -460,6 +462,29 @@ def test_cli_keygen_refused_keeps_an_existing_private_key(tmp_path, capsys, c512
     # the public key written first is removed with its private key refused
     assert refused(capsys, ["keygen", str(mat), "--priv", str(missing / "sk"), "--pub", str(pk)])
     assert not pk.exists()
+
+
+def test_cli_keygen_refused_keeps_both_existing_keys(tmp_path, capsys, c512):
+    mat, missing = tmp_path / "m.qcm", tmp_path / "missing"
+    sk, pk = tmp_path / "sk", tmp_path / "pk"
+    mat.write_text(io.write_matrix(c512))
+    sk.write_bytes(b"OLD KEY\n")
+    pk.write_bytes(b"OLD PUB\n")
+    sk.chmod(0o600)
+    for priv, pub, bad in ((missing / "sk", pk, "sk"), (sk, missing / "pk", "pk")):
+        capsys.readouterr()
+        assert main(["keygen", str(mat), "--priv", str(priv), "--pub", str(pub)]) == 2
+        # the refusal names the path given, not a temporary file
+        path = missing / bad
+        assert capsys.readouterr().err == (
+            f"error: cannot write {path}: [Errno 2] No such file or directory: '{path}'\n")
+        assert (sk.read_bytes(), pk.read_bytes()) == (b"OLD KEY\n", b"OLD PUB\n")
+        assert sorted(os.listdir(tmp_path)) == ["m.qcm", "pk", "sk"]
+    # an accepted keygen replaces both, and the private key keeps its mode
+    assert main(["keygen", str(mat), "--priv", str(sk), "--pub", str(pk)]) == 0
+    assert io.read_private_key(sk.read_text()) and io.read_public_key(pk.read_text())
+    assert sk.stat().st_mode & 0o777 == 0o600
+    assert sorted(os.listdir(tmp_path)) == ["m.qcm", "pk", "sk"]
 
 
 def test_cli_refuses_hex_tokens_of_another_width(tmp_path, capsys, c512):
@@ -933,8 +958,8 @@ MODULE_TABLE = [
     ("keygen m.qcm --seed 9 --priv sk --pub pk", ("circulant", "niederreiter")),
     ("encrypt pk --support 0,3 -o ct", ("niederreiter",)),
     ("decrypt sk ct -o out", ("niederreiter",)),
-    ("autgroup m.qcm -o g.qcr", ("circulant", "conditions", "autgroup", "report")),
-    ("bound --report g.qcr -o b.qcr", ("distinguish", "report")),
+    ("autgroup m.qcm -o g.qcr", ("circulant", "conditions", "autgroup", "perm", "report")),
+    ("bound --report g.qcr -o b.qcr", ("distinguish", "perm", "report")),
     ("bound --envelope --p 31 -o e.qcr", ("distinguish", "report")),
     ("sweep --p 7,31 -o s.csv", ("distinguish", "report")),
 ]
@@ -975,6 +1000,27 @@ def test_cli_loads_only_the_layers_it_runs(tmp_path):
     every_layer = ("qcnied.cli, qcnied.conditions, qcnied.niederreiter, qcnied.autgroup, "
                    "qcnied.distinguish, qcnied.report")
     assert loaded(every_layer)[1][1] == []
+
+
+def test_readme_names_every_module_and_the_module_table():
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("## Layout", 1)[1].split("```")[1]
+    modules = {path.name for path in (root / "src" / "qcnied").glob("*.py")}
+    assert set(re.findall(r"^  (\w+\.py) ", layout, re.M)) == modules - {"__init__.py"}
+    # the "also loads" table, one line per row, against MODULE_TABLE
+    table = readme.split("| command | also loads |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for line in table.split("\n"):
+        commands, loads = line.strip("|").split(" | ")
+        for command in re.findall(r"`([^`]+)`", commands):
+            documented[command] = sorted(re.findall(r"`(\w+)`", loads))
+    pinned = {}
+    for command, layers in MODULE_TABLE:
+        words = f"{command} " if command else "import qcnied.cli "
+        name = max((name for name in documented if words.startswith(f"{name} ")), key=len)
+        pinned[name] = sorted(layers)
+    assert documented == pinned
 
 
 def _relative_imports(path):

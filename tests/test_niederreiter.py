@@ -33,6 +33,7 @@ from qcnied.errors import (
 from qcnied.field import FieldCtx
 from qcnied.niederreiter import (
     PrivateKey,
+    _cancel,
     _capacity,
     _echelon,
     _inverse,
@@ -560,3 +561,46 @@ def test_constructors_share_one_block_grid_gate(grid):
     a0, b0 = tuple(1 << i for i in range(max(m1 * p, 0))), tuple(range(max(m2 * p, 0)))
     assert outcome(lambda: BlockCirculant(ctx, p, m1, m2, rows)) == outcome(
         lambda: PrivateKey(a0, rows, b0, p, m1, m2, ctx, 0))
+
+
+# the key wrap has no trapdoor: the public key alone shows the identity
+# block and decrypts, on these keys
+WRAP_KEYS = [(shape_, seed) for shape_ in ((5, 1, 2, 2), (7, 1, 3, 2), (5, 2, 4, 2),
+                                           (11, 1, 2, 3), (13, 1, 2, 2))
+             for seed in range(1, 6)]
+
+
+@pytest.mark.parametrize("shape_,seed", WRAP_KEYS)
+def test_public_key_shows_the_identity_block(shape_, seed):
+    # A0 scrambles each bit-plane on its own, and condition ii gives every
+    # column of C an entry outside {0, 1}: so the columns of H' with all
+    # entries 0 or 1 are exactly B0's images of the identity block
+    priv, pub = keygen(sample_compliant(*shape_, seed=seed), seed)
+    binary = [j for j, col in enumerate(pub.hprime) if not col >> pub.k]
+    assert binary == [j for j in range(pub.n) if priv.b0[j] < pub.k]
+
+
+def public_decrypt(pub, y):
+    """decrypt's elimination and coset search, run on H' alone."""
+    n = pub.n
+    pivots, kernel = _echelon(pub.hprime)
+    z0 = _cancel(pivots, pack_column(y, pub.ctx.eta) << n, n)
+    assert not z0 >> n
+    for w in range(min(pub.e, len(kernel)) + 1):
+        for combo in combinations(kernel, w):
+            z = reduce(xor, combo, z0)
+            if z.bit_count() <= pub.e:
+                return tuple(z >> j & 1 for j in range(n))
+    raise AssertionError("no preimage of weight <= e")
+
+
+@pytest.mark.parametrize("shape_,seed", WRAP_KEYS)
+def test_public_key_alone_decrypts(shape_, seed):
+    priv, pub = keygen(sample_compliant(*shape_, seed=seed), seed)
+    rng = random.Random(seed)
+    for _ in range(4):
+        x = [0] * pub.n
+        for j in rng.sample(range(pub.n), rng.randint(0, pub.e)):
+            x[j] = 1
+        y = encrypt(pub, x)
+        assert public_decrypt(pub, y) == decrypt(priv, y) == tuple(x)
