@@ -14,10 +14,13 @@ parity check [I | C]: A is the permutation matrix of P1^-1 and
 P = P1^-1 (+) P2 permutes columns, satisfying A^-1 [I | C] P = [I | C].
 Because the cycle structure of P1 and P1^-1 agree, every quantity
 derived downstream (orders, supports, conjugacy class sizes) is
-insensitive to that inversion. verify_lemma1 replays every element
-against [I | C] and returns the premise of that correspondence that C
-fails, or None. Pairs, their law and their action on matrices are
-`perm`'s.
+insensitive to that inversion. P^-1 is P1 on the identity columns, so
+the identity block's entry (i, j) stays delta(P1(i), P1(j)) = delta(i, j),
+and the relation holds exactly when act(P1, C, P2) = C; a second
+partner P2' of P1 would make columns P2^-1(j) and P2'^-1(j) of C equal.
+verify_lemma1 replays every element on C and returns the premise of the
+correspondence that C fails (an identity-like or a repeated column), or
+None. Pairs, their law and their action on matrices are `perm`'s.
 
 Every pair stabilizer, of one block or of the whole matrix, comes from
 one exact search: a row-by-row backtrack in the spirit of partition
@@ -39,9 +42,9 @@ from itertools import chain, permutations, product
 from ._record import Record
 from .circulant import BlockCirculant, Dense, expand_row
 from .conditions import FAIL, check_ii, good_shape
-from .errors import EtaTooSmall, LemmaViolated, TooLarge
-from .perm import (Pair, act, inverse, is_affine, is_permutation, minimal_degree,
-                   pair_product, support)
+from .errors import LemmaViolated, TooLarge
+from .perm import (Pair, act, is_affine, is_permutation, minimal_degree, pair_product,
+                   support)
 
 # candidate rows tried plus pairs listed one stabilizer search may spend
 STAB_BUDGET = 1 << 19
@@ -266,36 +269,31 @@ def stab_full(c: BlockCirculant) -> AutGroup:
 
 
 def verify_lemma1(c: BlockCirculant, g: AutGroup) -> str | None:
-    """Confirm each element yields a genuine symmetry of H = [I | c], and
-    return the premise that failed, or None when it holds.
+    """Confirm each element (P1, P2) yields a symmetry of H = [I | c], and
+    return the premise of Lemma 1 that C fails, or None when it holds.
 
-    For (P1, P2) the scrambler A is the permutation matrix of P1^-1 and
-    the column permutation is sigma = P1^-1 (+) P2; the relation to
-    confirm is act(P1, H, sigma) = H. Per-P1 uniqueness of P2 is the
-    second claim. Both claims presuppose that no column of C matches an
-    identity column and no two columns of C coincide. Every element is
-    replayed; with the premise intact, a relation or uniqueness failure
-    raises LemmaViolated, since it would mean the search itself is
-    broken. With the premise failed the claims are not judged.
+    The premise is that no column of C matches an identity column and no
+    two columns of C coincide. The symmetry is A = P1^-1 with column
+    permutation sigma = P1^-1 (+) P2, and both claims come down to C:
+    - The identity block never fails: sigma^-1 sends column j < k to
+      P1(j), so entry (i, j < k) of act(P1, H, sigma) is
+      delta(P1(i), P1(j)) = delta(i, j), and the relation holds on H
+      exactly when act(P1, C, P2) = C.
+    - P2 is unique per P1: if (P1, P2') fixes C too, columns P2^-1(j) and
+      P2'^-1(j) of C agree on every row, and the premise's distinct
+      columns give P2 = P2'.
+    With the premise intact, an element whose parts are not permutations
+    or that fails on C raises LemmaViolated: the search would be broken.
     """
-    dense_c = c.dense
-    try:
-        ii_fails = check_ii(c).status == FAIL
-    except EtaTooSmall:
-        # over F2 the sole nonzero value is 1, so identity-like columns
-        # are unavoidable; same premise failure, different detection
-        ii_fails = True
+    dense = c.dense
     premise = None
-    if ii_fails:
+    # check_ii refuses only eta < 2, where 1 is the sole nonzero value
+    if c.ctx.eta < 2 or check_ii(c).status == FAIL:
         premise = "identity-like column present (condition ii fails)"
-    elif len(set(zip(*dense_c))) < len(dense_c[0]):
+    elif len(set(zip(*dense))) < len(dense[0]):
         premise = "repeated columns"
-    k = c.m1 * c.p
-    dense = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(dense_c))
     for p1, p2 in g.elements:
-        sigma = inverse(p1) + tuple(k + j for j in p2)
-        if act(p1, dense, sigma) != dense and premise is None:
+        holds = is_permutation(p1) and is_permutation(p2) and act(p1, dense, p2) == dense
+        if not holds and premise is None:
             raise LemmaViolated(f"element (P1={p1}, P2={p2}) fails the symmetry relation")
-    if premise is None and len({p1 for p1, _ in g.elements}) != len(set(g.elements)):
-        raise LemmaViolated("multiple column partners for one row permutation")
     return premise

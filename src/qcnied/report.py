@@ -128,9 +128,9 @@ def _surveillance(rep, g: "AutGroup", pi1: float, pi2: float) -> tuple[str, bool
 
 def _cmd_autgroup(matrix, threshold=None, out=None) -> int:
     """Judge C once, search its stabilizer once and replay every element
-    against [I | C]: `lemma1` is ok unless verify_lemma1 names a failed
-    premise, and `lemma1_checked` counts the replayed elements, the
-    order. Exit 3 when the surveillance trips."""
+    on C, which settles [I | C] (see verify_lemma1): `lemma1` is ok unless
+    verify_lemma1 names a failed premise, and `lemma1_checked` counts the
+    replayed elements, the order. Exit 3 when the surveillance trips."""
     from .autgroup import EXCEPTIONAL, stab_full, verify_lemma1
     from .conditions import validate_all
 

@@ -7,7 +7,7 @@ from functools import reduce
 from operator import xor
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from qcnied import autgroup
 from qcnied.autgroup import (
@@ -21,7 +21,7 @@ from qcnied.autgroup import (
     verify_lemma1,
 )
 from qcnied.circulant import BlockCirculant, expand_row
-from qcnied.conditions import check_iii, good_shape, sample_compliant
+from qcnied.conditions import check_ii, check_iii, good_shape, sample_compliant
 from qcnied.errors import LemmaViolated, TooLarge
 from qcnied.field import FieldCtx
 from qcnied.perm import act, inverse, is_affine, minimal_degree
@@ -109,23 +109,27 @@ def bruteforce_pairs(rows) -> tuple:
     return tuple(sorted(pairs))
 
 
-def unrooted_pairs(rows) -> tuple:
-    """Every (P, Q) with act(P, M, Q) = M, sorted, by the backtrack that
-    tries every row as the image of row 0: the stabilizer search as it
-    stood before it was rooted on the shift pairs, without its budget.
-    Reference oracle for the rooted search at sizes past permutations(k).
+def unrooted_pairs(rows, target=None) -> tuple:
+    """Every (P, Q) with act(P, M, Q) = T, sorted, for M = rows and T =
+    target (M itself by default), by the backtrack that tries every row
+    as the image of row 0: the stabilizer search as it stood before it
+    was rooted on the shift pairs, without its budget. Reference oracle
+    for the rooted search at sizes past permutations(k), and, with a
+    target, for the pairs that carry one matrix to another.
 
     P(0), P(1), ... are picked in turn, and a branch is pruned unless the
-    multiset of column prefixes of rows P(0)..P(t) equals that of rows
-    0..t of M. At a full P the multisets of whole columns agree, so P has
-    exactly prod(|class|!) partners Q over the classes of equal columns.
+    multiset of column prefixes of rows P(0)..P(t) of M equals that of
+    rows 0..t of T. At a full P the multisets of whole columns agree, so
+    P has exactly prod(|class|!) partners Q over the classes of equal
+    columns.
     """
+    target = rows if target is None else target
     size = len(rows)
-    col_map = column_map(rows)
-    base = 1 + max(map(max, rows))
+    col_map = column_map(target)
+    base = 1 + max(max(map(max, rows)), max(map(max, target)))
     levels, wants = [], []
-    prefix = [0] * len(rows[0])
-    for row in rows:
+    prefix = [0] * len(target[0])
+    for row in target:
         level: dict[int, int] = {}
         prefix = [level.setdefault(i * base + v, len(level)) for i, v in zip(prefix, row)]
         levels.append(level)
@@ -742,6 +746,85 @@ def test_verify_lemma1_rejects_an_element_broken_in_the_c_part():
     tampered = AutGroup(p=5, m1=1, m2=2, elements=elements, block_labels={})
     with pytest.raises(LemmaViolated, match="fails the symmetry relation"):
         verify_lemma1(c, tampered)
+
+
+def replay_on_h(c: BlockCirculant, g: AutGroup) -> str | None:
+    """verify_lemma1 as it stood before it replayed on C alone: build
+    H = [I | C], replay act(P1, H, sigma) = H with sigma = P1^-1 (+) P2
+    for every element, then check per-P1 uniqueness of P2 by counting.
+    Reference oracle for the replay on C."""
+    dense_c = c.expand()
+    premise = None
+    if c.ctx.eta < 2 or check_ii(c).status == "fail":
+        premise = "identity-like column present (condition ii fails)"
+    elif len(set(zip(*dense_c))) < len(dense_c[0]):
+        premise = "repeated columns"
+    k = c.m1 * c.p
+    dense = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(dense_c))
+    for p1, p2 in g.elements:
+        sigma = inverse(p1) + tuple(k + j for j in p2)
+        if act(p1, dense, sigma) != dense and premise is None:
+            raise LemmaViolated(f"element (P1={p1}, P2={p2}) fails the symmetry relation")
+    if premise is None and len({p1 for p1, _ in g.elements}) != len(set(g.elements)):
+        raise LemmaViolated("multiple column partners for one row permutation")
+    return premise
+
+
+@st.composite
+def lemma1_cases(draw):
+    """(C, group) with k <= 5 rows, at most 6 columns and eta in 1..3;
+    p = 1 makes C an arbitrary dense matrix. Each element is either a
+    row permutation with its first column partner, when it has one, kept
+    or spoiled, or two tuples that are or are not permutations."""
+    eta, p = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    m1, mc = draw(st.integers(1, 5 // p)), draw(st.integers(1, 6 // p))
+    k, width = m1 * p, mc * p
+    values = st.integers(0, (1 << eta) - 1)
+    rows = [tuple(draw(values) for _ in range(p)) for _ in range(m1 * mc)]
+    c = BlockCirculant(FieldCtx(eta), p, m1, m1 + mc, rows)
+    dense = c.expand()
+
+    def part(size):
+        images = st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
+        return tuple(draw(st.permutations(range(size)) | images))
+
+    elements = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            p1 = tuple(draw(st.permutations(range(k))))
+            qs = matching_qs(dense, column_map(dense), p1)
+            if qs:
+                q = qs[0]
+                # a later image copied over image 0 leaves inverse(q) as it
+                # was, so only a permutation test tells the tuple apart
+                if width > 1 and draw(st.booleans()):
+                    q = (q[draw(st.integers(1, width - 1))],) + q[1:]
+                elements.append((p1, q))
+        else:
+            elements.append((part(k), part(width)))
+    return c, AutGroup(p=p, m1=m1, m2=m1 + mc, elements=tuple(elements), block_labels={})
+
+
+def lemma1_outcome(replay, c, g):
+    """The returned premise, or the LemmaViolated message raised."""
+    try:
+        return replay(c, g)
+    except LemmaViolated as exc:
+        return f"LemmaViolated: {exc}"
+
+
+def one_element(c, element):
+    return c, AutGroup(p=c.p, m1=c.m1, m2=c.m2, elements=(element,), block_labels={})
+
+
+# tuples that only a permutation test refuses: inverse((1, 1)) is (0, 1),
+# and P1 = (0, 0) picks the two equal rows of C = ((2, 3), (2, 3))
+@given(lemma1_cases())
+@example(one_element(BlockCirculant(FieldCtx(2), 1, 1, 3, [(2,), (3,)]), ((0,), (1, 1))))
+@example(one_element(BlockCirculant(FieldCtx(2), 1, 2, 4, [(2,), (3,)] * 2), ((0, 0), (0, 1))))
+def test_lemma1_replay_on_c_equals_replay_on_h(case):
+    c, g = case
+    assert lemma1_outcome(verify_lemma1, c, g) == lemma1_outcome(replay_on_h, c, g)
 
 
 def test_full_group_on_fano_matrix():

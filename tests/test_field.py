@@ -87,6 +87,12 @@ def test_irreducibility_matches_rabin_oracle():
         assert is_irreducible(m) == _rabin_irreducible(m), bin(m)
 
 
+def test_constants_are_not_irreducible():
+    # degree below 1: neither 0 nor 1 is a field modulus
+    assert is_irreducible(0) is False
+    assert is_irreducible(1) is False
+
+
 def test_default_moduli_are_smallest_odd_irreducible():
     assert default_modulus(1) == 0b11
     assert default_modulus(2) == 0b111

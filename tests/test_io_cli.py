@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qcnied import cli, conditions, io, report
+from qcnied import cli, conditions, io, niederreiter, report
 from qcnied.circulant import BlockCirculant
 from qcnied.cli import main
 from qcnied.conditions import ConditionReport, Verdict, sample_compliant, sample_variant
@@ -448,7 +448,8 @@ def test_cli_unwritable_output_refused(tmp_path, capsys, c512):
                             "--pub", str(tmp_path / "pk")])
     assert refused(capsys, ["keygen", str(mat), "--priv", str(tmp_path / "sk"),
                             "--pub", str(missing / "pk")])
-    # the public key is written first, so its refusal leaves no private key
+    # both keys are staged and renamed together, so a refused public key
+    # leaves no private key
     assert not (tmp_path / "sk").exists()
 
 
@@ -459,9 +460,39 @@ def test_cli_keygen_refused_keeps_an_existing_private_key(tmp_path, capsys, c512
     sk.write_bytes(b"OLD KEY\n")
     assert refused(capsys, ["keygen", str(mat), "--priv", str(sk), "--pub", str(missing / "pk")])
     assert sk.read_bytes() == b"OLD KEY\n"
-    # the public key written first is removed with its private key refused
+    # the staged public key is removed with its private key refused
     assert refused(capsys, ["keygen", str(mat), "--priv", str(missing / "sk"), "--pub", str(pk)])
     assert not pk.exists()
+
+
+def test_cli_keygen_key_relation_trip_exits_3(tmp_path, monkeypatch, capsys, c512):
+    # a wrong A0^-1 breaks the key relation keygen checks before it
+    # writes: the surveillance exit with one stderr line, no key file
+    # created and existing ones kept byte for byte
+    mat, sk, pk = tmp_path / "m.qcm", tmp_path / "sk", tmp_path / "pk"
+    mat.write_text(io.write_matrix(c512))
+    monkeypatch.setattr(niederreiter, "_inverse", lambda rows: (0,) * len(rows))
+    argv = ["keygen", str(mat), "--priv", str(sk), "--pub", str(pk)]
+    tripped = ("", "surveillance: key relation A0^-1 H' B0^-1 == H failed\n")
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr() == tripped
+    assert os.listdir(tmp_path) == ["m.qcm"]
+    sk.write_bytes(b"OLD KEY\n")
+    pk.write_bytes(b"OLD PUB\n")
+    assert main(argv) == 3
+    assert capsys.readouterr() == tripped
+    assert (sk.read_bytes(), pk.read_bytes()) == (b"OLD KEY\n", b"OLD PUB\n")
+    assert sorted(os.listdir(tmp_path)) == ["m.qcm", "pk", "sk"]
+
+
+def test_cli_keygen_writes_a_device_in_place(tmp_path, c512):
+    # a path that exists but is no regular file is written in place
+    mat, sk = tmp_path / "m.qcm", tmp_path / "sk"
+    mat.write_text(io.write_matrix(c512))
+    assert main(["keygen", str(mat), "--seed", "9", "--priv", str(sk), "--pub", os.devnull]) == 0
+    assert sk.read_text() == io.write_private_key(keypair(c512, 9)[0])
+    assert sorted(os.listdir(tmp_path)) == ["m.qcm", "sk"]
 
 
 def test_cli_keygen_refused_keeps_both_existing_keys(tmp_path, capsys, c512):

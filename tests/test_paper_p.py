@@ -1,0 +1,142 @@
+"""Lemma 1 and structured groups at the paper's p.
+
+The sampler draws only the shift group at p > 30, so the structured
+rows here carry the large groups: the cyclotomic row of d | p - 1 is
+fixed by i -> u*i for every d-th power u mod p, a group of order
+p(p - 1)/d. Lemma 1 is checked at these p through the public key alone,
+by an oracle that shares no search with `autgroup`: H' gives A up to a
+row permutation, and an unrooted two-matrix backtrack gives the rest.
+"""
+
+import pytest
+
+from qcnied import io, report
+from qcnied.autgroup import stab_full, verify_lemma1
+from qcnied.circulant import BlockCirculant
+from qcnied.cli import main
+from qcnied.conditions import sample_compliant, sample_variant
+from qcnied.field import FieldCtx
+from qcnied.niederreiter import _inverse, _mix, keygen, unpack_column
+from qcnied.perm import act, inverse, pair_product
+
+from test_autgroup import unrooted_pairs
+from test_golden_corpus import AUTGROUP_CORPUS, AUTGROUP_FIXED
+
+
+def primitive_root(p: int) -> int:
+    """The least generator of the units mod the prime p."""
+    return next(g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+
+
+def cyclotomic(p: int, d: int) -> BlockCirculant:
+    """(p, 1, 2) C whose first row is 0 at 0 and 1 + (log_g i mod d)
+    elsewhere, over the least field with 2^eta > d."""
+    g, log = primitive_root(p), {}
+    for e in range(p - 1):
+        log[pow(g, e, p)] = e
+    row = (0,) + tuple(1 + log[i] % d for i in range(1, p))
+    return BlockCirculant(FieldCtx(d.bit_length()), p, 1, 2, [row])
+
+
+STRUCTURED = [(31, d) for d in (2, 3, 5, 6, 10, 15)] + [(61, 2)]
+
+# refused today, and counted rather than screened out: the PG(2,5)
+# group, of order 372,000, passes STAB_BUDGET while the elements are
+# listed one by one; holding groups by generators is to accept it. The
+# row is 1 on the difference set {1,5,11,24,25,27} mod 31, else 3
+EXPECTED_REFUSALS = {"pg25_p31": BlockCirculant(
+    FieldCtx(2), 31, 1, 2, [tuple(1 if j in {1, 5, 11, 24, 25, 27} else 3 for j in range(31))])}
+
+
+def _fields(capsys, argv):
+    code = main([str(a) for a in argv])
+    out = capsys.readouterr().out
+    return code, report.read_report(out)[0] if code == 0 else out
+
+
+@pytest.mark.parametrize("p,d", STRUCTURED)
+def test_cyclotomic_rows_meet_the_envelope_premises(tmp_path, capsys, p, d):
+    mat, rep = tmp_path / "m.qcm", tmp_path / "g.qcr"
+    mat.write_text(io.write_matrix(cyclotomic(p, d)))
+    assert main(["validate", str(mat)]) == 0
+    assert main(["autgroup", str(mat), "-o", str(rep)]) == 0
+    fields, elems = report.read_report(rep.read_text())
+    order = p * (p - 1) // d
+    assert fields["order"] == fields["lemma1_checked"] == str(order) and len(elems) == order
+    assert order <= p * p
+    assert (fields["surveillance"], fields["lemma1"]) == ("clear", "ok")
+    assert fields["classification"] == fields["block_0_0"] == "affine-subgroup"
+    assert (fields["min_degree_rows"], fields["min_degree_cols"]) == (str(p - 1), str(2 * (p - 1)))
+    capsys.readouterr()
+    code, exact = _fields(capsys, ["bound", "--report", rep])
+    assert code == 0
+    code, envelope = _fields(capsys, ["bound", "--envelope", "--p", p])
+    assert code == 0
+    assert float(exact["ln_dk"]) <= float(envelope["ln_dk"])
+    assert int(exact["max_c"]) >= int(envelope["max_c"])
+
+
+@pytest.mark.parametrize("tag", sorted(EXPECTED_REFUSALS))
+def test_expected_refusals_at_the_paper_p(tmp_path, capsys, tag):
+    mat = tmp_path / "m.qcm"
+    mat.write_text(io.write_matrix(EXPECTED_REFUSALS[tag]))
+    assert main(["validate", str(mat), "--desk-scale"]) == 0
+    capsys.readouterr()
+    assert main(["autgroup", str(mat)]) == 1
+    assert capsys.readouterr().err == (
+        "error: stabilizer search of a 31-row matrix needs more than 524288 nodes plus pairs\n")
+
+
+def test_row_parts_are_distinct_wherever_the_premise_holds():
+    # the premise holds on every group of the autgroup corpus and on the
+    # cyclotomic rows at p = 31, and there no two elements share a row
+    # part: the claim of the removed per-P1 uniqueness branch
+    corpus = [(sample_variant if variant else sample_compliant)(p, m1, m2, eta, seed)
+              for p, m1, m2, eta, seed, variant in AUTGROUP_CORPUS]
+    corpus += list(AUTGROUP_FIXED.values()) + [cyclotomic(31, d) for d in (2, 3, 5)]
+    for c in corpus:
+        g = stab_full(c)
+        assert verify_lemma1(c, g) is None
+        assert len(g.row_projection()) == g.order
+
+
+def public_view(pub) -> tuple:
+    """C'' = A1^-1 H' on the non-binary columns, in order, for A1 the
+    binary columns of H' read in order: C with its rows and columns
+    permuted, from the public key alone."""
+    k, eta = pub.k, pub.ctx.eta
+    binary = [col for col in pub.hprime if not col >> k]
+    assert len(binary) == k
+    a1 = tuple(sum((col >> i & 1) << t for t, col in enumerate(binary)) for i in range(k))
+    a1inv = _inverse(a1)
+    cols = [unpack_column(_mix(a1inv, col, eta), k, eta) for col in pub.hprime if col >> k]
+    return tuple(zip(*cols))
+
+
+# tag -> (function making C, keygen seed); the (61, 1, 2, 2) cyclotomic row
+# with d = 2 passes as well, but its 1,830 solutions take about 45 s
+KEY_CASES = {
+    **{f"compliant_p31_seed{s}": (lambda s=s: sample_compliant(31, 1, 2, 2, s), s)
+       for s in (1, 2, 3)},
+    "compliant_p61_seed1": (lambda: sample_compliant(61, 1, 2, 2, 1), 1),
+    "cyclotomic_p31_d2": (lambda: cyclotomic(31, 2), 1),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(KEY_CASES))
+def test_lemma1_through_the_public_key(tag):
+    build, seed = KEY_CASES[tag]
+    c = build()
+    priv, pub = keygen(c, seed)
+    binary = [j for j, col in enumerate(pub.hprime) if not col >> pub.k]
+    assert binary == [j for j in range(pub.n) if priv.b0[j] < pub.k]
+    target = public_view(pub)
+    solutions = unrooted_pairs(c.dense, target)
+    g = stab_full(c)
+    assert len(solutions) == g.order
+    assert all(act(p, c.dense, q) == target for p, q in solutions)
+    # act(s, C) = C'' = act(s0, C), so s then s0^-1 fixes C
+    p0, q0 = solutions[0]
+    undo = (inverse(p0), inverse(q0))
+    elements = set(g.elements)
+    assert all(pair_product(s, undo) in elements for s in solutions)
