@@ -24,15 +24,16 @@ for p1, p2 in sorted(g.elements)[:3]:
 
 # structural relation behind the group: undoing P1 on the rows of the
 # dense matrix is the same as applying the induced column permutation;
-# verify_lemma1 replays every element and returns the failed premise,
-# or None when the premise holds (a broken relation would raise)
-premise = verify_lemma1(c, g)
+# stab_full replayed every element before returning (a broken relation
+# would raise), and verify_lemma1 returns the failed premise, or None
+# when the premise holds
+premise = verify_lemma1(c)
 print("relation checked on", g.order, "elements, failed premise:", premise)
 
 # a block column stuck in {0, 1} admits identity-like columns, so the
 # lemma's premise fails and its claims are not judged
 stuck = BlockCirculant(ctx, 5, 1, 2, [(1, 1, 0, 1, 0)])
-print("failed premise:", verify_lemma1(stuck, stab_full(stuck)))
+print("failed premise:", verify_lemma1(stuck))
 
 # constant block: every (P1, P2) works, the projection is all of S_5
 flat = BlockCirculant(ctx, 5, 1, 2, [(2, 2, 2, 2, 2)])

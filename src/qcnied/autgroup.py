@@ -14,13 +14,12 @@ parity check [I | C]: A is the permutation matrix of P1^-1 and
 P = P1^-1 (+) P2 permutes columns, satisfying A^-1 [I | C] P = [I | C].
 Because the cycle structure of P1 and P1^-1 agree, every quantity
 derived downstream (orders, supports, conjugacy class sizes) is
-insensitive to that inversion. P^-1 is P1 on the identity columns, so
-the identity block's entry (i, j) stays delta(P1(i), P1(j)) = delta(i, j),
-and the relation holds exactly when act(P1, C, P2) = C; a second
-partner P2' of P1 would make columns P2^-1(j) and P2'^-1(j) of C equal.
-verify_lemma1 replays every element on C and returns the premise of the
-correspondence that C fails (an identity-like or a repeated column), or
-None. Pairs, their law and their action on matrices are `perm`'s.
+insensitive to that inversion. The relation holds exactly when
+act(P1, C, P2) = C, which stab_full checks once for every element it
+returns (the proof is in its docstring); verify_lemma1 returns the
+premise of the correspondence that C fails (an identity-like or a
+repeated column), or None. Pairs, their law and their action on
+matrices are `perm`'s.
 
 Every pair stabilizer, of one block or of the whole matrix, comes from
 one exact search: a row-by-row backtrack in the spirit of partition
@@ -42,7 +41,7 @@ from itertools import chain, permutations, product
 from ._record import Record
 from .circulant import BlockCirculant, Dense, expand_row
 from .conditions import FAIL, check_ii, good_shape
-from .errors import LemmaViolated, TooLarge
+from .errors import TooLarge
 from .perm import (Pair, act, is_affine, is_permutation, minimal_degree, pair_product,
                    support)
 
@@ -250,6 +249,17 @@ def stab_full(c: BlockCirculant) -> AutGroup:
     its row projection and is labelled symmetric from its shape. Every
     element is verified before it is returned: both parts must be
     permutations, and the pair must fix the dense matrix.
+
+    That check is Lemma 1's on H = [I | C], whose symmetry for (P1, P2)
+    is A = P1^-1 with column permutation sigma = P1^-1 (+) P2, and it
+    settles H whether or not the premise of verify_lemma1 holds:
+    - The identity block never fails: sigma^-1 sends column j < k to
+      P1(j), so entry (i, j < k) of act(P1, H, sigma) is
+      delta(P1(i), P1(j)) = delta(i, j), and the relation holds on H
+      exactly when act(P1, C, P2) = C.
+    - P2 is unique per P1 when C's columns are distinct: if (P1, P2')
+      fixes C too, columns P2^-1(j) and P2'^-1(j) of C agree on every
+      row, so P2 = P2'.
     """
     dense = c.dense
     elements = _stabilizing_pairs(dense, c.p)
@@ -268,32 +278,15 @@ def stab_full(c: BlockCirculant) -> AutGroup:
     return AutGroup(p=c.p, m1=c.m1, m2=c.m2, elements=elements, block_labels=labels)
 
 
-def verify_lemma1(c: BlockCirculant, g: AutGroup) -> str | None:
-    """Confirm each element (P1, P2) yields a symmetry of H = [I | c], and
-    return the premise of Lemma 1 that C fails, or None when it holds.
-
-    The premise is that no column of C matches an identity column and no
-    two columns of C coincide. The symmetry is A = P1^-1 with column
-    permutation sigma = P1^-1 (+) P2, and both claims come down to C:
-    - The identity block never fails: sigma^-1 sends column j < k to
-      P1(j), so entry (i, j < k) of act(P1, H, sigma) is
-      delta(P1(i), P1(j)) = delta(i, j), and the relation holds on H
-      exactly when act(P1, C, P2) = C.
-    - P2 is unique per P1: if (P1, P2') fixes C too, columns P2^-1(j) and
-      P2'^-1(j) of C agree on every row, and the premise's distinct
-      columns give P2 = P2'.
-    With the premise intact, an element whose parts are not permutations
-    or that fails on C raises LemmaViolated: the search would be broken.
+def verify_lemma1(c: BlockCirculant) -> str | None:
+    """The premise of Lemma 1 that C fails, or None when it holds: no
+    column of C matches an identity column and no two columns of C
+    coincide. The relation itself is stab_full's check of every element.
     """
-    dense = c.dense
-    premise = None
     # check_ii refuses only eta < 2, where 1 is the sole nonzero value
     if c.ctx.eta < 2 or check_ii(c).status == FAIL:
-        premise = "identity-like column present (condition ii fails)"
-    elif len(set(zip(*dense))) < len(dense[0]):
-        premise = "repeated columns"
-    for p1, p2 in g.elements:
-        holds = is_permutation(p1) and is_permutation(p2) and act(p1, dense, p2) == dense
-        if not holds and premise is None:
-            raise LemmaViolated(f"element (P1={p1}, P2={p2}) fails the symmetry relation")
-    return premise
+        return "identity-like column present (condition ii fails)"
+    dense = c.dense
+    if len(set(zip(*dense))) < len(dense[0]):
+        return "repeated columns"
+    return None

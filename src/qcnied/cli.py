@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import io
-from .errors import LemmaViolated, ParseError, QcniedError
+from .errors import ParseError, QcniedError
 from .io import _emit, _int_list, _int_token, _read
 
 # argument kinds
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (LemmaViolated, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"surveillance: {exc}", file=sys.stderr)
         return 3
     except QcniedError as exc:

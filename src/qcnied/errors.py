@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: parse problems exit 2, domain
-failures exit 1, invariant surveillance trips exit 3.
+failures exit 1. A failed invariant check raises AssertionError, not
+one of these, and exits 3, as does a surveillance trip.
 """
 
 
@@ -60,12 +61,6 @@ class WeightTooHigh(QcniedError):
 
 
 class DecodeFailure(QcniedError):
-    pass
-
-
-# automorphism machinery
-
-class LemmaViolated(QcniedError):
     pass
 
 

@@ -1127,8 +1127,8 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     process, derives each fact once: keygen builds H's columns and
     eliminates H once and each drawn A0 once; decrypt does the same for
     the key it loads; autgroup judges C once, before its search, searches
-    its one-block C once, as C and not again as a block, expands C once
-    and projects the group once."""
+    its one-block C once, as C and not again as a block, expands C once,
+    replays each element on C once and projects the group once."""
     from qcnied import autgroup, circulant, niederreiter
 
     calls = []
@@ -1144,7 +1144,7 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
 
     for owner, name in ((niederreiter, "_columns"), (niederreiter, "_echelon"),
                         (conditions, "validate_all"), (autgroup, "stab_block"),
-                        (autgroup, "_stabilizing_pairs"),
+                        (autgroup, "_stabilizing_pairs"), (autgroup, "act"),
                         (circulant.BlockCirculant, "expand"),
                         (autgroup.AutGroup, "row_projection")):
         watch(owner, name)
@@ -1169,7 +1169,8 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     assert count("keygen") == [("_columns", 1), ("_echelon", 1 + len(drawn))]
     assert count("decrypt") == [("_columns", 1), ("_echelon", 2)]
     assert count("encrypt") == []
-    assert count("autgroup") == [("_stabilizing_pairs", 1), ("expand", 1),
+    order = int(report.read_report(Path("g.qcr").read_text())[0]["order"])
+    assert count("autgroup") == [("_stabilizing_pairs", 1), ("act", order), ("expand", 1),
                                  ("row_projection", 1), ("validate_all", 1)]
     assert ran["autgroup"][0][0] == "validate_all"
     assert count("validate") == [("validate_all", 1)]
@@ -1177,9 +1178,9 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
 
 
 def test_every_error_class_is_raised_or_caught():
-    """Each QcniedError subclass of errors.py is raised or caught somewhere
-    else in the package, so a retired refusal cannot leave its class
-    behind."""
+    """Each QcniedError subclass of errors.py is raised somewhere else in
+    the package, so a retired refusal cannot leave its class behind: a
+    class that is only caught is dead."""
     src = Path(__file__).resolve().parent.parent / "src" / "qcnied"
     tree = ast.parse((src / "errors.py").read_text())
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
@@ -1189,12 +1190,9 @@ def test_every_error_class_is_raised_or_caught():
         if path.name == "errors.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
-                target = node.type
-            else:
+            if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             for name in ast.walk(target):
                 if isinstance(name, ast.Name):
                     used.add(name.id)
