@@ -191,16 +191,17 @@ def min_class_size(n: int, delta: int) -> int:
     (w[s+2]/w[s]) / ((n-s)(n-s-1)): the w ratios (2, 4, 6, 8, ... for even
     s; 2, 4, 6.75, 7.11, 10, 12, ... for odd s) rise and the denominator
     falls, so f peaks at an end of each parity class: at max(2, delta),
-    max(2, delta) + 1, n - 1 or n.
+    max(2, delta) + 1, n - 1 or n. For the winning s, n! / f(s) is
+    perm(n, s) / w[s], an exact division with no n! to build.
     """
     if delta <= 0:
         return 1
     low = max(2, delta)
     if low > n:
         raise InfeasibleSupport(f"no element of S_{n} moves >= {delta} points")
-    best = max(factorial(n - s) * _centralizer_weight(s)
-               for s in {low, low + 1, n - 1, n} if low <= s <= n)
-    return factorial(n) // best
+    s = max((s for s in {low, low + 1, n - 1, n} if low <= s <= n),
+            key=lambda s: factorial(n - s) * _centralizer_weight(s))
+    return math.perm(n, s) // _centralizer_weight(s)
 
 
 def dk_bound_envelope(p: int, m1: int = 1, m2: int = 2) -> BoundReport:

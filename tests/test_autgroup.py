@@ -809,15 +809,19 @@ def lemma1_cases(draw):
     return c, AutGroup(p=p, m1=m1, m2=m1 + mc, elements=tuple(elements), block_labels={})
 
 
-def one_element(c, element):
-    return c, AutGroup(p=c.p, m1=c.m1, m2=c.m2, elements=(element,), block_labels={})
+def with_elements(c, *elements):
+    return c, AutGroup(p=c.p, m1=c.m1, m2=c.m2, elements=elements, block_labels={})
 
 
 # tuples that only a permutation test refuses: inverse((1, 1)) is (0, 1),
-# and P1 = (0, 0) picks the two equal rows of C = ((2, 3), (2, 3))
+# and P1 = (0, 0) picks the two equal rows of C = ((2, 3), (2, 3)); then
+# a column swap of C = ((2, 2), (2, 3)) that only row 1 refuses, and
+# C = ((2, 2),), whose only failed premise is its repeated column
 @given(lemma1_cases())
-@example(one_element(BlockCirculant(FieldCtx(2), 1, 1, 3, [(2,), (3,)]), ((0,), (1, 1))))
-@example(one_element(BlockCirculant(FieldCtx(2), 1, 2, 4, [(2,), (3,)] * 2), ((0, 0), (0, 1))))
+@example(with_elements(BlockCirculant(FieldCtx(2), 1, 1, 3, [(2,), (3,)]), ((0,), (1, 1))))
+@example(with_elements(BlockCirculant(FieldCtx(2), 1, 2, 4, [(2,), (3,)] * 2), ((0, 0), (0, 1))))
+@example(with_elements(BlockCirculant(FieldCtx(2), 1, 2, 4, [(2,), (2,), (2,), (3,)]), ((0, 1), (1, 0))))
+@example(with_elements(BlockCirculant(FieldCtx(2), 1, 1, 3, [(2,), (2,)])))
 def test_lemma1_replay_on_c_equals_replay_on_h(case):
     c, g = case
     try:

@@ -851,27 +851,6 @@ def test_surveillance_trips_on_each_breach():
     assert judge(rep, g) == ("tripped (order 36 > p^(2 m1) = 9)", True)
 
 
-@pytest.mark.parametrize("p, minority, order", [
-    # {0,1,3,9} is a planar difference set mod 13: the block is the
-    # incidence structure of PG(2,3), whose 5,616 collineations stabilize it
-    (13, {0, 1, 3, 9}, 5616),
-    # the quadratic residues mod 11 give the (11,5,2) biplane; PSL(2,11)
-    (11, {1, 3, 4, 5, 9}, 660),
-])
-def test_cli_autgroup_difference_set_trips(tmp_path, p, minority, order):
-    row = tuple(1 if j in minority else 3 for j in range(p))
-    c = BlockCirculant(FieldCtx(2), p, 1, 2, [row])
-    mat, rep = tmp_path / "m.qcm", tmp_path / "g.qcr"
-    mat.write_text(io.write_matrix(c))
-    assert main(["validate", str(mat), "--desk-scale"]) == 0
-    assert main(["autgroup", str(mat), "-o", str(rep)]) == 3
-    fields, elems = report.read_report(rep.read_text())
-    assert fields["classification"] == "exceptional"
-    assert fields["surveillance"].startswith("tripped")
-    assert fields["lemma1"] == "ok"
-    assert fields["order"] == str(order) and len(elems) == order
-
-
 def test_cli_bound_envelope_and_sweep(tmp_path, capsys):
     rep = tmp_path / "b.qcr"
     assert main(["bound", "--envelope", "--p", "31", "-o", str(rep)]) == 0
