@@ -26,6 +26,7 @@ from qcnied.perm import inverse
 from qcnied.autgroup import AutGroup, stab_full
 
 from test_autgroup import FANO_ROW
+from test_paper_p import AUDIT, audit_run
 
 
 @pytest.fixture
@@ -849,6 +850,26 @@ def test_surveillance_trips_on_each_breach():
     rep = _condition_report(False)
     assert not rep.strict_ok() and rep.variant_ok()
     assert judge(rep, g) == ("tripped (order 36 > p^(2 m1) = 9)", True)
+
+
+@pytest.mark.parametrize("p, minority, order", [
+    # {0,1,3,9} is a planar difference set mod 13: the block is the
+    # incidence structure of PG(2,3), whose 5,616 collineations stabilize it
+    (13, {0, 1, 3, 9}, 5616),
+    # the quadratic residues mod 11 give the (11,5,2) biplane; PSL(2,11)
+    (11, {1, 3, 4, 5, 9}, 660),
+])
+def test_cli_autgroup_difference_set_trips(p, minority, order):
+    # the envelope premise audit's trip wires, read from its one run
+    tag = next(t for t, (c, _) in AUDIT.items()
+               if c.rows == (tuple(1 if j in minority else 3 for j in range(p)),))
+    run = audit_run(tag)
+    assert (run.validate, run.autgroup) == (0, 3)
+    fields = run.fields
+    assert fields["classification"] == "exceptional"
+    assert fields["surveillance"].startswith("tripped")
+    assert fields["lemma1"] == "ok"
+    assert fields["order"] == str(order) and len(run.elems) == order
 
 
 def test_cli_bound_envelope_and_sweep(tmp_path, capsys):

@@ -3,13 +3,19 @@
 The sampler draws only the shift group at p > 30, so the structured
 rows here carry the large groups: the cyclotomic row of d | p - 1 is
 fixed by i -> u*i for every d-th power u mod p, a group of order
-p(p - 1)/d. The envelope premise audit runs each of its matrices once,
+p(p - 1)/d. `audit_run` takes each matrix of the envelope premise audit
 through validate, autgroup and, unless the matrix trips the
-surveillance, both bound forms, and holds every pin on them. Lemma 1 is
-checked at these p through the public key alone, by an oracle that
-shares no search with `autgroup`: H' gives A up to a row permutation,
-and an unrooted two-matrix backtrack gives the rest.
+surveillance, both bound forms once per session, and every test that
+pins the matrix reads that one run. Lemma 1 is checked at these p
+through the public key alone, by an oracle that shares no search with
+`autgroup`: H' gives A up to a row permutation, and an unrooted
+two-matrix backtrack gives the rest.
 """
+
+import functools
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -57,49 +63,62 @@ EXPECTED_REFUSALS = {"pg25_p31": BlockCirculant(
     FieldCtx(2), 31, 1, 2, [tuple(1 if j in {1, 5, 11, 24, 25, 27} else 3 for j in range(31))])}
 
 
-def _fields(capsys, argv):
-    code = main([str(a) for a in argv])
-    out = capsys.readouterr().out
-    return code, report.read_report(out)[0] if code == 0 else out
-
-
 def _difference_set(p: int, minority: set[int]) -> BlockCirculant:
     return BlockCirculant(FieldCtx(2), p, 1, 2, [tuple(1 if j in minority else 3 for j in range(p))])
 
 
-# tag -> (C, the exit code of autgroup, its order where pinned): the
-# envelope premise audit's corpus, and the one test that runs each of
-# these matrices. The one-block rows are STRUCTURED's, of order
-# p(p - 1)/d. The trip wires are the Fano plane, the (11,5,2) biplane of
-# the quadratic residues, whose group is PSL(2,11), and PG(2,3) =
-# {0,1,3,9} mod 13, whose 5,616 collineations stabilize the block; PG(2,5)
-# is refused and counted in EXPECTED_REFUSALS. The cyclotomic rows at
-# p = 101 and 127 take 8-12 s each and stay out.
+# tag -> (C, the exit code of autgroup): the envelope premise audit's
+# corpus. The one-block rows are STRUCTURED's. The trip wires are the
+# Fano plane, the (11,5,2) biplane of the quadratic residues and PG(2,3) =
+# {0,1,3,9} mod 13, of orders 168, 660 and 5,616; PG(2,5) is refused and
+# counted in EXPECTED_REFUSALS. The cyclotomic rows at p = 101 and 127
+# take 8-12 s each and stay out.
 AUDIT = {
-    **{f"cyclotomic_p{p}_d{d}": (cyclotomic(p, d), 0, p * (p - 1) // d) for p, d in STRUCTURED},
-    **{f"cyclotomic_p31_d{a}{b}": (cyclotomic(31, a, b), 0, None) for a, b in ((2, 3), (2, 5), (3, 5))},
-    "cyclotomic_p31_d2356": (cyclotomic(31, 2, 3, 5, 6, m1=2), 0, None),
-    "fano": (_difference_set(7, {3, 4, 6}), 3, 168),
-    "biplane_p11": (_difference_set(11, {1, 3, 4, 5, 9}), 3, 660),
-    "pg23_p13": (_difference_set(13, {0, 1, 3, 9}), 3, 5616),
+    **{f"cyclotomic_p{p}_d{d}": (cyclotomic(p, d), 0) for p, d in STRUCTURED},
+    **{f"cyclotomic_p31_d{a}{b}": (cyclotomic(31, a, b), 0) for a, b in ((2, 3), (2, 5), (3, 5))},
+    "cyclotomic_p31_d2356": (cyclotomic(31, 2, 3, 5, 6, m1=2), 0),
+    "fano": (_difference_set(7, {3, 4, 6}), 3),
+    "biplane_p11": (_difference_set(11, {1, 3, 4, 5, 9}), 3),
+    "pg23_p13": (_difference_set(13, {0, 1, 3, 9}), 3),
 }
 
 
+@functools.cache
+def audit_run(tag: str) -> SimpleNamespace:
+    """AUDIT[tag] through validate (--desk-scale at p <= 30), autgroup and,
+    unless autgroup fails, both bound forms, once per test session: the
+    exit codes and the parsed reports, for every test that pins the
+    matrix to read."""
+    c, _ = AUDIT[tag]
+    with tempfile.TemporaryDirectory() as tmp:
+        mat, rep, exact, envelope = (Path(tmp) / name for name in ("m.qcm", "g.qcr", "x.qcr", "e.qcr"))
+        mat.write_text(io.write_matrix(c))
+        run = SimpleNamespace(
+            validate=main(["validate", str(mat)] + ["--desk-scale"] * (c.p <= 30)),
+            autgroup=main(["autgroup", str(mat), "-o", str(rep)]),
+            bound=None, exact=None, envelope=None)
+        run.fields, run.elems = report.read_report(rep.read_text())
+        if run.autgroup == 0:
+            run.bound = (main(["bound", "--report", str(rep), "-o", str(exact)]),
+                         main(["bound", "--envelope", "--p", str(c.p), "--m1", str(c.m1),
+                               "--m2", str(c.m2), "-o", str(envelope)]))
+            if run.bound == (0, 0):
+                run.exact = report.read_report(exact.read_text())[0]
+                run.envelope = report.read_report(envelope.read_text())[0]
+    return run
+
+
 @pytest.mark.parametrize("tag", sorted(AUDIT))
-def test_envelope_premise_audit(tmp_path, capsys, tag):
+def test_envelope_premise_audit(tag):
     # each matrix passes validate and Lemma 1's replay with distinct row
     # parts; it trips the surveillance, or its exact group meets the
     # envelope's premises and its exact dk is at most the envelope's
-    c, code, order = AUDIT[tag]
-    p = c.p
-    mat, rep = tmp_path / "m.qcm", tmp_path / "g.qcr"
-    mat.write_text(io.write_matrix(c))
-    assert main(["validate", str(mat)] + ["--desk-scale"] * (p <= 30)) == 0
-    assert main(["autgroup", str(mat), "-o", str(rep)]) == code
-    fields, elems = report.read_report(rep.read_text())
+    c, code = AUDIT[tag]
+    run, p = audit_run(tag), c.p
+    fields, elems = run.fields, run.elems
+    assert (run.validate, run.autgroup) == (0, code)
     assert fields["lemma1"] == "ok"
     assert fields["order"] == fields["lemma1_checked"] == str(len(elems))
-    assert order is None or len(elems) == order
     assert len({p1 for p1, _ in elems}) == len(elems)
     if code == 3:
         assert fields["surveillance"].startswith("tripped")
@@ -109,17 +128,24 @@ def test_envelope_premise_audit(tmp_path, capsys, tag):
     assert fields["surveillance"] == "clear"
     assert len(elems) <= p * p
     assert rows >= p - 1 and cols >= rows
-    capsys.readouterr()
-    code, exact = _fields(capsys, ["bound", "--report", rep])
-    assert code == 0
-    code, envelope = _fields(capsys, ["bound", "--envelope", "--p", p, "--m1", c.m1, "--m2", c.m2])
-    assert code == 0
-    assert float(exact["ln_dk"]) <= float(envelope["ln_dk"])
-    if len(c.rows) == 1:
-        # one cyclotomic block: the shifts and the d-th power multipliers
-        assert fields["classification"] == fields["block_0_0"] == "affine-subgroup"
-        assert (rows, cols) == (p - 1, 2 * (p - 1))
-        assert int(exact["max_c"]) >= int(envelope["max_c"])
+    assert run.bound == (0, 0)
+    assert float(run.exact["ln_dk"]) <= float(run.envelope["ln_dk"])
+
+
+@pytest.mark.parametrize("p,d", STRUCTURED)
+def test_cyclotomic_rows_meet_the_envelope_premises(p, d):
+    # one cyclotomic block: the shifts and the d-th power multipliers
+    run = audit_run(f"cyclotomic_p{p}_d{d}")
+    fields, order = run.fields, p * (p - 1) // d
+    assert (run.validate, run.autgroup) == (0, 0)
+    assert fields["order"] == fields["lemma1_checked"] == str(order) and len(run.elems) == order
+    assert order <= p * p
+    assert (fields["surveillance"], fields["lemma1"]) == ("clear", "ok")
+    assert fields["classification"] == fields["block_0_0"] == "affine-subgroup"
+    assert (fields["min_degree_rows"], fields["min_degree_cols"]) == (str(p - 1), str(2 * (p - 1)))
+    assert run.bound == (0, 0)
+    assert float(run.exact["ln_dk"]) <= float(run.envelope["ln_dk"])
+    assert int(run.exact["max_c"]) >= int(run.envelope["max_c"])
 
 
 @pytest.mark.parametrize("tag", sorted(EXPECTED_REFUSALS))
