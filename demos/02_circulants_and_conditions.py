@@ -18,7 +18,7 @@ first_row = (1, 2, 3, 0, 1)
 c = BlockCirculant(ctx, 5, 1, 2, [first_row])
 print("first rows", c.rows)
 # a dense matrix is a tuple of rows
-dense = c.expand()
+dense = c.dense
 for row in dense:
     print(row)
 
@@ -52,5 +52,5 @@ assert validate_all(c, desk_scale=True).strict_ok()
 
 # the systematic parity check [I | C] is what the cryptosystem uses
 k, n = c.m1 * c.p, c.m2 * c.p
-dense = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(c.expand()))
+dense = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(c.dense))
 print(f"parity check: {len(dense)} rows x {len(dense[0])} columns (k={k}, n={n})")

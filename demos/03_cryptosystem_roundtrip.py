@@ -33,7 +33,7 @@ print("error capacity e =", pub.e, "kernel dimension", len(priv.kernel))
 # bit b of entry i, so each plane is indexed like the scrambler's rows;
 # unpack_column reads a column's k entries back.
 public_row0 = [unpack_column(col, pub.k, pub.ctx.eta)[0] for col in pub.hprime]
-private_row0 = [1] + [0] * (pub.k - 1) + list(c.expand()[0])
+private_row0 = [1] + [0] * (pub.k - 1) + list(c.dense[0])
 print("private [I|C] first row:", private_row0)
 print("public  H'    first row:", public_row0)
 assert public_row0 != private_row0

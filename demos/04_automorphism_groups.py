@@ -10,7 +10,7 @@ passing every condition: that case trips the surveillance check.
 """
 
 from qcnied import BlockCirculant, FieldCtx
-from qcnied import sample_compliant, stab_full, verify_lemma1
+from qcnied import sample_compliant, stab_full, validate_all, verify_lemma1
 
 ctx = FieldCtx(2)
 
@@ -25,15 +25,15 @@ for p1, p2 in sorted(g.elements)[:3]:
 # structural relation behind the group: undoing P1 on the rows of the
 # dense matrix is the same as applying the induced column permutation;
 # stab_full replayed every element before returning (a broken relation
-# would raise), and verify_lemma1 returns the failed premise, or None
-# when the premise holds
-premise = verify_lemma1(c)
+# would raise), and verify_lemma1 reads C's condition report and
+# returns the failed premise, or None when the premise holds
+premise = verify_lemma1(c, validate_all(c, desk_scale=True))
 print("relation checked on", g.order, "elements, failed premise:", premise)
 
 # a block column stuck in {0, 1} admits identity-like columns, so the
 # lemma's premise fails and its claims are not judged
 stuck = BlockCirculant(ctx, 5, 1, 2, [(1, 1, 0, 1, 0)])
-print("failed premise:", verify_lemma1(stuck))
+print("failed premise:", verify_lemma1(stuck, validate_all(stuck, desk_scale=True)))
 
 # constant block: every (P1, P2) works, the projection is all of S_5
 flat = BlockCirculant(ctx, 5, 1, 2, [(2, 2, 2, 2, 2)])

@@ -5,9 +5,9 @@ matrix products, i.e. act(P, M, Q) = M. The stabilizer of the full
 matrix C comes from one search on C, whether or not condition iii
 holds. When it holds, no row or column of C can leave its block row or
 block column, so every pair acts block-diagonally. Each distinct first
-row of the condition-iv shape is also searched once on its own, to label
-the row projection of its blocks; classify proves that it is never A_p or
-S_p.
+row of the condition-iv shape is also searched once on its own, and
+classify labels its blocks from the pairs that fix row 0; it proves
+that their row projection is never A_p or S_p.
 
 Each group element (P1, P2) corresponds to a symmetry (A, P) of the
 parity check [I | C]: A is the permutation matrix of P1^-1 and
@@ -17,9 +17,9 @@ derived downstream (orders, supports, conjugacy class sizes) is
 insensitive to that inversion. The relation holds exactly when
 act(P1, C, P2) = C, which stab_full checks once for every element it
 returns (the proof is in its docstring); verify_lemma1 returns the
-premise of the correspondence that C fails (an identity-like or a
-repeated column), or None. Pairs, their law and their action on
-matrices are `perm`'s.
+premise of the correspondence that C fails (an identity-like column,
+read from C's condition report, or a repeated column), or None. Pairs,
+their law and their action on matrices are `perm`'s.
 
 Every pair stabilizer, of one block or of the whole matrix, comes from
 one exact search: a row-by-row backtrack in the spirit of partition
@@ -40,10 +40,9 @@ from itertools import chain, permutations, product
 
 from ._record import Record
 from .circulant import BlockCirculant, Dense, expand_row
-from .conditions import FAIL, check_ii, good_shape
+from .conditions import good_shape
 from .errors import TooLarge
-from .perm import (Pair, act, is_affine, is_permutation, minimal_degree, pair_product,
-                   support)
+from .perm import Pair, act, is_permutation, minimal_degree, pair_product, support
 
 # candidate rows tried plus pairs listed one stabilizer search may spend
 STAB_BUDGET = 1 << 19
@@ -189,12 +188,15 @@ def classify(row: tuple[int, ...], pairs) -> str:
     k-sets of rows where it sits, column by column, but a group holding
     A_p is k-homogeneous and would need all C(p, k) > p of them. At prime
     p an exceptional G is 2-transitive (Burnside 1911): PSL(d, q),
-    PSL(2, 11), M11 or M23 by Feit (1980).
+    PSL(2, 11), M11 or M23 by Feit (1980). The label reads G0, the row
+    parts with P1(0) = 0: G holds the p shifts, so G = shifts . G0, and
+    as an affine map fixing 0 is i -> u*i, G lies in AGL(1, p) exactly
+    when every element of G0 is i -> u*i mod p.
     """
     if not good_shape(row):
         return SYMMETRIC
     p = len(row)
-    if all(is_affine(p1, p) for p1, _ in pairs):
+    if all(p1 == tuple(p1[1] * i % p for i in range(p)) for p1, _ in pairs if p1[0] == 0):
         return AFFINE
     return EXCEPTIONAL
 
@@ -278,13 +280,13 @@ def stab_full(c: BlockCirculant) -> AutGroup:
     return AutGroup(p=c.p, m1=c.m1, m2=c.m2, elements=elements, block_labels=labels)
 
 
-def verify_lemma1(c: BlockCirculant) -> str | None:
+def verify_lemma1(c: BlockCirculant, rep) -> str | None:
     """The premise of Lemma 1 that C fails, or None when it holds: no
-    column of C matches an identity column and no two columns of C
-    coincide. The relation itself is stab_full's check of every element.
+    column of C matches an identity column, which condition ii of rep,
+    C's ConditionReport, decides, and no two columns of C coincide. The
+    relation itself is stab_full's check of every element.
     """
-    # check_ii refuses only eta < 2, where 1 is the sole nonzero value
-    if c.ctx.eta < 2 or check_ii(c).status == FAIL:
+    if not rep.ii.ok:
         return "identity-like column present (condition ii fails)"
     dense = c.dense
     if len(set(zip(*dense))) < len(dense[0]):

@@ -37,8 +37,8 @@ class BlockCirculant(Record):
     field.check_block_rows, the rule PrivateKey applies to the same rows.
     p is not forced prime here; primality is a compliance condition and
     is reported by the condition checkers rather than enforced on the
-    container. `dense` keeps expand() from its first use; it and `grid`
-    stay out of ==, hash and repr.
+    container. `dense` is C's one dense form, built on first use; it and
+    `grid` stay out of ==, hash and repr.
     """
 
     _fields = ("ctx", "p", "m1", "m2", "rows")
@@ -52,16 +52,9 @@ class BlockCirculant(Record):
 
     @property
     def dense(self) -> Dense:
-        """expand(), computed once per matrix."""
+        """The dense (m1*p) x ((m2-m1)*p) matrix, built on first use."""
         if getattr(self, "_dense", None) is None:
-            object.__setattr__(self, "_dense", self.expand())
+            rows = (sum(parts, ()) for block_row in self.grid
+                    for parts in zip(*map(expand_row, block_row)))
+            object.__setattr__(self, "_dense", tuple(rows))
         return self._dense
-
-    def expand(self) -> Dense:
-        """Dense (m1*p) x ((m2-m1)*p) matrix."""
-        return tuple(
-            sum(parts, ())
-            for block_row in self.grid
-            for parts in zip(*map(expand_row, block_row))
-        )
-

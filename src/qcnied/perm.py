@@ -66,14 +66,6 @@ def minimal_degree(perms) -> float:
     return min(filter(None, map(support, perms)), default=math.inf)
 
 
-def is_affine(perm: tuple[int, ...], p: int) -> bool:
-    """Whether perm, a permutation of range(p) with p >= 2, is
-    i -> u*i + v mod p for some unit u."""
-    v = perm[0]
-    u = (perm[1] - v) % p
-    return all(perm[i] == (u * i + v) % p for i in range(p))
-
-
 def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     """Cycle lengths of the permutation with these images, longest
     first, fixed points included."""

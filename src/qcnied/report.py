@@ -129,9 +129,9 @@ def _surveillance(rep, g: "AutGroup", pi1: float, pi2: float) -> tuple[str, bool
 def _cmd_autgroup(matrix, threshold=None, out=None) -> int:
     """Judge C once and search its stabilizer once; stab_full replays
     every element on C, which settles [I | C] (see stab_full): `lemma1`
-    is ok unless verify_lemma1 names a failed premise, and
-    `lemma1_checked` counts the elements stab_full verified, the order.
-    Exit 3 when the surveillance trips."""
+    is ok unless verify_lemma1, reading that judgement, names a failed
+    premise, and `lemma1_checked` counts the elements stab_full verified,
+    the order. Exit 3 when the surveillance trips."""
     from .autgroup import EXCEPTIONAL, stab_full, verify_lemma1
     from .conditions import validate_all
 
@@ -139,7 +139,7 @@ def _cmd_autgroup(matrix, threshold=None, out=None) -> int:
     # judged before the search: eta = 1 is refused here
     rep = validate_all(c, desk_scale=True, ratio_threshold=_threshold(threshold))
     g = stab_full(c)
-    premise = verify_lemma1(c)
+    premise = verify_lemma1(c, rep)
     pi1, pi2 = g.min_degree_pi1, g.min_degree_pi2
     verdict, tripped = _surveillance(rep, g, pi1, pi2)
     fields = [("kind", "autgroup")]

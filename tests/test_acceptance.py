@@ -190,7 +190,7 @@ def test_criterion_05_exact_search_equals_bruteforce():
     with criterion(5, "exact search == brute-force oracle on the whole corpus"):
         for c, g in corpus():
             # all 7! row permutations of the whole of C, no pruning
-            assert g.elements == bruteforce_pairs(c.expand())
+            assert g.elements == bruteforce_pairs(c.dense)
 
 
 def test_criterion_06_negative_controls():

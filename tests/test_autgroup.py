@@ -22,10 +22,10 @@ from qcnied.autgroup import (
     verify_lemma1,
 )
 from qcnied.circulant import BlockCirculant, expand_row
-from qcnied.conditions import check_ii, check_iii, good_shape, sample_compliant
-from qcnied.errors import TooLarge
+from qcnied.conditions import check_ii, check_iii, good_shape, sample_compliant, validate_all
+from qcnied.errors import EtaTooSmall, TooLarge
 from qcnied.field import FieldCtx
-from qcnied.perm import act, inverse, is_affine, minimal_degree
+from qcnied.perm import act, inverse, minimal_degree
 
 CTX = FieldCtx(2)
 
@@ -220,7 +220,7 @@ def h_group_exhaustive(c: BlockCirculant, max_n: int = 8) -> list[tuple[tuple, t
     n, k = c.m2 * c.p, c.m1 * c.p
     if n > max_n:
         raise TooLarge(f"{n}! column permutations exceed the exhaustive guard")
-    cexp = c.expand()
+    cexp = c.dense
     dense = tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(cexp))
     out = []
     for sigma in itertools.permutations(range(n)):
@@ -238,12 +238,6 @@ def h_group_exhaustive(c: BlockCirculant, max_n: int = 8) -> list[tuple[tuple, t
         if ac == rhs:
             out.append((a, sigma))
     return out
-
-
-def test_affine_predicates():
-    assert is_affine(tuple((2 * i + 1) % 5 for i in range(5)), 5)
-    assert is_affine(tuple((3 * i + 4) % 5 for i in range(5)), 5)
-    assert not is_affine((1, 0, 2, 3, 4), 5)
 
 
 def test_pair_group_operations():
@@ -408,7 +402,7 @@ def mixed_grids(draw):
 
 @given(mixed_grids())
 def test_whole_matrix_search_equals_unrooted_oracle(c):
-    assert stab_full(c).elements == unrooted_pairs(c.expand())
+    assert stab_full(c).elements == unrooted_pairs(c.dense)
 
 
 @st.composite
@@ -435,7 +429,7 @@ def iii_failing_past_eight(draw):
 @given(iii_failing_past_eight())
 def test_iii_failures_past_eight_rows_equal_unrooted_oracle(c):
     assert check_iii(c).status == "fail"
-    assert stab_full(c).elements == unrooted_pairs(c.expand())
+    assert stab_full(c).elements == unrooted_pairs(c.dense)
 
 
 @st.composite
@@ -454,7 +448,7 @@ def iii_failing(draw):
 
 @given(iii_failing())
 def test_full_matrix_fallback_equals_bruteforce_oracle(c):
-    assert stab_full(c).elements == bruteforce_pairs(c.expand())
+    assert stab_full(c).elements == bruteforce_pairs(c.dense)
 
 
 def test_stab_block_guards():
@@ -500,7 +494,7 @@ def test_stab_full_blockwise_product_structure():
     s00 = stab_block(c.rows[0])
     s11 = stab_block(c.rows[3])
     assert g.order == len(s00) * len(s11)
-    dense = c.expand()
+    dense = c.dense
     for p1, p2 in g.elements:
         assert act(p1, dense, p2) == dense
 
@@ -653,7 +647,7 @@ def test_stab_full_searches_large_iii_failures():
     assert check_iii(c).status == "fail"
     g = stab_full(c)
     assert g.order == 160
-    assert g.elements == unrooted_pairs(c.expand())
+    assert g.elements == unrooted_pairs(c.dense)
 
 
 def test_column_orbit_equals_reordering_set():
@@ -700,7 +694,7 @@ def test_verify_lemma1_on_compliant_matrix():
     # premise is returned and nothing is raised
     c = sample_compliant(5, 1, 2, 2, seed=6)
     stab_full(c)
-    assert verify_lemma1(c) is None
+    assert verify_lemma1(c, validate_all(c, desk_scale=True)) is None
 
 
 def test_verify_lemma1_premise_failure_reported():
@@ -709,17 +703,20 @@ def test_verify_lemma1_premise_failure_reported():
     # returned premise
     c = BlockCirculant(CTX, 5, 1, 2, [(1, 1, 0, 1, 0)])
     stab_full(c)
-    assert verify_lemma1(c) == "identity-like column present (condition ii fails)"
+    assert verify_lemma1(c, validate_all(c, desk_scale=True)) == (
+        "identity-like column present (condition ii fails)")
     # condition ii holds, but block columns 0 and 1 are equal
     twin = BlockCirculant(CTX, 5, 1, 3, [(0, 1, 2, 3, 1)] * 2)
     stab_full(twin)
-    assert verify_lemma1(twin) == "repeated columns"
+    assert verify_lemma1(twin, validate_all(twin, desk_scale=True)) == "repeated columns"
 
 
 def test_verify_lemma1_eta1_premise():
+    # over GF(2) no C meets condition ii, and autgroup's validate_all
+    # refuses it before the search, so verify_lemma1 never sees it
     c = BlockCirculant(FieldCtx(1), 5, 1, 2, [(1, 1, 0, 1, 0)])
-    stab_full(c)
-    assert verify_lemma1(c) == "identity-like column present (condition ii fails)"
+    with pytest.raises(EtaTooSmall):
+        validate_all(c, desk_scale=True)
 
 
 def test_verify_lemma1_rejects_a_non_symmetry(monkeypatch):
@@ -734,7 +731,8 @@ def test_verify_lemma1_rejects_a_non_symmetry(monkeypatch):
     degenerate = BlockCirculant(CTX, 5, 1, 2, [(1, 1, 0, 1, 0)])
     with pytest.raises(AssertionError, match="fails to stabilize"):
         stab_full(degenerate)
-    assert verify_lemma1(degenerate) == "identity-like column present (condition ii fails)"
+    assert verify_lemma1(degenerate, validate_all(degenerate, desk_scale=True)) == (
+        "identity-like column present (condition ii fails)")
 
 
 def test_verify_lemma1_rejects_an_element_broken_in_the_c_part(monkeypatch):
@@ -742,7 +740,7 @@ def test_verify_lemma1_rejects_an_element_broken_in_the_c_part(monkeypatch):
     # trade images: the premise holds, so the replay must refuse it
     c = sample_compliant(5, 1, 2, 2, seed=6)
     g = stab_full(c)
-    assert verify_lemma1(c) is None
+    assert verify_lemma1(c, validate_all(c, desk_scale=True)) is None
     target = next(el for el in g.elements if el[0] != tuple(range(5)))
     p1, p2 = target
     broken = (p1, (p2[1], p2[0]) + p2[2:])
@@ -757,9 +755,9 @@ def replay_on_h(c: BlockCirculant, g: AutGroup) -> str | None:
     H = [I | C], replay act(P1, H, sigma) = H with sigma = P1^-1 (+) P2
     for every element, then check per-P1 uniqueness of P2 by counting.
     Reference oracle for stab_full's replay on C."""
-    dense_c = c.expand()
+    dense_c = c.dense
     premise = None
-    if c.ctx.eta < 2 or check_ii(c).status == "fail":
+    if check_ii(c).status == "fail":
         premise = "identity-like column present (condition ii fails)"
     elif len(set(zip(*dense_c))) < len(dense_c[0]):
         premise = "repeated columns"
@@ -786,7 +784,7 @@ def lemma1_cases(draw):
     values = st.integers(0, (1 << eta) - 1)
     rows = [tuple(draw(values) for _ in range(p)) for _ in range(m1 * mc)]
     c = BlockCirculant(FieldCtx(eta), p, m1, m1 + mc, rows)
-    dense = c.expand()
+    dense = c.dense
 
     def part(size):
         images = st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
@@ -824,11 +822,16 @@ def with_elements(c, *elements):
 @example(with_elements(BlockCirculant(FieldCtx(2), 1, 1, 3, [(2,), (2,)])))
 def test_lemma1_replay_on_c_equals_replay_on_h(case):
     c, g = case
+    if c.ctx.eta < 2:
+        # condition ii is meaningless over GF(2): autgroup refuses C here
+        with pytest.raises(EtaTooSmall):
+            validate_all(c, desk_scale=True)
+        return
     try:
         oracle, refused = replay_on_h(c, g), False
     except AssertionError:
         oracle, refused = None, True
-    assert verify_lemma1(c) == oracle
+    assert verify_lemma1(c, validate_all(c, desk_scale=True)) == oracle
     if oracle is None:
         # the drawn elements as the search's result; stab_block reads the
         # same patched search, which only feeds the block labels
@@ -847,4 +850,4 @@ def test_full_group_on_fano_matrix():
     assert g.order == 168
     assert g.classification == EXCEPTIONAL
     assert g.min_degree_pi1 == 4
-    assert verify_lemma1(c) is None
+    assert verify_lemma1(c, validate_all(c, desk_scale=True)) is None

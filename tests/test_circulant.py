@@ -135,7 +135,7 @@ def test_block_rejects_foreign_values():
 
 def test_block_circulant_expand():
     c = BlockCirculant(CTX, 3, 2, 4, [(0, 1, 2), (1, 1, 3), (3, 2, 1), (0, 0, 2)])
-    m = c.expand()
+    m = c.dense
     assert len(m) == 6 and all(len(row) == 6 for row in m)
     # block (i, j) is the circulant of grid[i][j] = rows[i * (m2 - m1) + j]
     for index, row in enumerate(c.rows):

@@ -90,7 +90,7 @@ def dense_check_iii(c: BlockCirculant) -> Verdict:
     from distinct block-rows with equal multisets, then likewise for
     columns. Reference oracle for check_iii, which reads block multisets."""
     p = c.p
-    dense = c.expand()
+    dense = c.dense
     row_ms = [tuple(sorted(row)) for row in dense]
     for i in range(len(row_ms)):
         for i2 in range(i + 1, len(row_ms)):

@@ -1126,8 +1126,9 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     """Each command of MODULE_TABLE, run through cli.main as in a fresh
     process, derives each fact once: keygen builds H's columns and
     eliminates H once and each drawn A0 once; decrypt does the same for
-    the key it loads; autgroup judges C once, before its search, searches
-    its one-block C once, as C and not again as a block, expands C once,
+    the key it loads; autgroup judges C once, before its search, and
+    condition ii within that judgement only, searches its one-block C
+    once, as C and not again as a block, expands its one block once,
     replays each element on C once and projects the group once."""
     from qcnied import autgroup, circulant, niederreiter
 
@@ -1143,9 +1144,9 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in ((niederreiter, "_columns"), (niederreiter, "_echelon"),
-                        (conditions, "validate_all"), (autgroup, "stab_block"),
-                        (autgroup, "_stabilizing_pairs"), (autgroup, "act"),
-                        (circulant.BlockCirculant, "expand"),
+                        (conditions, "validate_all"), (conditions, "check_ii"),
+                        (autgroup, "stab_block"), (autgroup, "_stabilizing_pairs"),
+                        (autgroup, "act"), (circulant, "expand_row"),
                         (autgroup.AutGroup, "row_projection")):
         watch(owner, name)
     monkeypatch.chdir(tmp_path)
@@ -1170,10 +1171,10 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     assert count("decrypt") == [("_columns", 1), ("_echelon", 2)]
     assert count("encrypt") == []
     order = int(report.read_report(Path("g.qcr").read_text())[0]["order"])
-    assert count("autgroup") == [("_stabilizing_pairs", 1), ("act", order), ("expand", 1),
-                                 ("row_projection", 1), ("validate_all", 1)]
+    assert count("autgroup") == [("_stabilizing_pairs", 1), ("act", order), ("check_ii", 1),
+                                 ("expand_row", 1), ("row_projection", 1), ("validate_all", 1)]
     assert ran["autgroup"][0][0] == "validate_all"
-    assert count("validate") == [("validate_all", 1)]
+    assert count("validate") == [("check_ii", 1), ("validate_all", 1)]
     assert count("bound") == count("sweep") == []
 
 

@@ -60,7 +60,7 @@ def shape(c):
 def dense_h(c):
     """The dense parity check [I | c]."""
     k = c.m1 * c.p
-    return tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(c.expand()))
+    return tuple((0,) * i + (1,) + (0,) * (k - 1 - i) + row for i, row in enumerate(c.dense))
 
 
 def packed_columns(c):

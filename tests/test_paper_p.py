@@ -23,7 +23,7 @@ from qcnied import io, report
 from qcnied.autgroup import stab_full, verify_lemma1
 from qcnied.circulant import BlockCirculant
 from qcnied.cli import main
-from qcnied.conditions import sample_compliant, sample_variant
+from qcnied.conditions import sample_compliant, sample_variant, validate_all
 from qcnied.field import FieldCtx
 from qcnied.niederreiter import _inverse, _mix, keygen, unpack_column
 from qcnied.perm import act, inverse, pair_product
@@ -123,6 +123,8 @@ def test_envelope_premise_audit(tag):
     if code == 3:
         assert fields["surveillance"].startswith("tripped")
         assert fields["classification"] == "exceptional"
+        # the row-0 certificate: some row part fixing 0 is not i -> u*i
+        assert any(p1 != tuple(p1[1] * i % p for i in range(p)) for p1, _ in elems if p1[0] == 0)
         return
     rows, cols = float(fields["min_degree_rows"]), float(fields["min_degree_cols"])
     assert fields["surveillance"] == "clear"
@@ -142,6 +144,11 @@ def test_cyclotomic_rows_meet_the_envelope_premises(p, d):
     assert order <= p * p
     assert (fields["surveillance"], fields["lemma1"]) == ("clear", "ok")
     assert fields["classification"] == fields["block_0_0"] == "affine-subgroup"
+    # the row-0 certificate: the row parts fixing 0 are exactly i -> u*i
+    # for the d-th powers u mod p
+    fixing_0 = sorted(p1 for p1, _ in run.elems if p1[0] == 0)
+    powers = {pow(u, d, p) for u in range(1, p)}
+    assert fixing_0 == sorted(tuple(u * i % p for i in range(p)) for u in powers)
     assert (fields["min_degree_rows"], fields["min_degree_cols"]) == (str(p - 1), str(2 * (p - 1)))
     assert run.bound == (0, 0)
     assert float(run.exact["ln_dk"]) <= float(run.envelope["ln_dk"])
@@ -169,7 +176,7 @@ def test_row_parts_are_distinct_wherever_the_premise_holds():
     corpus += list(AUTGROUP_FIXED.values())
     for c in corpus:
         g = stab_full(c)
-        assert verify_lemma1(c) is None
+        assert verify_lemma1(c, validate_all(c, desk_scale=True)) is None
         assert len(g.row_projection()) == g.order
 
 

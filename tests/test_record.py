@@ -5,7 +5,7 @@ import pytest
 
 from qcnied._record import Record
 from qcnied.autgroup import AutGroup
-from qcnied.circulant import BlockCirculant
+from qcnied.circulant import BlockCirculant, expand_row
 from qcnied.conditions import ConditionReport, Verdict
 from qcnied.distinguish import BoundReport
 from qcnied.field import FieldCtx
@@ -111,7 +111,7 @@ def test_field_ctx_derived_slots_are_frozen():
 
 def test_block_circulant_equality_ignores_its_dense_form():
     twin = BlockCirculant(CTX, 3, 1, 2, (ROW,))
-    assert twin.dense is twin.dense == GRID.expand()
+    assert twin.dense is twin.dense == expand_row(ROW)
     assert twin.grid == GRID.grid == ((ROW,),)
     assert twin == GRID and hash(twin) == hash(GRID) and repr(twin) == repr(GRID)
     for name in ("dense", "grid"):
