@@ -2,15 +2,15 @@
 
 A subclass names its fields in __slots__; an optional _fields narrows
 the ones that construction, ==, hash and repr use (the rest are values
-the subclass derives in its own __init__). _defaults gives fields that
-may be omitted. Instances are frozen: assignment and deletion raise
-AttributeError.
+the subclass derives in its own __init__). Construction takes every
+field, by position or keyword; a subclass that lets one be omitted says
+so in its own __init__. Instances are frozen: assignment and deletion
+raise AttributeError.
 """
 
 
 class Record:
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -27,9 +27,9 @@ class Record:
                 raise TypeError(f"{name}: unexpected or repeated field {key!r}")
             values[key] = value
         for key in fields:
-            if key not in values and key not in self._defaults:
+            if key not in values:
                 raise TypeError(f"{name}: missing field {key!r}")
-            object.__setattr__(self, key, values.get(key, self._defaults.get(key)))
+            object.__setattr__(self, key, values[key])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, key) for key in self._fields)

@@ -39,9 +39,10 @@ import math
 from itertools import chain, permutations, product
 
 from ._record import Record
-from .circulant import BlockCirculant, Dense, expand_row
+from .circulant import BlockCirculant, Dense
 from .conditions import good_shape
 from .errors import TooLarge
+from .field import expand_row
 from .perm import Pair, act, is_permutation, minimal_degree, pair_product, support
 
 # candidate rows tried plus pairs listed one stabilizer search may spend

@@ -5,7 +5,8 @@ A circulant block of size p over GF(2^eta) is determined by its first row
 so entry (i, j) is c_{(j-i) mod p}. A block-circulant matrix is an
 m1 x (m2-m1) grid of such blocks sharing p and the field, held as their
 first rows; the parity check built on it is the k x n matrix [I | C]
-with k = m1*p, n = m2*p. BlockCirculant is the gate for such a grid.
+with k = m1*p, n = m2*p. BlockCirculant is the gate for such a grid;
+the rules on first rows that the key records share live in `field`.
 
 A dense matrix is an immutable tuple of rows, each a tuple of ints, so
 two matrices are equal exactly when they compare equal as tuples, and
@@ -16,14 +17,9 @@ two-sided action on dense matrices live in `perm`.
 from __future__ import annotations
 
 from ._record import Record
-from .field import FieldCtx, check_block_rows
+from .field import FieldCtx, check_block_rows, expand
 
 Dense = tuple[tuple[int, ...], ...]
-
-
-def expand_row(row: tuple[int, ...]) -> Dense:
-    """Dense p x p circulant of a first row: entry (i, j) = row[(j - i) mod p]."""
-    return tuple(row[-i:] + row[:-i] for i in range(len(row)))
 
 
 class BlockCirculant(Record):
@@ -52,9 +48,8 @@ class BlockCirculant(Record):
 
     @property
     def dense(self) -> Dense:
-        """The dense (m1*p) x ((m2-m1)*p) matrix, built on first use."""
+        """The dense (m1*p) x ((m2-m1)*p) matrix (field.expand), built on
+        first use."""
         if getattr(self, "_dense", None) is None:
-            rows = (sum(parts, ()) for block_row in self.grid
-                    for parts in zip(*map(expand_row, block_row)))
-            object.__setattr__(self, "_dense", tuple(rows))
+            object.__setattr__(self, "_dense", expand(self.rows, self.m2 - self.m1))
         return self._dense

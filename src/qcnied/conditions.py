@@ -54,7 +54,9 @@ class Verdict(Record):
     """A status (pass, fail or waived) and, for a fail, its witness."""
 
     __slots__ = ("status", "witness")
-    _defaults = {"witness": None}
+
+    def __init__(self, status: str, witness=None):
+        super().__init__(status, witness)
 
     @property
     def ok(self) -> bool:
@@ -85,14 +87,10 @@ def _classes(row: tuple[int, ...]) -> list[int]:
     return sorted(row.count(v) for v in set(row))
 
 
-def _near_constant_row(row: tuple[int, ...]) -> bool:
-    """Shape {a x (p-1), b x 1} with a != b."""
-    return _classes(row) == [1, len(row) - 1]
-
-
 def good_shape(row: tuple[int, ...]) -> bool:
-    """Neither constant nor near-constant: the condition-iv block shape."""
-    return not _constant_row(row) and not _near_constant_row(row)
+    """Neither constant nor near-constant, {a x (p-1), b x 1} with a != b:
+    the condition-iv block shape."""
+    return not _constant_row(row) and _classes(row) != [1, len(row) - 1]
 
 
 def check_i(c: BlockCirculant) -> Verdict:
@@ -176,11 +174,12 @@ def validate_all(
     )
 
 
-def _sampler_field(p: int, m1: int, m2: int, eta: int, what: str) -> FieldCtx:
-    """The field a sampler draws from, after refusing a bad shape, a
-    composite p, p = 2 and eta < 2, all before the first draw. At p = 2
-    every first row is constant or near-constant, so no block has the
-    condition-iv shape that both samplers need."""
+def _sample(what: str, p: int, m1: int, m2: int, eta: int, seed: int, draw_row, accept):
+    """Both samplers' seeded rejection loop: the first matrix that accept
+    takes within MAX_ATTEMPTS draws, each block first row drawn in grid
+    order by draw_row(rng, order, p). Refused first: a bad shape, a
+    composite p, p = 2 (no first row then has the condition-iv shape both
+    samplers need), eta < 2, and for variant matrices m1 = 1 or m2 - m1 = 1."""
     check_shape(p, m1, m2)
     if not is_prime(p):
         raise OutOfRange(f"p must be prime, got {p}")
@@ -188,7 +187,21 @@ def _sampler_field(p: int, m1: int, m2: int, eta: int, what: str) -> FieldCtx:
         raise OutOfRange("p = 2 leaves no block of the condition-iv shape")
     if eta < 2:
         raise EtaTooSmall(f"{what} matrices need eta >= 2")
-    return FieldCtx(eta)
+    if what == "variant" and (m1 == 1 or m2 - m1 == 1):
+        raise OutOfRange(f"variant matrices need m1 >= 2 and m2 - m1 >= 2, got m1={m1} m2={m2}: "
+                         "the constant block would fill its block column or block row")
+    ctx = FieldCtx(eta)
+    rng = random.Random(seed)
+    for _ in range(MAX_ATTEMPTS):
+        rows = [draw_row(rng, ctx.order, p) for _ in range(m1 * (m2 - m1))]
+        c = BlockCirculant(ctx, p, m1, m2, rows)
+        if accept(c):
+            return c
+    raise BudgetExhausted(f"no {what} matrix in {MAX_ATTEMPTS} attempts")
+
+
+def _uniform_row(rng: random.Random, order: int, p: int) -> tuple[int, ...]:
+    return tuple(rng.randrange(order) for _ in range(p))
 
 
 def sample_compliant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCirculant:
@@ -196,56 +209,35 @@ def sample_compliant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCirc
     with v waived at desk scale.
 
     Draws every block first row uniformly and rejects until the full
-    report passes, so the output is uniform over the compliant set. A bad
-    shape is refused before the first draw.
+    report passes, so the output is uniform over the compliant set.
+    `_sample` refuses bad input before the first draw.
     """
-    ctx = _sampler_field(p, m1, m2, eta, "compliant")
-    rng = random.Random(seed)
-    for _ in range(MAX_ATTEMPTS):
-        rows = [tuple(rng.randrange(ctx.order) for _ in range(p)) for _ in range(m1 * (m2 - m1))]
-        c = BlockCirculant(ctx, p, m1, m2, rows)
-        if validate_all(c, desk_scale=True).strict_ok():
-            return c
-    raise BudgetExhausted(f"no compliant matrix in {MAX_ATTEMPTS} attempts")
+    return _sample("compliant", p, m1, m2, eta, seed, _uniform_row,
+                   lambda c: validate_all(c, desk_scale=True).strict_ok())
 
 
 def sample_variant(p: int, m1: int, m2: int, eta: int, seed: int) -> BlockCirculant:
     """Seeded sampler for the variant regime.
 
-    Produces matrices that keep conditions ii and iii, give every
-    block-row a condition-iv block (iv'), and contain at least one
-    constant block, so condition i fails. Every block-column also keeps
-    a non-constant block, which leaves the expanded columns pairwise
-    distinct. Blocks are drawn constant with probability
-    CONSTANT_FRACTION because this set has negligible mass under the
-    uniform draw. Condition v is waived at desk scale. A bad shape is
-    refused before the first draw, and so is a shape with no such
-    matrix: with m1 = 1 the constant block is its whole block column,
-    and with m2 - m1 = 1 its whole block row, which then has no
-    condition-iv block.
+    Produces matrices that keep conditions ii and iii, give every block-row
+    a condition-iv block (iv'), and contain at least one constant block, so
+    condition i fails. Every block-column also keeps a non-constant block,
+    which leaves the expanded columns pairwise distinct. Blocks are drawn
+    constant with probability CONSTANT_FRACTION because this set has
+    negligible mass under the uniform draw. Condition v is waived at desk
+    scale. `_sample` refuses bad input before the first draw, among it the
+    shapes with no such matrix: with m1 = 1 the constant block is its whole
+    block column, and with m2 - m1 = 1 its whole block row, which then has
+    no condition-iv block.
     """
-    ctx = _sampler_field(p, m1, m2, eta, "variant")
-    if m1 == 1 or m2 - m1 == 1:
-        raise OutOfRange(
-            f"variant matrices need m1 >= 2 and m2 - m1 >= 2, got m1={m1} m2={m2}: "
-            "the constant block would fill its block column or block row"
-        )
-    rng = random.Random(seed)
-    mc = m2 - m1
-    for _ in range(MAX_ATTEMPTS):
-        rows = []
-        for _ in range(m1 * mc):
-            if rng.random() < CONSTANT_FRACTION:
-                rows.append((rng.randrange(ctx.order),) * p)
-            else:
-                rows.append(tuple(rng.randrange(ctx.order) for _ in range(p)))
-        c = BlockCirculant(ctx, p, m1, m2, rows)
+    def draw_row(rng, order, p):
+        if rng.random() < CONSTANT_FRACTION:
+            return (rng.randrange(order),) * p
+        return _uniform_row(rng, order, p)
+
+    def accept(c):
         rep = validate_all(c, desk_scale=True)
-        if rep.i.status != FAIL:
-            continue
-        if not (rep.ii.ok and rep.iii.ok and rep.iv_variant.ok and rep.v.ok):
-            continue
-        if any(all(map(_constant_row, block_col)) for block_col in zip(*c.grid)):
-            continue
-        return c
-    raise BudgetExhausted(f"no variant matrix in {MAX_ATTEMPTS} attempts")
+        return (rep.i.status == FAIL and rep.ii.ok and rep.iii.ok and rep.iv_variant.ok
+                and rep.v.ok and not any(all(map(_constant_row, col)) for col in zip(*c.grid)))
+
+    return _sample("variant", p, m1, m2, eta, seed, draw_row, accept)

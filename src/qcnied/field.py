@@ -8,6 +8,9 @@ takes the context explicitly.
 Addition is XOR. Multiplication reduces the carry-less product by the
 modulus. Inversion uses a^(2^eta - 2), which is the inverse for every
 nonzero a in a field of order 2^eta.
+
+C's block first rows, held by `BlockCirculant` and the key records alike,
+are admitted by `check_block_rows` and expanded by `expand`/`expand_row`.
 """
 
 from __future__ import annotations
@@ -86,6 +89,17 @@ def check_block_rows(ctx: FieldCtx, p: int, m1: int, m2: int, rows) -> tuple:
     if any(not 0 <= a < ctx.order for row in rows for a in row):
         raise OutOfRange(f"block entry outside [0, {ctx.order})")
     return rows
+
+
+def expand_row(row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Dense p x p circulant of a first row: entry (i, j) = row[(j - i) mod p]."""
+    return tuple(row[-i:] + row[:-i] for i in range(len(row)))
+
+
+def expand(rows, mc: int) -> tuple[tuple[int, ...], ...]:
+    """Dense C of block first rows in row-major grid order, mc to a block row."""
+    return tuple(sum(parts, ()) for i in range(0, len(rows), mc)
+                 for parts in zip(*map(expand_row, rows[i:i + mc])))
 
 
 def default_modulus(eta: int) -> int:

@@ -36,7 +36,7 @@ from types import MappingProxyType
 
 from ._record import Record
 from .errors import DecodeFailure, OutOfRange, SizeMismatch, TooLarge, WeightTooHigh
-from .field import check_block_rows
+from .field import check_block_rows, expand
 
 ENUM_BUDGET = 1 << 24
 
@@ -109,11 +109,9 @@ def unpack_column(packed: int, k: int, eta: int) -> tuple[int, ...]:
 
 def _columns(rows, p: int, m1: int, m2: int, eta: int) -> list[int]:
     """The n packed columns of H = [I | C], C given by its block first rows
-    in row-major grid order; entry (r, s) of a block is row[(s - r) % p]."""
-    mc = m2 - m1
+    in row-major grid order: C's columns are those of field.expand."""
     return [1 << i for i in range(m1 * p)] + [
-        pack_column([rows[bi * mc + bj][(s - r) % p] for bi in range(m1) for r in range(p)], eta)
-        for bj in range(mc) for s in range(p)
+        pack_column(column, eta) for column in zip(*expand(rows, m2 - m1))
     ]
 
 

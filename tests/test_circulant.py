@@ -6,10 +6,10 @@ import random
 import pytest
 
 from qcnied.autgroup import stab_block
-from qcnied.circulant import BlockCirculant, expand_row
+from qcnied.circulant import BlockCirculant
 from qcnied.distinguish import class_size_sn
 from qcnied.errors import OutOfRange, ParseError, SizeMismatch
-from qcnied.field import FieldCtx
+from qcnied.field import FieldCtx, expand_row
 from qcnied.perm import act, cycle_type, inverse, support
 from qcnied.report import read_report
 

@@ -1,10 +1,13 @@
 """Admission conditions i..v, the variant pair, and the samplers."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from qcnied import conditions
 from qcnied.circulant import BlockCirculant
+from qcnied.cli import main
 from qcnied.conditions import (
     DESK_SCALE_MAX_P,
     FAIL,
@@ -219,3 +222,39 @@ def test_sample_variant_regime():
         mc = c.m2 - c.m1
         for j in range(mc):
             assert any(len(set(r)) > 1 for r in c.rows[j::mc])
+
+
+@pytest.mark.parametrize("sampler, args, accepted, what", [
+    (sample_compliant, (3, 1, 2, 2, 0), 5, "compliant"),
+    (sample_variant, (5, 2, 4, 2, 1), 4, "variant"),
+])
+def test_sampler_attempt_boundary(monkeypatch, sampler, args, accepted, what):
+    """Each sampler is allowed exactly MAX_ATTEMPTS draws: with the budget
+    at the accepting draw it returns its matrix, one draw fewer and it
+    refuses, naming the budget."""
+    *shape, seed = args
+    unbounded = sampler(*shape, seed=seed)
+    monkeypatch.setattr(conditions, "MAX_ATTEMPTS", accepted)
+    assert sampler(*shape, seed=seed) == unbounded
+    monkeypatch.setattr(conditions, "MAX_ATTEMPTS", accepted - 1)
+    with pytest.raises(BudgetExhausted, match=f"^no {what} matrix in {accepted - 1} attempts$"):
+        sampler(*shape, seed=seed)
+
+
+# sha256 of `search P 2 4 2 --variant --seed S`, taken from the sampler's
+# own rejection loop before it was shared with sample_compliant
+VARIANT_STREAM_PINS = {
+    (7, 1): "1624068698e657e3613637ad7ba29345a6d25a83357101139d01d22de13639a8",
+    (7, 2): "a3127da2163e016b29af692a1f6e75a61b07dd5a8ea3347f33693b8fe99179c5",
+    (7, 3): "b3f7b0495b7b23432a55c6aaf701222c91a6ad7266c4527c4f74f420bf4ada11",
+    (11, 1): "c79e922ae40dd47e867596d086f530b94f15408656ed24a46b2c98ddc67f0844",
+    (11, 2): "34b37ecea0f0206884e6f5a5e5c01079c6eebf70ed18318364dabf466776bf67",
+    (11, 3): "53cffc1af0d7c7ad199d9605c8dcdb1ea6165073ea1cb6f3124865085b2ebe69",
+}
+
+
+@pytest.mark.parametrize("p, seed", sorted(VARIANT_STREAM_PINS))
+def test_variant_search_stream_pins(capsys, p, seed):
+    assert main(["search", str(p), "2", "4", "2", "--variant", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VARIANT_STREAM_PINS[p, seed]

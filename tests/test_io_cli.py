@@ -1124,13 +1124,14 @@ def test_cli_autgroup_refuses_before_any_search(tmp_path, monkeypatch, capsys):
 
 def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     """Each command of MODULE_TABLE, run through cli.main as in a fresh
-    process, derives each fact once: keygen builds H's columns and
-    eliminates H once and each drawn A0 once; decrypt does the same for
-    the key it loads; autgroup judges C once, before its search, and
-    condition ii within that judgement only, searches its one-block C
-    once, as C and not again as a block, expands its one block once,
-    replays each element on C once and projects the group once."""
-    from qcnied import autgroup, circulant, niederreiter
+    process, derives each fact once: keygen expands its one-block C once,
+    builds H's columns from it and eliminates H once and each drawn A0
+    once; decrypt does the same for the key it loads; autgroup judges C
+    once, before its search, and condition ii within that judgement only,
+    searches its one-block C once, as C and not again as a block, expands
+    its one block once, replays each element on C once and projects the
+    group once."""
+    from qcnied import autgroup, field, niederreiter
 
     calls = []
 
@@ -1146,7 +1147,7 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     for owner, name in ((niederreiter, "_columns"), (niederreiter, "_echelon"),
                         (conditions, "validate_all"), (conditions, "check_ii"),
                         (autgroup, "stab_block"), (autgroup, "_stabilizing_pairs"),
-                        (autgroup, "act"), (circulant, "expand_row"),
+                        (autgroup, "act"), (field, "expand_row"),
                         (autgroup.AutGroup, "row_projection")):
         watch(owner, name)
     monkeypatch.chdir(tmp_path)
@@ -1167,8 +1168,8 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     assert [len(m) for m in eliminated].count(n) == 1                 # H once
     drawn = [tuple(m) for m in eliminated if len(m) != n]
     assert drawn[-1] == a0 and len(set(drawn)) == len(drawn)          # each A0 once
-    assert count("keygen") == [("_columns", 1), ("_echelon", 1 + len(drawn))]
-    assert count("decrypt") == [("_columns", 1), ("_echelon", 2)]
+    assert count("keygen") == [("_columns", 1), ("_echelon", 1 + len(drawn)), ("expand_row", 1)]
+    assert count("decrypt") == [("_columns", 1), ("_echelon", 2), ("expand_row", 1)]
     assert count("encrypt") == []
     order = int(report.read_report(Path("g.qcr").read_text())[0]["order"])
     assert count("autgroup") == [("_stabilizing_pairs", 1), ("act", order), ("check_ii", 1),
