@@ -19,7 +19,7 @@ _EXPORTS = {
                   "sample_variant validate_all",
     "distinguish": "BoundReport class_size_sn dk_bound dk_bound_envelope "
                    "log_gl_order logsumexp min_class_size s0_exact s1_term",
-    "autgroup": "AutGroup classify stab_block stab_full verify_lemma1",
+    "autgroup": "AutGroup classify stab_full verify_lemma1",
     "perm": "act minimal_degree",
     "field": "FieldCtx default_modulus is_irreducible",
     "niederreiter": "PrivateKey PublicKey decrypt encrypt keygen",

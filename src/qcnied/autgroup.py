@@ -7,7 +7,8 @@ holds. When it holds, no row or column of C can leave its block row or
 block column, so every pair acts block-diagonally. Each distinct first
 row of the condition-iv shape is also searched once on its own, and
 classify labels its blocks from the pairs that fix row 0; it proves
-that their row projection is never A_p or S_p.
+that their row projection is never A_p or S_p. The search is lazy, so
+a block's search runs only until its label is decided.
 
 Each group element (P1, P2) corresponds to a symmetry (A, P) of the
 parity check [I | C]: A is the permutation matrix of P1^-1 and
@@ -36,6 +37,7 @@ budget, STAB_BUDGET, counted in candidate rows tried plus pairs listed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from itertools import chain, permutations, product
 
 from ._record import Record
@@ -76,9 +78,9 @@ def _block_shift(n: int, p: int, s: int) -> tuple[int, ...]:
     return tuple(i - i % p + (i + s) % p for i in range(n))
 
 
-def _stabilizing_pairs(rows: Dense, p: int) -> tuple[Pair, ...]:
-    """Every (P, Q) with act(P, M, Q) = M, sorted, for M made of p x p
-    circulant blocks.
+def _stabilizing_pairs(rows: Dense, p: int) -> Iterator[Pair]:
+    """Every (P, Q) with act(P, M, Q) = M, for M made of p x p circulant
+    blocks, yielded leaf by leaf, so a consumer reads only what it needs.
 
     The shift pairs (row r -> r + s, column c -> c - s, mod p within each
     block) fix M, so every pair is a shift pair times one that sends row
@@ -91,11 +93,11 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[Pair, ...]:
     the leaf's column ids, and each (P, Q) is composed with the p shift
     pairs.
 
-    Candidate rows tried plus pairs listed are held to STAB_BUDGET;
-    TooLarge is raised before the work that would pass it. A matrix whose
-    shape already forces more pairs is refused before any search: the
-    shifts times every permutation of identical rows and of identical
-    columns.
+    Candidate rows tried plus pairs listed are held to STAB_BUDGET, each
+    leaf's pairs counted before they are listed; TooLarge is raised
+    before the work that would pass it. A matrix whose shape already
+    forces more pairs is refused before any search: the shifts times
+    every permutation of identical rows and of identical columns.
     """
     size = len(rows)
     base = 1 + max(map(max, rows))
@@ -128,7 +130,6 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[Pair, ...]:
         )
     shifts = list(zip(row_shifts, [_block_shift(len(rows[0]), p, -s) for s in range(p)]))
     per_leaf = p * per_q
-    pairs: list[Pair] = []
     images: list[int] = []
     used = [False] * size
     spent = 0
@@ -142,12 +143,12 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[Pair, ...]:
             )
         spent += units
 
-    def extend(ids: list[int]) -> None:
+    def extend(ids: list[int]) -> Iterator[list[Pair]]:
         t = len(images)
         if t == size:
             spend(per_leaf)
             qs = _matching_qs(ids, classes)
-            pairs.extend(pair_product(shift, (images, q)) for shift in shifts for q in qs)
+            yield [pair_product(shift, (images, q)) for shift in shifts for q in qs]
             return
         level, want = levels[t], wants[t]
         for x in range(0, size, p) if t == 0 else range(size):
@@ -159,27 +160,16 @@ def _stabilizing_pairs(rows: Dense, p: int) -> tuple[Pair, ...]:
             if sorted(nxt) == want:
                 used[x] = True
                 images.append(x)
-                extend(nxt)
+                yield from extend(nxt)
                 images.pop()
                 used[x] = False
 
-    extend([0] * len(rows[0]))
-    return tuple(sorted(pairs))
+    yield from chain.from_iterable(extend([0] * len(rows[0])))
 
 
-def stab_block(row: tuple[int, ...]) -> tuple[Pair, ...]:
-    """Sorted pair stabilizer of the circulant block with this first
-    row, exact at every p.
-
-    Every block contains the shift pair (i -> i+1, j -> j-1), so the
-    result is never trivial. When block columns repeat, all matching
-    column permutations are listed.
-    """
-    return _stabilizing_pairs(expand_row(tuple(row)), len(row))
-
-
-def classify(row: tuple[int, ...], pairs) -> str:
-    """Label the row projection G of a block's pairs (stab_block(row)).
+def classify(row: tuple[int, ...], pairs: Iterable[Pair]) -> str:
+    """Label the row projection G of a block's pairs, read from any
+    iterable of them: the block's stabilizer, or a lazy search of it.
 
     A constant or near-constant block has all of S_p as G, so it is
     labelled symmetric from its shape. Any other G is affine-subgroup or
@@ -192,7 +182,8 @@ def classify(row: tuple[int, ...], pairs) -> str:
     PSL(2, 11), M11 or M23 by Feit (1980). The label reads G0, the row
     parts with P1(0) = 0: G holds the p shifts, so G = shifts . G0, and
     as an affine map fixing 0 is i -> u*i, G lies in AGL(1, p) exactly
-    when every element of G0 is i -> u*i mod p.
+    when every element of G0 is i -> u*i mod p. The pairs are read only
+    up to the first element of G0 that is not: a lazy search stops there.
     """
     if not good_shape(row):
         return SYMMETRIC
@@ -246,12 +237,13 @@ def stab_full(c: BlockCirculant) -> AutGroup:
     more than STAB_BUDGET pairs is refused before any search, and a
     search that would spend more is refused before that work. Each
     distinct first row of the condition-iv shape (good_shape) is searched
-    once, in grid order, for its pair stabilizer (stab_block); on a
-    one-block C that is the search on C. classify labels every block: a
-    constant or near-constant block, never searched, has all of S_p as
-    its row projection and is labelled symmetric from its shape. Every
-    element is verified before it is returned: both parts must be
-    permutations, and the pair must fix the dense matrix.
+    once, in grid order, for its pair stabilizer, and classify reads that
+    lazy search only until the label is decided; on a one-block C the
+    label reads the search on C. A constant or near-constant block,
+    never searched, has all of S_p as its row projection and is labelled
+    symmetric from its shape. Every element is verified before it is
+    returned: both parts must be permutations, and the pair must fix the
+    dense matrix.
 
     That check is Lemma 1's on H = [I | C], whose symmetry for (P1, P2)
     is A = P1^-1 with column permutation sigma = P1^-1 (+) P2, and it
@@ -265,13 +257,13 @@ def stab_full(c: BlockCirculant) -> AutGroup:
       row, so P2 = P2'.
     """
     dense = c.dense
-    elements = _stabilizing_pairs(dense, c.p)
-    stabs = {c.rows[0]: elements} if len(c.rows) == 1 else {}
-    for row in c.rows:
-        if good_shape(row) and row not in stabs:
-            stabs[row] = stab_block(row)
-    labels = {(i, j): classify(row, stabs.get(row, ()))
-              for i, block_row in enumerate(c.grid) for j, row in enumerate(block_row)}
+    elements = tuple(sorted(_stabilizing_pairs(dense, c.p)))
+    # one label per distinct row, in grid order
+    label = {row: classify(row, (() if not good_shape(row) else
+                                 elements if len(c.rows) == 1 else
+                                 _stabilizing_pairs(expand_row(row), c.p)))
+             for row in dict.fromkeys(c.rows)}
+    labels = {(i, j): label[row] for i, block_row in enumerate(c.grid) for j, row in enumerate(block_row)}
     for p1, p2 in elements:
         for part in (p1, p2):
             if not is_permutation(part):

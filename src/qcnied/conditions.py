@@ -134,7 +134,7 @@ def check_iv(c: BlockCirculant) -> Verdict:
 def check_v(c: BlockCirculant, desk_scale: bool = False) -> Verdict:
     p = c.p
     if not is_prime(p):
-        return Verdict(FAIL, {"p": p, "reason": "composite"})
+        return Verdict(FAIL, {"p": p, "reason": "composite" if p > 1 else "p < 2 is not prime"})
     if p > DESK_SCALE_MAX_P:
         return Verdict(PASS)
     if desk_scale:

@@ -17,7 +17,6 @@ from qcnied.autgroup import (
     EXCEPTIONAL,
     SYMMETRIC,
     classify,
-    stab_block,
     stab_full,
     verify_lemma1,
 )
@@ -48,6 +47,11 @@ def dsum(a, b):
 def shift(n: int, k: int) -> tuple[int, ...]:
     """Cyclic shift i -> i + k mod n."""
     return tuple((i + k) % n for i in range(n))
+
+
+def block_pairs(row: tuple[int, ...]) -> tuple:
+    """Sorted pair stabilizer of the circulant block with this first row."""
+    return tuple(sorted(autgroup._stabilizing_pairs(expand_row(row), len(row))))
 
 
 def row_projection(pairs) -> tuple[tuple[int, ...], ...]:
@@ -170,7 +174,7 @@ def full_listing_elements(c: BlockCirculant) -> tuple:
     partners = {}
     for index, row in enumerate(c.rows):
         pq = partners[divmod(index, mc)] = {}
-        for pr, qc in stab_block(row):
+        for pr, qc in block_pairs(row):
             pq.setdefault(pr, set()).add(qc)
     p_domains = [set.intersection(*(set(partners[i, j]) for j in range(mc))) for i in range(m1)]
     out = []
@@ -251,7 +255,7 @@ def test_pair_group_operations():
 
 def test_stab_block_generic_row_is_shifts_only():
     row = (0, 1, 2, 3, 4)
-    ps = stab_block(row)
+    ps = block_pairs(row)
     assert len(ps) == 5
     assert row_projection(ps) == tuple(shift(5, s) for s in range(5))
     assert classify(row, ps) == AFFINE
@@ -260,7 +264,7 @@ def test_stab_block_generic_row_is_shifts_only():
 def test_stab_block_pairs_stabilize():
     row = (0, 1, 2, 3, 1)
     dense = expand_row(row)
-    ps = stab_block(row)
+    ps = block_pairs(row)
     for p, q in ps:
         assert act(p, dense, q) == dense
     # closure under the pair product
@@ -271,21 +275,34 @@ def test_stab_block_pairs_stabilize():
 
 
 def test_stab_block_constant_and_near_constant():
-    ps = stab_block((2,) * 5)
+    ps = block_pairs((2,) * 5)
     assert len(ps) == 120 * 120
     assert len(row_projection(ps)) == 120
     assert classify((2,) * 5, ps) == SYMMETRIC
-    ps2 = stab_block((1, 2, 2, 2, 2))
+    ps2 = block_pairs((1, 2, 2, 2, 2))
     assert len(ps2) == 120
     assert len(row_projection(ps2)) == 120
     assert classify((1, 2, 2, 2, 2), ps2) == SYMMETRIC
 
 
 def test_stab_block_fano_is_exceptional():
-    ps = stab_block(FANO_ROW)
+    ps = block_pairs(FANO_ROW)
     assert len(ps) == 168
     assert classify(FANO_ROW, ps) == EXCEPTIONAL
     assert minimal_degree(row_projection(ps)) == 4
+
+
+def test_classify_stops_at_the_first_non_affine_row_part():
+    # the label reads the pairs only up to a row part fixing 0 that is not
+    # i -> u*i, so a lazy search of a large block stops there
+    ident = shift(5, 0)
+
+    def search():
+        yield ident, ident
+        yield (0, 2, 1, 3, 4), ident
+        raise AssertionError("read past the first witness")
+
+    assert classify((0, 1, 2, 3, 1), search()) == EXCEPTIONAL
 
 
 def ordered_classify(row, pairs):
@@ -320,7 +337,7 @@ def test_classify_equals_the_ordered_rule_on_every_good_shape_row():
     labels, big = [], []
     for p, q in ((3, 4), (4, 4), (5, 4), (6, 3), (7, 3)):
         for row in filter(good_shape, itertools.product(range(q), repeat=p)):
-            pairs = stab_block(row)
+            pairs = block_pairs(row)
             label = classify(row, pairs)
             assert label == ordered_classify(row, pairs), row
             labels.append(label)
@@ -334,7 +351,7 @@ def test_stab_block_matches_bruteforce():
     for seed in range(1, 8):
         c = sample_compliant(7, 1, 2, 2, seed=seed)
         (row,) = c.rows
-        assert stab_block(row) == bruteforce_pairs(expand_row(row))
+        assert block_pairs(row) == bruteforce_pairs(expand_row(row))
 
 
 @st.composite
@@ -364,13 +381,13 @@ def block_rows(draw, max_p=7):
 @given(block_rows())
 def test_stab_block_equals_bruteforce_oracle(eta_row):
     _eta, row = eta_row
-    assert stab_block(row) == bruteforce_pairs(expand_row(row))
+    assert block_pairs(row) == bruteforce_pairs(expand_row(row))
 
 
 @given(block_rows(max_p=13))
 def test_rooted_block_search_equals_unrooted_oracle(eta_row):
     _eta, row = eta_row
-    assert stab_block(row) == unrooted_pairs(expand_row(row))
+    assert block_pairs(row) == unrooted_pairs(expand_row(row))
 
 
 @st.composite
@@ -455,7 +472,7 @@ def test_stab_block_guards():
     # no size guard but the work budget: a generic p = 11 block returns
     # its group, the 11 shifts
     row = tuple(j % 4 for j in range(11))
-    ps = stab_block(row)
+    ps = block_pairs(row)
     assert row_projection(ps) == tuple(shift(11, s) for s in range(11))
     assert len(ps) == 11 and classify(row, ps) == AFFINE
 
@@ -466,15 +483,15 @@ def test_stab_block_budget(monkeypatch):
     # with the 5 shifts, list 14,400 pairs; the budget admits exactly that
     flat = (2,) * 5
     monkeypatch.setattr(autgroup, "STAB_BUDGET", 65 + 14_400)
-    assert len(stab_block(flat)) == 14_400
+    assert len(block_pairs(flat)) == 14_400
     monkeypatch.setattr(autgroup, "STAB_BUDGET", 65 + 14_400 - 1)
     with pytest.raises(TooLarge, match="nodes plus pairs"):
-        stab_block(flat)
+        block_pairs(flat)
     # the shifts and the S_5 x S_5 of identical rows and columns force
     # 14,400 pairs, so a smaller budget refuses before any search
     monkeypatch.setattr(autgroup, "STAB_BUDGET", 14_400 - 1)
     with pytest.raises(TooLarge, match="force 14400 stabilizing pairs"):
-        stab_block(flat)
+        block_pairs(flat)
 
 
 def test_minimal_degree_conventions():
@@ -491,8 +508,8 @@ def test_stab_full_blockwise_product_structure():
          (3, 3, 3, 3, 3), (1, 0, 2, 2, 3)],
     )
     g = stab_full(c)
-    s00 = stab_block(c.rows[0])
-    s11 = stab_block(c.rows[3])
+    s00 = block_pairs(c.rows[0])
+    s11 = block_pairs(c.rows[3])
     assert g.order == len(s00) * len(s11)
     dense = c.dense
     for p1, p2 in g.elements:
@@ -525,17 +542,28 @@ def test_stab_full_with_constant_blocks_equals_full_listing(c):
     assert stab_full(c).elements == full_listing_elements(c)
 
 
+def watch_searches(monkeypatch) -> list:
+    """The matrices whose stabilizer search starts, in order: C's, then
+    each searched block's expansion."""
+    searched, search = [], autgroup._stabilizing_pairs
+
+    def started(rows, p):
+        searched.append(rows)
+        yield from search(rows, p)
+
+    monkeypatch.setattr(autgroup, "_stabilizing_pairs", started)
+    return searched
+
+
 def test_stab_full_searches_only_non_constant_blocks(monkeypatch):
-    searched = []
-    search = autgroup.stab_block
-    monkeypatch.setattr(autgroup, "stab_block", lambda row: searched.append(row) or search(row))
+    searched = watch_searches(monkeypatch)
     blockwise = BlockCirculant(
         CTX, 5, 2, 4,
         [(0, 1, 2, 3, 1), (2, 2, 2, 2, 2),
          (3, 3, 3, 3, 3), (1, 0, 2, 2, 3)],
     )
     g = stab_full(blockwise)
-    assert searched == [(0, 1, 2, 3, 1), (1, 0, 2, 2, 3)]
+    assert searched == [blockwise.dense, expand_row((0, 1, 2, 3, 1)), expand_row((1, 0, 2, 2, 3))]
     assert g.block_labels[0, 1] == g.block_labels[1, 0] == SYMMETRIC
     # a condition-iii failure labels its constant blocks unsearched too,
     # and at p = 2 the row (1, 2) is near-constant, so no block is searched
@@ -545,27 +573,26 @@ def test_stab_full_searches_only_non_constant_blocks(monkeypatch):
         [(1, 2), (3, 3), (1, 2), (3, 3)],
     )
     g = stab_full(fallback)
-    assert searched == []
+    assert searched == [fallback.dense]
     assert g.block_labels[0, 1] == g.block_labels[1, 1] == SYMMETRIC
 
 
 def test_stab_full_searches_each_distinct_block_row_once(monkeypatch):
     # the two diagonal blocks share a first row, so its pair stabilizer is
     # searched once and labels both; a one-block C is searched once, as C
-    searched = []
-    search = autgroup.stab_block
-    monkeypatch.setattr(autgroup, "stab_block", lambda row: searched.append(row) or search(row))
     row = (0, 1, 2, 3, 1)
+    pairs = block_pairs(row)
+    searched = watch_searches(monkeypatch)
     c = BlockCirculant(CTX, 5, 2, 4, [row, (2,) * 5, (3,) * 5, row])
     g = stab_full(c)
-    assert searched == [row]
+    assert searched == [c.dense, expand_row(row)]
     assert g.block_labels == {(0, 0): AFFINE, (0, 1): SYMMETRIC,
                               (1, 0): SYMMETRIC, (1, 1): AFFINE}
-    assert g.order == len(search(row)) ** 2
+    assert g.order == len(pairs) ** 2
     searched.clear()
     one = BlockCirculant(CTX, 5, 1, 2, [row])
-    assert stab_full(one).elements == search(row)
-    assert searched == []
+    assert stab_full(one).elements == pairs
+    assert searched == [one.dense]
 
 
 def test_stab_full_labels_a_near_constant_block_unsearched():
@@ -828,8 +855,8 @@ def test_lemma1_replay_on_c_equals_replay_on_h(case):
         oracle, refused = None, True
     assert verify_lemma1(c, validate_all(c, desk_scale=True)) == oracle
     if oracle is None:
-        # the drawn elements as the search's result; stab_block reads the
-        # same patched search, which only feeds the block labels
+        # the drawn elements as the search's result; the block labels
+        # read the same patched search
         with mock.patch.object(autgroup, "_stabilizing_pairs", lambda *args: g.elements):
             try:
                 stab_full(c)

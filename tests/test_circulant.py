@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from qcnied.autgroup import stab_block
 from qcnied.circulant import BlockCirculant
 from qcnied.distinguish import class_size_sn
 from qcnied.errors import OutOfRange, ParseError, SizeMismatch
 from qcnied.field import FieldCtx, expand_row
 from qcnied.perm import act, cycle_type, inverse, support
 from qcnied.report import read_report
+
+from test_autgroup import block_pairs
 
 CTX = FieldCtx(2)
 
@@ -109,7 +110,7 @@ def test_perm_ordering_and_hash():
     # a block's pair stabilizer is a tuple of (P, Q) image-tuple pairs,
     # sorted and each listed once
     for row in ((0, 1, 2, 3, 1), (0, 1, 2, 3, 4), (1, 2, 2, 2, 2)):
-        pairs = stab_block(row)
+        pairs = block_pairs(row)
         assert pairs == tuple(sorted(set(pairs)))
         assert all(type(part) is tuple for pair in pairs for part in pair)
 

@@ -150,6 +150,11 @@ def test_check_v_regimes():
     composite = mat([(0, 1, 2, 3, 1, 2, 3, 1, 0)], p=9, m1=1, m2=2)
     assert check_v(composite).status == FAIL
     assert check_v(composite, desk_scale=True).status == FAIL
+    assert check_v(composite).witness == {"p": 9, "reason": "composite"}
+    # 1 is neither prime nor composite
+    unit = mat([(2,)], p=1, m1=1, m2=2)
+    assert check_v(unit, desk_scale=True).status == FAIL
+    assert check_v(unit).witness == {"p": 1, "reason": "p < 2 is not prime"}
     big = BlockCirculant(CTX, 31, 1, 2, [tuple(j % 4 for j in range(31))])
     assert check_v(big).status == PASS
     assert DESK_SCALE_MAX_P == 30

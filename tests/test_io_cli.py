@@ -1108,7 +1108,6 @@ def test_cli_autgroup_refuses_before_any_search(tmp_path, monkeypatch, capsys):
 
     searched = []
     real = autgroup._stabilizing_pairs
-    monkeypatch.setattr(autgroup, "stab_block", searched.append)
     monkeypatch.setattr(autgroup, "_stabilizing_pairs",
                         lambda rows, p: searched.append(len(rows)) or real(rows, p))
     refusals = {}
@@ -1146,9 +1145,8 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
 
     for owner, name in ((niederreiter, "_columns"), (niederreiter, "_echelon"),
                         (conditions, "validate_all"), (conditions, "check_ii"),
-                        (autgroup, "stab_block"), (autgroup, "_stabilizing_pairs"),
-                        (autgroup, "act"), (field, "expand_row"),
-                        (autgroup.AutGroup, "row_projection")):
+                        (autgroup, "_stabilizing_pairs"), (autgroup, "act"),
+                        (field, "expand_row"), (autgroup.AutGroup, "row_projection")):
         watch(owner, name)
     monkeypatch.chdir(tmp_path)
     ran = {}

@@ -14,6 +14,7 @@ two-matrix backtrack gives the rest.
 
 import functools
 import tempfile
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -55,12 +56,13 @@ def cyclotomic(p: int, *ds: int, m1: int = 1) -> BlockCirculant:
 
 STRUCTURED = [(31, d) for d in (2, 3, 5, 6, 10, 15)] + [(61, 2)]
 
+# 1 on the difference set {1,5,11,24,25,27} mod 31, else 3: a PG(2,5) block
+PG25_ROW = tuple(1 if j in {1, 5, 11, 24, 25, 27} else 3 for j in range(31))
+
 # refused today, and counted rather than screened out: the PG(2,5)
 # group, of order 372,000, passes STAB_BUDGET while the elements are
-# listed one by one; holding groups by generators is to accept it. The
-# row is 1 on the difference set {1,5,11,24,25,27} mod 31, else 3
-EXPECTED_REFUSALS = {"pg25_p31": BlockCirculant(
-    FieldCtx(2), 31, 1, 2, [tuple(1 if j in {1, 5, 11, 24, 25, 27} else 3 for j in range(31))])}
+# listed one by one; holding groups by generators is to accept it
+EXPECTED_REFUSALS = {"pg25_p31": BlockCirculant(FieldCtx(2), 31, 1, 2, [PG25_ROW])}
 
 
 def _difference_set(p: int, minority: set[int]) -> BlockCirculant:
@@ -70,13 +72,16 @@ def _difference_set(p: int, minority: set[int]) -> BlockCirculant:
 # tag -> (C, the exit code of autgroup): the envelope premise audit's
 # corpus. The one-block rows are STRUCTURED's. The trip wires are the
 # Fano plane, the (11,5,2) biplane of the quadratic residues and PG(2,3) =
-# {0,1,3,9} mod 13, of orders 168, 660 and 5,616; PG(2,5) is refused and
-# counted in EXPECTED_REFUSALS. The cyclotomic rows at p = 101 and 127
-# take 8-12 s each and stay out.
+# {0,1,3,9} mod 13, of orders 168, 660 and 5,616; PG(2,5) alone is
+# refused and counted in EXPECTED_REFUSALS, but beside a cyclotomic block
+# its label needs only a part of its group, and C's group is the shifts.
+# The cyclotomic rows at p = 101 and 127 take 8-12 s each and stay out.
 AUDIT = {
     **{f"cyclotomic_p{p}_d{d}": (cyclotomic(p, d), 0) for p, d in STRUCTURED},
     **{f"cyclotomic_p31_d{a}{b}": (cyclotomic(31, a, b), 0) for a, b in ((2, 3), (2, 5), (3, 5))},
     "cyclotomic_p31_d2356": (cyclotomic(31, 2, 3, 5, 6, m1=2), 0),
+    "pg25_beside_cyclotomic_p31_d3": (
+        BlockCirculant(FieldCtx(2), 31, 1, 3, [PG25_ROW, cyclotomic_row(31, 3)]), 0),
     "fano": (_difference_set(7, {3, 4, 6}), 3),
     "biplane_p11": (_difference_set(11, {1, 3, 4, 5, 9}), 3),
     "pg23_p13": (_difference_set(13, {0, 1, 3, 9}), 3),
@@ -87,16 +92,18 @@ AUDIT = {
 def audit_run(tag: str) -> SimpleNamespace:
     """AUDIT[tag] through validate (--desk-scale at p <= 30), autgroup and,
     unless autgroup fails, both bound forms, once per test session: the
-    exit codes and the parsed reports, for every test that pins the
-    matrix to read."""
+    exit codes, autgroup's wall time in process and the parsed reports,
+    for every test that pins the matrix to read."""
     c, _ = AUDIT[tag]
     with tempfile.TemporaryDirectory() as tmp:
         mat, rep, exact, envelope = (Path(tmp) / name for name in ("m.qcm", "g.qcr", "x.qcr", "e.qcr"))
         mat.write_text(io.write_matrix(c))
         run = SimpleNamespace(
             validate=main(["validate", str(mat)] + ["--desk-scale"] * (c.p <= 30)),
-            autgroup=main(["autgroup", str(mat), "-o", str(rep)]),
             bound=None, exact=None, envelope=None)
+        start = time.perf_counter()
+        run.autgroup = main(["autgroup", str(mat), "-o", str(rep)])
+        run.autgroup_s = time.perf_counter() - start
         run.fields, run.elems = report.read_report(rep.read_text())
         if run.autgroup == 0:
             run.bound = (main(["bound", "--report", str(rep), "-o", str(exact)]),
@@ -153,6 +160,22 @@ def test_cyclotomic_rows_meet_the_envelope_premises(p, d):
     assert run.bound == (0, 0)
     assert float(run.exact["ln_dk"]) <= float(run.envelope["ln_dk"])
     assert int(run.exact["max_c"]) >= int(run.envelope["max_c"])
+
+
+def test_pg25_block_is_labelled_without_listing_its_group():
+    # the PG(2,5) block's own 372,000 pairs pass STAB_BUDGET, but its
+    # label is decided at the first row part fixing 0 that is not i -> u*i,
+    # and the whole C has only the 31 shifts
+    run = audit_run("pg25_beside_cyclotomic_p31_d3")
+    fields = run.fields
+    assert (run.validate, run.autgroup) == (0, 0)
+    assert run.autgroup_s < 0.5
+    assert fields["order"] == fields["lemma1_checked"] == "31"
+    assert (fields["block_0_0"], fields["block_0_1"]) == ("exceptional", "affine-subgroup")
+    assert fields["classification"] == "exceptional"
+    assert (fields["lemma1"], fields["surveillance"]) == ("ok", "clear")
+    assert run.bound == (0, 0)
+    assert float(run.exact["ln_dk"]) <= float(run.envelope["ln_dk"])
 
 
 @pytest.mark.parametrize("tag", sorted(EXPECTED_REFUSALS))
