@@ -13,7 +13,6 @@ import importlib
 
 # home submodule -> the public names it defines
 _EXPORTS = {
-    "circulant": "BlockCirculant",
     "conditions": "ConditionReport Verdict check_i check_ii check_iii check_iv "
                   "check_v check_variant good_shape sample_compliant "
                   "sample_variant validate_all",
@@ -21,7 +20,7 @@ _EXPORTS = {
                    "log_gl_order logsumexp min_class_size s0_exact s1_term",
     "autgroup": "AutGroup classify stab_full verify_lemma1",
     "perm": "act minimal_degree",
-    "field": "FieldCtx default_modulus is_irreducible",
+    "field": "BlockCirculant FieldCtx default_modulus is_irreducible",
     "niederreiter": "PrivateKey PublicKey decrypt encrypt keygen",
 }
 # public name -> home submodule; `errors`, `io` and `report` are exported as themselves

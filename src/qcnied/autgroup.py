@@ -41,10 +41,9 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, permutations, product
 
 from ._record import Record
-from .circulant import BlockCirculant, Dense
 from .conditions import good_shape
 from .errors import TooLarge
-from .field import expand_row
+from .field import BlockCirculant, Dense, expand_row
 from .perm import Pair, act, is_permutation, minimal_degree, pair_product, support
 
 # candidate rows tried plus pairs listed one stabilizer search may spend
@@ -207,12 +206,9 @@ class AutGroup(Record):
     def order(self) -> int:
         return len(self.elements)
 
-    def row_projection(self) -> set[tuple[int, ...]]:
-        return {p1 for p1, _ in self.elements}
-
     @property
     def min_degree_pi1(self) -> float:
-        return minimal_degree(self.row_projection())
+        return minimal_degree(p1 for p1, _ in self.elements)
 
     @property
     def min_degree_pi2(self) -> float:
@@ -259,9 +255,8 @@ def stab_full(c: BlockCirculant) -> AutGroup:
     dense = c.dense
     elements = tuple(sorted(_stabilizing_pairs(dense, c.p)))
     # one label per distinct row, in grid order
-    label = {row: classify(row, (() if not good_shape(row) else
-                                 elements if len(c.rows) == 1 else
-                                 _stabilizing_pairs(expand_row(row), c.p)))
+    label = {row: classify(row, elements if len(c.rows) == 1 else
+                                _stabilizing_pairs(expand_row(row), c.p))
              for row in dict.fromkeys(c.rows)}
     labels = {(i, j): label[row] for i, block_row in enumerate(c.grid) for j, row in enumerate(block_row)}
     for p1, p2 in elements:

@@ -1,4 +1,5 @@
-"""Arithmetic in GF(2^eta) for extension degrees 1 through 16.
+"""Arithmetic in GF(2^eta) for extension degrees 1 through 16, and C's
+block first rows over it.
 
 Field elements are plain ints in [0, 2^eta): bit i holds the coefficient
 of x^i in the polynomial basis. A FieldCtx carries the degree and the
@@ -9,8 +10,19 @@ Addition is XOR. Multiplication reduces the carry-less product by the
 modulus. Inversion uses a^(2^eta - 2), which is the inverse for every
 nonzero a in a field of order 2^eta.
 
-C's block first rows, held by `BlockCirculant` and the key records alike,
-are admitted by `check_block_rows` and expanded by `expand`/`expand_row`.
+A circulant block of size p over GF(2^eta) is determined by its first row
+(c_0, ..., c_{p-1}); row i is that row cyclically shifted i places right,
+so entry (i, j) is c_{(j-i) mod p}. A block-circulant matrix C is an
+m1 x (m2-m1) grid of such blocks sharing p and the field, held as their
+first rows; the parity check built on it is the k x n matrix [I | C]
+with k = m1*p, n = m2*p. `BlockCirculant` is the gate for such a grid,
+and the key records hold the same rows: both are admitted by
+`check_block_rows` and expanded by `expand`/`expand_row`.
+
+A dense matrix is an immutable tuple of rows, each a tuple of ints, so
+two matrices are equal exactly when they compare equal as tuples, and
+column j is the j-th item of zip(*rows). Permutations and their
+two-sided action on dense matrices live in `perm`.
 """
 
 from __future__ import annotations
@@ -23,6 +35,8 @@ from .errors import BadDegree, BadDigit, DivisionByZero, OutOfRange, ReducibleMo
 MAX_ETA = 16
 # every hex token of the file formats is lowercase
 HEX_DIGITS = frozenset("0123456789abcdef")
+
+Dense = tuple[tuple[int, ...], ...]
 
 
 def poly_degree(a: int) -> int:
@@ -91,12 +105,12 @@ def check_block_rows(ctx: FieldCtx, p: int, m1: int, m2: int, rows) -> tuple:
     return rows
 
 
-def expand_row(row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def expand_row(row: tuple[int, ...]) -> Dense:
     """Dense p x p circulant of a first row: entry (i, j) = row[(j - i) mod p]."""
     return tuple(row[-i:] + row[:-i] for i in range(len(row)))
 
 
-def expand(rows, mc: int) -> tuple[tuple[int, ...], ...]:
+def expand(rows, mc: int) -> Dense:
     """Dense C of block first rows in row-major grid order, mc to a block row."""
     return tuple(sum(parts, ()) for i in range(0, len(rows), mc)
                  for parts in zip(*map(expand_row, rows[i:i + mc])))
@@ -128,9 +142,9 @@ modulus in hex, as the matrix files write it).
     Raises
     ------
     BadDegree
-        If eta is out of range or the modulus degree is not eta.
+        If eta is out of range or a given modulus's degree is not eta.
     ReducibleModulus
-        If the modulus factors over F2.
+        If a given modulus factors over F2.
     """
 
     _fields = ("eta", "modulus")
@@ -141,11 +155,11 @@ modulus in hex, as the matrix files write it).
             raise BadDegree(f"eta must be in [1, {MAX_ETA}], got {eta}")
         if modulus is None:
             modulus = default_modulus(eta)
-        if poly_degree(modulus) != eta:
+        elif poly_degree(modulus) != eta:
             raise BadDegree(
                 f"modulus degree {poly_degree(modulus)} does not match eta {eta}"
             )
-        if not is_irreducible(modulus):
+        elif not is_irreducible(modulus):
             raise ReducibleModulus(f"modulus {modulus:#x} factors over F2")
         super().__init__(eta, modulus)
         object.__setattr__(self, "order", 1 << eta)
@@ -206,3 +220,36 @@ modulus in hex, as the matrix files write it).
 
     def __repr__(self) -> str:
         return f"FieldCtx(eta={self.eta}, modulus={self.modulus:#x})"
+
+
+class BlockCirculant(Record):
+    """C as its QCMAT file carries it: the field, the shape and the
+    m1 * (m2 - m1) block first rows in row-major grid order. `grid` holds
+    the same rows as m1 block rows of m2 - m1 each, so block (i, j) has
+    first row grid[i][j], and zip(*grid) gives the block columns.
+
+    Construction refuses a bad shape, then rows of the wrong count or
+    length (SizeMismatch), then an entry outside the field (OutOfRange):
+    check_block_rows, the rule PrivateKey applies to the same rows.
+    p is not forced prime here; primality is a compliance condition and
+    is reported by the condition checkers rather than enforced on the
+    container. `dense` is C's one dense form, built on first use; it and
+    `grid` stay out of ==, hash and repr.
+    """
+
+    _fields = ("ctx", "p", "m1", "m2", "rows")
+    __slots__ = _fields + ("grid", "_dense")
+
+    def __init__(self, ctx: FieldCtx, p: int, m1: int, m2: int, rows):
+        rows = check_block_rows(ctx, p, m1, m2, rows)
+        super().__init__(ctx, p, m1, m2, rows)
+        mc = m2 - m1
+        object.__setattr__(self, "grid", tuple(rows[i:i + mc] for i in range(0, len(rows), mc)))
+
+    @property
+    def dense(self) -> Dense:
+        """The dense (m1*p) x ((m2-m1)*p) matrix (expand), built on
+        first use."""
+        if getattr(self, "_dense", None) is None:
+            object.__setattr__(self, "_dense", expand(self.rows, self.m2 - self.m1))
+        return self._dense

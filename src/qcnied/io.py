@@ -35,17 +35,23 @@ import os
 import sys
 
 from .errors import ParseError, QcniedError, SizeMismatch
-from .field import HEX_DIGITS, FieldCtx, check_shape
+from .field import HEX_DIGITS, BlockCirculant, FieldCtx, check_shape
 
 QCMAT_HEADER = "QCMAT v1"
 NIEDQC_HEADER = "NIEDQC v1"
+# the longest decimal token read: int() refuses longer ones from Python
+# 3.11 on by default, so the limit is applied here, alike on every version
+MAX_DIGITS = 4300
 
 
 def _int_token(tok: str, what: str) -> int:
-    """A nonnegative integer in canonical form: `0` or ASCII digits
-    without a leading zero. No field of these formats is negative."""
+    """A nonnegative integer in canonical form: `0` or at most MAX_DIGITS
+    ASCII digits without a leading zero. No field of these formats is
+    negative."""
     if not (tok.isascii() and tok.isdigit()) or (tok[0] == "0" and tok != "0"):
         raise ParseError(f"bad {what}: {tok!r}")
+    if len(tok) > MAX_DIGITS:
+        raise ParseError(f"bad {what}: more than {MAX_DIGITS} digits")
     return int(tok)
 
 
@@ -172,8 +178,6 @@ def write_matrix(c: BlockCirculant) -> str:
 
 
 def read_matrix(text: str) -> BlockCirculant:
-    from .circulant import BlockCirculant
-
     lines = _framed(text, "matrix file", QCMAT_HEADER)
     if len(lines) < 3:
         raise ParseError("matrix file: truncated")

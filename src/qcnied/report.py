@@ -182,14 +182,14 @@ def _envelope_shape(m1: int, m2: int, what: str) -> None:
         raise ParseError(f"{what}: bad shape m1={m1} m2={m2}, need 1 <= m1 < m2")
 
 
-def _check_group(elems, where: str) -> None:
+def _check_group(elems, listed: set, where: str) -> None:
     """Refuse elements that do not form a group under autgroup's pair law
-    (P1, Q1) o (P2, Q2) = (P1 P2, Q2 Q1). Generators are taken greedily
-    and their closure grown; each new one at least doubles it, so this
-    costs at most |H| * ceil(log2 |H|) compositions."""
+    (P1, Q1) o (P2, Q2) = (P1 P2, Q2 Q1); listed is set(elems), which
+    holds no repeat. Generators are taken greedily and their closure
+    grown; each new one at least doubles it, so this costs at most
+    |H| * ceil(log2 |H|) compositions."""
     from .perm import pair_product
 
-    listed = set(elems)
     identity = tuple(tuple(range(len(side))) for side in elems[0])
     if identity not in listed:
         raise ParseError(f"{where}: the elements lack the identity")
@@ -236,14 +236,15 @@ def _cmd_bound(report=None, envelope=False, p=None, m1=None, m2=None, out=None) 
         if not elems:
             raise ParseError(f"{report}: report carries no group elements")
         # the bound counts elements, so a repeat or a dropped line would change it
-        if len(set(elems)) != len(elems):
+        listed = set(elems)
+        if len(listed) != len(elems):
             raise ParseError(f"{report}: repeated group element")
         if "order" not in fields:
             raise ParseError(f"{report}: missing order")
         order = _int_token(fields["order"], "order")
         if order != len(elems):
             raise ParseError(f"{report}: order {order}, but {len(elems)} elements")
-        _check_group(elems, report)
+        _check_group(elems, listed, report)
         r = dk_bound(elems, p, m1, m2)
     else:
         if p is None:

@@ -20,7 +20,6 @@ from math import factorial
 import pytest
 
 from qcnied import cli, io, report
-from qcnied.circulant import BlockCirculant
 from qcnied.conditions import good_shape, sample_compliant, sample_variant, validate_all
 from qcnied.distinguish import (
     class_size_sn,
@@ -29,7 +28,7 @@ from qcnied.distinguish import (
     logsumexp,
     s1_term,
 )
-from qcnied.field import FieldCtx
+from qcnied.field import BlockCirculant, FieldCtx
 from qcnied.autgroup import SYMMETRIC, stab_full
 
 from test_autgroup import FANO_ROW, bruteforce_pairs, column_orbit

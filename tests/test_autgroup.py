@@ -20,10 +20,9 @@ from qcnied.autgroup import (
     stab_full,
     verify_lemma1,
 )
-from qcnied.circulant import BlockCirculant
 from qcnied.conditions import check_ii, check_iii, good_shape, sample_compliant, validate_all
 from qcnied.errors import EtaTooSmall, TooLarge
-from qcnied.field import FieldCtx, expand_row
+from qcnied.field import BlockCirculant, FieldCtx, expand_row
 from qcnied.perm import act, inverse, minimal_degree
 
 CTX = FieldCtx(2)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcnied import conditions
-from qcnied.circulant import BlockCirculant
 from qcnied.cli import main
 from qcnied.conditions import (
     DESK_SCALE_MAX_P,
@@ -26,7 +25,7 @@ from qcnied.conditions import (
     validate_all,
 )
 from qcnied.errors import BudgetExhausted, EtaTooSmall, OutOfRange, SizeMismatch
-from qcnied.field import FieldCtx, is_prime
+from qcnied.field import BlockCirculant, FieldCtx, is_prime
 
 CTX = FieldCtx(2)
 

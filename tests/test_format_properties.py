@@ -10,9 +10,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qcnied import io
-from qcnied.circulant import BlockCirculant
 from qcnied.errors import ParseError
-from qcnied.field import FieldCtx, is_irreducible
+from qcnied.field import BlockCirculant, FieldCtx, is_irreducible
 from qcnied.niederreiter import PrivateKey, PublicKey
 
 

@@ -50,9 +50,8 @@ import tempfile
 from pathlib import Path
 
 from qcnied import io
-from qcnied.circulant import BlockCirculant
 from qcnied.cli import main
-from qcnied.field import FieldCtx
+from qcnied.field import BlockCirculant, FieldCtx
 
 from test_autgroup import FANO_ROW
 

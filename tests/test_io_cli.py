@@ -15,12 +15,11 @@ from types import SimpleNamespace
 import pytest
 
 from qcnied import cli, conditions, io, niederreiter, report
-from qcnied.circulant import BlockCirculant
 from qcnied.cli import main
 from qcnied.conditions import ConditionReport, Verdict, sample_compliant, sample_variant
 from qcnied.distinguish import dk_bound
 from qcnied.errors import ParseError
-from qcnied.field import FieldCtx
+from qcnied.field import BlockCirculant, FieldCtx
 from qcnied.niederreiter import encrypt, keygen, unpack_column
 from qcnied.perm import inverse
 from qcnied.autgroup import AutGroup, stab_full
@@ -696,6 +695,27 @@ def test_cli_encrypt_rejections(tmp_path, capsys, c512):
     assert main(["encrypt", str(pub_p), "--support", "0,1,2,3,4"]) == 1
 
 
+def test_cli_refuses_a_decimal_token_over_max_digits(tmp_path, capsys, c512):
+    # Python 3.11+ refuses int() of a decimal string over 4,300 digits, so
+    # the token rule refuses one first, alike on every version
+    assert io._int_token("9" * io.MAX_DIGITS, "x") == 10 ** io.MAX_DIGITS - 1
+    with pytest.raises(ParseError):
+        io._int_token("1" + "0" * io.MAX_DIGITS, "x")
+    huge = "1" * 5000
+    mat, bad, pub_p, out = (tmp_path / n for n in ("m.qcm", "bad.qcm", "pk", "out"))
+    mat.write_text(io.write_matrix(c512))
+    bad.write_text(mat.read_text().replace("\n5 1 2 2\n", f"\n{huge} 1 2 2\n"))
+    assert main(["keygen", str(mat), "--priv", str(tmp_path / "sk"), "--pub", str(pub_p)]) == 0
+    for argv in (["sweep", "--p", huge],
+                 ["sweep", "--p", f"7,{huge}"],
+                 ["search", "5", "1", "2", "2", "--seed", "1" + "0" * 5000],
+                 ["search", huge, "1", "2", "2"],
+                 ["encrypt", str(pub_p), "--support", huge],
+                 ["validate", str(bad), "--desk-scale"]):
+        assert refused(capsys, argv + ["-o", str(out)]), argv[:2]
+        assert not out.exists()
+
+
 def test_cli_autgroup_and_bound(tmp_path):
     c = sample_compliant(5, 1, 2, 2, seed=1)
     mat, rep, brep = (tmp_path / n for n in ("m.qcm", "g.qcr", "b.qcr"))
@@ -731,6 +751,9 @@ def test_cli_bound_refuses_hostile_reports(tmp_path, capsys):
                    text.replace("\norder: 5\n", "\norder: 7\n"),
                    text.replace("\norder: 5\n", "\n"),                     # no order
                    text.replace("\norder: 5\n", "\norder: 05\n"),
+                   # a decimal token longer than int() reads on 3.11+
+                   text.replace("\norder: 5\n", f"\norder: {'1' * 5000}\n"),
+                   text.replace(first, first.replace("elem: 0", f"elem: {'1' * 5000}")),
                    # a repeated field: the last value used to win
                    text.replace("\norder: 5\n", "\norder: 99\norder: 5\n"),
                    text.replace("\np: 5\n", "\np: 5\np: 7\n"),
@@ -984,12 +1007,12 @@ EVERY_COMMAND = ("qcnied", "qcnied.cli", "qcnied.io", "qcnied.errors", "qcnied.f
                  "qcnied._record")
 MODULE_TABLE = [
     ("", ()),
-    ("search 5 1 2 2 --seed 3 -o m.qcm", ("circulant", "conditions")),
-    ("validate m.qcm --desk-scale -o v.qcr", ("circulant", "conditions", "report")),
-    ("keygen m.qcm --seed 9 --priv sk --pub pk", ("circulant", "niederreiter")),
+    ("search 5 1 2 2 --seed 3 -o m.qcm", ("conditions",)),
+    ("validate m.qcm --desk-scale -o v.qcr", ("conditions", "report")),
+    ("keygen m.qcm --seed 9 --priv sk --pub pk", ("niederreiter",)),
     ("encrypt pk --support 0,3 -o ct", ("niederreiter",)),
     ("decrypt sk ct -o out", ("niederreiter",)),
-    ("autgroup m.qcm -o g.qcr", ("circulant", "conditions", "autgroup", "perm", "report")),
+    ("autgroup m.qcm -o g.qcr", ("conditions", "autgroup", "perm", "report")),
     ("bound --report g.qcr -o b.qcr", ("distinguish", "perm", "report")),
     ("bound --envelope --p 31 -o e.qcr", ("distinguish", "report")),
     ("sweep --p 7,31 -o s.csv", ("distinguish", "report")),
@@ -1098,6 +1121,18 @@ def test_package_exports_resolve_to_home_modules():
         exec("from qcnied import no_such_name", {})
 
 
+def test_block_circulant_has_one_home():
+    # C's record lives in `field`, beside the block-row rules it calls,
+    # and under no other module
+    import qcnied
+    from qcnied import field
+
+    assert qcnied.BlockCirculant is field.BlockCirculant
+    assert len(qcnied.__all__) == 39
+    with pytest.raises(ImportError):
+        exec("import qcnied.circulant", {})
+
+
 def test_cli_autgroup_refuses_before_any_search(tmp_path, monkeypatch, capsys):
     # eta = 1 fails the judgement autgroup makes first, so no search
     # starts; every row of the (61,2,3) C repeats, so the forced-subgroup
@@ -1128,8 +1163,8 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     once; decrypt does the same for the key it loads; autgroup judges C
     once, before its search, and condition ii within that judgement only,
     searches its one-block C once, as C and not again as a block, expands
-    its one block once, replays each element on C once and projects the
-    group once."""
+    its one block once, replays each element on C once and takes the
+    row parts' minimal degree once."""
     from qcnied import autgroup, field, niederreiter
 
     calls = []
@@ -1146,7 +1181,7 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     for owner, name in ((niederreiter, "_columns"), (niederreiter, "_echelon"),
                         (conditions, "validate_all"), (conditions, "check_ii"),
                         (autgroup, "_stabilizing_pairs"), (autgroup, "act"),
-                        (field, "expand_row"), (autgroup.AutGroup, "row_projection")):
+                        (field, "expand_row"), (autgroup, "minimal_degree")):
         watch(owner, name)
     monkeypatch.chdir(tmp_path)
     ran = {}
@@ -1171,7 +1206,7 @@ def test_cli_derives_each_fact_once(tmp_path, monkeypatch):
     assert count("encrypt") == []
     order = int(report.read_report(Path("g.qcr").read_text())[0]["order"])
     assert count("autgroup") == [("_stabilizing_pairs", 1), ("act", order), ("check_ii", 1),
-                                 ("expand_row", 1), ("row_projection", 1), ("validate_all", 1)]
+                                 ("expand_row", 1), ("minimal_degree", 1), ("validate_all", 1)]
     assert ran["autgroup"][0][0] == "validate_all"
     assert count("validate") == [("check_ii", 1), ("validate_all", 1)]
     assert count("bound") == count("sweep") == []

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qcnied import io, niederreiter
-from qcnied.circulant import BlockCirculant
 from qcnied.conditions import sample_compliant, sample_variant
 from qcnied.errors import (
     DecodeFailure,
@@ -30,7 +29,7 @@ from qcnied.errors import (
     TooLarge,
     WeightTooHigh,
 )
-from qcnied.field import FieldCtx
+from qcnied.field import BlockCirculant, FieldCtx
 from qcnied.niederreiter import (
     PrivateKey,
     _cancel,

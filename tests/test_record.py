@@ -5,10 +5,9 @@ import pytest
 
 from qcnied._record import Record
 from qcnied.autgroup import AutGroup
-from qcnied.circulant import BlockCirculant
 from qcnied.conditions import ConditionReport, Verdict
 from qcnied.distinguish import BoundReport
-from qcnied.field import FieldCtx, expand_row
+from qcnied.field import BlockCirculant, FieldCtx, expand_row
 from qcnied.niederreiter import PrivateKey, PublicKey, keygen
 
 CTX = FieldCtx(2)
