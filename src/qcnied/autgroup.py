@@ -40,10 +40,9 @@ import math
 from collections.abc import Iterable, Iterator
 from itertools import chain, permutations, product
 
-from ._record import Record
 from .conditions import good_shape
 from .errors import TooLarge
-from .field import BlockCirculant, Dense, expand_row
+from .field import BlockCirculant, Dense, Record, expand_row
 from .perm import Pair, act, is_permutation, minimal_degree, pair_product, support
 
 # candidate rows tried plus pairs listed one stabilizer search may spend

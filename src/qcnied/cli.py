@@ -294,6 +294,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # io refuses every decimal token over MAX_DIGITS before int(), so a
+    # message may print the integers worked out from them at any size
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     raise SystemExit(main())
 
 

@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import random
 
-from ._record import Record
 from .errors import BudgetExhausted, EtaTooSmall, OutOfRange
-from .field import BlockCirculant, FieldCtx, check_shape, is_prime
+from .field import BlockCirculant, FieldCtx, Record, check_shape, is_prime
 
 PASS = "pass"
 FAIL = "fail"

@@ -28,9 +28,8 @@ from __future__ import annotations
 import math
 from math import factorial
 
-from ._record import Record
 from .errors import InfeasibleSupport, StructureViolation, TooLarge
-from .field import check_shape, is_prime
+from .field import Record, check_shape, is_prime
 
 # Largest n = m2*p the envelope accepts; near it one envelope, a few
 # exact factorials of at most n, takes at most 0.25 s on a 2-vCPU host.

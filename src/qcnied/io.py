@@ -17,8 +17,8 @@ for byte.
 Every reader refuses a bad shape (field.check_shape) before it reads
 the lines the shape lays out. The matrix reader parses at most one
 block line past the count and leaves the count's refusal to
-BlockCirculant; a record's refusal becomes ParseError. A row refusal
-names its file and row kind.
+BlockCirculant. `_admit` turns a record's refusal into ParseError, in
+one place for every reader; a row refusal names its file and row kind.
 The records are flat, as their files are, so the key readers build no
 circulant objects.
 
@@ -70,15 +70,20 @@ def _check_shape(p: int, m1: int, m2: int, what: str) -> None:
         raise ParseError(f"{what}: bad shape p={p} m1={m1} m2={m2}") from None
 
 
+def _admit(what: str, build, *args):
+    """build(*args), with a record's refusal (a QcniedError) refused as
+    ParseError `what: reason`."""
+    try:
+        return build(*args)
+    except QcniedError as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
+
 def _ctx_from(eta: int, modulus_hex: str) -> FieldCtx:
     # lowercase like every other hex token, and canonical: no leading zero
     if not modulus_hex or modulus_hex[0] == "0" or not HEX_DIGITS.issuperset(modulus_hex):
         raise ParseError(f"bad modulus hex {modulus_hex!r}")
-    modulus = int(modulus_hex, 16)
-    try:
-        return FieldCtx(eta, modulus)
-    except QcniedError as exc:
-        raise ParseError(f"bad field parameters: {exc}") from exc
+    return _admit("bad field parameters", FieldCtx, eta, int(modulus_hex, 16))
 
 
 def _parse_row(ctx: FieldCtx, line: str, p: int, what: str) -> tuple[int, ...]:
@@ -86,10 +91,7 @@ def _parse_row(ctx: FieldCtx, line: str, p: int, what: str) -> tuple[int, ...]:
     toks = line.split(" ")
     if len(toks) != p:
         raise ParseError(f"{what}: expected {p} tokens, got {len(toks)}")
-    try:
-        return tuple(ctx.parse_hex(t) for t in toks)
-    except QcniedError as exc:
-        raise ParseError(f"{what} {line!r}: {exc}") from exc
+    return _admit(f"{what} {line!r}", tuple, map(ctx.parse_hex, toks))
 
 
 def _format_row(ctx: FieldCtx, row) -> str:
@@ -187,10 +189,7 @@ def read_matrix(text: str) -> BlockCirculant:
     # one line past the block count is enough for BlockCirculant to refuse it
     body = lines[3:4 + m1 * (m2 - m1)]
     rows = [_parse_row(ctx, line, p, "matrix file: block row") for line in body]
-    try:
-        return BlockCirculant(ctx, p, m1, m2, rows)
-    except QcniedError as exc:
-        raise ParseError(f"matrix file: {exc}") from exc
+    return _admit("matrix file", BlockCirculant, ctx, p, m1, m2, rows)
 
 
 def _unpack_bits(tok: str, width: int) -> int:
@@ -241,10 +240,7 @@ def read_private_key(text: str) -> PrivateKey:
     b0 = tuple(_parse_params(lines[4 + k], n, "permutation images"))
     rows = tuple(_parse_row(ctx, lines[5 + k + i], p, "private key: block row")
                  for i in range(n_blocks))
-    try:
-        return PrivateKey(a0, rows, b0, p, m1, m2, ctx, e)
-    except QcniedError as exc:
-        raise ParseError(f"private key: {exc}") from exc
+    return _admit("private key", PrivateKey, a0, rows, b0, p, m1, m2, ctx, e)
 
 
 def write_public_key(pub: PublicKey) -> str:
@@ -277,8 +273,5 @@ def read_ciphertext(ctx: FieldCtx, text: str, k: int) -> tuple[int, ...]:
     lines = _lines(text, "ciphertext")
     if len(lines) != k:
         raise ParseError(f"ciphertext: expected {k} lines, got {len(lines)}")
-    try:
-        return tuple(ctx.parse_hex(line) for line in lines)
-    except QcniedError as exc:
-        raise ParseError(f"ciphertext: {exc}") from exc
+    return _admit("ciphertext", tuple, map(ctx.parse_hex, lines))
 

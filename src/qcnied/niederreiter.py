@@ -34,9 +34,8 @@ from math import comb
 from operator import xor
 from types import MappingProxyType
 
-from ._record import Record
 from .errors import DecodeFailure, OutOfRange, SizeMismatch, TooLarge, WeightTooHigh
-from .field import check_block_rows, expand
+from .field import Record, check_block_rows, expand
 
 ENUM_BUDGET = 1 << 24
 

@@ -12,8 +12,8 @@ discipline: UTF-8, LF endings, an exact header, canonical output.
 
 from __future__ import annotations
 
-from .errors import ParseError, QcniedError
-from .io import _check_shape, _emit, _framed, _int_list, _int_token, _read, read_matrix
+from .errors import ParseError
+from .io import _admit, _check_shape, _emit, _framed, _int_list, _int_token, _read, read_matrix
 
 QCREP_HEADER = "QCREP v1"
 SWEEP_COLUMNS = ("p", "m1", "m2", "k", "n", "h_order", "ln_s0", "ln_s1", "ln_dk", "max_c")
@@ -21,6 +21,7 @@ SWEEP_COLUMNS = ("p", "m1", "m2", "k", "n", "h_order", "ln_s0", "ln_s1", "ln_dk"
 
 def write_report(fields, elems=None) -> str:
     out = [QCREP_HEADER]
+    # a value prints as str(value): a float as its repr, "inf" when infinite
     out.extend(f"{key}: {value}" for key, value in fields)
     if elems:
         for p1, p2 in elems:
@@ -51,22 +52,12 @@ def read_report(text: str) -> tuple[dict[str, str], list[tuple]]:
             left, bar, right = value.partition(" | ")
             if not bar:
                 raise ParseError(f"report: bad element line {line!r}")
-            try:
-                elems.append((_permutation(left), _permutation(right)))
-            except QcniedError as exc:
-                raise ParseError(f"report: {exc}") from exc
+            elems.append(_admit("report", tuple, map(_permutation, (left, right))))
         elif key in fields:
             raise ParseError(f"report: repeated field {key!r}")
         else:
             fields[key] = value
     return fields, elems
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    # str of a float is its repr, and "inf" or "-inf" when infinite
-    return str(value)
 
 
 def _shape_fields(p: int, m1: int, m2: int, eta: int | None = None):
@@ -92,9 +83,9 @@ def _cmd_validate(matrix, desk_scale=False, variant=False, threshold=None, out=N
     for name, verdict in rep.items():
         fields.append((f"cond_{name}", verdict.status))
         if not verdict.ok and verdict.witness is not None:
-            fields.append((f"witness_{name}", _fmt(verdict.witness)))
+            fields.append((f"witness_{name}", verdict.witness))
     ok = rep.variant_ok() if variant else rep.strict_ok()
-    fields.append(("ok", _fmt(ok)))
+    fields.append(("ok", "true" if ok else "false"))
     _emit(write_report(fields), out)
     return 0 if ok else 1
 
@@ -114,7 +105,7 @@ def _surveillance(rep, g: "AutGroup", pi1: float, pi2: float) -> tuple[str, bool
         if g.order > p * p:
             return f"tripped (order {g.order} > p^2 = {p * p})", True
         if pi1 < p - 1:
-            return f"tripped (row minimal degree {_fmt(pi1)} < {p - 1})", True
+            return f"tripped (row minimal degree {pi1} < {p - 1})", True
         if pi2 < pi1:
             return "tripped (column minimal degree below row minimal degree)", True
         return "clear", False
@@ -146,8 +137,8 @@ def _cmd_autgroup(matrix, threshold=None, out=None) -> int:
     fields += _shape_fields(c.p, c.m1, c.m2, c.ctx.eta)
     fields += [
         ("order", g.order),
-        ("min_degree_rows", _fmt(pi1)),
-        ("min_degree_cols", _fmt(pi2)),
+        ("min_degree_rows", pi1),
+        ("min_degree_cols", pi2),
         ("classification", EXCEPTIONAL if tripped else g.classification),
     ]
     for (i, j), label in sorted(g.block_labels.items()):
@@ -167,11 +158,11 @@ def _bound_fields(r) -> list:
         ("k", r.k),
         ("n", r.n),
         ("h_order", r.h_order),
-        ("ln_g", _fmt(r.log_g)),
-        ("ln_s0", _fmt(r.s0_log)),
-        ("ln_s1", _fmt(r.s1_log)),
-        ("ln_dk", _fmt(r.dk_log)),
-        ("ln_group2", _fmt(r.log_group2)),
+        ("ln_g", r.log_g),
+        ("ln_s0", r.s0_log),
+        ("ln_s1", r.s1_log),
+        ("ln_dk", r.dk_log),
+        ("ln_group2", r.log_group2),
         ("max_c", r.max_c),
     ]
 

@@ -102,6 +102,12 @@ def test_matrix_rejects_bad_tokens():
     ):
         with pytest.raises(ParseError):
             io.read_matrix(tampered)
+    # x^4 + 1 = (x + 1)^4, and x^3 + x + 1 has the wrong degree
+    for modulus, reason in (("11", "modulus 0x11 factors over F2"),
+                            ("b", "modulus degree 3 does not match eta 4")):
+        with pytest.raises(ParseError) as refusal:
+            io.read_matrix(good.replace("\n13\n", f"\n{modulus}\n"))
+        assert str(refusal.value) == f"bad field parameters: {reason}"
     # out of range for eta = 2 even though the digit itself is valid hex
     ctx2 = FieldCtx(2)
     c2 = BlockCirculant(ctx2, 5, 1, 2, [(1, 2, 3, 0, 1)])
@@ -218,8 +224,11 @@ def test_ciphertext_roundtrip(c512):
     assert io.read_ciphertext(ctx, text, pub.k) == tuple(y)
     with pytest.raises(ParseError):
         io.read_ciphertext(ctx, text, pub.k + 1)
-    with pytest.raises(ParseError):
-        io.read_ciphertext(ctx, "x" + text[1:], pub.k)
+    for token, reason in (("x", "not a lowercase hex token of 1 digits: 'x'"),
+                          ("4", "'4' encodes 4, outside [0, 4)")):
+        with pytest.raises(ParseError) as refusal:
+            io.read_ciphertext(ctx, token + text[1:], pub.k)
+        assert str(refusal.value) == f"ciphertext: {reason}"
 
 
 def test_report_roundtrip():
@@ -716,6 +725,42 @@ def test_cli_refuses_a_decimal_token_over_max_digits(tmp_path, capsys, c512):
         assert not out.exists()
 
 
+def test_cli_prints_an_integer_of_any_size(tmp_path, c512):
+    """A message may print an integer worked out from the tokens, such as
+    n = m2 * p, which can pass Python's own digit limit for int -> str
+    conversion (4,300 by default, PYTHONINTMAXSTRDIGITS when set): the
+    entry point lifts the limit, so each command still exits with one
+    `error:` line and writes nothing."""
+    root = Path(__file__).resolve().parent.parent
+    nines, ones = "9" * io.MAX_DIGITS, "1" * 1000
+    big = "1" + "0" * 3000
+    (tmp_path / "big.qcm").write_text(f"QCMAT v1\n1 {big} {2 * int(big)} 2\n7\n")
+    (tmp_path / "const.qcm").write_text("QCMAT v1\n211 1 2 2\n7\n" + " ".join("1" * 211) + "\n")
+    lines = io.write_private_key(keypair(c512)[0]).split("\n")
+    lines[2] = f"1 {big} {2 * int(big)} 2 1"
+    (tmp_path / "big.sk").write_text("\n".join(lines))
+    (tmp_path / "ct").write_text("0\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    low = dict(env, PYTHONINTMAXSTRDIGITS="640")
+    for argv, code, environ in (
+            (["sweep", "--p", nines], 1, env),
+            (["bound", "--envelope", "--p", nines], 1, env),
+            (["validate", "big.qcm"], 2, env),
+            (["decrypt", "big.sk", "ct"], 2, env),
+            (["sweep", "--p", ones], 1, low),
+            (["autgroup", "const.qcm"], 1, low)):
+        proc = subprocess.run([sys.executable, "-m", "qcnied.cli", *argv, "-o", "out"],
+                              env=environ, capture_output=True, text=True, timeout=60,
+                              cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (code, ""), argv[:2]
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, argv[:2]
+        assert not (tmp_path / "out").exists()
+
+
 def test_cli_autgroup_and_bound(tmp_path):
     c = sample_compliant(5, 1, 2, 2, seed=1)
     mat, rep, brep = (tmp_path / n for n in ("m.qcm", "g.qcr", "b.qcr"))
@@ -1000,11 +1045,10 @@ def test_cli_decrypt_refuses_a_syndrome_outside_the_span(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: syndrome outside the column span of H\n")
 
 
-# A command's qcnied modules beyond the five every command loads, in run
-# order: each row reads the files the rows before it wrote. "" is a bare
-# `import qcnied.cli`.
-EVERY_COMMAND = ("qcnied", "qcnied.cli", "qcnied.io", "qcnied.errors", "qcnied.field",
-                 "qcnied._record")
+# The five qcnied modules every command loads; MODULE_TABLE gives each
+# command's modules beyond them, in run order: each row reads the files
+# the rows before it wrote. "" is a bare `import qcnied.cli`.
+EVERY_COMMAND = ("qcnied", "qcnied.cli", "qcnied.io", "qcnied.errors", "qcnied.field")
 MODULE_TABLE = [
     ("", ()),
     ("search 5 1 2 2 --seed 3 -o m.qcm", ("conditions",)),
@@ -1123,14 +1167,19 @@ def test_package_exports_resolve_to_home_modules():
 
 def test_block_circulant_has_one_home():
     # C's record lives in `field`, beside the block-row rules it calls,
-    # and under no other module
+    # and under no other module; so does the base of every value type
     import qcnied
     from qcnied import field
+    from qcnied.distinguish import BoundReport
 
     assert qcnied.BlockCirculant is field.BlockCirculant
     assert len(qcnied.__all__) == 39
-    with pytest.raises(ImportError):
-        exec("import qcnied.circulant", {})
+    for gone in ("qcnied.circulant", "qcnied._record"):
+        with pytest.raises(ImportError):
+            exec(f"import {gone}", {})
+    for cls in (field.FieldCtx, field.BlockCirculant, Verdict, ConditionReport,
+                niederreiter.PrivateKey, niederreiter.PublicKey, AutGroup, BoundReport):
+        assert [base for base in cls.__mro__ if base.__name__ == "Record"] == [field.Record], cls
 
 
 def test_cli_autgroup_refuses_before_any_search(tmp_path, monkeypatch, capsys):

@@ -3,11 +3,10 @@ positional or keyword construction with defaults, no mutation."""
 
 import pytest
 
-from qcnied._record import Record
 from qcnied.autgroup import AutGroup
 from qcnied.conditions import ConditionReport, Verdict
 from qcnied.distinguish import BoundReport
-from qcnied.field import BlockCirculant, FieldCtx, expand_row
+from qcnied.field import BlockCirculant, FieldCtx, Record, expand_row
 from qcnied.niederreiter import PrivateKey, PublicKey, keygen
 
 CTX = FieldCtx(2)
